@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, energy_anchored
 from .errors import CoefficientError, DegenerateEnergyNormError, NotPositiveDefiniteError
 from .mesh import (
-    BoundaryLabel,
     Mesh,
     cell_volumes,
     clamped_nodes,
@@ -125,7 +124,9 @@ class OperatorPencil:
     active: node indices kept after eliminating clamped nodes, sorted.
     trace_slots: positions inside `active` of the trace nodes.
     All matrices are restricted to active nodes; gram and dynamics act on
-    stacked [u; v] states of length 2 * num_active.
+    stacked [u; v] states of length 2 * num_active.  displacement_gram and
+    mass are views of gram's diagonal blocks, and gram_factors holds their
+    lower Cholesky factors (L_S, L_M), computed once at assembly.
     """
 
     mesh: Mesh
@@ -138,6 +139,7 @@ class OperatorPencil:
     boundary_damper: np.ndarray
     displacement_gram: np.ndarray
     gram: np.ndarray
+    gram_factors: tuple[np.ndarray, np.ndarray]
     dynamics: np.ndarray
     damping_active: bool
 
@@ -166,16 +168,21 @@ class OperatorPencil:
 def energy_gram(mesh: Mesh, coeffs: CoefficientSet) -> np.ndarray:
     """Gram matrix of the state inner product, blockdiag(S, M), reduced.
 
-    Verifies positive definiteness of both blocks by factorization.  A
-    failure of the displacement block with no fixed boundary and no
-    boundary spring is reported as DegenerateEnergyNormError.
+    Built by assemble_pencil, so both blocks are checked by their Cholesky
+    factorization and the same errors are raised.  The factors are dropped
+    here; use assemble_pencil to keep them.
     """
     pencil = assemble_pencil(mesh, coeffs)
     return pencil.gram
 
 
 def assemble_pencil(mesh: Mesh, coeffs: CoefficientSet) -> OperatorPencil:
-    """Assemble and reduce all model matrices; checks the energy form."""
+    """Assemble and reduce all model matrices; checks the energy form.
+
+    S and M are each factored once by linalg.cholesky.  A failure of S is
+    NotPositiveDefiniteError, or DegenerateEnergyNormError when the model
+    has no fixed boundary and no boundary spring.
+    """
     mass_full = mass_matrix(mesh, coeffs.density)
     stiff_full = stiffness_matrix(mesh, coeffs.modulus)
     spring_full = boundary_mass(mesh, coeffs.boundary_stiffness)
@@ -187,32 +194,31 @@ def assemble_pencil(mesh: Mesh, coeffs: CoefficientSet) -> OperatorPencil:
     trace_slots = np.searchsorted(active, tr_nodes)
 
     ix = np.ix_(active, active)
-    mass = mass_full[ix]
     stiff = stiff_full[ix]
     spring = spring_full[ix]
     damper = damper_full[ix]
-    disp_gram = stiff + spring
 
     m = active.shape[0]
     gram = np.zeros((2 * m, 2 * m))
-    gram[:m, :m] = disp_gram
-    gram[m:, m:] = mass
+    # S and M live only inside gram; the pencil's fields are views.
+    disp_gram = gram[:m, :m]
+    mass = gram[m:, m:]
+    np.add(stiff, spring, out=disp_gram)
+    mass[...] = mass_full[ix]
     dynamics = np.zeros((2 * m, 2 * m))
     dynamics[:m, m:] = disp_gram
     dynamics[m:, :m] = -disp_gram
     dynamics[m:, m:] = -damper
 
     try:
-        linalg.cholesky(disp_gram)
+        low_disp = linalg.cholesky(disp_gram)
     except NotPositiveDefiniteError as exc:
-        has_clamp = any(lab is BoundaryLabel.FIXED for lab in mesh.facet_labels)
-        spring_mass = float(np.sum(coeffs.boundary_stiffness * facet_measures(mesh)))
-        if not has_clamp and spring_mass == 0.0:
+        if not energy_anchored(mesh, coeffs):
             raise DegenerateEnergyNormError(
                 "degenerate energy norm: no fixed boundary portion and no boundary spring"
             ) from exc
         raise
-    linalg.cholesky(mass)
+    low_mass = linalg.cholesky(mass)
 
     damping_active = bool(np.any(coeffs.boundary_damping > 0.0))
     return OperatorPencil(
@@ -226,6 +232,7 @@ def assemble_pencil(mesh: Mesh, coeffs: CoefficientSet) -> OperatorPencil:
         boundary_damper=damper,
         displacement_gram=disp_gram,
         gram=gram,
+        gram_factors=(low_disp, low_mass),
         dynamics=dynamics,
         damping_active=damping_active,
     )

@@ -131,6 +131,18 @@ def sample_coefficients(
     return CoefficientSet(t, rho, a, b, k1, k2, float(bound))
 
 
+def energy_anchored(mesh: Mesh, coeffs: CoefficientSet) -> bool:
+    """The degenerate-energy rule: True when the energy form is anchored.
+
+    A fixed facet or a boundary spring of nonzero total mass keeps the
+    constants out of the kernel of the displacement energy form; with
+    neither, the energy norm is degenerate.
+    """
+    if any(lab is BoundaryLabel.FIXED for lab in mesh.facet_labels):
+        return True
+    return float(np.sum(coeffs.boundary_stiffness * facet_measures(mesh))) != 0.0
+
+
 def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
     """Check the model's standing assumptions; return True if damping acts.
 
@@ -176,10 +188,7 @@ def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
     if nf and np.any(coeffs.boundary_damping[~damper_mask] != 0.0):
         raise CoefficientError("boundary damping set on a facet without a damper label")
 
-    measures = facet_measures(mesh)
-    has_clamp = any(lab.value == "fixed" for lab in mesh.facet_labels)
-    spring_mass = float(np.sum(coeffs.boundary_stiffness * measures))
-    if not has_clamp and spring_mass == 0.0:
+    if not energy_anchored(mesh, coeffs):
         raise DegenerateEnergyNormError(
             "degenerate energy norm: no fixed boundary portion and no boundary spring"
         )

@@ -29,6 +29,10 @@ class EigenSolverError(WavetripleError):
     """Eigenvalue iteration failed to converge."""
 
 
+class InitialDataError(WavetripleError, ValueError):
+    """Initial displacement or velocity is non-finite or violates a constraint."""
+
+
 class ContractionBreachError(WavetripleError):
     """Time stepping grew the state norm on a provably dissipative model."""
 

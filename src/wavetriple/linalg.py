@@ -1,7 +1,10 @@
 """Dense linear-algebra kernels: Cholesky, LU solves, nonsymmetric eigenproblems.
 
 Everything here works on plain numpy arrays.  Matrices are small and dense
-(a few thousand rows at most), so no sparse formats are used.
+(a few thousand rows at most), so no sparse formats are used.  Cholesky and
+LU are LAPACK's, with a package-wide relative pivot threshold on top.  A
+block-diagonal Gram matrix is reduced block by block from the factors of
+its diagonal blocks, so its full factor is never formed.
 """
 
 from __future__ import annotations
@@ -21,32 +24,30 @@ PIVOT_RTOL = 1e-14
 def cholesky(mat: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor L with mat = L @ L.T.
 
-    Raises NotPositiveDefiniteError if any pivot falls at or below
-    PIVOT_RTOL times the largest entry magnitude.  That threshold is the
-    package-wide detector for energy forms with a nontrivial kernel.
+    Raises NotPositiveDefiniteError if LAPACK breaks down or any pivot
+    diag(L)_j**2 falls at or below PIVOT_RTOL times the largest entry
+    magnitude.  That threshold is the package-wide detector for energy
+    forms with a nontrivial kernel.  The input is never modified.
     """
-    a = np.array(mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros((0, 0))
     scale = float(np.abs(a).max())
     if not np.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
     tol = PIVOT_RTOL * scale
-    low = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j]
-        if not pivot > tol:
-            raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at row {j} is below {tol:.3e}"
-            )
-        d = np.sqrt(pivot)
-        low[j, j] = d
-        col = a[j + 1 :, j] / d
-        low[j + 1 :, j] = col
-        a[j + 1 :, j + 1 :] -= np.outer(col, col)
+    try:
+        low = scipy.linalg.cholesky(a, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"nonpositive pivot: {exc}") from exc
+    pivots = np.diag(low) ** 2
+    j = int(np.argmin(pivots))
+    if not pivots[j] > tol:
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[j]:.3e} at row {j} is below {tol:.3e}"
+        )
     return low
 
 
@@ -127,19 +128,48 @@ def eig_nonsymmetric(mat: np.ndarray) -> ComplexEigenSet:
     return ComplexEigenSet(values[order], vectors[:, order], residuals[order])
 
 
-def generalized_to_standard(gram: np.ndarray, op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
+    """Index range of each diagonal block, paired with its factor."""
+    out, start = [], 0
+    for low in factors:
+        out.append((slice(start, start + low.shape[0]), low))
+        start += low.shape[0]
+    return out
+
+
+def _reduce_blocks(factors, op: np.ndarray) -> np.ndarray:
+    """B = L^{-1} op L^{-T} for L = blockdiag(factors), one block at a time."""
+    a = np.asarray(op, dtype=float)
+    blocks = _blocks(factors)
+    order = sum(low.shape[0] for low in factors)
+    if a.shape != (order, order):
+        raise ValueError(f"operator shape {a.shape} does not match Gram order {order}")
+    b = np.empty((order, order))
+    for rows, low in blocks:
+        b[rows] = scipy.linalg.solve_triangular(low, a[rows], lower=True)
+    for cols, low in blocks:
+        b[:, cols] = scipy.linalg.solve_triangular(low, b[:, cols].T, lower=True).T
+    return b
+
+
+def generalized_to_standard(
+    gram: np.ndarray, op: np.ndarray, factors: tuple[np.ndarray, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray | tuple[np.ndarray, ...]]:
     """Reduce the pencil (op, gram) to standard form.
 
     With gram = L L^T this returns (B, L) where B = L^{-1} op L^{-T}; the
     pencil eigenproblem op z = lambda gram z becomes B w = lambda w with
     z = L^{-T} w.  Congruence, so the spectrum is preserved exactly.
+
+    For a block-diagonal gram, pass the lower Cholesky factors L_i of its
+    diagonal blocks, in order, as factors.  Then L = blockdiag(L_i) is
+    never formed, gram is not read, B is built block by block as
+    B_ij = L_i^{-1} op_ij L_j^{-T}, and factors is returned in place of L.
     """
-    low = cholesky(gram)
-    if low.shape[0] == 0:
-        return np.zeros((0, 0)), low
-    y = scipy.linalg.solve_triangular(low, np.asarray(op, dtype=float), lower=True)
-    b = scipy.linalg.solve_triangular(low, y.T, lower=True).T
-    return b, low
+    if factors is None:
+        low = cholesky(gram)
+        return _reduce_blocks((low,), op), low
+    return _reduce_blocks(factors, op), factors
 
 
 @dataclass(frozen=True)
@@ -159,13 +189,24 @@ class PencilEigenSet:
         return self.values.shape[0]
 
 
-def generalized_eig(gram: np.ndarray, op: np.ndarray) -> PencilEigenSet:
-    """Solve the generalized problem op z = lambda gram z for SPD gram."""
-    b, low = generalized_to_standard(gram, op)
+def generalized_eig(
+    gram: np.ndarray, op: np.ndarray, factors: tuple[np.ndarray, ...] | None = None
+) -> PencilEigenSet:
+    """Solve the generalized problem op z = lambda gram z for SPD gram.
+
+    factors, if given, are the Cholesky factors of gram's diagonal blocks
+    (see generalized_to_standard); the back-transform then also runs block
+    by block.  Residuals always use gram and op themselves.
+    """
+    b, low = generalized_to_standard(gram, op, factors)
     std = eig_nonsymmetric(b)
     if len(std) == 0:
         return PencilEigenSet(std.values, std.vectors, std.residuals)
-    vectors = scipy.linalg.solve_triangular(low, std.vectors, lower=True, trans="T")
+    vectors = np.empty_like(std.vectors)
+    for rows, lo in _blocks((low,) if factors is None else factors):
+        vectors[rows] = scipy.linalg.solve_triangular(
+            lo, std.vectors[rows], lower=True, trans="T"
+        )
     # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
     gram_z = np.asarray(gram, dtype=float) @ vectors
     raw = np.linalg.norm(np.asarray(op, dtype=float) @ vectors - gram_z * std.values, axis=0)

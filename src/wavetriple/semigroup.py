@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .assembly import OperatorPencil, mass_matrix, physical_energy, state_norm
-from .errors import ContractionBreachError, SingularMatrixError
+from .errors import ContractionBreachError, InitialDataError, SingularMatrixError
 
 # Relative per-step growth beyond which a dissipative run is aborted.
 BREACH_RTOL = 1e-10
@@ -133,24 +133,33 @@ def simulate(
 def initial_state(pencil: OperatorPencil, w0, w1) -> np.ndarray:
     """Nodal state from initial displacement and velocity callables.
 
-    Both callables map an (m, dim) array of points to m values.  The
-    displacement must vanish at clamped nodes; a violation is a data
-    error, not something to silently project away.
+    Both callables map an (m, dim) array of points to m values.  Both
+    must be finite at every active node, and the displacement must vanish
+    at clamped nodes; a violation is a data error (InitialDataError), not
+    something to silently project away.
     """
     mesh = pencil.mesh
     pts = mesh.nodes[pencil.active]
     u = np.asarray(w0(pts), dtype=float)
     v = np.asarray(w1(pts), dtype=float)
     if u.shape != (pencil.num_active,) or v.shape != (pencil.num_active,):
-        raise ValueError("initial data callables must return one value per active node")
+        raise InitialDataError("initial data callables must return one value per active node")
+    for name, values in (("displacement", u), ("velocity", v)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InitialDataError(
+                f"initial {name} is not finite at {bad.size} node(s), "
+                f"first at {pts[bad[0]].tolist()}"
+            )
     clamped = np.setdiff1d(np.arange(mesh.num_nodes), pencil.active)
     if clamped.size:
         at_clamped = np.asarray(w0(mesh.nodes[clamped]), dtype=float)
         tol = 1e-12 * (1.0 + float(np.abs(u).max(initial=0.0)))
-        if np.abs(at_clamped).max() > tol:
-            raise ValueError(
+        worst = np.abs(at_clamped).max()
+        if not worst <= tol:
+            raise InitialDataError(
                 f"initial displacement must vanish on the fixed boundary; "
-                f"largest violation {np.abs(at_clamped).max():.3e}"
+                f"largest violation {worst:.3e}"
             )
     return pencil.join(u, v)
 

@@ -1,7 +1,8 @@
 """Spectra of the closed-loop generator and derived stability reports.
 
 Eigenvalues come from the generalized problem dyn z = lambda gram z,
-reduced to standard form through the Cholesky factor of the Gram matrix.
+reduced to standard form block by block through the Cholesky factors of
+the Gram matrix's two diagonal blocks, computed once at assembly.
 Every reported pair carries a recomputed residual plus two boundary
 residuals: the damped velocity trace and the first boundary map, which
 must both vanish on any eigenvector whose eigenvalue sits on the
@@ -16,9 +17,9 @@ import numpy as np
 
 from . import linalg
 from .assembly import OperatorPencil, boundary_mass, mass_matrix, stiffness_matrix
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, energy_anchored
 from .errors import DegenerateEnergyNormError, EigenSolverError
-from .mesh import BoundaryLabel, Mesh, clamped_nodes, facet_measures
+from .mesh import Mesh, clamped_nodes
 from .semigroup import perturbed_dynamics
 
 # Pencil residual bound accepted from the eigensolver.
@@ -85,7 +86,7 @@ def compute_spectrum(
     accepted bound, so a report in hand is a certificate.
     """
     dyn = perturbed_dynamics(pencil)
-    pairs = linalg.generalized_eig(pencil.gram, dyn)
+    pairs = linalg.generalized_eig(pencil.gram, dyn, pencil.gram_factors)
     if len(pairs) != pencil.state_dim:
         raise EigenSolverError(
             f"expected {pencil.state_dim} eigenvalues, got {len(pairs)}"
@@ -112,9 +113,7 @@ def compute_spectrum(
     abscissa = float(values.real.max()) if len(pairs) else -np.inf
     gap = imaginary_axis_gap(values)
     min_modulus = float(np.abs(values).min()) if len(pairs) else np.inf
-    anchored = any(lab is BoundaryLabel.FIXED for lab in pencil.mesh.facet_labels) or bool(
-        np.any(pencil.coeffs.boundary_stiffness > 0)
-    )
+    anchored = energy_anchored(pencil.mesh, pencil.coeffs)
     zero_excluded = bool(min_modulus > ZERO_TOL) if (pencil.damping_active and anchored) else True
     near_axis = np.nonzero(np.abs(values.real) < axis_tol)[0]
     return SpectralReport(
@@ -174,9 +173,7 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     Needs a fixed portion or a nonzero spring; otherwise constants defeat
     any such bound.
     """
-    has_clamp = any(lab is BoundaryLabel.FIXED for lab in mesh.facet_labels)
-    spring_mass = float(np.sum(coeffs.boundary_stiffness * facet_measures(mesh)))
-    if not has_clamp and spring_mass == 0.0:
+    if not energy_anchored(mesh, coeffs):
         raise DegenerateEnergyNormError(
             "degenerate energy norm: constants break the trace bound"
         )

@@ -139,6 +139,28 @@ class TestSimulate:
         assert "whole number" in err
 
 
+    @pytest.mark.parametrize(
+        "initial, message",
+        [
+            ("w0 = 1 - x\nw1 = 1/x\n", "not finite"),
+            ("w0 = 1\nw1 = 0\n", "vanish"),
+        ],
+        ids=["nonfinite-velocity", "clamped-displacement"],
+    )
+    def test_bad_initial_data_is_an_error_line(self, tmp_path, capsys, initial, message):
+        text = UNDAMPED_RUN.replace("left = fixed", "left = elastic").replace(
+            "w0 = x*(1 - x)\nw1 = 0\n", initial
+        )
+        cfg = write_config(tmp_path, text + "\n[boundary]\nk1 = 1\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run(["simulate", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (out_dir / "energy.csv").exists()
+
+
 class TestScalarCommands:
     def test_poincare_constant(self, tmp_path, capsys):
         cfg = write_config(

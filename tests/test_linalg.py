@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from wavetriple import linalg
+from wavetriple import linalg, spectral
 from wavetriple.errors import NotPositiveDefiniteError, SingularMatrixError
 
 
@@ -45,6 +47,62 @@ class TestCholesky:
         ref = mat.copy()
         linalg.cholesky(mat)
         assert np.array_equal(mat, ref)
+
+    def test_tiny_pivot_rejected_although_lapack_succeeds(self):
+        mat = np.diag([1.0, 1e-15])
+        assert np.all(np.diag(np.linalg.cholesky(mat)) > 0.0)
+        with pytest.raises(NotPositiveDefiniteError, match="pivot"):
+            linalg.cholesky(mat)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.diag([1.0, -1.0]),
+            -np.eye(3),
+            np.zeros((2, 2)),
+            np.array([[4.0, 2.0, 0.0], [2.0, 1.0, 3.0], [0.0, 3.0, 5.0]]),
+        ],
+    )
+    def test_indefinite_is_not_a_lapack_error(self, mat):
+        with pytest.raises(NotPositiveDefiniteError, match="pivot") as info:
+            linalg.cholesky(mat)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.ones((2, 3)),
+            np.ones(4),
+        ],
+    )
+    def test_bad_input_is_a_value_error(self, mat):
+        with pytest.raises(ValueError):
+            linalg.cholesky(mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        rank_drop=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_factor_or_reject_property(self, n, rank_drop, seed, scale):
+        # X X^T has rank n - rank_drop: SPD when nothing is dropped,
+        # positive semidefinite with a kernel otherwise.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, max(n - rank_drop, 0)))
+        mat = scale * (x @ x.T)
+        if rank_drop == 0:
+            mat += scale * np.eye(n)
+        try:
+            low = linalg.cholesky(mat)
+        except NotPositiveDefiniteError:
+            assert rank_drop > 0
+            return
+        assert np.array_equal(np.triu(low, 1), np.zeros((n, n)))
+        assert np.abs(low @ low.T - mat).max() <= 1e-12 * np.abs(mat).max()
 
 
 class TestLuSolve:
@@ -165,6 +223,30 @@ class TestPencil:
             denom = np.linalg.norm(gram @ z) * (1.0 + abs(got.values[k]))
             assert abs(got.residuals[k] - raw / denom) < 1e-12
         assert got.residuals.max() < 1e-10
+
+    def test_block_reduction_matches_full_factor(self):
+        rng = np.random.default_rng(23)
+        blocks = [random_spd(rng, 9), random_spd(rng, 6)]
+        gram = np.zeros((15, 15))
+        gram[:9, :9] = blocks[0]
+        gram[9:, 9:] = blocks[1]
+        op = rng.standard_normal((15, 15))
+        factors = tuple(np.linalg.cholesky(b) for b in blocks)
+        full = linalg.generalized_eig(gram, op)
+        split = linalg.generalized_eig(gram, op, factors)
+        scale = np.abs(full.values).max()
+        assert np.abs(split.values - full.values).max() <= 1e-12 * scale
+        assert split.residuals.max() < spectral.RESIDUAL_TOL
+        b_split, got = linalg.generalized_to_standard(gram, op, factors)
+        assert got is factors
+        low = np.zeros((15, 15))
+        low[:9, :9], low[9:, 9:] = factors
+        assert np.abs(low @ b_split @ low.T - op).max() <= 1e-10 * np.abs(op).max()
+
+    def test_block_factors_must_cover_operator(self):
+        factors = (np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="Gram order"):
+            linalg.generalized_to_standard(np.eye(5), np.eye(5), factors)
 
     def test_indefinite_gram_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):

@@ -139,8 +139,8 @@ class TestComputeSpectrum:
     def test_rejects_miscounted_eigensolve(self, monkeypatch):
         real = linalg.generalized_eig
 
-        def dropped(gram, op):
-            pairs = real(gram, op)
+        def dropped(gram, op, factors=None):
+            pairs = real(gram, op, factors)
             return linalg.PencilEigenSet(
                 pairs.values[:-1], pairs.vectors[:, :-1], pairs.residuals[:-1]
             )
@@ -152,8 +152,8 @@ class TestComputeSpectrum:
     def test_rejects_large_residual(self, monkeypatch):
         real = linalg.generalized_eig
 
-        def inflated(gram, op):
-            pairs = real(gram, op)
+        def inflated(gram, op, factors=None):
+            pairs = real(gram, op, factors)
             return linalg.PencilEigenSet(
                 pairs.values, pairs.vectors, pairs.residuals + 1e-3
             )
@@ -161,6 +161,25 @@ class TestComputeSpectrum:
         monkeypatch.setattr(spectral.linalg, "generalized_eig", inflated)
         with pytest.raises(EigenSolverError, match="residual"):
             wt.compute_spectrum(models.dirichlet_pencil(8))
+
+
+    def test_each_gram_block_factored_once(self, monkeypatch):
+        real = linalg.cholesky
+        orders = []
+
+        def counting(mat):
+            orders.append(np.shape(mat)[0])
+            return real(mat)
+
+        monkeypatch.setattr(linalg, "cholesky", counting)
+        mesh = wt.rectangle_mesh(5, 4, models.square_partition())
+        coeffs = wt.sample_coefficients(
+            mesh, boundary_stiffness=1.0, boundary_damping=lambda p: 1.0 + p[:, 0]
+        )
+        pencil = wt.assemble_pencil(mesh, coeffs)
+        assert pencil.damping_active
+        wt.compute_spectrum(pencil)
+        assert orders == [pencil.num_active, pencil.num_active]
 
 
 class TestEnergyBalance:
