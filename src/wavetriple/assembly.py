@@ -23,6 +23,11 @@ semi-discrete system that Castro & Micu (Numer. Math. 102, 2006) derive
 from the Banks-Ito-Wang mixed method.  Its damped-string spectral gap is
 uniform in h, where the consistent mass loses the gap like h^2.  Only M
 changes; the stiffness, the boundary maps and both identities do not.
+
+Every element matrix goes through one scatter kernel that emits COO
+triplets.  The dense builders return their toarray(), which sums
+duplicates in input order and so matches np.add.at bit for bit; sparse
+consumers (the Helmholtz solve) convert to CSR or CSC instead.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
 
 from . import linalg
 from .coefficients import CoefficientSet, energy_anchored
@@ -56,20 +62,24 @@ _SEG_AVERAGE = np.full((2, 2), 0.25)
 KINETIC_SCHEMES = ("consistent", "cell_average")
 
 
-def _scatter(full: np.ndarray, cells: np.ndarray, local: np.ndarray) -> None:
-    rows = cells[:, :, None]
-    cols = cells[:, None, :]
-    np.add.at(full, (rows, cols), local)
+def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray, shape) -> coo_matrix:
+    """COO triplets placing local[c] at rows[c] x cols[c], for every c.
+
+    The package's one scatter kernel.  Duplicates stay separate triplets
+    until conversion: toarray() sums them in input order, exactly as
+    np.add.at would, and tocsr()/tocsc() give the sparse operators.
+    """
+    r, c, vals = np.broadcast_arrays(rows[:, :, None], cols[:, None, :], local)
+    return coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape)
 
 
 def _weighted_mass(mesh: Mesh, weight: np.ndarray, template: np.ndarray) -> np.ndarray:
     w = np.asarray(weight, dtype=float)
     if w.shape != (mesh.num_cells,):
         raise CoefficientError(f"weight must have one value per cell, got {w.shape}")
-    full = np.zeros((mesh.num_nodes, mesh.num_nodes))
     local = (w * cell_volumes(mesh))[:, None, None] * template
-    _scatter(full, mesh.cells, local)
-    return full
+    n = mesh.num_nodes
+    return _scatter(mesh.cells, mesh.cells, local, (n, n)).toarray()
 
 
 def mass_matrix(mesh: Mesh, weight: np.ndarray) -> np.ndarray:
@@ -89,27 +99,18 @@ def cell_average_mass(mesh: Mesh, weight: np.ndarray) -> np.ndarray:
     return _weighted_mass(mesh, weight, _SEG_AVERAGE)
 
 
-def stiffness_matrix(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
-    """Stiffness matrix for a cellwise-constant scalar or tensor modulus."""
-    t = np.asarray(modulus, dtype=float)
-    full = np.zeros((mesh.num_nodes, mesh.num_nodes))
+def _basis_gradients(mesh: Mesh) -> np.ndarray:
+    """Cellwise gradients of the nodal basis: shape (ncell, dim, dim + 1).
+
+    Entry [c, :, j] is the constant gradient on cell c of the hat function
+    of its j-th node.
+    """
     vols = cell_volumes(mesh)
     if mesh.dim == 1:
-        if t.shape != (mesh.num_cells,):
-            raise CoefficientError(f"modulus must have one value per cell, got {t.shape}")
-        template = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        local = (t / vols)[:, None, None] * template
-        _scatter(full, mesh.cells, local)
-        return full
-    if t.shape == (mesh.num_cells,):
-        tensors = t[:, None, None] * np.eye(2)
-    elif t.shape == (mesh.num_cells, 2, 2):
-        tensors = t
-    else:
-        raise CoefficientError(f"modulus shape {t.shape} not supported")
+        h = vols[:, None, None]
+        return np.concatenate([-1.0 / h, 1.0 / h], axis=2)
     pts = mesh.nodes[mesh.cells]
     p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
-    # Barycentric gradients, columns of a (ncell, 2, 3) stack.
     grads = np.stack(
         [
             np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1),
@@ -117,15 +118,56 @@ def stiffness_matrix(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
             np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], axis=1),
         ],
         axis=2,
-    ) / (2.0 * vols)[:, None, None]
+    )
+    return grads / (2.0 * vols)[:, None, None]
+
+
+def gradient_operator(mesh: Mesh) -> csr_matrix:
+    """Sparse map from nodal values to cellwise gradients.
+
+    Row c * dim + a holds component a of the gradient on cell c, so
+    (G @ p).reshape(ncell, dim) is the gradient of the P1 function p and
+    G.T @ (vols * f).ravel() is the load vector of a cellwise field f.
+    """
+    rows = np.arange(mesh.num_cells * mesh.dim).reshape(mesh.num_cells, mesh.dim)
+    shape = (mesh.num_cells * mesh.dim, mesh.num_nodes)
+    return _scatter(rows, mesh.cells, _basis_gradients(mesh), shape).tocsr()
+
+
+def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
+    """Stiffness for a cellwise-constant scalar or tensor modulus, as COO.
+
+    Convert with .tocsr() or .tocsc() for sparse use; stiffness_matrix is
+    its dense form.
+    """
+    t = np.asarray(modulus, dtype=float)
+    vols = cell_volumes(mesh)
+    n = mesh.num_nodes
+    if mesh.dim == 1:
+        if t.shape != (mesh.num_cells,):
+            raise CoefficientError(f"modulus must have one value per cell, got {t.shape}")
+        template = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        local = (t / vols)[:, None, None] * template
+        return _scatter(mesh.cells, mesh.cells, local, (n, n))
+    if t.shape == (mesh.num_cells,):
+        tensors = t[:, None, None] * np.eye(2)
+    elif t.shape == (mesh.num_cells, 2, 2):
+        tensors = t
+    else:
+        raise CoefficientError(f"modulus shape {t.shape} not supported")
+    grads = _basis_gradients(mesh)
     flux = np.einsum("cab,cbj->caj", tensors, grads)
     local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux)
     # Tie the lower triangle to the upper bit-for-bit so the assembled
     # matrix is exactly symmetric.
     upper = np.triu(local)
     local = upper + np.swapaxes(np.triu(local, 1), 1, 2)
-    _scatter(full, mesh.cells, local)
-    return full
+    return _scatter(mesh.cells, mesh.cells, local, (n, n))
+
+
+def stiffness_matrix(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
+    """Stiffness matrix for a cellwise-constant scalar or tensor modulus."""
+    return stiffness_triplets(mesh, modulus).toarray()
 
 
 def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -139,14 +181,13 @@ def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
         raise CoefficientError(f"need one value per boundary facet, got {k.shape}")
     if k.size and k.min() < 0:
         raise CoefficientError(f"boundary coefficient must be nonnegative, min {k.min():.3e}")
-    full = np.zeros((mesh.num_nodes, mesh.num_nodes))
+    n = mesh.num_nodes
+    facets = mesh.boundary_facets
     if mesh.dim == 1:
-        idx = mesh.boundary_facets[:, 0]
-        np.add.at(full, (idx, idx), k)
-        return full
-    local = (k * facet_measures(mesh))[:, None, None] * _SEG_MASS
-    _scatter(full, mesh.boundary_facets, local)
-    return full
+        local = k[:, None, None]
+    else:
+        local = (k * facet_measures(mesh))[:, None, None] * _SEG_MASS
+    return _scatter(facets, facets, local, (n, n)).toarray()
 
 
 @dataclass(frozen=True)
@@ -433,36 +474,3 @@ def surjectivity_witness(
         velocity=lift_trace(pencil, velocity_target),
         flux_trace=flux,
     )
-
-
-def eliminated_flux(pencil: OperatorPencil, state: np.ndarray) -> np.ndarray:
-    """Flux trace enforced by the absorbing boundary condition.
-
-    The closed-loop model sets B1 x + k2-weighted B2 x = 0; solving for g
-    gives the flux the damper exerts for a given state.
-    """
-    u, v = pencil.split(state)
-    spring = (pencil.boundary_spring @ u)[pencil.trace_slots]
-    damper = (pencil.boundary_damper @ v)[pencil.trace_slots]
-    return -spring - damper
-
-
-def closed_loop_element(pencil: OperatorPencil, state: np.ndarray) -> DomainElement:
-    """Domain element for a state under the absorbing boundary condition."""
-    u, v = pencil.split(state)
-    return DomainElement(u.copy(), v.copy(), eliminated_flux(pencil, state))
-
-
-def triplet_text(mat: np.ndarray) -> str:
-    """Serialize a matrix as 'rows cols nnz' plus one 'i j value' per entry.
-
-    Entries appear in row-major order with 17 significant digits, so equal
-    matrices serialize to identical bytes.
-    """
-    mat = np.asarray(mat)
-    rows, cols = mat.shape
-    ii, jj = np.nonzero(mat)
-    lines = [f"{rows} {cols} {ii.size}"]
-    for i, j in zip(ii, jj):
-        lines.append(f"{i} {j} {mat[i, j]:.17g}")
-    return "\n".join(lines) + "\n"

@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from . import helmholtz as helmmod
 from . import semigroup, spectral
@@ -138,11 +136,17 @@ def _cmd_study(args: argparse.Namespace) -> int:
     if not sizes:
         raise ConfigError(["--sizes is empty"])
 
+    # Every size is checked before any assembly or eigensolve starts.
+    meshes = {}
+    for size in sizes:
+        mesh = cfgmod.build_mesh(cfgmod.resized(cfg, size))
+        spectral.check_dense_size(mesh, f"size {size}")
+        meshes[size] = mesh
+
     def build(size: int):
-        sized = cfgmod.resized(cfg, size)
-        mesh = cfgmod.build_mesh(sized)
+        mesh = meshes[size]
         validate_mesh(mesh)
-        coeffs = cfgmod.build_coefficients(sized, mesh)
+        coeffs = cfgmod.build_coefficients(cfgmod.resized(cfg, size), mesh)
         validate_model(mesh, coeffs)
         return assemble_pencil(mesh, coeffs)
 
@@ -192,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    np.seterr(divide="ignore", invalid="ignore")
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

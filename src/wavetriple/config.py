@@ -147,7 +147,10 @@ class Expression:
         env = {"x": pts[..., 0]}
         if self.dim == 2:
             env["y"] = pts[..., 1]
-        out = _eval_node(self._ast, env)
+        # Division by zero and the like are expected here: they give
+        # non-finite samples, which the consumers reject with a diagnostic.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _eval_node(self._ast, env)
         return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
 
 

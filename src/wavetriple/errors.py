@@ -37,6 +37,14 @@ class InitialDataError(WavetripleError, ValueError):
     """Initial displacement or velocity is non-finite or violates a constraint."""
 
 
+class FieldError(WavetripleError, ValueError):
+    """Cellwise vector field has the wrong shape or non-finite values."""
+
+
+class ProblemSizeError(WavetripleError):
+    """Problem is larger than the dense solver it needs will finish."""
+
+
 class ContractionBreachError(WavetripleError):
     """Time stepping grew the state norm on a provably dissipative model."""
 

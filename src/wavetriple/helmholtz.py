@@ -4,7 +4,9 @@ Any L2 vector field splits into a modulus-weighted gradient of a potential
 vanishing on the whole boundary, plus a divergence-free remainder; the two
 parts are orthogonal in the inner product weighted by the inverse modulus.
 Discretely the potential is piecewise linear and zero at every boundary
-node, so its weighted gradient is cellwise constant like the input.
+node, so its weighted gradient is cellwise constant like the input.  The
+potential solve is sparse: the stiffness and the gradient operator come
+from assembly, and the interior block is factored by sparse LU.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
+from .assembly import gradient_operator, stiffness_triplets
 from .coefficients import CoefficientSet
-from .mesh import Mesh, boundary_nodes, cell_volumes
+from .errors import FieldError
+from .mesh import Mesh, boundary_nodes, cell_midpoints, cell_volumes
 
 
 def _as_field(mesh: Mesh, field: np.ndarray) -> np.ndarray:
@@ -22,7 +26,13 @@ def _as_field(mesh: Mesh, field: np.ndarray) -> np.ndarray:
     if mesh.dim == 1 and arr.shape == (mesh.num_cells,):
         arr = arr[:, None]
     if arr.shape != want:
-        raise ValueError(f"field must have shape {want}, got {arr.shape}")
+        raise FieldError(f"field must have shape {want}, got {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise FieldError(
+            f"field is not finite on {bad.size} cell(s), "
+            f"first at midpoint {cell_midpoints(mesh)[bad[0]].tolist()}"
+        )
     return arr
 
 
@@ -32,6 +42,15 @@ def _tensors(mesh: Mesh, coeffs: CoefficientSet) -> np.ndarray:
         eye = np.eye(mesh.dim)
         return t[:, None, None] * eye
     return t
+
+
+def _interior(mesh: Mesh) -> np.ndarray:
+    return np.setdiff1d(np.arange(mesh.num_nodes), boundary_nodes(mesh))
+
+
+def _paired(mesh: Mesh, grad_op, field: np.ndarray) -> np.ndarray:
+    """Nodal vector of sum_c vol_c field_c . grad(phi_j), one entry per node j."""
+    return grad_op.T @ (cell_volumes(mesh)[:, None] * field).ravel()
 
 
 def weighted_inner(
@@ -44,25 +63,6 @@ def weighted_inner(
     return float(np.einsum("c,cab,ca,cb->", cell_volumes(mesh), tinv, f, g))
 
 
-def _gradient_operator(mesh: Mesh) -> np.ndarray:
-    """Cellwise gradients of the nodal basis: shape (ncell, dim, dim + 1)."""
-    pts = mesh.nodes[mesh.cells]
-    vols = cell_volumes(mesh)
-    if mesh.dim == 1:
-        h = vols[:, None, None]
-        return np.concatenate([-1.0 / h, 1.0 / h], axis=2)
-    p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
-    grads = np.stack(
-        [
-            np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1),
-            np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], axis=1),
-            np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], axis=1),
-        ],
-        axis=2,
-    )
-    return grads / (2.0 * vols)[:, None, None]
-
-
 def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> np.ndarray:
     """Weighted-gradient component of a cellwise field.
 
@@ -70,29 +70,15 @@ def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> n
     nodes interior to the whole boundary and returns modulus * grad(p).
     """
     f = _as_field(mesh, field)
-    grads = _gradient_operator(mesh)
-    tensors = _tensors(mesh, coeffs)
-    vols = cell_volumes(mesh)
-
-    flux_basis = np.einsum("cab,cbj->caj", tensors, grads)
-    stiff_local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux_basis)
-    n = mesh.num_nodes
-    stiff = np.zeros((n, n))
-    rows = mesh.cells[:, :, None]
-    cols = mesh.cells[:, None, :]
-    np.add.at(stiff, (rows, cols), stiff_local)
-
-    rhs_local = vols[:, None] * np.einsum("ca,caj->cj", f, grads)
-    rhs = np.zeros(n)
-    np.add.at(rhs, mesh.cells, rhs_local)
-
-    interior = np.setdiff1d(np.arange(n), boundary_nodes(mesh))
-    potential = np.zeros(n)
+    grad_op = gradient_operator(mesh)
+    interior = _interior(mesh)
+    potential = np.zeros(mesh.num_nodes)
     if interior.size:
-        ix = np.ix_(interior, interior)
-        potential[interior] = linalg.lu_solve(stiff[ix], rhs[interior])
-    grad_p = np.einsum("caj,cj->ca", grads, potential[mesh.cells])
-    return np.einsum("cab,cb->ca", tensors, grad_p)
+        stiff = stiffness_triplets(mesh, coeffs.modulus).tocsr()[interior][:, interior]
+        rhs = _paired(mesh, grad_op, f)[interior]
+        potential[interior] = linalg.lu_solve(stiff, rhs)
+    grad_p = (grad_op @ potential).reshape(mesh.num_cells, mesh.dim)
+    return np.einsum("cab,cb->ca", _tensors(mesh, coeffs), grad_p)
 
 
 def orthogonality_residual(mesh: Mesh, divfree: np.ndarray) -> float:
@@ -103,14 +89,10 @@ def orthogonality_residual(mesh: Mesh, divfree: np.ndarray) -> float:
     one against the weighted gradient, so one number covers both.
     """
     k = _as_field(mesh, divfree)
-    grads = _gradient_operator(mesh)
-    vols = cell_volumes(mesh)
-    paired_local = vols[:, None] * np.einsum("ca,caj->cj", k, grads)
-    paired = np.zeros(mesh.num_nodes)
-    np.add.at(paired, mesh.cells, paired_local)
-    interior = np.setdiff1d(np.arange(mesh.num_nodes), boundary_nodes(mesh))
+    interior = _interior(mesh)
     if interior.size == 0:
         return 0.0
+    paired = _paired(mesh, gradient_operator(mesh), k)
     return float(np.max(np.abs(paired[interior])))
 
 
@@ -120,7 +102,8 @@ def decompose(
     """Split a field into (weighted gradient part, divergence-free part).
 
     The parts sum to the input exactly by construction and are orthogonal
-    in the inverse-modulus inner product to solver precision.
+    in the inverse-modulus inner product to solver precision.  A field of
+    the wrong shape or with a non-finite value is a FieldError.
     """
     f = _as_field(mesh, field)
     grad_part = project_gradient(mesh, coeffs, f)

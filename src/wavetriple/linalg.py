@@ -1,10 +1,13 @@
-"""Dense linear-algebra kernels: Cholesky, LU solves, nonsymmetric eigenproblems.
+"""Linear-algebra kernels: Cholesky, LU solves, nonsymmetric eigenproblems.
 
-Everything here works on plain numpy arrays.  Matrices are small and dense
-(a few thousand rows at most), so no sparse formats are used.  Cholesky and
-LU are LAPACK's, with a package-wide relative pivot threshold on top.  A
-block-diagonal Gram matrix is reduced block by block from the factors of
-its diagonal blocks, so its full factor is never formed.
+Cholesky and the eigensolvers work on dense numpy arrays; they serve the
+full spectrum, which is dense by nature.  LU solves take dense or
+scipy.sparse input and always factor with SuperLU, since every matrix
+solved against is a finite element matrix with a handful of entries per
+row.  Both factorizations apply a package-wide relative pivot threshold on
+top of the library's own checks.  A block-diagonal Gram matrix is reduced
+block by block from the factors of its diagonal blocks, so its full factor
+is never formed.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import EigenSolverError, NotPositiveDefiniteError, SingularMatrixError
 
@@ -51,41 +55,56 @@ def cholesky(mat: np.ndarray) -> np.ndarray:
     return low
 
 
-def lu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs by partial-pivoted LU.  rhs may be 1-D or 2-D."""
+def lu_solve(mat, rhs: np.ndarray) -> np.ndarray:
+    """Solve mat @ x = rhs by sparse LU.  rhs may be 1-D or 2-D."""
     return LuFactorization(mat).solve(rhs)
 
 
 class LuFactorization:
-    """Cached LU factorization for repeated solves against one matrix."""
+    """Cached sparse LU factorization for repeated solves against one matrix.
 
-    def __init__(self, mat: np.ndarray):
-        a = np.asarray(mat, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        self.shape = a.shape
-        if a.shape[0] == 0:
-            self._lu_piv = None
+    mat may be a dense array or a scipy.sparse matrix; it is factored by
+    SuperLU in CSC form.  Non-finite entries are a ValueError.  A matrix
+    SuperLU finds exactly singular, or whose smallest |diag(U)| falls at or
+    below PIVOT_RTOL times the largest entry magnitude, is a
+    SingularMatrixError.
+    """
+
+    def __init__(self, mat):
+        from scipy.sparse.linalg import splu
+
+        shape = np.shape(mat)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {shape}")
+        self.shape = shape
+        self._lu = None
+        if shape[0] == 0:
             return
-        scale = float(np.abs(a).max())
-        self._lu_piv = scipy.linalg.lu_factor(a, check_finite=True)
-        diag = np.abs(np.diag(self._lu_piv[0]))
-        if scale == 0.0 or diag.min() <= PIVOT_RTOL * scale:
-            raise SingularMatrixError(
-                f"LU pivot {diag.min() if scale else 0.0:.3e} signals a singular matrix"
-            )
+        a = scipy.sparse.csc_matrix(mat, dtype=float)
+        if not np.all(np.isfinite(a.data)):
+            raise ValueError("matrix contains non-finite entries")
+        scale = float(np.abs(a.data).max(initial=0.0))
+        if scale == 0.0:
+            raise SingularMatrixError("LU of a zero matrix: the matrix is singular")
+        try:
+            self._lu = splu(a)
+        except RuntimeError as exc:
+            raise SingularMatrixError(f"LU breakdown signals a singular matrix: {exc}") from exc
+        pivot = float(np.abs(self._lu.U.diagonal()).min())
+        if pivot <= PIVOT_RTOL * scale:
+            raise SingularMatrixError(f"LU pivot {pivot:.3e} signals a singular matrix")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs length {rhs.shape[0]} != matrix order {self.shape[0]}")
-        if self._lu_piv is None:
+        if self._lu is None:
             return np.zeros_like(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("right-hand side contains non-finite entries")
         if np.iscomplexobj(rhs):
-            real = scipy.linalg.lu_solve(self._lu_piv, rhs.real)
-            imag = scipy.linalg.lu_solve(self._lu_piv, rhs.imag)
-            return real + 1j * imag
-        return scipy.linalg.lu_solve(self._lu_piv, rhs)
+            return self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
+        return self._lu.solve(rhs)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import models
 import wavetriple as wt
 from wavetriple import assembly, linalg
 from wavetriple.mesh import BoundaryLabel as BL
+from wavetriple.mesh import cell_volumes, facet_measures
 
 
 class TestMassMatrix:
@@ -326,18 +327,6 @@ class TestGreenIdentity:
         ) + wt.duality_pairing(wt.trace_B2(pencil, ex), wt.trace_B1(pencil, ey))
         assert abs(lhs - rhs) < 1e-10 * (abs(lhs) + abs(rhs) + 1.0)
 
-    def test_closed_loop_element_is_dissipative(self):
-        pencil = models.damped_pencil(12)
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            state = models.random_state(pencil, rng)
-            elem = assembly.closed_loop_element(pencil, state)
-            ax = wt.apply_A(pencil, elem)
-            tr_v = wt.trace_B2(pencil, elem)
-            lhs = 2.0 * wt.state_inner(pencil, ax, state)
-            rhs = -2.0 * tr_v @ (pencil.boundary_damper @ elem.velocity)[pencil.trace_slots]
-            assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1.0)
-
     def test_zero_velocity_kills_b2_term(self):
         pencil = models.damped_pencil(10)
         rng = np.random.default_rng(10)
@@ -402,10 +391,103 @@ class TestStateMetric:
         assert abs(diff - spring) < 1e-10 * (spring + 1.0)
 
 
-class TestTripletText:
-    def test_format_and_determinism(self):
-        mat = np.array([[0.0, 1.5], [0.0, -2.0]])
-        text = assembly.triplet_text(mat)
-        assert text == "2 2 2\n0 1 1.5\n1 1 -2\n"
-        pencil = models.damped_pencil(6)
-        assert assembly.triplet_text(pencil.gram) == assembly.triplet_text(pencil.gram)
+def add_at_reference(n, cells, local):
+    """Dense assembly by np.add.at, the scatter the builders must reproduce."""
+    full = np.zeros((n, n))
+    np.add.at(full, (cells[:, :, None], cells[:, None, :]), local)
+    return full
+
+
+def reference_triangle_gradients(mesh):
+    pts = mesh.nodes[mesh.cells]
+    p0, p1, p2 = pts[:, 0], pts[:, 1], pts[:, 2]
+    vols = cell_volumes(mesh)
+    grads = np.stack(
+        [
+            np.stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]], axis=1),
+            np.stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]], axis=1),
+            np.stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]], axis=1),
+        ],
+        axis=2,
+    )
+    return grads / (2.0 * vols)[:, None, None]
+
+
+class TestDenseBuildersMatchAddAt:
+    """The dense builders scatter through COO triplets; toarray() sums the
+    duplicates in input order, so every entry must equal np.add.at's."""
+
+    def meshes(self):
+        return [
+            wt.interval_mesh(9, right=BL.ELASTIC_DAMPED),
+            wt.rectangle_mesh(5, 4, models.square_partition()),
+        ]
+
+    def test_mass_and_cell_average_mass(self):
+        rng = np.random.default_rng(31)
+        seg = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        tri = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+        for mesh in self.meshes():
+            w = rng.uniform(0.5, 2.0, mesh.num_cells)
+            scaled = (w * cell_volumes(mesh))[:, None, None]
+            want = add_at_reference(mesh.num_nodes, mesh.cells, scaled * (seg if mesh.dim == 1 else tri))
+            assert np.array_equal(wt.mass_matrix(mesh, w), want)
+            if mesh.dim == 1:
+                want = add_at_reference(mesh.num_nodes, mesh.cells, scaled * np.full((2, 2), 0.25))
+                assert np.array_equal(assembly.cell_average_mass(mesh, w), want)
+
+    def test_stiffness(self):
+        rng = np.random.default_rng(32)
+        interval, square = self.meshes()
+        t = rng.uniform(0.5, 2.0, interval.num_cells)
+        local = (t / cell_volumes(interval))[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        want = add_at_reference(interval.num_nodes, interval.cells, local)
+        assert np.array_equal(wt.stiffness_matrix(interval, t), want)
+        a = rng.uniform(-0.5, 0.5, (square.num_cells, 2, 2))
+        for modulus in (
+            rng.uniform(0.5, 2.0, square.num_cells),
+            a + np.swapaxes(a, 1, 2) + 2.0 * np.eye(2),
+        ):
+            tensors = modulus[:, None, None] * np.eye(2) if modulus.ndim == 1 else modulus
+            grads = reference_triangle_gradients(square)
+            vols = cell_volumes(square)
+            flux = np.einsum("cab,cbj->caj", tensors, grads)
+            local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux)
+            local = np.triu(local) + np.swapaxes(np.triu(local, 1), 1, 2)
+            want = add_at_reference(square.num_nodes, square.cells, local)
+            assert np.array_equal(wt.stiffness_matrix(square, modulus), want)
+
+    def test_boundary_mass(self):
+        rng = np.random.default_rng(33)
+        for mesh in self.meshes():
+            k = rng.uniform(0.0, 2.0, mesh.num_facets)
+            facets = mesh.boundary_facets
+            if mesh.dim == 1:
+                want = np.zeros((mesh.num_nodes, mesh.num_nodes))
+                np.add.at(want, (facets[:, 0], facets[:, 0]), k)
+            else:
+                seg = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+                local = (k * facet_measures(mesh))[:, None, None] * seg
+                want = add_at_reference(mesh.num_nodes, facets, local)
+            assert np.array_equal(wt.boundary_mass(mesh, k), want)
+
+
+class TestSparseOperators:
+    def test_sparse_stiffness_is_symmetric_and_matches_dense(self):
+        mesh = wt.rectangle_mesh(6, 5, models.square_partition())
+        modulus = np.random.default_rng(34).uniform(0.5, 2.0, mesh.num_cells)
+        sparse = assembly.stiffness_triplets(mesh, modulus).tocsr()
+        dense = wt.stiffness_matrix(mesh, modulus)
+        assert np.array_equal(sparse.toarray(), sparse.toarray().T)
+        assert np.abs(sparse.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+        # Seven entries per interior row of a split-cell grid, not n.
+        assert sparse.nnz <= 7 * mesh.num_nodes
+
+    def test_gradient_operator_exact_on_affine_functions(self):
+        for mesh, slope in (
+            (wt.interval_mesh(7), np.array([-2.5])),
+            (wt.rectangle_mesh(4, 6, models.square_partition()), np.array([1.5, -0.75])),
+        ):
+            p = 0.3 + mesh.nodes @ slope
+            grads = (assembly.gradient_operator(mesh) @ p).reshape(mesh.num_cells, mesh.dim)
+            assert np.abs(grads - slope).max() <= 1e-12

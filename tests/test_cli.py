@@ -1,5 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,6 +187,43 @@ class TestScalarCommands:
         assert abs(values["orthogonality_defect"]) <= 1e-10 * values["field_norm_sq"]
 
 
+SQUARE = """\
+[domain]
+dim = 2
+nx = 4
+ny = 4
+left = fixed
+right = damped
+bottom = free
+top = free
+
+[boundary]
+k2 = 1
+"""
+
+
+class TestHelmholtzErrors:
+    def test_nonfinite_field_is_an_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SQUARE + "\n[helmholtz]\nfx = 1/(x - x)\nfy = y\n")
+        with warnings.catch_warnings():
+            # The division by zero is expected inside expression evaluation
+            # and must not leak a warning.
+            warnings.simplefilter("error")
+            code, out, err = run(["helmholtz", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "not finite" in err
+        assert "Traceback" not in err
+
+    def test_floating_point_error_state_left_alone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DAMPED + "\n[helmholtz]\nf = x\n")
+        before = np.geterr()
+        code, _, _ = run(["helmholtz", "--config", cfg], capsys)
+        assert code == 0
+        assert np.geterr() == before
+
+
 class TestStudy:
     def test_table_and_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DAMPED)
@@ -205,3 +245,17 @@ class TestStudy:
         )
         assert code == 1
         assert "--sizes" in err
+
+    def test_size_beyond_dense_limit_refused_up_front(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SQUARE)
+        out_dir = tmp_path / "study"
+        start = time.perf_counter()
+        code, out, err = run(
+            ["study", "--config", cfg, "--out", str(out_dir), "--sizes", "4,200"], capsys
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert err.startswith("error: size 200: state dimension")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (out_dir / "study.csv").exists()

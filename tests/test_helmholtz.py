@@ -6,7 +6,7 @@ import pytest
 import models
 import oracles
 import wavetriple as wt
-from wavetriple.mesh import cell_midpoints, cell_volumes
+from wavetriple.mesh import boundary_nodes, cell_midpoints, cell_volumes
 
 
 def unit_interval(n):
@@ -185,3 +185,64 @@ class TestOrthogonalityResidual:
         assert np.abs(grad).max() == 0.0
         assert div[0] == 4.0
         assert wt.orthogonality_residual(mesh, div) == 0.0
+
+
+def reference_gradient_part(mesh, coeffs, field):
+    """Dense reference: np.linalg.solve on the densified interior stiffness,
+    with basis gradients from the inverse of each cell's vertex matrix."""
+    f = np.asarray(field, dtype=float).reshape(mesh.num_cells, mesh.dim)
+    pts = mesh.nodes[mesh.cells]
+    vertex = np.concatenate([np.ones(pts.shape[:2] + (1,)), pts], axis=2)
+    grads = np.linalg.inv(vertex)[:, 1:, :]
+    vols = cell_volumes(mesh)
+    tensors = coeffs.modulus
+    if tensors.ndim == 1:
+        tensors = tensors[:, None, None] * np.eye(mesh.dim)
+    n = mesh.num_nodes
+    stiff = np.zeros((n, n))
+    local = vols[:, None, None] * np.einsum("cai,cab,cbj->cij", grads, tensors, grads)
+    np.add.at(stiff, (mesh.cells[:, :, None], mesh.cells[:, None, :]), local)
+    rhs = np.zeros(n)
+    np.add.at(rhs, mesh.cells, vols[:, None] * np.einsum("ca,caj->cj", f, grads))
+    interior = np.setdiff1d(np.arange(n), boundary_nodes(mesh))
+    potential = np.zeros(n)
+    potential[interior] = np.linalg.solve(stiff[np.ix_(interior, interior)], rhs[interior])
+    grad_p = np.einsum("caj,cj->ca", grads, potential[mesh.cells])
+    return np.einsum("cab,cb->ca", tensors, grad_p)
+
+
+class TestSparseSolveReference:
+    def test_matches_dense_reference_1d(self):
+        mesh, mid = unit_interval(40)
+        coeffs = wt.sample_coefficients(mesh, modulus=lambda p: 1.0 + p[:, 0] ** 2)
+        field = np.sin(3.0 * mid) + mid
+        got = wt.project_gradient(mesh, coeffs, field)
+        want = reference_gradient_part(mesh, coeffs, field)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_matches_dense_reference_2d(self):
+        mesh = wt.rectangle_mesh(9, 7, models.square_partition())
+        rng = np.random.default_rng(41)
+        a = rng.uniform(-0.3, 0.3, (mesh.num_cells, 2, 2))
+        tensors = a + np.swapaxes(a, 1, 2) + 1.5 * np.eye(2)
+        for modulus in (lambda p: 1.0 + 0.5 * p[:, 0], tensors):
+            coeffs = wt.sample_coefficients(mesh, modulus=modulus)
+            field = rng.standard_normal((mesh.num_cells, 2))
+            got = wt.project_gradient(mesh, coeffs, field)
+            want = reference_gradient_part(mesh, coeffs, field)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestFieldChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_field_rejected(self, bad):
+        mesh = wt.rectangle_mesh(3, 3, models.square_partition())
+        coeffs = wt.sample_coefficients(mesh)
+        field = np.ones((mesh.num_cells, 2))
+        field[4, 1] = bad
+        with pytest.raises(wt.FieldError, match="not finite on 1 cell"):
+            wt.decompose(mesh, coeffs, field)
+
+    def test_field_error_is_a_value_error(self):
+        assert issubclass(wt.FieldError, ValueError)
+        assert issubclass(wt.FieldError, wt.WavetripleError)

@@ -1,7 +1,13 @@
-"""Tests for the dense linear-algebra kernels."""
+"""Tests for the linear-algebra kernels."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +146,92 @@ class TestLuSolve:
         mat = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
         with pytest.raises(SingularMatrixError):
             linalg.LuFactorization(mat)
+
+
+def fem_like(rng, n):
+    """Nonsymmetric tridiagonal matrix with a dominant diagonal."""
+    return (
+        np.diag(4.0 + rng.uniform(size=n))
+        + np.diag(rng.standard_normal(n - 1), 1)
+        + np.diag(rng.standard_normal(n - 1), -1)
+    )
+
+
+class TestSparseLu:
+    def test_sparse_input_matches_dense_copy(self):
+        rng = np.random.default_rng(21)
+        dense = fem_like(rng, 15)
+        rhs = rng.standard_normal(15)
+        want = linalg.LuFactorization(dense).solve(rhs)
+        assert np.abs(dense @ want - rhs).max() < 1e-12
+        for fmt in ("csr", "csc", "coo"):
+            sparse = scipy.sparse.csr_matrix(dense).asformat(fmt)
+            assert np.array_equal(linalg.LuFactorization(sparse).solve(rhs), want)
+
+    def test_complex_and_matrix_rhs_on_sparse_input(self):
+        rng = np.random.default_rng(22)
+        dense = fem_like(rng, 12)
+        fact = linalg.LuFactorization(scipy.sparse.csc_matrix(dense))
+        rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        x = fact.solve(rhs)
+        assert np.iscomplexobj(x)
+        assert np.abs(dense @ x - rhs).max() < 1e-12
+        block = rng.standard_normal((12, 3))
+        xb = fact.solve(block)
+        assert xb.shape == (12, 3)
+        assert np.abs(dense @ xb - block).max() < 1e-12
+
+    def test_input_not_modified(self):
+        rng = np.random.default_rng(23)
+        sparse = scipy.sparse.csr_matrix(fem_like(rng, 6))
+        before = sparse.copy()
+        linalg.LuFactorization(sparse).solve(np.ones(6))
+        assert (sparse != before).nnz == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_matrix_rejected(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = bad
+        for form in (mat, scipy.sparse.csr_matrix(mat)):
+            with pytest.raises(ValueError, match="non-finite"):
+                linalg.LuFactorization(form)
+
+    def test_nonfinite_rhs_rejected(self):
+        fact = linalg.LuFactorization(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            fact.solve(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="non-finite"):
+            fact.solve(np.array([1.0, 1j * np.inf]))
+
+    def test_exactly_singular_sparse_is_singular_error(self):
+        # A zero column: SuperLU stops with "exactly singular".
+        mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]]))
+        with pytest.raises(SingularMatrixError):
+            linalg.LuFactorization(mat)
+
+    def test_tiny_pivot_is_singular_error(self):
+        # 1e-15 <= PIVOT_RTOL * max|a|: the package threshold, not SuperLU's.
+        mat = scipy.sparse.diags([1.0, 1e-15, 1.0])
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            linalg.LuFactorization(mat)
+        linalg.LuFactorization(scipy.sparse.diags([1.0, 1e-13, 1.0]))
+
+    def test_non_square_rejected(self):
+        for shape in ((3,), (2, 3), (2, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                linalg.LuFactorization(np.ones(shape))
+        with pytest.raises(ValueError, match="square"):
+            linalg.LuFactorization(scipy.sparse.csr_matrix((2, 3)))
+
+    def test_sparse_solver_not_imported_with_the_package(self):
+        # Commands that never solve (spectrum) must not pay for SuperLU.
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, wavetriple.cli\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestEig:

@@ -36,6 +36,25 @@ class TestCayleyStep:
             assert cur <= prev * (1.0 + 1e-12)
             prev = cur
 
+    def test_step_matches_dense_solve(self):
+        mesh = wt.interval_mesh(12, right=wt.BoundaryLabel.ELASTIC_DAMPED)
+        perturbed = wt.assemble_pencil(
+            mesh,
+            wt.sample_coefficients(
+                mesh, reaction=0.5, damping=0.25, boundary_stiffness=1.0, boundary_damping=2.0
+            ),
+        )
+        rng = np.random.default_rng(4)
+        for pencil in (models.damped_pencil(16), models.square_pencil(4, 5, seed=3), perturbed):
+            dt = 0.03
+            dyn = semigroup.perturbed_dynamics(pencil)
+            x = models.random_state(pencil, rng)
+            want = np.linalg.solve(
+                pencil.gram - 0.5 * dt * dyn, (pencil.gram + 0.5 * dt * dyn) @ x
+            )
+            got = semigroup.CayleyStepper(pencil, dt).step(x)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_nonpositive_dt_rejected(self):
         pencil = models.damped_pencil(4)
         with pytest.raises(ValueError):
@@ -169,18 +188,6 @@ class TestInitialState:
             semigroup.initial_state(
                 pencil, lambda p: p[:, 0] + 1.0, lambda p: np.zeros(p.shape[0])
             )
-
-    def test_momentum_density_weights_by_density(self):
-        mesh = wt.interval_mesh(4, right=wt.BoundaryLabel.FREE)
-        coeffs = wt.sample_coefficients(mesh, density=lambda p: 1.0 + p[:, 0])
-        pencil = wt.assemble_pencil(mesh, coeffs)
-        x = pencil.join(np.zeros(pencil.num_active), np.ones(pencil.num_active))
-        got = semigroup.momentum_density(pencil, x)
-        # Velocity 1 on active nodes, 0 at the clamped left end.
-        full = np.zeros(mesh.num_nodes)
-        full[pencil.active] = 1.0
-        want = coeffs.density * full[mesh.cells].mean(axis=1)
-        assert np.allclose(got, want)
 
 
 class TestDecayProfile:
