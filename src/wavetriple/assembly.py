@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse import coo_matrix, csr_matrix
 
 from . import linalg
@@ -363,11 +364,11 @@ def apply_A(pencil: OperatorPencil, elem: DomainElement) -> np.ndarray:
 
     The displacement part of the image is the velocity; the velocity part
     solves M vdot = -K u + lift(g), the discrete divergence of the stress
-    with its boundary flux.
+    with its boundary flux, through the pencil's Cholesky factor of M.
     """
     _check_element(pencil, elem)
     rhs = -pencil.stiffness @ elem.displacement + lift_trace(pencil, elem.flux_trace)
-    vdot = linalg.lu_solve(pencil.mass, rhs)
+    vdot = scipy.linalg.cho_solve((pencil.gram_factors[1], True), rhs)
     return pencil.join(elem.velocity, vdot)
 
 

@@ -57,6 +57,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
     mesh, coeffs, _ = _build(cfg)
+    spectral.check_dense_size(mesh, "spectrum")
     pencil = assemble_pencil(mesh, coeffs)
     report = spectral.compute_spectrum(
         pencil, axis_tol=cfg.axis_tol, want_vectors=cfg.want_vectors

@@ -81,6 +81,25 @@ def _sample_facetwise(name: str, value, mesh: Mesh, use_mask: np.ndarray) -> np.
     return out
 
 
+def _modulus_range(modulus: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest modulus value.
+
+    Scalar samples count as they are; (ncell, 2, 2) tensors count through
+    the eigenvalues of their symmetric part.
+    """
+    if modulus.ndim == 3:
+        eigs = np.linalg.eigvalsh(0.5 * (modulus + np.swapaxes(modulus, 1, 2)))
+        return eigs.min(), eigs.max()
+    return modulus.min(), modulus.max()
+
+
+def _facet_masks(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the facets whose label takes a spring, and a damper."""
+    spring = np.array([lab.has_spring for lab in mesh.facet_labels], dtype=bool)
+    damper = np.array([lab.has_damper for lab in mesh.facet_labels], dtype=bool)
+    return spring, damper
+
+
 def sample_coefficients(
     mesh: Mesh,
     modulus=1.0,
@@ -110,8 +129,7 @@ def sample_coefficients(
     if t.ndim == 3 and mesh.dim == 1:
         raise CoefficientError("tensor modulus requires a 2-D mesh")
 
-    spring_mask = np.array([lab.has_spring for lab in mesh.facet_labels])
-    damper_mask = np.array([lab.has_damper for lab in mesh.facet_labels])
+    spring_mask, damper_mask = _facet_masks(mesh)
     k1 = _sample_facetwise("boundary_stiffness", boundary_stiffness, mesh, spring_mask)
     k2 = _sample_facetwise("boundary_damping", boundary_damping, mesh, damper_mask)
 
@@ -119,10 +137,7 @@ def sample_coefficients(
         sym = 0.5 * (t + np.swapaxes(t, 1, 2))
         if np.abs(t - sym).max() > 1e-12 * max(np.abs(t).max(), 1.0):
             raise CoefficientError("tensor modulus must be symmetric")
-        eigs = np.linalg.eigvalsh(sym)
-        t_lo, t_hi = eigs.min(), eigs.max()
-    else:
-        t_lo, t_hi = t.min(), t.max()
+    t_lo, t_hi = _modulus_range(t)
     if t_lo <= 0:
         raise CoefficientError(f"modulus must be positive, min eigenvalue {t_lo:.3e}")
     if rho.min() <= 0:
@@ -164,13 +179,8 @@ def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
     c = coeffs.bound
     if not (np.isfinite(c) and c >= 1.0):
         raise CoefficientError(f"ellipticity bound must be finite and >= 1, got {c}")
-    if coeffs.modulus.ndim == 3:
-        eigs = np.linalg.eigvalsh(0.5 * (coeffs.modulus + np.swapaxes(coeffs.modulus, 1, 2)))
-        t_lo, t_hi = eigs.min(), eigs.max()
-    else:
-        t_lo, t_hi = coeffs.modulus.min(), coeffs.modulus.max()
     for name, lo, hi in (
-        ("modulus", t_lo, t_hi),
+        ("modulus", *_modulus_range(coeffs.modulus)),
         ("density", coeffs.density.min(), coeffs.density.max()),
     ):
         if lo < 1.0 / c - 1e-15 * c or hi > c * (1 + 1e-15):
@@ -181,8 +191,7 @@ def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
         raise CoefficientError("boundary damping must be nonnegative")
 
     # Springs and dampers only act where the facet label allows them.
-    spring_mask = np.array([lab.has_spring for lab in mesh.facet_labels], dtype=bool)
-    damper_mask = np.array([lab.has_damper for lab in mesh.facet_labels], dtype=bool)
+    spring_mask, damper_mask = _facet_masks(mesh)
     if nf and np.any(coeffs.boundary_stiffness[~spring_mask] != 0.0):
         raise CoefficientError("boundary stiffness set on a facet without a spring label")
     if nf and np.any(coeffs.boundary_damping[~damper_mask] != 0.0):

@@ -2,14 +2,20 @@
 
 The format is sectioned key = value text.  Values that describe fields are
 arithmetic expressions in the coordinates (x, and y on 2-D domains) with
-numbers, + - * /, parentheses and unary minus.  Parsing collects every
-problem with its line number before raising, so a bad file reports all of
-its defects at once.
+decimal numbers, + - * /, parentheses and unary plus and minus.  Python's
+ast parser reads an expression, one pass over the tree admits only that
+grammar, and a loop evaluates it in float64 without eval.  Parsing
+collects every problem with its line number before raising, so a bad file
+reports all of its defects at once.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import string
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,101 +38,64 @@ _LABEL_NAMES = {lab.value for lab in BoundaryLabel}
 # ---------------------------------------------------------------------------
 # Coordinate expressions
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/()]))"
-)
+# A number is digits with an optional point and exponent.  Python's other
+# literals (0x1, 1_0, 1j, True) fail this pattern, and Python's parser
+# refuses integers with leading zeros (01).
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_ALPHABET = frozenset(string.ascii_letters + string.digits + "_.+-*/() ")
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
 
 
-class _ExprParser:
-    def __init__(self, source: str, names: tuple[str, ...]):
-        self.tokens: list[tuple[str, str]] = []
-        self.names = names
-        pos = 0
-        while pos < len(source):
-            m = _TOKEN_RE.match(source, pos)
-            if not m or m.end() == pos:
-                rest = source[pos:].strip()
-                raise ValueError(f"unexpected character {rest[0]!r}")
-            if m.group("num"):
-                self.tokens.append(("num", m.group("num")))
-            elif m.group("name"):
-                self.tokens.append(("name", m.group("name")))
-            elif m.group("op"):
-                self.tokens.append(("op", m.group("op")))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.sum()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()[1]!r}")
-        return node
-
-    def sum(self):
-        node = self.product()
-        while (tok := self.peek()) and tok[1] in "+-":
-            self.take()
-            right = self.product()
-            node = (tok[1], node, right)
-        return node
-
-    def product(self):
-        node = self.atom()
-        while (tok := self.peek()) and tok[1] in "*/":
-            self.take()
-            right = self.atom()
-            node = (tok[1], node, right)
-        return node
-
-    def atom(self):
-        tok = self.take()
-        kind, text = tok
-        if kind == "op" and text in "+-":
-            return ("neg", self.atom()) if text == "-" else self.atom()
-        if kind == "op" and text == "(":
-            node = self.sum()
-            closing = self.take()
-            if closing != ("op", ")"):
-                raise ValueError("expected ')'")
-            return node
-        if kind == "num":
-            return ("lit", float(text))
-        if kind == "name":
-            if text not in self.names:
-                raise ValueError(
-                    f"unknown name {text!r}; allowed: {', '.join(self.names)}"
-                )
-            return ("var", text)
-        raise ValueError(f"unexpected token {text!r}")
+def _emit(node: ast.expr, text: str, names: tuple[str, ...], program: list) -> None:
+    """Append node to program in postfix order; ValueError outside the grammar."""
+    segment = text[node.col_offset : node.end_col_offset]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        _emit(node.left, text, names, program)
+        _emit(node.right, text, names, program)
+        program.append(_BINARY[type(node.op)])
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        _emit(node.operand, text, names, program)
+        if isinstance(node.op, ast.USub):
+            program.append(operator.neg)
+    elif isinstance(node, ast.Name):
+        if node.id not in names:
+            raise ValueError(f"unknown name {node.id!r}; allowed: {', '.join(names)}")
+        program.append(node.id)
+    elif isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(segment):
+        program.append(np.float64(segment))
+    else:
+        raise ValueError(f"unsupported syntax {segment!r}")
 
 
-def _eval_node(node, env):
-    op = node[0]
-    if op == "lit":
-        return node[1]
-    if op == "var":
-        return env[node[1]]
-    if op == "neg":
-        return -_eval_node(node[1], env)
-    a = _eval_node(node[1], env)
-    b = _eval_node(node[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    return a / b
+def _compile(source: str, names: tuple[str, ...]) -> list:
+    """Postfix program of names, float64 literals and operators; ValueError if malformed.
+
+    It is run by a loop, not by recursion, so a source that compiles evaluates.
+    """
+    # Any whitespace separates tokens and any decimal digit counts, as
+    # float() reads numbers; Python's parser takes only ASCII for both.
+    text = " ".join(source.split())
+    text = "".join(str(int(c)) if c.isdecimal() else c for c in text)
+    bad = next((c for c in text if c not in _ALPHABET), None)
+    if bad is not None:
+        raise ValueError(f"unexpected character {bad!r}")
+    program: list = []
+    try:
+        with warnings.catch_warnings():
+            # The parser only warns about some malformed input, such as 1if.
+            warnings.simplefilter("error")
+            _emit(ast.parse(text, mode="eval").body, text, names, program)
+    except SyntaxError as exc:
+        raise ValueError(exc.msg) from None
+    except (RecursionError, MemoryError):
+        # Python's parser reports a nesting too deep for its stack as either.
+        raise ValueError("expression is nested too deeply") from None
+    return program
 
 
 @dataclass(frozen=True)
@@ -137,10 +106,8 @@ class Expression:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_ast", _ExprParser(self.source, self._names()).parse())
-
-    def _names(self) -> tuple[str, ...]:
-        return ("x",) if self.dim == 1 else ("x", "y")
+        names = ("x",) if self.dim == 1 else ("x", "y")
+        object.__setattr__(self, "_program", _compile(self.source, names))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -149,9 +116,18 @@ class Expression:
             env["y"] = pts[..., 1]
         # Division by zero and the like are expected here: they give
         # non-finite samples, which the consumers reject with a diagnostic.
+        stack: list = []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _eval_node(self._ast, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
+            for item in self._program:
+                if isinstance(item, str):
+                    item = env[item]
+                elif item is operator.neg:
+                    item = -stack.pop()
+                elif callable(item):
+                    right = stack.pop()
+                    item = item(stack.pop(), right)
+                stack.append(item)
+        return np.broadcast_to(np.asarray(stack.pop(), dtype=float), pts.shape[:-1]).copy()
 
 
 def compile_expression(source: str, dim: int) -> Expression:
@@ -321,16 +297,20 @@ def parse_config(text: str) -> ModelConfig:
             return None
         return out
 
-    def need_float(section: str, key: str) -> float | None:
+    def need_float(section: str, key: str, valid=None, rule: str = "") -> float | None:
         entry = seen.get((section, key))
         if entry is None:
             return None
         lineno, value = entry
         try:
-            return float(value)
+            out = float(value)
         except ValueError:
             diags.add(lineno, f"{key!r} must be a number, got {value!r}")
             return None
+        if valid is not None and not (np.isfinite(out) and valid(out)):
+            diags.add(lineno, f"{key!r} must be {rule}, got {value!r}")
+            return None
+        return out
 
     def check_expr(section: str, key: str, default: str | None, dim: int) -> str | None:
         entry = get(section, key, default)
@@ -439,8 +419,8 @@ def parse_config(text: str) -> ModelConfig:
         else:
             damper_overrides.append((label, checked))
 
-    t_end = need_float("simulation", "t_end")
-    dt = need_float("simulation", "dt")
+    t_end = need_float("simulation", "t_end", lambda v: v >= 0, "a finite number >= 0")
+    dt = need_float("simulation", "dt", lambda v: v > 0, "a finite number > 0")
     w0 = check_expr("simulation", "w0", None, dim)
     w1 = check_expr("simulation", "w1", None, dim)
     axis_tol = need_float("spectral", "axis_tol")

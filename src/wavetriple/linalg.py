@@ -111,13 +111,11 @@ class LuFactorization:
 class ComplexEigenSet:
     """Eigenvalues of a real matrix, sorted by (real, imag), with vectors.
 
-    vectors[:, i] is a unit 2-norm eigenvector for values[i].  residuals[i]
-    is the 2-norm of B @ w - lambda * w for that normalized vector.
+    vectors[:, i] is a unit 2-norm eigenvector for values[i].
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    residuals: np.ndarray
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -127,24 +125,22 @@ def eig_nonsymmetric(mat: np.ndarray) -> ComplexEigenSet:
     """Full spectrum of a real square matrix.
 
     Backed by the LAPACK nonsymmetric solver (Hessenberg reduction plus
-    shifted QR).  Residuals are recomputed here from the returned pairs, so
-    the quality check does not trust the solver's own claims.
+    shifted QR).  It computes no residual: its consumers certify the pairs
+    against their own problem (generalized_eig against the pencil).
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
-        empty = np.zeros(0)
-        return ComplexEigenSet(empty.astype(complex), np.zeros((0, 0), complex), empty)
+        return ComplexEigenSet(np.zeros(0, complex), np.zeros((0, 0), complex))
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
     norms = np.linalg.norm(vectors, axis=0)
     vectors = vectors / norms
-    residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
     order = np.lexsort((values.imag, values.real))
-    return ComplexEigenSet(values[order], vectors[:, order], residuals[order])
+    return ComplexEigenSet(values[order], vectors[:, order])
 
 
 def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
@@ -220,7 +216,7 @@ def generalized_eig(
     b, low = generalized_to_standard(gram, op, factors)
     std = eig_nonsymmetric(b)
     if len(std) == 0:
-        return PencilEigenSet(std.values, std.vectors, std.residuals)
+        return PencilEigenSet(std.values, std.vectors, np.zeros(0))
     vectors = np.empty_like(std.vectors)
     for rows, lo in _blocks((low,) if factors is None else factors):
         vectors[rows] = scipy.linalg.solve_triangular(

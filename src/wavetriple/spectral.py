@@ -28,8 +28,8 @@ RESIDUAL_TOL = 1e-8
 AXIS_TOL = 1e-6
 # Modulus below which an eigenvalue counts as zero for the exclusion check.
 ZERO_TOL = 1e-6
-# Largest state dimension whose full dense spectrum a refinement study
-# attempts.  Time grows like the cube of the dimension and memory like its
+# Largest state dimension whose full dense spectrum the spectrum and study
+# commands attempt.  Time grows like the cube of the dimension and memory like its
 # square: on a 2-core machine compute_spectrum took 9 s at 2048, 31 s at
 # 3072 and 68 s with a 2.1 GB peak at 4096.
 MAX_DENSE_STATE = 4096

@@ -112,6 +112,17 @@ class TestSpectrum:
         assert code == 0
         assert (tmp_path / "results" / "eigenvalues.csv").exists()
 
+    def test_size_beyond_dense_limit_refused_up_front(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DAMPED.replace("n = 8", "n = 2100"))
+        out_dir = tmp_path / "spec"
+        start = time.perf_counter()
+        code, out, err = run(["spectrum", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert err.startswith("error: spectrum: state dimension 4200 exceeds 4096")
+        assert out == ""
+        assert not (out_dir / "eigenvalues.csv").exists()
+
 
 class TestSimulate:
     def test_undamped_energy_column_constant(self, tmp_path, capsys):
@@ -162,6 +173,49 @@ class TestSimulate:
         assert message in err
         assert "Traceback" not in err
         assert not (out_dir / "energy.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "dt = 0",
+            "dt = -0.01",
+            "dt = nan",
+            "dt = inf",
+            "t_end = -1",
+            "t_end = nan",
+            "t_end = inf",
+            "t_end = 1e400",
+        ],
+    )
+    def test_bad_step_or_horizon_is_a_line_numbered_error(self, tmp_path, capsys, line):
+        key = line.split(" =")[0]
+        text = "\n".join(
+            line if row.startswith(key + " =") else row for row in UNDAMPED_RUN.splitlines()
+        )
+        lineno = text.splitlines().index(line) + 1
+        cfg = write_config(tmp_path, text + "\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run(["simulate", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: line {lineno}: '{key}' must be a finite number")
+        assert "Traceback" not in err
+        assert not (out_dir / "energy.csv").exists()
+
+
+class TestExpressionErrors:
+    def test_constant_division_by_zero_is_an_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DAMPED + "\n[coefficients]\nmodulus = 1/0\n")
+        code, _, err = run(["validate", "--config", cfg], capsys)
+        assert code == 1
+        assert err == "error: modulus: non-finite sample\n"
+
+    def test_deep_nesting_is_a_line_numbered_error(self, tmp_path, capsys):
+        text = DAMPED + "\n[coefficients]\nmodulus = " + "(" * 400 + "x" + ")" * 400 + "\n"
+        lineno = len(text.splitlines())
+        code, _, err = run(["validate", "--config", write_config(tmp_path, text)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: line {lineno}: 'modulus': ")
+        assert "Traceback" not in err
 
 
 class TestScalarCommands:

@@ -67,6 +67,62 @@ class TestExpressions:
             with pytest.raises(ValueError):
                 wt.compile_expression(src, 1)
 
+    @pytest.mark.parametrize(
+        "src, want",
+        [
+            ("1.", 1.0),
+            (".5", 0.5),
+            ("1E+5", 1e5),
+            ("+x", 0.25),
+            ("--x", 0.25),
+            ("-+-x", 0.25),
+            ("x\u00a0+\t1", 1.25),
+            ("\u0663*x", 0.75),  # an Arabic-Indic 3, as float() reads it
+        ],
+    )
+    def test_number_and_sign_forms_accepted(self, src, want):
+        assert wt.compile_expression(src, 1)(np.array([[0.25]]))[0] == want
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "0x1", "1_0", "1j", "x**2", "x//2", "abs(x)", "x[0]", "True", "01", "007",
+            "x # 1", "\uff58",  # a comment; fullwidth x, which Python reads as x
+        ],
+    )
+    def test_forms_outside_the_grammar_rejected(self, src):
+        with pytest.raises(ValueError):
+            wt.compile_expression(src, 1)
+
+    def test_negation_keeps_the_sign_of_zero(self):
+        assert np.signbit(wt.compile_expression("-x", 1)(np.zeros((1, 1)))[0])
+
+    def test_constant_division_by_zero_is_nonfinite(self):
+        pts = np.zeros((2, 1))
+        assert np.all(wt.compile_expression("1/0", 1)(pts) == np.inf)
+        assert np.all(np.isnan(wt.compile_expression("0/0", 1)(pts)))
+
+    def test_unknown_name_lists_the_coordinates(self):
+        with pytest.raises(ValueError, match="unknown name 'y'; allowed: x"):
+            wt.compile_expression("x + y", 1)
+
+    @pytest.mark.parametrize(
+        "src", ["(" * 400 + "x" + ")" * 400, "-" * 3000 + "x", "+".join(["x"] * 3000)]
+    )
+    def test_deep_nesting_is_a_value_error(self, src):
+        with pytest.raises(ValueError):
+            wt.compile_expression(src, 1)
+
+    def test_long_chain_evaluates_without_recursion(self):
+        expr = wt.compile_expression("+".join(["x"] * 800), 1)
+
+        def call_from_depth(depth):
+            return expr(np.array([[0.5]])) if depth == 0 else call_from_depth(depth - 1)
+
+        # 800 levels of tree on top of 300 frames would exceed the default
+        # recursion limit of 1000 for a recursive evaluator.
+        assert call_from_depth(300)[0] == 400.0
+
     def test_equality_is_by_source(self):
         assert wt.compile_expression("x + 1", 1) == wt.compile_expression("x + 1", 1)
         assert wt.compile_expression("x + 1", 1) != wt.compile_expression("1 + x", 1)
