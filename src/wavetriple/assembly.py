@@ -6,15 +6,19 @@ touching a fixed facet) are eliminated from all matrices; the remaining
 u on top of nodal velocity v.  Boundary trace data lives on the trace
 nodes, the boundary nodes away from every fixed facet.
 
-The assembled first-order system is
+The assembled first-order system is the whole closed-loop generator
 
     gram @ xdot = dynamics @ x,   gram = blockdiag(S, M),
-    dynamics = [[0, S], [-S, -D]],
+    dynamics = [[0, S], [-S - Ma, -D - Mb]],
 
 with S the displacement Gram matrix (stiffness plus boundary spring mass),
-M the density-weighted kinetic mass matrix and D the boundary damper mass.
-The skew part of dynamics is exact by construction, so dissipation
-identities hold to rounding.
+M the density-weighted kinetic mass matrix, D the boundary damper mass and
+Ma, Mb the consistent masses weighted by the interior reaction and damping
+fields.  The skew part of dynamics is exact by construction, so with no
+reaction dynamics + dynamics^T = blockdiag(0, -2(D + Mb)) bit for bit.
+apply_A, the boundary maps B1, B2 and the Green identity describe the
+boundary part [[0, S], [-S, -D]]; the interior terms are a bounded
+perturbation of it.
 
 M is the consistent P1 mass by default.  In 1-D with a fixed end,
 assemble_pencil(..., kinetic="cell_average") measures kinetic energy on
@@ -25,9 +29,11 @@ uniform in h, where the consistent mass loses the gap like h^2.  Only M
 changes; the stiffness, the boundary maps and both identities do not.
 
 Every element matrix goes through one scatter kernel that emits COO
-triplets.  The dense builders return their toarray(), which sums
-duplicates in input order and so matches np.add.at bit for bit; sparse
-consumers (the Helmholtz solve) convert to CSR or CSC instead.
+triplets, and each matrix has one triplet builder.  The dense builders
+return its toarray(), which sums duplicates in input order and so matches
+np.add.at bit for bit; the pencil reduces each block to the active nodes
+from the triplets (_restrict), and sparse consumers (the Helmholtz solve)
+convert to CSR or CSC instead.
 """
 
 from __future__ import annotations
@@ -74,18 +80,29 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray, shape) -> co
     return coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape)
 
 
-def _weighted_mass(mesh: Mesh, weight: np.ndarray, template: np.ndarray) -> np.ndarray:
+def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -> coo_matrix:
+    """Mass matrix with a cellwise-constant weight, as COO triplets.
+
+    kinetic "consistent" gives the P1 mass; "cell_average" gives the mass
+    of cell averages, sum_c w_c h_c / 4 [[1, 1], [1, 1]], 1-D only.
+    """
+    if kinetic == "cell_average":
+        if mesh.dim != 1:
+            raise KineticMassError(f"cell-average kinetic mass is 1-D only, mesh is {mesh.dim}-D")
+        template = _SEG_AVERAGE
+    else:
+        template = _SEG_MASS if mesh.dim == 1 else _TRI_MASS
     w = np.asarray(weight, dtype=float)
     if w.shape != (mesh.num_cells,):
         raise CoefficientError(f"weight must have one value per cell, got {w.shape}")
     local = (w * cell_volumes(mesh))[:, None, None] * template
     n = mesh.num_nodes
-    return _scatter(mesh.cells, mesh.cells, local, (n, n)).toarray()
+    return _scatter(mesh.cells, mesh.cells, local, (n, n))
 
 
 def mass_matrix(mesh: Mesh, weight: np.ndarray) -> np.ndarray:
     """Consistent mass matrix with a cellwise-constant weight."""
-    return _weighted_mass(mesh, weight, _SEG_MASS if mesh.dim == 1 else _TRI_MASS)
+    return mass_triplets(mesh, weight).toarray()
 
 
 def cell_average_mass(mesh: Mesh, weight: np.ndarray) -> np.ndarray:
@@ -95,9 +112,7 @@ def cell_average_mass(mesh: Mesh, weight: np.ndarray) -> np.ndarray:
     only semidefinite: the alternating nodal vector has zero cell averages,
     so a reduced copy is definite only when some node is clamped.
     """
-    if mesh.dim != 1:
-        raise KineticMassError(f"cell-average kinetic mass is 1-D only, mesh is {mesh.dim}-D")
-    return _weighted_mass(mesh, weight, _SEG_AVERAGE)
+    return mass_triplets(mesh, weight, "cell_average").toarray()
 
 
 def _basis_gradients(mesh: Mesh) -> np.ndarray:
@@ -171,12 +186,8 @@ def stiffness_matrix(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
     return stiffness_triplets(mesh, modulus).toarray()
 
 
-def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Boundary mass matrix for per-facet coefficients.
-
-    Point masses at endpoint facets in 1-D, consistent edge masses in 2-D.
-    Negative coefficients are rejected.
-    """
+def boundary_triplets(mesh: Mesh, values: np.ndarray) -> coo_matrix:
+    """Boundary mass for per-facet coefficients, as COO triplets."""
     k = np.asarray(values, dtype=float)
     if k.shape != (mesh.num_facets,):
         raise CoefficientError(f"need one value per boundary facet, got {k.shape}")
@@ -188,7 +199,31 @@ def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
         local = k[:, None, None]
     else:
         local = (k * facet_measures(mesh))[:, None, None] * _SEG_MASS
-    return _scatter(facets, facets, local, (n, n)).toarray()
+    return _scatter(facets, facets, local, (n, n))
+
+
+def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Boundary mass matrix for per-facet coefficients.
+
+    Point masses at endpoint facets in 1-D, consistent edge masses in 2-D.
+    Negative coefficients are rejected.
+    """
+    return boundary_triplets(mesh, values).toarray()
+
+
+def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> np.ndarray:
+    """Dense block of a square COO matrix on the rows and columns in nodes.
+
+    Keeps, in their order, the triplets whose row and column are both in
+    nodes, so duplicates sum in the same order and the result equals
+    toarray()[nodes][:, nodes] bit for bit without the full dense matrix.
+    """
+    slot = np.full(triplets.shape[0], -1)
+    slot[nodes] = np.arange(nodes.size)
+    rows, cols = slot[triplets.row], slot[triplets.col]
+    keep = (rows >= 0) & (cols >= 0)
+    shape = (nodes.size, nodes.size)
+    return coo_matrix((triplets.data[keep], (rows[keep], cols[keep])), shape=shape).toarray()
 
 
 @dataclass(frozen=True)
@@ -201,6 +236,8 @@ class OperatorPencil:
     stacked [u; v] states of length 2 * num_active.  displacement_gram and
     mass are views of gram's diagonal blocks, and gram_factors holds their
     lower Cholesky factors (L_S, L_M), computed once at assembly.
+    dynamics is the whole generator, interior reaction and damping
+    included; the stepper, the spectrum and the decay profile read it.
     """
 
     mesh: Mesh
@@ -239,17 +276,6 @@ class OperatorPencil:
         return np.concatenate([u, v], axis=-1)
 
 
-def energy_gram(mesh: Mesh, coeffs: CoefficientSet) -> np.ndarray:
-    """Gram matrix of the state inner product, blockdiag(S, M), reduced.
-
-    Built by assemble_pencil, so both blocks are checked by their Cholesky
-    factorization and the same errors are raised.  The factors are dropped
-    here; use assemble_pencil to keep them.
-    """
-    pencil = assemble_pencil(mesh, coeffs)
-    return pencil.gram
-
-
 def assemble_pencil(
     mesh: Mesh, coeffs: CoefficientSet, kinetic: str = "consistent"
 ) -> OperatorPencil:
@@ -268,27 +294,17 @@ def assemble_pencil(
     if kinetic not in KINETIC_SCHEMES:
         raise ValueError(f"kinetic must be one of {KINETIC_SCHEMES}, got {kinetic!r}")
     clamped = clamped_nodes(mesh)
-    if kinetic == "consistent":
-        mass_full = mass_matrix(mesh, coeffs.density)
-    else:
-        mass_full = cell_average_mass(mesh, coeffs.density)
-        if clamped.size == 0:
-            raise KineticMassError(
-                "cell-average kinetic mass needs a fixed end: without one the "
-                "alternating nodal vector has zero cell averages, so M is singular"
-            )
-    stiff_full = stiffness_matrix(mesh, coeffs.modulus)
-    spring_full = boundary_mass(mesh, coeffs.boundary_stiffness)
-    damper_full = boundary_mass(mesh, coeffs.boundary_damping)
-
+    kinetic_mass = mass_triplets(mesh, coeffs.density, kinetic)
+    if kinetic == "cell_average" and clamped.size == 0:
+        raise KineticMassError(
+            "cell-average kinetic mass needs a fixed end: without one the "
+            "alternating nodal vector has zero cell averages, so M is singular"
+        )
     active = np.setdiff1d(np.arange(mesh.num_nodes), clamped)
-    tr_nodes = trace_nodes(mesh)
-    trace_slots = np.searchsorted(active, tr_nodes)
-
-    ix = np.ix_(active, active)
-    stiff = stiff_full[ix]
-    spring = spring_full[ix]
-    damper = damper_full[ix]
+    trace_slots = np.searchsorted(active, trace_nodes(mesh))
+    stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
+    spring = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)
+    damper = _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
 
     m = active.shape[0]
     gram = np.zeros((2 * m, 2 * m))
@@ -296,11 +312,13 @@ def assemble_pencil(
     disp_gram = gram[:m, :m]
     mass = gram[m:, m:]
     np.add(stiff, spring, out=disp_gram)
-    mass[...] = mass_full[ix]
+    mass[...] = _restrict(kinetic_mass, active)
     dynamics = np.zeros((2 * m, 2 * m))
     dynamics[:m, m:] = disp_gram
     dynamics[m:, :m] = -disp_gram
+    dynamics[m:, :m] -= _restrict(mass_triplets(mesh, coeffs.reaction), active)
     dynamics[m:, m:] = -damper
+    dynamics[m:, m:] -= _restrict(mass_triplets(mesh, coeffs.damping), active)
 
     try:
         low_disp = linalg.cholesky(disp_gram)

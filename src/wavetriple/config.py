@@ -484,55 +484,6 @@ def parse_config(text: str) -> ModelConfig:
     )
 
 
-def config_to_text(cfg: ModelConfig) -> str:
-    """Canonical text for a configuration; parses back to an equal value."""
-    lines = ["[domain]", f"dim = {cfg.dim}"]
-    if cfg.dim == 1:
-        lines += [f"n = {cfg.n}", f"left = {cfg.left}", f"right = {cfg.right}"]
-    else:
-        lines += [f"nx = {cfg.nx}", f"ny = {cfg.ny}"]
-        lines += [f"{side} = {getattr(cfg, side)}" for side in SIDES]
-    lines += [
-        "",
-        "[coefficients]",
-        f"modulus = {cfg.modulus}",
-        f"density = {cfg.density}",
-        f"reaction = {cfg.reaction}",
-        f"damping = {cfg.damping}",
-        "",
-        "[boundary]",
-        f"k1 = {cfg.spring_default}",
-        f"k2 = {cfg.damper_default}",
-    ]
-    lines += [f"k1_{lab} = {src}" for lab, src in cfg.spring_by_label]
-    lines += [f"k2_{lab} = {src}" for lab, src in cfg.damper_by_label]
-    if cfg.t_end is not None or cfg.dt is not None or cfg.w0 or cfg.w1:
-        lines += ["", "[simulation]"]
-        if cfg.t_end is not None:
-            lines.append(f"t_end = {cfg.t_end:.17g}")
-        if cfg.dt is not None:
-            lines.append(f"dt = {cfg.dt:.17g}")
-        if cfg.w0 is not None:
-            lines.append(f"w0 = {cfg.w0}")
-        if cfg.w1 is not None:
-            lines.append(f"w1 = {cfg.w1}")
-    lines += [
-        "",
-        "[spectral]",
-        f"axis_tol = {cfg.axis_tol:.17g}",
-        f"want_vectors = {'true' if cfg.want_vectors else 'false'}",
-    ]
-    if cfg.helmholtz_field:
-        lines += ["", "[helmholtz]"]
-        if cfg.dim == 1:
-            lines.append(f"f = {cfg.helmholtz_field[0]}")
-        else:
-            lines.append(f"fx = {cfg.helmholtz_field[0]}")
-            lines.append(f"fy = {cfg.helmholtz_field[1]}")
-    lines += ["", "[output]", f"dir = {cfg.output_dir}"]
-    return "\n".join(lines) + "\n"
-
-
 def build_mesh(cfg: ModelConfig) -> Mesh:
     """Mesh described by the domain section."""
     if cfg.dim == 1:

@@ -311,54 +311,3 @@ def _triangle_boundary_problems(mesh: Mesh) -> list[str]:
         problems.append(f"{len(extra)} labeled facets are not hull edges")
     return problems
 
-
-def mesh_to_text(mesh: Mesh) -> str:
-    """Serialize to a line-based text form; round-trips via mesh_from_text."""
-    lines = ["wavetriple-mesh 1", f"dim {mesh.dim}", f"nodes {mesh.num_nodes}"]
-    for row in mesh.nodes:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    lines.append(f"cells {mesh.num_cells}")
-    for row in mesh.cells:
-        lines.append(" ".join(str(int(i)) for i in row))
-    lines.append(f"boundary {mesh.num_facets}")
-    for row, lab in zip(mesh.boundary_facets, mesh.facet_labels):
-        lines.append(" ".join(str(int(i)) for i in row) + " " + lab.value)
-    return "\n".join(lines) + "\n"
-
-
-def mesh_from_text(text: str) -> Mesh:
-    """Parse the output of mesh_to_text and validate the result."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshValidationError("unexpected end of mesh text")
-        pos += 1
-        return lines[pos - 1]
-
-    header = take().split()
-    if header[:1] != ["wavetriple-mesh"]:
-        raise MeshValidationError(f"bad mesh header {' '.join(header)!r}")
-    dim = int(take().split()[1])
-    nn = int(take().split()[1])
-    nodes = np.array([[float(v) for v in take().split()] for _ in range(nn)])
-    nodes = nodes.reshape(nn, dim) if nn else np.zeros((0, dim))
-    nc = int(take().split()[1])
-    cells = np.array([[int(v) for v in take().split()] for _ in range(nc)], dtype=int)
-    cells = cells.reshape(nc, dim + 1) if nc else np.zeros((0, dim + 1), dtype=int)
-    nf = int(take().split()[1])
-    facets = np.zeros((nf, dim), dtype=int)
-    labels = []
-    by_value = {lab.value: lab for lab in BoundaryLabel}
-    for k in range(nf):
-        parts = take().split()
-        facets[k] = [int(v) for v in parts[:dim]]
-        name = parts[dim]
-        if name not in by_value:
-            raise MeshValidationError(f"unknown boundary label {name!r}")
-        labels.append(by_value[name])
-    mesh = Mesh(dim, nodes, cells, facets, tuple(labels))
-    validate_mesh(mesh)
-    return mesh

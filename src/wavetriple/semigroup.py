@@ -1,9 +1,10 @@
 """Time evolution of the assembled model by the Cayley (midpoint) scheme.
 
-One step solves (gram - dt/2 * dyn) x_next = (gram + dt/2 * dyn) x.  The
-scheme is A-stable and norm-exact: for a dissipative model the state norm
-never grows, and with no damping it is conserved to rounding.  Explicit
-schemes are deliberately not offered.
+One step solves (gram - dt/2 * dyn) x_next = (gram + dt/2 * dyn) x with
+dyn = pencil.dynamics, the whole generator including interior reaction and
+damping.  The scheme is A-stable and norm-exact: for a dissipative model
+the state norm never grows, and with no damping it is conserved to
+rounding.  Explicit schemes are deliberately not offered.
 """
 
 from __future__ import annotations
@@ -14,33 +15,20 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from . import linalg
-from .assembly import OperatorPencil, mass_matrix, physical_energy, state_norm
-from .errors import ContractionBreachError, InitialDataError, SingularMatrixError
+from .assembly import OperatorPencil, physical_energy, state_norm
+from .errors import (
+    ContractionBreachError,
+    InitialDataError,
+    ProblemSizeError,
+    SingularMatrixError,
+)
 
 # Relative per-step growth beyond which a dissipative run is aborted.
 BREACH_RTOL = 1e-10
-
-
-def perturbation_matrices(pencil: OperatorPencil) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced mass matrices weighted by the reaction and damping fields."""
-    ix = np.ix_(pencil.active, pencil.active)
-    ma = mass_matrix(pencil.mesh, pencil.coeffs.reaction)[ix]
-    mb = mass_matrix(pencil.mesh, pencil.coeffs.damping)[ix]
-    return ma, mb
-
-
-def perturbed_dynamics(pencil: OperatorPencil) -> np.ndarray:
-    """Dynamics matrix including interior reaction and damping terms.
-
-    Adds [[0, 0], [-Ma, -Mb]] to the boundary-driven dynamics.  With zero
-    fields this returns the unperturbed matrix unchanged.
-    """
-    ma, mb = perturbation_matrices(pencil)
-    m = pencil.num_active
-    dyn = pencil.dynamics.copy()
-    dyn[m:, :m] -= ma
-    dyn[m:, m:] -= mb
-    return dyn
+# Largest number of float64 values a trajectory records, (nsteps + 1) times
+# (state_dim + 3) for the states, times, energies and norms: 1 GiB.  The
+# three per-step values also bound the step count of an empty state.
+MAX_TRAJECTORY_VALUES = 2**27
 
 
 def provably_dissipative(pencil: OperatorPencil) -> bool:
@@ -66,18 +54,12 @@ class CayleyStepper:
             raise ValueError(f"step size must be positive, got {dt}")
         self.pencil = pencil
         self.dt = float(dt)
-        dyn = perturbed_dynamics(pencil)
         half = 0.5 * self.dt
-        self._plus = csr_matrix(pencil.gram + half * dyn)
-        self._solver = linalg.LuFactorization(pencil.gram - half * dyn)
+        self._plus = csr_matrix(pencil.gram + half * pencil.dynamics)
+        self._solver = linalg.LuFactorization(pencil.gram - half * pencil.dynamics)
 
     def step(self, state: np.ndarray) -> np.ndarray:
         return self._solver.solve(self._plus @ state)
-
-
-def cayley_step(pencil: OperatorPencil, state: np.ndarray, dt: float) -> np.ndarray:
-    """Single midpoint step; factors the shifted matrix on every call."""
-    return CayleyStepper(pencil, dt).step(state)
 
 
 @dataclass(frozen=True)
@@ -104,13 +86,20 @@ def simulate(
 
     When the model is provably dissipative (decided automatically unless
     enforce_contraction is forced), any per-step norm growth beyond a
-    rounding allowance aborts with ContractionBreachError.
+    rounding allowance aborts with ContractionBreachError.  A run that would
+    record more than MAX_TRAJECTORY_VALUES values is refused with
+    ProblemSizeError before anything is allocated or factored.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (pencil.state_dim,):
         raise ValueError(f"initial state must have length {pencil.state_dim}")
     if nsteps < 0:
         raise ValueError("nsteps must be nonnegative")
+    if (int(nsteps) + 1) * (pencil.state_dim + 3) > MAX_TRAJECTORY_VALUES:
+        raise ProblemSizeError(
+            f"{nsteps} steps of state dimension {pencil.state_dim} would record more "
+            f"than {MAX_TRAJECTORY_VALUES} values, the largest trajectory this package keeps"
+        )
     if enforce_contraction is None:
         enforce_contraction = provably_dissipative(pencil)
     stepper = CayleyStepper(pencil, dt)
@@ -180,9 +169,8 @@ def decay_profile(
     asserted here; the profile is the deliverable.
     """
     image = np.asarray(image, dtype=float)
-    dyn = perturbed_dynamics(pencil)
     try:
-        x0 = linalg.LuFactorization(dyn).solve(pencil.gram @ image)
+        x0 = linalg.LuFactorization(pencil.dynamics).solve(pencil.gram @ image)
     except SingularMatrixError as err:
         raise SingularMatrixError(
             "dynamics matrix is singular: zero is an eigenvalue of the "

@@ -1,8 +1,10 @@
 """Spectra of the closed-loop generator and derived stability reports.
 
-Eigenvalues come from the generalized problem dyn z = lambda gram z,
-reduced to standard form block by block through the Cholesky factors of
-the Gram matrix's two diagonal blocks, computed once at assembly.
+Eigenvalues come from the generalized problem dyn z = lambda gram z, with
+dyn = pencil.dynamics the whole generator (interior reaction and damping
+included), reduced to standard form block by block through the Cholesky
+factors of the Gram matrix's two diagonal blocks, computed once at
+assembly.
 Every reported pair carries a recomputed residual plus two boundary
 residuals: the damped velocity trace and the first boundary map, which
 must both vanish on any eigenvector whose eigenvalue sits on the
@@ -16,11 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .assembly import OperatorPencil, boundary_mass, mass_matrix, stiffness_matrix
+from .assembly import (
+    OperatorPencil,
+    _restrict,
+    boundary_triplets,
+    mass_triplets,
+    stiffness_triplets,
+)
 from .coefficients import CoefficientSet, energy_anchored
 from .errors import DegenerateEnergyNormError, EigenSolverError, ProblemSizeError
 from .mesh import Mesh, clamped_nodes
-from .semigroup import perturbed_dynamics
 
 # Pencil residual bound accepted from the eigensolver.
 RESIDUAL_TOL = 1e-8
@@ -90,8 +97,7 @@ def compute_spectrum(
     EigenSolverError if any recomputed pencil residual exceeds the
     accepted bound, so a report in hand is a certificate.
     """
-    dyn = perturbed_dynamics(pencil)
-    pairs = linalg.generalized_eig(pencil.gram, dyn, pencil.gram_factors)
+    pairs = linalg.generalized_eig(pencil.gram, pencil.dynamics, pencil.gram_factors)
     if len(pairs) != pencil.state_dim:
         raise EigenSolverError(
             f"expected {pencil.state_dim} eigenvalues, got {len(pairs)}"
@@ -183,13 +189,12 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
             "degenerate energy norm: constants break the trace bound"
         )
     ones = np.ones(mesh.num_cells)
-    stiff = stiffness_matrix(mesh, ones)
-    spring = boundary_mass(mesh, coeffs.boundary_stiffness)
-    mass = mass_matrix(mesh, ones)
     active = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
-    ix = np.ix_(active, active)
-    form = (stiff + spring)[ix]
-    std, _ = linalg.generalized_to_standard(mass[ix], form)
+    form = _restrict(stiffness_triplets(mesh, ones), active) + _restrict(
+        boundary_triplets(mesh, coeffs.boundary_stiffness), active
+    )
+    mass = _restrict(mass_triplets(mesh, ones), active)
+    std, _ = linalg.generalized_to_standard(mass, form)
     lam_min = float(np.linalg.eigvalsh(0.5 * (std + std.T)).min())
     if lam_min <= 0:
         raise DegenerateEnergyNormError(

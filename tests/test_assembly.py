@@ -7,7 +7,7 @@ import models
 import wavetriple as wt
 from wavetriple import assembly, linalg
 from wavetriple.mesh import BoundaryLabel as BL
-from wavetriple.mesh import cell_volumes, facet_measures
+from wavetriple.mesh import cell_volumes, clamped_nodes, facet_measures
 
 
 class TestMassMatrix:
@@ -144,7 +144,7 @@ class TestPencilStructure:
         assert np.allclose(
             pencil.displacement_gram, [[4.0, -2.0], [-2.0, 2.0]], atol=1e-13
         )
-        gram = wt.energy_gram(mesh, coeffs)
+        gram = wt.assemble_pencil(mesh, coeffs).gram
         assert np.allclose(gram[:2, :2], [[4.0, -2.0], [-2.0, 2.0]], atol=1e-13)
 
     def test_modulus_scaling_doubles_displacement_block(self):
@@ -195,6 +195,50 @@ class TestPencilStructure:
         assert np.array_equal(
             pencil.displacement_gram, pencil.stiffness + pencil.boundary_spring
         )
+
+
+def interior_pencil(mesh, **fields):
+    """Pencil with random boundary data and the given interior fields."""
+    rng = np.random.default_rng(41)
+    coeffs = wt.sample_coefficients(
+        mesh,
+        boundary_stiffness=rng.uniform(0.0, 2.0, mesh.num_facets),
+        boundary_damping=rng.uniform(0.0, 2.0, mesh.num_facets),
+        **fields,
+    )
+    return wt.assemble_pencil(mesh, coeffs)
+
+
+def interior_meshes():
+    return [
+        wt.interval_mesh(12, right=BL.ELASTIC_DAMPED),
+        wt.rectangle_mesh(5, 4, models.square_partition()),
+    ]
+
+
+class TestInteriorTerms:
+    """dynamics is the whole generator: [[0, S], [-S - Ma, -D - Mb]]."""
+
+    def test_interior_damping_dissipation_identity_bitwise(self):
+        for mesh in interior_meshes():
+            pencil = interior_pencil(mesh, damping=lambda p: 0.5 + 0.25 * p[:, 0])
+            ix = np.ix_(pencil.active, pencil.active)
+            mb = wt.mass_matrix(mesh, pencil.coeffs.damping)[ix]
+            assert np.abs(mb).max() > 0.0
+            m = pencil.num_active
+            sym = pencil.dynamics + pencil.dynamics.T
+            want = np.zeros_like(sym)
+            want[m:, m:] = -2.0 * (pencil.boundary_damper + mb)
+            assert np.array_equal(sym, want)
+
+    def test_reaction_block_bitwise(self):
+        for mesh in interior_meshes():
+            pencil = interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
+            ix = np.ix_(pencil.active, pencil.active)
+            ma = wt.mass_matrix(mesh, pencil.coeffs.reaction)[ix]
+            m = pencil.num_active
+            assert np.array_equal(pencil.dynamics[m:, :m], -pencil.displacement_gram - ma)
+            assert np.array_equal(pencil.dynamics[:m, m:], pencil.displacement_gram)
 
 
 class TestCellAverageScheme:
@@ -470,6 +514,22 @@ class TestDenseBuildersMatchAddAt:
                 local = (k * facet_measures(mesh))[:, None, None] * seg
                 want = add_at_reference(mesh.num_nodes, facets, local)
             assert np.array_equal(wt.boundary_mass(mesh, k), want)
+
+
+class TestRestrict:
+    def test_matches_dense_indexing_bitwise(self):
+        rng = np.random.default_rng(42)
+        for mesh in interior_meshes():
+            active = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
+            w = rng.uniform(0.5, 2.0, mesh.num_cells)
+            k = rng.uniform(0.0, 2.0, mesh.num_facets)
+            for triplets in (
+                assembly.mass_triplets(mesh, w),
+                assembly.stiffness_triplets(mesh, w),
+                assembly.boundary_triplets(mesh, k),
+            ):
+                want = triplets.toarray()[np.ix_(active, active)]
+                assert np.array_equal(assembly._restrict(triplets, active), want)
 
 
 class TestSparseOperators:

@@ -1,7 +1,12 @@
 """End-to-end tests for the command line interface."""
 
+import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +205,62 @@ class TestSimulate:
         assert err.startswith(f"error: line {lineno}: '{key}' must be a finite number")
         assert "Traceback" not in err
         assert not (out_dir / "energy.csv").exists()
+
+    @pytest.mark.parametrize(
+        "n, t_end, dt",
+        [(4, "1e300", "1"), (4, "1e9", "1"), (1, "1e9", "1")],
+        ids=["beyond-array-limits", "beyond-memory", "fully-clamped"],
+    )
+    def test_over_long_run_is_refused_up_front(self, tmp_path, capsys, n, t_end, dt):
+        text = (
+            UNDAMPED_RUN.replace("n = 16", f"n = {n}")
+            .replace("t_end = 0.5", f"t_end = {t_end}")
+            .replace("dt = 0.05", f"dt = {dt}")
+        )
+        cfg = write_config(tmp_path, text)
+        out_dir = tmp_path / "run"
+        start = time.perf_counter()
+        code, out, err = run(["simulate", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "would record more than" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not (out_dir / "energy.csv").exists()
+
+
+class TestBenchmarkHooks:
+    """The benchmark's traced child wraps package names and reads pencil
+    fields; a rename or a field without .nbytes must fail here first."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize(
+        "command, text, facts",
+        [
+            ("simulate", UNDAMPED_RUN, ("pencil_bytes", "gram_nnz", "trajectory_bytes")),
+            ("spectrum", DAMPED, ("pencil_bytes", "gram_nnz")),
+        ],
+        ids=["simulate", "spectrum"],
+    )
+    def test_traced_child_run(self, tmp_path, command, text, facts):
+        cfg = write_config(tmp_path, text)
+        record = tmp_path / "trace.json"
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+        args = [str(record), command, "--config", cfg, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, str(self.ROOT / "perfbench" / "child.py"), "trace", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        got = json.loads(record.read_text())["facts"]
+        for key in facts:
+            assert isinstance(got[key], int) and got[key] > 0, key
 
 
 class TestExpressionErrors:

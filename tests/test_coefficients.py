@@ -187,7 +187,7 @@ class TestValidateModel:
             except wt.DegenerateEnergyNormError:
                 valid = False
             if valid:
-                assert wt.energy_gram(mesh, coeffs).shape[0] > 0
+                assert wt.assemble_pencil(mesh, coeffs).gram.shape[0] > 0
             else:
                 with pytest.raises(wt.DegenerateEnergyNormError):
-                    wt.energy_gram(mesh, coeffs)
+                    wt.assemble_pencil(mesh, coeffs).gram

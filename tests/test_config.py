@@ -241,47 +241,6 @@ class TestParse:
         assert any("'f' is only valid when dim = 1" in d for d in diags)
 
 
-class TestRoundTrip:
-    def full_config(self):
-        return wt.parse_config(
-            MINIMAL.replace("right = fixed", "right = elastic_damped")
-            + """
-[coefficients]
-modulus = 1 + x/2
-density = 2
-
-[boundary]
-k1 = 1
-k2_elastic_damped = 3
-
-[simulation]
-t_end = 1.5
-dt = 0.125
-w0 = x*(1 - x)
-w1 = 0
-
-[spectral]
-axis_tol = 0.001
-want_vectors = true
-
-[helmholtz]
-f = x - 1/2
-
-[output]
-dir = results
-"""
-        )
-
-    def test_parse_of_printed_text_is_identity(self):
-        for cfg in (wt.parse_config(MINIMAL), self.full_config(), wt.parse_config(SQUARE)):
-            assert wt.parse_config(wt.config_to_text(cfg)) == cfg
-
-    def test_printed_text_is_canonical(self):
-        cfg = self.full_config()
-        text = wt.config_to_text(cfg)
-        assert wt.config_to_text(wt.parse_config(text)) == text
-
-
 class TestBuilders:
     def test_build_interval_mesh(self):
         mesh = cfgmod.build_mesh(wt.parse_config(MINIMAL))

@@ -186,34 +186,3 @@ class TestValidation:
         square = wt.rectangle_mesh(4, 2, mixed_partition())
         assert meshmod.mesh_problems(square) == []
 
-
-class TestText:
-    def test_roundtrip_interval(self):
-        mesh = wt.interval_mesh(5, right=BL.ELASTIC_DAMPED)
-        back = wt.mesh_from_text(wt.mesh_to_text(mesh))
-        assert back.dim == 1
-        assert np.array_equal(back.nodes, mesh.nodes)
-        assert np.array_equal(back.cells, mesh.cells)
-        assert np.array_equal(back.boundary_facets, mesh.boundary_facets)
-        assert back.facet_labels == mesh.facet_labels
-
-    def test_roundtrip_square_bytes_stable(self):
-        mesh = wt.rectangle_mesh(4, 2, mixed_partition())
-        text = wt.mesh_to_text(mesh)
-        assert wt.mesh_to_text(wt.mesh_from_text(text)) == text
-
-    def test_bad_header(self):
-        with pytest.raises(wt.MeshValidationError, match="header"):
-            wt.mesh_from_text("not-a-mesh 1\ndim 1\n")
-
-    def test_unknown_label(self):
-        mesh = wt.interval_mesh(2)
-        text = wt.mesh_to_text(mesh).replace("fixed", "sticky", 1)
-        with pytest.raises(wt.MeshValidationError, match="sticky"):
-            wt.mesh_from_text(text)
-
-    def test_truncated_text(self):
-        mesh = wt.interval_mesh(2)
-        lines = wt.mesh_to_text(mesh).splitlines()[:-1]
-        with pytest.raises(wt.MeshValidationError):
-            wt.mesh_from_text("\n".join(lines))

@@ -15,13 +15,13 @@ class TestCayleyStep:
         pencil = models.dirichlet_pencil(16)
         rng = np.random.default_rng(1)
         x = models.random_state(pencil, rng)
-        y = wt.cayley_step(pencil, x, 0.05)
+        y = wt.CayleyStepper(pencil, 0.05).step(x)
         nx, ny = wt.state_norm(pencil, x), wt.state_norm(pencil, y)
         assert abs(ny - nx) <= 1e-12 * nx
 
     def test_zero_state_fixed_point(self):
         pencil = models.damped_pencil(8)
-        y = wt.cayley_step(pencil, np.zeros(pencil.state_dim), 0.1)
+        y = wt.CayleyStepper(pencil, 0.1).step(np.zeros(pencil.state_dim))
         assert np.abs(y).max() == 0.0
 
     def test_damped_steps_monotone(self):
@@ -47,7 +47,7 @@ class TestCayleyStep:
         rng = np.random.default_rng(4)
         for pencil in (models.damped_pencil(16), models.square_pencil(4, 5, seed=3), perturbed):
             dt = 0.03
-            dyn = semigroup.perturbed_dynamics(pencil)
+            dyn = pencil.dynamics
             x = models.random_state(pencil, rng)
             want = np.linalg.solve(
                 pencil.gram - 0.5 * dt * dyn, (pencil.gram + 0.5 * dt * dyn) @ x
@@ -58,7 +58,7 @@ class TestCayleyStep:
     def test_nonpositive_dt_rejected(self):
         pencil = models.damped_pencil(4)
         with pytest.raises(ValueError):
-            wt.cayley_step(pencil, np.zeros(pencil.state_dim), 0.0)
+            wt.CayleyStepper(pencil, 0.0).step(np.zeros(pencil.state_dim))
 
     def test_midpoint_energy_balance_identity(self):
         # Per step: |x1|^2 - |x0|^2 = -2 dt * vmid' D vmid, to rounding.
@@ -66,7 +66,7 @@ class TestCayleyStep:
         rng = np.random.default_rng(3)
         x0 = models.random_state(pencil, rng)
         dt = 0.03
-        x1 = wt.cayley_step(pencil, x0, dt)
+        x1 = wt.CayleyStepper(pencil, dt).step(x0)
         _, v0 = pencil.split(x0)
         _, v1 = pencil.split(x1)
         vmid = 0.5 * (v0 + v1)
@@ -139,19 +139,24 @@ class TestSimulate:
 class TestPerturbation:
     def test_zero_fields_leave_dynamics_unchanged(self):
         pencil = models.damped_pencil(10)
-        assert np.array_equal(semigroup.perturbed_dynamics(pencil), pencil.dynamics)
+        s, d = pencil.displacement_gram, pencil.boundary_damper
+        unperturbed = np.block([[np.zeros_like(s), s], [-s, -d]])
+        assert np.array_equal(pencil.dynamics, unperturbed)
 
     def test_blocks_land_in_velocity_rows(self):
         mesh = wt.interval_mesh(8, right=wt.BoundaryLabel.FREE)
         coeffs = wt.sample_coefficients(mesh, reaction=1.5, damping=0.5)
         pencil = wt.assemble_pencil(mesh, coeffs)
-        ma, mb = semigroup.perturbation_matrices(pencil)
+        ix = np.ix_(pencil.active, pencil.active)
+        ma = wt.mass_matrix(mesh, coeffs.reaction)[ix]
+        mb = wt.mass_matrix(mesh, coeffs.damping)[ix]
         m = pencil.num_active
-        dyn = semigroup.perturbed_dynamics(pencil)
-        assert np.array_equal(dyn[:m, :m], pencil.dynamics[:m, :m])
-        assert np.array_equal(dyn[:m, m:], pencil.dynamics[:m, m:])
-        assert np.allclose(dyn[m:, :m], pencil.dynamics[m:, :m] - ma)
-        assert np.allclose(dyn[m:, m:], pencil.dynamics[m:, m:] - mb)
+        s, d = pencil.displacement_gram, pencil.boundary_damper
+        dyn = pencil.dynamics
+        assert np.array_equal(dyn[:m, :m], np.zeros((m, m)))
+        assert np.array_equal(dyn[:m, m:], s)
+        assert np.allclose(dyn[m:, :m], -s - ma)
+        assert np.allclose(dyn[m:, m:], -d - mb)
         # The reaction block breaks skewness of the off-diagonal pair.
         sym = dyn + dyn.T
         assert np.abs(sym[:m, m:]).max() > 0.1
@@ -161,13 +166,13 @@ class TestPerturbation:
         coeffs = wt.sample_coefficients(mesh, damping=0.75)
         pencil = wt.assemble_pencil(mesh, coeffs)
         assert semigroup.provably_dissipative(pencil)
-        dyn = semigroup.perturbed_dynamics(pencil)
+        dyn = pencil.dynamics
         sym = dyn + dyn.T
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         assert eigs.max() <= 1e-12
         rng = np.random.default_rng(6)
         x = models.random_state(pencil, rng)
-        y = wt.cayley_step(pencil, x, 0.04)
+        y = wt.CayleyStepper(pencil, 0.04).step(x)
         assert wt.state_norm(pencil, y) <= wt.state_norm(pencil, x) * (1 + 1e-12)
 
 
@@ -211,7 +216,7 @@ class TestDecayProfile:
         rng = np.random.default_rng(8)
         y = models.random_state(pencil, rng)
         _, prof = wt.decay_profile(pencil, y, 0.05, 0)
-        dyn = semigroup.perturbed_dynamics(pencil)
+        dyn = pencil.dynamics
         x0 = linalg.lu_solve(dyn, pencil.gram @ y)
         graph = np.sqrt(
             wt.state_norm(pencil, x0) ** 2 + wt.state_norm(pencil, y) ** 2
