@@ -51,9 +51,11 @@ from .errors import (
     DegenerateEnergyNormError,
     KineticMassError,
     NotPositiveDefiniteError,
+    ProblemSizeError,
 )
 from .mesh import (
     Mesh,
+    active_nodes,
     cell_volumes,
     clamped_nodes,
     facet_measures,
@@ -67,6 +69,13 @@ _TRI_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _SEG_AVERAGE = np.full((2, 2), 0.25)
 
 KINETIC_SCHEMES = ("consistent", "cell_average")
+# Largest state dimension (twice the active nodes) whose dense pencil
+# assemble_pencil builds, and whose dense trace form poincare_constant
+# builds: the 2-D square at nx = 64 with one side fixed.  Memory grows like
+# its square; on a 2-core machine that model peaked at 2.8 GB in simulate,
+# 1.8 GB in validate and 0.9 GB in poincare (13 s), and nx = 48 (state
+# 4,704) at 0.95, 0.61 and 0.33 GB.
+MAX_PENCIL_STATE = 8320
 
 
 def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray, shape) -> coo_matrix:
@@ -84,8 +93,11 @@ def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -
     """Mass matrix with a cellwise-constant weight, as COO triplets.
 
     kinetic "consistent" gives the P1 mass; "cell_average" gives the mass
-    of cell averages, sum_c w_c h_c / 4 [[1, 1], [1, 1]], 1-D only.
+    of cell averages, sum_c w_c h_c / 4 [[1, 1], [1, 1]], 1-D only.  Any
+    other scheme is a ValueError.
     """
+    if kinetic not in KINETIC_SCHEMES:
+        raise ValueError(f"kinetic must be one of {KINETIC_SCHEMES}, got {kinetic!r}")
     if kinetic == "cell_average":
         if mesh.dim != 1:
             raise KineticMassError(f"cell-average kinetic mass is 1-D only, mesh is {mesh.dim}-D")
@@ -211,6 +223,18 @@ def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return boundary_triplets(mesh, values).toarray()
 
 
+def check_pencil_size(active: np.ndarray) -> None:
+    """Refuse, with ProblemSizeError, a state above MAX_PENCIL_STATE.
+
+    active holds the active nodes; the check comes before any dense block.
+    """
+    if 2 * active.size > MAX_PENCIL_STATE:
+        raise ProblemSizeError(
+            f"state dimension {2 * active.size} exceeds {MAX_PENCIL_STATE}, "
+            "the largest dense model this package assembles"
+        )
+
+
 def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> np.ndarray:
     """Dense block of a square COO matrix on the rows and columns in nodes.
 
@@ -285,22 +309,21 @@ def assemble_pencil(
     dimension) or "cell_average" (cell_average_mass, which keeps the
     damped-string spectral gap uniform in h).  "cell_average" needs a 1-D
     mesh with at least one fixed end, else KineticMassError; any other
-    value is a ValueError.
+    value is a ValueError.  A state above MAX_PENCIL_STATE is refused with
+    ProblemSizeError before any dense block is built.
 
     S and M are each factored once by linalg.cholesky.  A failure of S is
     NotPositiveDefiniteError, or DegenerateEnergyNormError when the model
     has no fixed boundary and no boundary spring.
     """
-    if kinetic not in KINETIC_SCHEMES:
-        raise ValueError(f"kinetic must be one of {KINETIC_SCHEMES}, got {kinetic!r}")
-    clamped = clamped_nodes(mesh)
     kinetic_mass = mass_triplets(mesh, coeffs.density, kinetic)
-    if kinetic == "cell_average" and clamped.size == 0:
+    if kinetic == "cell_average" and clamped_nodes(mesh).size == 0:
         raise KineticMassError(
             "cell-average kinetic mass needs a fixed end: without one the "
             "alternating nodal vector has zero cell averages, so M is singular"
         )
-    active = np.setdiff1d(np.arange(mesh.num_nodes), clamped)
+    active = active_nodes(mesh)
+    check_pencil_size(active)
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
     stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
     spring = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)

@@ -62,6 +62,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     report = spectral.compute_spectrum(
         pencil, axis_tol=cfg.axis_tol, want_vectors=cfg.want_vectors
     )
+    ratio = spectral.balance_worst_ratio(pencil, report) if cfg.want_vectors else None
     out = _out_dir(cfg, args)
     path = out / "eigenvalues.csv"
     path.write_text(spectral.eigenvalues_csv(report))
@@ -70,6 +71,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     print(f"abscissa {report.abscissa:.17g}")
     print(f"gap {report.gap:.17g}")
     print(f"near_axis {report.near_axis.size}")
+    if ratio is not None:
+        print(f"balance_worst_ratio {ratio:.17g}")
     return 0
 
 

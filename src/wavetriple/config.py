@@ -6,7 +6,9 @@ decimal numbers, + - * /, parentheses and unary plus and minus.  Python's
 ast parser reads an expression, one pass over the tree admits only that
 grammar, and a loop evaluates it in float64 without eval.  Parsing
 collects every problem with its line number before raising, so a bad file
-reports all of its defects at once.
+reports all of its defects at once.  One key table says which keys each
+section takes and in which dimension.  Whether the model's energy norm is
+degenerate is decided by model validation, not here.
 """
 
 from __future__ import annotations
@@ -138,15 +140,26 @@ def compile_expression(source: str, dim: int) -> Expression:
 # ---------------------------------------------------------------------------
 # Configuration data
 
+# Each key of each section with the dimension it is valid in; 0 means both.
+# [boundary] keys are k1 and k2 with an optional label: _key_problem.
 _SECTION_KEYS = {
-    "domain": {"dim", "n", "nx", "ny", "left", "right", "bottom", "top"},
-    "coefficients": {"modulus", "density", "reaction", "damping"},
-    "boundary": None,  # k1, k2, and per-label variants; checked separately
-    "simulation": {"t_end", "dt", "w0", "w1"},
-    "spectral": {"axis_tol", "want_vectors"},
-    "helmholtz": {"f", "fx", "fy"},
-    "output": {"dir"},
+    "domain": {"dim": 0, "n": 1, "nx": 2, "ny": 2, "left": 0, "right": 0, "bottom": 2, "top": 2},
+    "coefficients": {"modulus": 0, "density": 0, "reaction": 0, "damping": 0},
+    "boundary": None,
+    "simulation": {"t_end": 0, "dt": 0, "w0": 0, "w1": 0},
+    "spectral": {"axis_tol": 0, "want_vectors": 0},
+    "helmholtz": {"f": 1, "fx": 2, "fy": 2},
+    "output": {"dir": 0},
 }
+# Keys that take a number, with the rule the number must meet.
+_NUMBER_RULES = {
+    "t_end": ("a finite number >= 0", lambda v: v >= 0),
+    "dt": ("a finite number > 0", lambda v: v > 0),
+    "axis_tol": ("a finite number > 0", lambda v: v > 0),
+}
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# Keys stored under another ModelConfig field name.
+_FIELD_NAMES = {"k1": "spring_default", "k2": "damper_default", "dir": "output_dir"}
 
 _SPRING_LABELS = tuple(lab.value for lab in BoundaryLabel if lab.has_spring)
 _DAMPER_LABELS = tuple(lab.value for lab in BoundaryLabel if lab.has_damper)
@@ -208,6 +221,67 @@ def _format_partition(segments: tuple[Segment, ...]) -> str:
     return ", ".join(f"{s.label.value} {s.start:.17g} {s.stop:.17g}" for s in segments)
 
 
+def _integer(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _key_problem(section: str, key: str) -> str | None:
+    """Why key does not belong in section, or None if it does.
+
+    [boundary] takes k1 (spring) and k2 (damper), each optionally suffixed
+    with _label for a label that carries a spring or a damper respectively.
+    """
+    keys = _SECTION_KEYS[section]
+    if keys is not None:
+        return None if key in keys else f"unknown key {key!r} in section [{section}]"
+    base, _, label = key.partition("_")
+    if base not in ("k1", "k2") or (label and label not in _LABEL_NAMES):
+        return f"unknown boundary key {key!r}"
+    kind, takes = ("spring", _SPRING_LABELS) if base == "k1" else ("damper", _DAMPER_LABELS)
+    if label and label not in takes:
+        return f"{key!r}: label {label!r} does not take a {kind}"
+    return None
+
+
+def _typed_value(key: str, text: str, dim: int):
+    """Value of one key as ModelConfig stores it; ValueError carries the diagnostic."""
+    if key in ("n", "nx", "ny"):
+        count = _integer(text)
+        if count is None:
+            raise ValueError(f"{key!r} must be an integer, got {text!r}")
+        if count < 1:
+            raise ValueError(f"{key!r} must be at least 1, got {count}")
+        return count
+    if key in _NUMBER_RULES:
+        rule, valid = _NUMBER_RULES[key]
+        try:
+            number = float(text)
+        except ValueError:
+            raise ValueError(f"{key!r} must be a number, got {text!r}") from None
+        if not (np.isfinite(number) and valid(number)):
+            raise ValueError(f"{key!r} must be {rule}, got {text!r}")
+        return number
+    if key == "want_vectors":
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"'want_vectors' must be boolean, got {text!r}")
+        return _BOOLEANS[text.lower()]
+    if key == "dir":
+        return text
+    # A 1-D end takes one label; a 2-D side takes a label partition.
+    if key in SIDES and dim == 1 and text not in _LABEL_NAMES:
+        raise ValueError(f"{key!r} must be a boundary label, got {text!r}")
+    try:
+        if key in SIDES:
+            return _format_partition(_parse_partition_value(text))
+        compile_expression(text, dim)
+    except ValueError as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+    return text
+
+
 class _Diagnostics:
     def __init__(self):
         self.items: list[str] = []
@@ -231,18 +305,17 @@ def parse_config(text: str) -> ModelConfig:
         if not line:
             continue
         if line.startswith("["):
+            name = line[1:-1].strip()
             if not line.endswith("]"):
                 diags.add(lineno, f"malformed section header {raw.strip()!r}")
                 continue
-            name = line[1:-1].strip()
-            if name not in _SECTION_KEYS:
+            section = name if name in _SECTION_KEYS else None
+            if section is None:
                 diags.add(lineno, f"unknown section [{name}]")
-                section = None
                 continue
             if name in section_lines:
                 diags.add(lineno, f"duplicate section [{name}]")
             section_lines[name] = lineno
-            section = name
             continue
         if "=" not in line:
             diags.add(lineno, f"expected 'key = value', got {raw.strip()!r}")
@@ -251,236 +324,57 @@ def parse_config(text: str) -> ModelConfig:
             diags.add(lineno, "key outside any known section")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        allowed = _SECTION_KEYS[section]
-        if section == "boundary":
-            base = key.split("_", 1)[0]
-            suffix = key.split("_", 1)[1] if "_" in key else ""
-            if base not in ("k1", "k2") or (suffix and suffix not in _LABEL_NAMES):
-                diags.add(lineno, f"unknown boundary key {key!r}")
-                continue
-            if suffix:
-                uses = _SPRING_LABELS if base == "k1" else _DAMPER_LABELS
-                if suffix not in uses:
-                    diags.add(
-                        lineno,
-                        f"{key!r}: label {suffix!r} does not take a "
-                        + ("spring" if base == "k1" else "damper"),
-                    )
-                    continue
-        elif allowed is not None and key not in allowed:
-            diags.add(lineno, f"unknown key {key!r} in section [{section}]")
-            continue
-        if (section, key) in seen:
-            diags.add(lineno, f"duplicate key {key!r} in section [{section}]")
-            continue
-        seen[(section, key)] = (lineno, value)
-
-    def get(section: str, key: str, default: str | None = None) -> tuple[int, str] | None:
-        entry = seen.get((section, key))
-        if entry is None and default is not None:
-            return (section_lines.get(section, 0), default)
-        return entry
-
-    def need_int(section: str, key: str, minimum: int) -> int | None:
-        entry = seen.get((section, key))
-        if entry is None:
-            diags.add(section_lines.get(section, 0), f"missing key {key!r} in [{section}]")
-            return None
-        lineno, value = entry
-        try:
-            out = int(value)
-        except ValueError:
-            diags.add(lineno, f"{key!r} must be an integer, got {value!r}")
-            return None
-        if out < minimum:
-            diags.add(lineno, f"{key!r} must be at least {minimum}, got {out}")
-            return None
-        return out
-
-    def need_float(section: str, key: str, valid=None, rule: str = "") -> float | None:
-        entry = seen.get((section, key))
-        if entry is None:
-            return None
-        lineno, value = entry
-        try:
-            out = float(value)
-        except ValueError:
-            diags.add(lineno, f"{key!r} must be a number, got {value!r}")
-            return None
-        if valid is not None and not (np.isfinite(out) and valid(out)):
-            diags.add(lineno, f"{key!r} must be {rule}, got {value!r}")
-            return None
-        return out
-
-    def check_expr(section: str, key: str, default: str | None, dim: int) -> str | None:
-        entry = get(section, key, default)
-        if entry is None:
-            return None
-        lineno, value = entry
-        try:
-            compile_expression(value, dim)
-        except ValueError as exc:
-            diags.add(lineno, f"{key!r}: {exc}")
-            return None
-        return value.strip()
+        problem = _key_problem(section, key)
+        if problem is None and (section, key) in seen:
+            problem = f"duplicate key {key!r} in section [{section}]"
+        if problem is None:
+            seen[(section, key)] = (lineno, value)
+        else:
+            diags.add(lineno, problem)
 
     if "domain" not in section_lines:
         diags.add(0, "missing [domain] section")
         diags.raise_if_any()
-    dim_entry = get("domain", "dim")
-    dim = 0
+    domain_line = section_lines["domain"]
+    dim_entry = seen.pop(("domain", "dim"), None)
+    dim = _integer(dim_entry[1]) if dim_entry else None
     if dim_entry is None:
-        diags.add(section_lines["domain"], "missing key 'dim' in [domain]")
-    else:
+        diags.add(domain_line, "missing key 'dim' in [domain]")
+    elif dim not in (1, 2):
+        diags.add(dim_entry[0], f"'dim' must be 1 or 2, got {dim_entry[1]!r}")
+    diags.raise_if_any()
+
+    for (sec, key), (lineno, _) in list(seen.items()):
+        valid_in = (_SECTION_KEYS[sec] or {}).get(key, 0)
+        if valid_in not in (0, dim):
+            diags.add(lineno, f"{key!r} is only valid when dim = {valid_in}")
+            del seen[(sec, key)]
+    for key, valid_in in _SECTION_KEYS["domain"].items():
+        if key != "dim" and valid_in in (0, dim) and ("domain", key) not in seen:
+            noun = "side" if dim == 2 and key in SIDES else "key"
+            diags.add(domain_line, f"missing {noun} {key!r} in [domain]")
+    values = {}
+    for (_, key), (lineno, value) in seen.items():
         try:
-            dim = int(dim_entry[1])
-        except ValueError:
-            dim = 0
-        if dim not in (1, 2):
-            diags.add(dim_entry[0], f"'dim' must be 1 or 2, got {dim_entry[1]!r}")
+            values[key] = _typed_value(key, value, dim)
+        except ValueError as exc:
+            diags.add(lineno, str(exc))
+    field = tuple(values.pop(key) for key in ("f", "fx", "fy") if key in values)
+    if dim == 2 and len(field) == 1:
+        diags.add(section_lines.get("helmholtz", 0), "need both 'fx' and 'fy'")
     diags.raise_if_any()
 
-    cfg = ModelConfig(dim=dim)
-    labels_present: list[str] = []
-    if dim == 1:
-        n = need_int("domain", "n", 1)
-        ends = {}
-        for key in ("left", "right"):
-            entry = seen.get(("domain", key))
-            if entry is None:
-                diags.add(section_lines["domain"], f"missing key {key!r} in [domain]")
-                continue
-            lineno, value = entry
-            if value not in _LABEL_NAMES:
-                diags.add(lineno, f"{key!r} must be a boundary label, got {value!r}")
-                continue
-            ends[key] = value
-            labels_present.append(value)
-        for key in ("nx", "ny", "bottom", "top"):
-            if ("domain", key) in seen:
-                diags.add(seen[("domain", key)][0], f"{key!r} is only valid when dim = 2")
-        if n is not None and len(ends) == 2:
-            cfg = replace(cfg, n=n, left=ends["left"], right=ends["right"])
-    else:
-        nx = need_int("domain", "nx", 1)
-        ny = need_int("domain", "ny", 1)
-        if ("domain", "n") in seen:
-            diags.add(seen[("domain", "n")][0], "'n' is only valid when dim = 1")
-        sides = {}
-        for side in SIDES:
-            entry = seen.get(("domain", side))
-            if entry is None:
-                diags.add(section_lines["domain"], f"missing side {side!r} in [domain]")
-                continue
-            lineno, value = entry
-            try:
-                segs = _parse_partition_value(value)
-            except ValueError as exc:
-                diags.add(lineno, f"{side!r}: {exc}")
-                continue
-            sides[side] = _format_partition(segs)
-            labels_present += [s.label.value for s in segs]
-        if nx is not None and ny is not None and len(sides) == 4:
-            cfg = replace(
-                cfg,
-                n=0,
-                nx=nx,
-                ny=ny,
-                left=sides["left"],
-                right=sides["right"],
-                bottom=sides["bottom"],
-                top=sides["top"],
-            )
-
-    updates: dict[str, object] = {}
-    for key, default in (
-        ("modulus", "1"),
-        ("density", "1"),
-        ("reaction", "0"),
-        ("damping", "0"),
-    ):
-        value = check_expr("coefficients", key, default, dim)
-        if value is not None:
-            updates[key] = value
-
-    spring_overrides = []
-    damper_overrides = []
-    spring_default = check_expr("boundary", "k1", "0", dim) or "0"
-    damper_default = check_expr("boundary", "k2", "0", dim) or "0"
-    for sec, key in sorted(seen):
-        if sec != "boundary" or "_" not in key:
-            continue
-        base, label = key.split("_", 1)
-        checked = check_expr("boundary", key, None, dim)
-        if checked is None:
-            continue
-        if base == "k1":
-            spring_overrides.append((label, checked))
-        else:
-            damper_overrides.append((label, checked))
-
-    t_end = need_float("simulation", "t_end", lambda v: v >= 0, "a finite number >= 0")
-    dt = need_float("simulation", "dt", lambda v: v > 0, "a finite number > 0")
-    w0 = check_expr("simulation", "w0", None, dim)
-    w1 = check_expr("simulation", "w1", None, dim)
-    axis_tol = need_float("spectral", "axis_tol")
-    want_vectors = False
-    if ("spectral", "want_vectors") in seen:
-        lineno, value = seen[("spectral", "want_vectors")]
-        if value.lower() in ("true", "yes", "1"):
-            want_vectors = True
-        elif value.lower() in ("false", "no", "0"):
-            want_vectors = False
-        else:
-            diags.add(lineno, f"'want_vectors' must be boolean, got {value!r}")
-
-    helmholtz_field: tuple[str, ...] = ()
-    if dim == 1:
-        f = check_expr("helmholtz", "f", None, dim)
-        for key in ("fx", "fy"):
-            if ("helmholtz", key) in seen:
-                diags.add(seen[("helmholtz", key)][0], f"{key!r} is only valid when dim = 2")
-        if f is not None:
-            helmholtz_field = (f,)
-    else:
-        fx = check_expr("helmholtz", "fx", None, dim)
-        fy = check_expr("helmholtz", "fy", None, dim)
-        if ("helmholtz", "f") in seen:
-            diags.add(seen[("helmholtz", "f")][0], "'f' is only valid when dim = 1")
-        if (fx is None) != (fy is None):
-            diags.add(section_lines.get("helmholtz", 0), "need both 'fx' and 'fy'")
-        elif fx is not None and fy is not None:
-            helmholtz_field = (fx, fy)
-
-    out_entry = get("output", "dir")
-    output_dir = out_entry[1] if out_entry else "out"
-
-    # A model with no fixed boundary and the spring left at literal zero
-    # has a degenerate energy norm; catch the obvious case while parsing.
-    if labels_present and "fixed" not in labels_present:
-        spring_exprs = [spring_default] + [v for _, v in spring_overrides]
-        if all(src.strip() == "0" for src in spring_exprs):
-            diags.add(
-                section_lines.get("boundary", section_lines["domain"]),
-                "degenerate energy norm: no fixed boundary and boundary spring is zero",
-            )
-
-    diags.raise_if_any()
-    return replace(
-        cfg,
-        **updates,
-        spring_default=spring_default,
-        damper_default=damper_default,
-        spring_by_label=tuple(sorted(spring_overrides)),
-        damper_by_label=tuple(sorted(damper_overrides)),
-        t_end=t_end,
-        dt=dt,
-        w0=w0,
-        w1=w1,
-        axis_tol=axis_tol if axis_tol is not None else 1e-6,
-        want_vectors=want_vectors,
-        helmholtz_field=helmholtz_field,
-        output_dir=output_dir,
+    by_label: dict[str, list] = {"k1": [], "k2": []}
+    for key in [key for key in values if key.startswith(("k1_", "k2_"))]:
+        by_label[key[:2]].append((key[3:], values.pop(key)))
+    n = values.pop("n", 0)  # a 2-D model records n = 0
+    return ModelConfig(
+        dim=dim,
+        n=n,
+        spring_by_label=tuple(sorted(by_label["k1"])),
+        damper_by_label=tuple(sorted(by_label["k2"])),
+        helmholtz_field=field,
+        **{_FIELD_NAMES.get(key, key): value for key, value in values.items()},
     )
 
 

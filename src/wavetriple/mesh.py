@@ -227,6 +227,11 @@ def clamped_nodes(mesh: Mesh) -> np.ndarray:
     return np.unique(mesh.boundary_facets[np.array(mask)])
 
 
+def active_nodes(mesh: Mesh) -> np.ndarray:
+    """Sorted indices of the nodes that carry the state: all but the clamped."""
+    return np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
+
+
 def trace_nodes(mesh: Mesh) -> np.ndarray:
     """Sorted boundary nodes away from every FIXED facet.
 

@@ -22,6 +22,7 @@ from .errors import (
     ProblemSizeError,
     SingularMatrixError,
 )
+from .mesh import clamped_nodes
 
 # Relative per-step growth beyond which a dissipative run is aborted.
 BREACH_RTOL = 1e-10
@@ -145,7 +146,7 @@ def initial_state(pencil: OperatorPencil, w0, w1) -> np.ndarray:
                 f"initial {name} is not finite at {bad.size} node(s), "
                 f"first at {pts[bad[0]].tolist()}"
             )
-    clamped = np.setdiff1d(np.arange(mesh.num_nodes), pencil.active)
+    clamped = clamped_nodes(mesh)
     if clamped.size:
         at_clamped = np.asarray(w0(mesh.nodes[clamped]), dtype=float)
         tol = 1e-12 * (1.0 + float(np.abs(u).max(initial=0.0)))

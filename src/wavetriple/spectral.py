@@ -22,12 +22,13 @@ from .assembly import (
     OperatorPencil,
     _restrict,
     boundary_triplets,
+    check_pencil_size,
     mass_triplets,
     stiffness_triplets,
 )
 from .coefficients import CoefficientSet, energy_anchored
 from .errors import DegenerateEnergyNormError, EigenSolverError, ProblemSizeError
-from .mesh import Mesh, clamped_nodes
+from .mesh import Mesh, active_nodes
 
 # Pencil residual bound accepted from the eigensolver.
 RESIDUAL_TOL = 1e-8
@@ -174,6 +175,19 @@ def balance_tolerance(report: SpectralReport) -> np.ndarray:
     return 2e-8 * np.abs(report.values.real) + 1e-10 * (1.0 + np.abs(report.values))
 
 
+def balance_worst_ratio(pencil: OperatorPencil, report: SpectralReport) -> float:
+    """Largest eigenpair energy-balance defect as a fraction of its bound.
+
+    Requires a report built with want_vectors.  A ratio above 1 (or NaN)
+    means the eigenvectors fail the balance: EigenSolverError.
+    """
+    defect = eigvec_boundary_check(pencil, report)
+    ratio = float((defect / balance_tolerance(report)).max(initial=0.0))
+    if not ratio <= 1.0:
+        raise EigenSolverError(f"eigenpair energy balance defect at {ratio:.3e} of its bound")
+    return ratio
+
+
 def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     """Best constant C with ||f|| <= C * (||grad f||^2 + spring trace)^{1/2}.
 
@@ -182,14 +196,15 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     fixed boundary.  C is the inverse square root of the smallest
     generalized eigenvalue of that form against the plain mass form.
     Needs a fixed portion or a nonzero spring; otherwise constants defeat
-    any such bound.
+    any such bound.  A mesh above MAX_PENCIL_STATE is a ProblemSizeError.
     """
     if not energy_anchored(mesh, coeffs):
         raise DegenerateEnergyNormError(
             "degenerate energy norm: constants break the trace bound"
         )
     ones = np.ones(mesh.num_cells)
-    active = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
+    active = active_nodes(mesh)
+    check_pencil_size(active)
     form = _restrict(stiffness_triplets(mesh, ones), active) + _restrict(
         boundary_triplets(mesh, coeffs.boundary_stiffness), active
     )
@@ -209,7 +224,7 @@ def check_dense_size(mesh: Mesh, label: str) -> None:
     Needs only the mesh, so a size that cannot finish is rejected with
     ProblemSizeError before any assembly or eigensolve starts.
     """
-    state_dim = 2 * (mesh.num_nodes - clamped_nodes(mesh).size)
+    state_dim = 2 * active_nodes(mesh).size
     if state_dim > MAX_DENSE_STATE:
         raise ProblemSizeError(
             f"{label}: state dimension {state_dim} exceeds {MAX_DENSE_STATE}, "

@@ -69,6 +69,20 @@ class TestCellAverageMass:
         with pytest.raises(ValueError, match="kinetic"):
             wt.assemble_pencil(mesh, wt.sample_coefficients(mesh), kinetic="lumped")
 
+    def test_unknown_scheme_rejected_by_the_mass_builder(self):
+        mesh = wt.interval_mesh(4)
+        with pytest.raises(ValueError, match="kinetic"):
+            assembly.mass_triplets(mesh, np.ones(4), "lumped")
+
+    def test_oversized_model_refused_before_any_dense_block(self, monkeypatch):
+        def no_dense_block(*args):
+            raise AssertionError("a dense block was built")
+
+        monkeypatch.setattr(assembly, "_restrict", no_dense_block)
+        mesh = wt.interval_mesh(assembly.MAX_PENCIL_STATE // 2 + 1, right=BL.DAMPED)
+        with pytest.raises(wt.ProblemSizeError, match="state dimension"):
+            wt.assemble_pencil(mesh, wt.sample_coefficients(mesh))
+
 
 class TestStiffnessMatrix:
     def test_single_cell(self):

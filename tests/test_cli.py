@@ -128,6 +128,36 @@ class TestSpectrum:
         assert out == ""
         assert not (out_dir / "eigenvalues.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_axis_tol_is_a_line_numbered_error(self, tmp_path, capsys, value):
+        text = DAMPED + f"\n[spectral]\naxis_tol = {value}\n"
+        lineno = len(text.splitlines())
+        cfg = write_config(tmp_path, text)
+        out_dir = tmp_path / "spec"
+        code, out, err = run(["spectrum", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: line {lineno}: 'axis_tol' must be a finite number > 0, got {value!r}\n"
+        assert not (out_dir / "eigenvalues.csv").exists()
+
+    def test_want_vectors_adds_only_the_balance_line(self, tmp_path, capsys):
+        outputs = {}
+        for name, extra in (
+            ("plain", ""),
+            ("false", "\n[spectral]\nwant_vectors = false\n"),
+            ("true", "\n[spectral]\nwant_vectors = true\n"),
+        ):
+            cfg = write_config(tmp_path, DAMPED + extra, name=f"{name}.cfg")
+            code, out, err = run(["spectrum", "--config", cfg, "--out", str(tmp_path)], capsys)
+            assert code == 0, err
+            outputs[name] = out
+        assert outputs["false"] == outputs["plain"]
+        head, _, last = outputs["true"].rstrip("\n").rpartition("\n")
+        assert head + "\n" == outputs["plain"]
+        key, value = last.split(" ")
+        assert key == "balance_worst_ratio"
+        assert 0.0 <= float(value) <= 1.0
+
 
 class TestSimulate:
     def test_undamped_energy_column_constant(self, tmp_path, capsys):
@@ -227,6 +257,21 @@ class TestSimulate:
         assert "would record more than" in err
         assert "Traceback" not in err
         assert out == ""
+        assert not (out_dir / "energy.csv").exists()
+
+
+class TestDenseSizeGuard:
+    @pytest.mark.parametrize("command", ["validate", "simulate", "poincare"])
+    def test_oversized_model_refused_up_front(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, UNDAMPED_RUN.replace("n = 16", "n = 100000"))
+        out_dir = tmp_path / "run"
+        start = time.perf_counter()
+        code, out, err = run([command, "--config", cfg, "--out", str(out_dir)], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1 and err.startswith("error: state dimension 199998 ")
+        assert "Traceback" not in err
         assert not (out_dir / "energy.csv").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import wavetriple as wt
 from wavetriple import config as cfgmod
-from wavetriple.errors import ConfigError
+from wavetriple.errors import ConfigError, DegenerateEnergyNormError
 from wavetriple.mesh import cell_midpoints
 
 MINIMAL = """\
@@ -201,6 +201,27 @@ class TestParse:
         diags = diagnostics_of(SQUARE.replace("nx = 4", "nx = 4\nn = 4"))
         assert any("'n' is only valid when dim = 2".replace("2", "1") in d for d in diags)
 
+    @pytest.mark.parametrize(
+        "text, key, dim",
+        [
+            (MINIMAL + "nx = 4\n", "nx", 2),
+            (MINIMAL + "ny = 4\n", "ny", 2),
+            (MINIMAL + "bottom = free\n", "bottom", 2),
+            (MINIMAL + "top = fixed 0 0.5, free 0.5 1\n", "top", 2),
+            (MINIMAL + "[helmholtz]\nfx = x\n", "fx", 2),
+            # The dropped key is not evaluated, so its bad expression adds nothing.
+            (MINIMAL + "[helmholtz]\nfy = x +\n", "fy", 2),
+            (SQUARE.replace("ny = 2\n", "ny = 2\nn = 3\n"), "n", 1),
+            (SQUARE + "[helmholtz]\nf = x\n", "f", 1),
+        ],
+        ids=["nx", "ny", "bottom", "top", "fx", "fy", "n", "f"],
+    )
+    def test_wrong_dimension_key_is_one_diagnostic(self, text, key, dim):
+        lineno = next(
+            i for i, row in enumerate(text.splitlines(), start=1) if row.startswith(key + " =")
+        )
+        assert diagnostics_of(text) == [f"line {lineno}: {key!r} is only valid when dim = {dim}"]
+
     def test_label_without_spring_rejected(self):
         diags = diagnostics_of(MINIMAL + "[boundary]\nk1_damped = 1\n")
         assert any("does not take a spring" in d for d in diags)
@@ -212,11 +233,15 @@ class TestParse:
         assert any("unknown boundary key 'k3'" in d for d in diags)
 
     def test_degenerate_energy_norm_flagged(self):
+        # The rule lives in coefficients.energy_anchored, so the text parses
+        # and model validation rejects the built model.
         text = MINIMAL.replace("left = fixed", "left = free").replace(
             "right = fixed", "right = free"
         )
-        diags = diagnostics_of(text)
-        assert any("degenerate energy norm" in d for d in diags)
+        cfg = wt.parse_config(text)
+        mesh = cfgmod.build_mesh(cfg)
+        with pytest.raises(DegenerateEnergyNormError, match="degenerate energy norm"):
+            wt.validate_model(mesh, cfgmod.build_coefficients(cfg, mesh))
 
     def test_spring_or_clamp_clears_degeneracy(self):
         free = MINIMAL.replace("left = fixed", "left = free").replace(

@@ -29,6 +29,7 @@ class TestInterval:
     def test_labels_drive_node_classification(self):
         mesh = wt.interval_mesh(8, left=BL.FIXED, right=BL.DAMPED)
         assert meshmod.clamped_nodes(mesh).tolist() == [0]
+        assert meshmod.active_nodes(mesh).tolist() == list(range(1, 9))
         assert meshmod.trace_nodes(mesh).tolist() == [8]
         both = wt.interval_mesh(8)
         assert meshmod.trace_nodes(both).size == 0

@@ -1,5 +1,7 @@
 """Tests for spectral reports, stability diagnostics, and the trace constant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,7 @@ class TestEnergyBalance:
             defect = wt.eigvec_boundary_check(pencil, report)
             bound = spectral.balance_tolerance(report)
             assert (defect <= bound).all()
+            assert 0.0 <= spectral.balance_worst_ratio(pencil, report) <= 1.0
 
     def test_balance_identity_on_cell_average_models(self):
         for pencil in models.cell_average_pencils():
@@ -217,6 +220,13 @@ class TestEnergyBalance:
         pencil = models.damped_pencil(32)
         report = wt.compute_spectrum(pencil, want_vectors=True)
         assert np.abs(report.values.real).max() > 0.1
+
+    def test_worst_ratio_above_one_is_an_eigensolver_error(self):
+        pencil = models.damped_pencil(8)
+        report = wt.compute_spectrum(pencil, want_vectors=True)
+        shifted = dataclasses.replace(report, values=report.values - 1.0)
+        with pytest.raises(EigenSolverError, match="energy balance"):
+            spectral.balance_worst_ratio(pencil, shifted)
 
     def test_requires_eigenvectors(self):
         pencil = models.damped_pencil(8)
