@@ -223,16 +223,19 @@ def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     return boundary_triplets(mesh, values).toarray()
 
 
-def check_pencil_size(active: np.ndarray) -> None:
-    """Refuse, with ProblemSizeError, a state above MAX_PENCIL_STATE.
+def check_state_size(mesh: Mesh, limit: int, label: str) -> np.ndarray:
+    """Active nodes of mesh, once the state they carry is known to fit limit.
 
-    active holds the active nodes; the check comes before any dense block.
+    The state dimension is twice the active nodes.  Above limit it is a
+    ProblemSizeError naming label, raised before any dense block is built.
     """
-    if 2 * active.size > MAX_PENCIL_STATE:
+    active = active_nodes(mesh)
+    if 2 * active.size > limit:
         raise ProblemSizeError(
-            f"state dimension {2 * active.size} exceeds {MAX_PENCIL_STATE}, "
-            "the largest dense model this package assembles"
+            f"{label}: state dimension {2 * active.size} exceeds {limit}, "
+            "the largest this package attempts"
         )
+    return active
 
 
 def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> np.ndarray:
@@ -322,8 +325,7 @@ def assemble_pencil(
             "cell-average kinetic mass needs a fixed end: without one the "
             "alternating nodal vector has zero cell averages, so M is singular"
         )
-    active = active_nodes(mesh)
-    check_pencil_size(active)
+    active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
     stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
     spring = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import config as cfgmod
 from . import helmholtz as helmmod
 from . import semigroup, spectral
-from .assembly import assemble_pencil
+from .assembly import assemble_pencil, check_state_size
 from .coefficients import validate_model
 from .errors import ConfigError, WavetripleError
 from .mesh import mesh_problems, validate_mesh
@@ -57,7 +57,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
     mesh, coeffs, _ = _build(cfg)
-    spectral.check_dense_size(mesh, "spectrum")
+    check_state_size(mesh, spectral.MAX_DENSE_STATE, "spectrum")
     pencil = assemble_pencil(mesh, coeffs)
     report = spectral.compute_spectrum(
         pencil, axis_tol=cfg.axis_tol, want_vectors=cfg.want_vectors
@@ -144,7 +144,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     meshes = {}
     for size in sizes:
         mesh = cfgmod.build_mesh(cfgmod.resized(cfg, size))
-        spectral.check_dense_size(mesh, f"size {size}")
+        check_state_size(mesh, spectral.MAX_DENSE_STATE, f"size {size}")
         meshes[size] = mesh
 
     def build(size: int):

@@ -246,9 +246,12 @@ def _key_problem(section: str, key: str) -> str | None:
     return None
 
 
-def _typed_value(key: str, text: str, dim: int):
-    """Value of one key as ModelConfig stores it; ValueError carries the diagnostic."""
-    if key in ("n", "nx", "ny"):
+def _typed_value(section: str, key: str, text: str, dim: int):
+    """Value of one key as ModelConfig stores it; ValueError carries the diagnostic.
+
+    [domain] keys other than the sides are mesh cell counts.
+    """
+    if section == "domain" and key not in SIDES:
         count = _integer(text)
         if count is None:
             raise ValueError(f"{key!r} must be an integer, got {text!r}")
@@ -354,23 +357,27 @@ def parse_config(text: str) -> ModelConfig:
             noun = "side" if dim == 2 and key in SIDES else "key"
             diags.add(domain_line, f"missing {noun} {key!r} in [domain]")
     values = {}
-    for (_, key), (lineno, value) in seen.items():
+    for (sec, key), (lineno, value) in seen.items():
         try:
-            values[key] = _typed_value(key, value, dim)
+            values[key] = _typed_value(sec, key, value, dim)
         except ValueError as exc:
             diags.add(lineno, str(exc))
-    field = tuple(values.pop(key) for key in ("f", "fx", "fy") if key in values)
-    if dim == 2 and len(field) == 1:
-        diags.add(section_lines.get("helmholtz", 0), "need both 'fx' and 'fy'")
+    components = [key for key, dims in _SECTION_KEYS["helmholtz"].items() if dims in (0, dim)]
+    field = tuple(values.pop(key) for key in components if key in values)
+    if 0 < len(field) < len(components):
+        need = " and ".join(repr(key) for key in components)
+        diags.add(section_lines.get("helmholtz", 0), f"need both {need}")
     diags.raise_if_any()
 
     by_label: dict[str, list] = {"k1": [], "k2": []}
     for key in [key for key in values if key.startswith(("k1_", "k2_"))]:
         by_label[key[:2]].append((key[3:], values.pop(key)))
-    n = values.pop("n", 0)  # a 2-D model records n = 0
+    # A [domain] key of the other dimension records its type's empty value.
+    for key, valid_in in _SECTION_KEYS["domain"].items():
+        if valid_in not in (0, dim):
+            values[key] = type(getattr(ModelConfig, key))()
     return ModelConfig(
         dim=dim,
-        n=n,
         spring_by_label=tuple(sorted(by_label["k1"])),
         damper_by_label=tuple(sorted(by_label["k2"])),
         helmholtz_field=field,

@@ -19,16 +19,17 @@ import numpy as np
 
 from . import linalg
 from .assembly import (
+    MAX_PENCIL_STATE,
     OperatorPencil,
     _restrict,
     boundary_triplets,
-    check_pencil_size,
+    check_state_size,
     mass_triplets,
     stiffness_triplets,
 )
 from .coefficients import CoefficientSet, energy_anchored
-from .errors import DegenerateEnergyNormError, EigenSolverError, ProblemSizeError
-from .mesh import Mesh, active_nodes
+from .errors import DegenerateEnergyNormError, EigenSolverError
+from .mesh import Mesh
 
 # Pencil residual bound accepted from the eigensolver.
 RESIDUAL_TOL = 1e-8
@@ -148,22 +149,25 @@ def compute_spectrum(
 def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.ndarray:
     """Defect of the eigenpair energy balance, one value per pair.
 
-    For each eigenpair, -Re(lambda) * ||z||^2 must equal the damper form
-    of the velocity trace.  Requires a report built with want_vectors.
+    For each eigenpair, -Re(lambda) * ||z||^2 must equal the dissipation
+    v^H (D + Mb) v + Re(v^H Ma u): the damper form of the velocity trace
+    plus the interior damping and reaction forms.  Ma and Mb are assembled
+    here from the coefficients, not read back from the dynamics.  Requires
+    a report built with want_vectors.
     """
     if report.vectors is None:
         raise ValueError("report carries no eigenvectors; recompute with want_vectors")
     m = pencil.num_active
     vec_u = report.vectors[:m]
     vec_v = report.vectors[m:]
+    mesh, coeffs, active = pencil.mesh, pencil.coeffs, pencil.active
+    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
+    damper = pencil.boundary_damper + _restrict(mass_triplets(mesh, coeffs.damping), active)
     gram_norms = np.einsum(
         "im,im->m", np.conj(vec_u), pencil.displacement_gram @ vec_u
     ) + np.einsum("im,im->m", np.conj(vec_v), pencil.mass @ vec_v)
-    gram_norms = gram_norms.real
-    damper_form = np.einsum(
-        "im,im->m", np.conj(vec_v), pencil.boundary_damper @ vec_v
-    ).real
-    return np.abs(-report.values.real * gram_norms - damper_form)
+    dissipation = np.einsum("im,im->m", np.conj(vec_v), damper @ vec_v + reaction @ vec_u)
+    return np.abs(-report.values.real * gram_norms.real - dissipation.real)
 
 
 def balance_tolerance(report: SpectralReport) -> np.ndarray:
@@ -203,8 +207,7 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
             "degenerate energy norm: constants break the trace bound"
         )
     ones = np.ones(mesh.num_cells)
-    active = active_nodes(mesh)
-    check_pencil_size(active)
+    active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     form = _restrict(stiffness_triplets(mesh, ones), active) + _restrict(
         boundary_triplets(mesh, coeffs.boundary_stiffness), active
     )
@@ -216,20 +219,6 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
             f"trace form is not coercive (smallest eigenvalue {lam_min:.3e})"
         )
     return 1.0 / np.sqrt(lam_min)
-
-
-def check_dense_size(mesh: Mesh, label: str) -> None:
-    """Refuse a mesh whose model state dimension exceeds MAX_DENSE_STATE.
-
-    Needs only the mesh, so a size that cannot finish is rejected with
-    ProblemSizeError before any assembly or eigensolve starts.
-    """
-    state_dim = 2 * active_nodes(mesh).size
-    if state_dim > MAX_DENSE_STATE:
-        raise ProblemSizeError(
-            f"{label}: state dimension {state_dim} exceeds {MAX_DENSE_STATE}, "
-            "the largest full dense spectrum this package attempts"
-        )
 
 
 def refinement_study(build, sizes) -> list[tuple[float, int, float, float, complex]]:

@@ -140,14 +140,19 @@ class TestSpectrum:
         assert err == f"error: line {lineno}: 'axis_tol' must be a finite number > 0, got {value!r}\n"
         assert not (out_dir / "eigenvalues.csv").exists()
 
-    def test_want_vectors_adds_only_the_balance_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "interior",
+        ["", "\n[coefficients]\ndamping = 1\nreaction = 1\n"],
+        ids=["boundary-damping", "interior-terms"],
+    )
+    def test_want_vectors_adds_only_the_balance_line(self, tmp_path, capsys, interior):
         outputs = {}
         for name, extra in (
             ("plain", ""),
             ("false", "\n[spectral]\nwant_vectors = false\n"),
             ("true", "\n[spectral]\nwant_vectors = true\n"),
         ):
-            cfg = write_config(tmp_path, DAMPED + extra, name=f"{name}.cfg")
+            cfg = write_config(tmp_path, DAMPED + interior + extra, name=f"{name}.cfg")
             code, out, err = run(["spectrum", "--config", cfg, "--out", str(tmp_path)], capsys)
             assert code == 0, err
             outputs[name] = out
@@ -270,7 +275,8 @@ class TestDenseSizeGuard:
         assert time.perf_counter() - start < 5.0
         assert code == 1
         assert out == ""
-        assert err.count("error:") == 1 and err.startswith("error: state dimension 199998 ")
+        assert err.count("error:") == 1
+        assert err.startswith("error: dense model: state dimension 199998 exceeds 8320")
         assert "Traceback" not in err
         assert not (out_dir / "energy.csv").exists()
 

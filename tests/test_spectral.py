@@ -216,6 +216,27 @@ class TestEnergyBalance:
             bound = spectral.balance_tolerance(report)
             assert (defect <= bound).all()
 
+    def test_balance_identity_with_interior_reaction_and_damping(self):
+        fields = {"reaction": lambda p: 1.0 + p[:, 0], "damping": lambda p: 0.5 + p[:, 0]}
+        meshes = [
+            wt.interval_mesh(16, right=wt.BoundaryLabel.DAMPED),
+            wt.rectangle_mesh(5, 4, models.square_partition()),
+        ]
+        for mesh in meshes:
+            coeffs = wt.sample_coefficients(mesh, boundary_damping=1.0, **fields)
+            pencil = wt.assemble_pencil(mesh, coeffs)
+            report = wt.compute_spectrum(pencil, want_vectors=True)
+            assert 0.0 <= spectral.balance_worst_ratio(pencil, report) <= 1.0
+            # Dropping the interior damping from the generator breaks the balance.
+            m = pencil.num_active
+            dynamics = pencil.dynamics.copy()
+            dynamics[m:, m:] = -pencil.boundary_damper
+            wrong = wt.compute_spectrum(
+                dataclasses.replace(pencil, dynamics=dynamics), want_vectors=True
+            )
+            with pytest.raises(EigenSolverError, match="energy balance"):
+                spectral.balance_worst_ratio(pencil, wrong)
+
     def test_balance_is_not_vacuous_when_damped(self):
         pencil = models.damped_pencil(32)
         report = wt.compute_spectrum(pencil, want_vectors=True)
