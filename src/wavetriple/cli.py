@@ -17,7 +17,7 @@ from . import semigroup, spectral
 from .assembly import assemble_pencil, check_state_size
 from .coefficients import validate_model
 from .errors import ConfigError, WavetripleError
-from .mesh import mesh_problems, validate_mesh
+from .mesh import validate_mesh
 
 
 def _load(path: str) -> cfgmod.ModelConfig:

@@ -237,8 +237,8 @@ def _key_problem(section: str, key: str) -> str | None:
     keys = _SECTION_KEYS[section]
     if keys is not None:
         return None if key in keys else f"unknown key {key!r} in section [{section}]"
-    base, _, label = key.partition("_")
-    if base not in ("k1", "k2") or (label and label not in _LABEL_NAMES):
+    base, suffixed, label = key.partition("_")
+    if base not in ("k1", "k2") or (suffixed and label not in _LABEL_NAMES):
         return f"unknown boundary key {key!r}"
     kind, takes = ("spring", _SPRING_LABELS) if base == "k1" else ("damper", _DAMPER_LABELS)
     if label and label not in takes:

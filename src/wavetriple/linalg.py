@@ -152,8 +152,15 @@ def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
     return out
 
 
-def _reduce_blocks(factors, op: np.ndarray) -> np.ndarray:
-    """B = L^{-1} op L^{-T} for L = blockdiag(factors), one block at a time."""
+def generalized_to_standard(op: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """B = L^{-1} op L^{-T} for L = blockdiag(factors), one block at a time.
+
+    factors are the lower Cholesky factors L_i of the diagonal blocks of a
+    block-diagonal Gram matrix, in order; a full Gram matrix is one block.
+    The pencil eigenproblem op z = lambda gram z becomes B w = lambda w with
+    z = L^{-T} w.  Congruence, so the spectrum is preserved exactly.  L is
+    never formed: B_ij = L_i^{-1} op_ij L_j^{-T}.
+    """
     a = np.asarray(op, dtype=float)
     blocks = _blocks(factors)
     order = sum(low.shape[0] for low in factors)
@@ -165,26 +172,6 @@ def _reduce_blocks(factors, op: np.ndarray) -> np.ndarray:
     for cols, low in blocks:
         b[:, cols] = scipy.linalg.solve_triangular(low, b[:, cols].T, lower=True).T
     return b
-
-
-def generalized_to_standard(
-    gram: np.ndarray, op: np.ndarray, factors: tuple[np.ndarray, ...] | None = None
-) -> tuple[np.ndarray, np.ndarray | tuple[np.ndarray, ...]]:
-    """Reduce the pencil (op, gram) to standard form.
-
-    With gram = L L^T this returns (B, L) where B = L^{-1} op L^{-T}; the
-    pencil eigenproblem op z = lambda gram z becomes B w = lambda w with
-    z = L^{-T} w.  Congruence, so the spectrum is preserved exactly.
-
-    For a block-diagonal gram, pass the lower Cholesky factors L_i of its
-    diagonal blocks, in order, as factors.  Then L = blockdiag(L_i) is
-    never formed, gram is not read, B is built block by block as
-    B_ij = L_i^{-1} op_ij L_j^{-T}, and factors is returned in place of L.
-    """
-    if factors is None:
-        low = cholesky(gram)
-        return _reduce_blocks((low,), op), low
-    return _reduce_blocks(factors, op), factors
 
 
 @dataclass(frozen=True)
@@ -205,20 +192,19 @@ class PencilEigenSet:
 
 
 def generalized_eig(
-    gram: np.ndarray, op: np.ndarray, factors: tuple[np.ndarray, ...] | None = None
+    gram: np.ndarray, op: np.ndarray, factors: tuple[np.ndarray, ...]
 ) -> PencilEigenSet:
     """Solve the generalized problem op z = lambda gram z for SPD gram.
 
-    factors, if given, are the Cholesky factors of gram's diagonal blocks
-    (see generalized_to_standard); the back-transform then also runs block
-    by block.  Residuals always use gram and op themselves.
+    factors are the Cholesky factors of gram's diagonal blocks (see
+    generalized_to_standard); the back-transform also runs block by block.
+    Residuals always use gram and op themselves.
     """
-    b, low = generalized_to_standard(gram, op, factors)
-    std = eig_nonsymmetric(b)
+    std = eig_nonsymmetric(generalized_to_standard(op, factors))
     if len(std) == 0:
         return PencilEigenSet(std.values, std.vectors, np.zeros(0))
     vectors = np.empty_like(std.vectors)
-    for rows, lo in _blocks((low,) if factors is None else factors):
+    for rows, lo in _blocks(factors):
         vectors[rows] = scipy.linalg.solve_triangular(
             lo, std.vectors[rows], lower=True, trans="T"
         )

@@ -131,56 +131,51 @@ def rectangle_mesh(nx: int, ny: int, partition: PartitionSpec) -> Mesh:
     ys = np.linspace(0.0, 1.0, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    grid = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
+    a, b, c, d = grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:], grid[1:, :-1]
+    cells = np.stack([a, b, c, a, c, d], -1).reshape(-1, 3)
 
-    def nid(i: int, j: int) -> int:
-        return i + j * (nx + 1)
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    cell_arr = np.array(cells)
-
-    facets = []
-    labels = []
-    side_edges = {
-        "bottom": [((nid(i, 0), nid(i + 1, 0)), i / nx, (i + 1) / nx) for i in range(nx)],
-        "top": [((nid(i, ny), nid(i + 1, ny)), i / nx, (i + 1) / nx) for i in range(nx)],
-        "left": [((nid(0, j), nid(0, j + 1)), j / ny, (j + 1) / ny) for j in range(ny)],
-        "right": [((nid(nx, j), nid(nx, j + 1)), j / ny, (j + 1) / ny) for j in range(ny)],
-    }
+    # Each side's nodes in order of its free coordinate.
+    side_nodes = {"left": grid[:, 0], "right": grid[:, nx], "bottom": grid[0], "top": grid[ny]}
+    facets, labels = [], []
     for side in SIDES:
+        line = side_nodes[side]
+        breaks = np.arange(line.size) / (line.size - 1)
         segs = partition.segments(side)
-        _check_segments(side, segs, [lo for (_, lo, _) in side_edges[side]] + [1.0])
-        for (edge, lo, hi) in side_edges[side]:
-            mid = 0.5 * (lo + hi)
-            seg = next(s for s in segs if s.start - SNAP_TOL <= mid <= s.stop + SNAP_TOL)
-            facets.append(edge)
-            labels.append(seg.label)
-    return Mesh(2, nodes, cell_arr, np.array(facets), tuple(labels))
+        _check_segments(side, segs, breaks)
+        mids = 0.5 * (breaks[:-1, None] + breaks[1:, None])
+        bounds = np.array([(seg.start, seg.stop) for seg in segs])
+        inside = (bounds[:, 0] - SNAP_TOL <= mids) & (mids <= bounds[:, 1] + SNAP_TOL)
+        facets.append(np.column_stack([line[:-1], line[1:]]))
+        labels += [segs[k].label for k in inside.argmax(axis=1)]
+    return Mesh(2, nodes, cells, np.concatenate(facets), tuple(labels))
 
 
-def _check_segments(side: str, segs: Sequence[Segment], breaks: Sequence[float]) -> None:
-    """Segments must tile [0, 1] in order and break only at facet corners."""
+def _check_segments(side: str, segs: Sequence[Segment], breaks: np.ndarray) -> None:
+    """Segments must tile [0, 1] in order and break only at facet corners.
+
+    Each comparison is negated so that a NaN bound fails it; an infinite
+    bound cannot tile [0, 1].
+    """
     if not segs:
         raise MeshValidationError(f"side {side!r} has no boundary label")
     cursor = 0.0
     for seg in segs:
-        if abs(seg.start - cursor) > SNAP_TOL:
+        if not abs(seg.start - cursor) <= SNAP_TOL:
             raise MeshValidationError(
                 f"side {side!r}: segment starts at {seg.start}, expected {cursor}"
             )
-        if seg.stop <= seg.start:
-            raise MeshValidationError(f"side {side!r}: empty segment {seg}")
+        if not seg.stop > seg.start:
+            raise MeshValidationError(
+                f"side {side!r}: segment from {seg.start} to {seg.stop}"
+                " does not end after it starts"
+            )
         cursor = seg.stop
-    if abs(cursor - 1.0) > SNAP_TOL:
+    if not abs(cursor - 1.0) <= SNAP_TOL:
         raise MeshValidationError(f"side {side!r}: segments end at {cursor}, not 1")
     for seg in segs:
         for t in (seg.start, seg.stop):
-            if min(abs(t - b) for b in breaks + [0.0]) > SNAP_TOL:
+            if not np.abs(breaks - t).min() <= SNAP_TOL:
                 raise MeshValidationError(
                     f"side {side!r}: break point {t} falls strictly inside a facet"
                 )
@@ -272,47 +267,38 @@ def mesh_problems(mesh: Mesh) -> list[str]:
     vols = cell_volumes(mesh)
     for c in np.nonzero(vols <= 0)[0]:
         problems.append(f"cell {c} is degenerate or misoriented (volume {vols[c]:.3e})")
-    if mesh.dim == 1:
-        problems += _interval_boundary_problems(mesh)
-    else:
-        problems += _triangle_boundary_problems(mesh)
-    return problems
+    return problems + _boundary_problems(mesh)
 
 
-def _interval_boundary_problems(mesh: Mesh) -> list[str]:
+def _boundary_problems(mesh: Mesh) -> list[str]:
+    """The labeled facets must be exactly the hull: the facets of one cell only.
+
+    A cell's facets are its vertex subsets of size dim (a segment's two
+    nodes, a triangle's three edges), each keyed by one integer that does
+    not depend on the order of its nodes.
+    """
+    facet, cell = ("endpoints", "segments") if mesh.dim == 1 else ("edges", "triangles")
+    faces = np.concatenate([np.delete(mesh.cells, k, axis=1) for k in range(mesh.dim + 1)])
+    keys, counts = np.unique(_facet_keys(faces, mesh.num_nodes), return_counts=True)
+    hull = keys[counts == 1]
+    listed = _facet_keys(mesh.boundary_facets, mesh.num_nodes)
+    labeled = np.unique(listed)
     problems = []
-    degree = np.zeros(mesh.num_nodes, dtype=int)
-    np.add.at(degree, mesh.cells.ravel(), 1)
-    expected = set(np.nonzero(degree == 1)[0].tolist())
-    listed = [int(f[0]) for f in mesh.boundary_facets]
-    if len(set(listed)) != len(listed):
+    shared = np.count_nonzero(counts > 2)
+    if shared:
+        problems.append(f"{shared} {facet} shared by more than two {cell}")
+    if labeled.size != listed.size:
         problems.append("duplicate boundary facet")
-    if set(listed) != expected:
-        problems.append(
-            f"boundary facets {sorted(set(listed))} do not match endpoints {sorted(expected)}"
-        )
-    return problems
-
-
-def _triangle_boundary_problems(mesh: Mesh) -> list[str]:
-    problems = []
-    count: dict[tuple[int, int], int] = {}
-    for tri in mesh.cells:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            count[key] = count.get(key, 0) + 1
-    hull = {e for e, c in count.items() if c == 1}
-    bad = [e for e, c in count.items() if c > 2]
-    if bad:
-        problems.append(f"{len(bad)} edges shared by more than two triangles")
-    listed = [(min(a, b), max(a, b)) for a, b in mesh.boundary_facets]
-    if len(set(listed)) != len(listed):
-        problems.append("duplicate boundary facet")
-    missing = hull - set(listed)
-    extra = set(listed) - hull
+    missing = np.setdiff1d(hull, labeled).size
+    extra = np.setdiff1d(labeled, hull).size
     if missing:
-        problems.append(f"{len(missing)} hull edges lack a boundary label")
+        problems.append(f"{missing} hull {facet} lack a boundary label")
     if extra:
-        problems.append(f"{len(extra)} labeled facets are not hull edges")
+        problems.append(f"{extra} labeled facets are not hull {facet}")
     return problems
 
+
+def _facet_keys(facets: np.ndarray, num_nodes: int) -> np.ndarray:
+    """One integer per facet row whatever its node order: lo * num_nodes + hi for an edge."""
+    ordered = np.sort(facets, axis=1)
+    return ordered @ num_nodes ** np.arange(ordered.shape[1])[::-1]

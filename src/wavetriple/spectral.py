@@ -212,7 +212,7 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
         boundary_triplets(mesh, coeffs.boundary_stiffness), active
     )
     mass = _restrict(mass_triplets(mesh, ones), active)
-    std, _ = linalg.generalized_to_standard(mass, form)
+    std = linalg.generalized_to_standard(form, (linalg.cholesky(mass),))
     lam_min = float(np.linalg.eigvalsh(0.5 * (std + std.T)).min())
     if lam_min <= 0:
         raise DegenerateEnergyNormError(

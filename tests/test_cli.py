@@ -78,6 +78,19 @@ class TestValidate:
         assert code == 1
         assert "degenerate energy norm" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_break_point_is_an_error_line(self, tmp_path, capsys, bad):
+        text = (
+            "[domain]\ndim = 2\nnx = 2\nny = 2\nleft = fixed\nright = free\n"
+            f"bottom = fixed 0 {bad}, free {bad} 1\ntop = free\n"
+        )
+        cfg = write_config(tmp_path, text)
+        code, out, err = run(["validate", "--config", cfg], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: side 'bottom'")
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run(["validate", "--config", str(tmp_path / "absent.cfg")], capsys)
         assert code == 1

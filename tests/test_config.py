@@ -232,6 +232,12 @@ class TestParse:
         diags = diagnostics_of(MINIMAL + "[boundary]\nk3 = 1\n")
         assert any("unknown boundary key 'k3'" in d for d in diags)
 
+    @pytest.mark.parametrize("key", ["k1_", "k2_"])
+    def test_empty_label_suffix_rejected(self, key):
+        assert diagnostics_of(MINIMAL + f"[boundary]\n{key} = 2\n") == [
+            f"line 7: unknown boundary key {key!r}"
+        ]
+
     def test_degenerate_energy_norm_flagged(self):
         # The rule lives in coefficients.energy_anchored, so the text parses
         # and model validation rejects the built model.

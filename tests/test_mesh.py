@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import wavetriple as wt
 from wavetriple import mesh as meshmod
@@ -17,6 +19,92 @@ def mixed_partition():
             "top": (wt.Segment(BL.ELASTIC),),
         }
     )
+
+
+def split_partition():
+    """Breaks at 1/2 on three sides, one of them off the corner by less than SNAP_TOL."""
+    return wt.PartitionSpec(
+        {
+            "left": (
+                wt.Segment(BL.FIXED, 0.0, 0.5 - 1e-10),
+                wt.Segment(BL.ELASTIC_DAMPED, 0.5 - 1e-10, 1.0),
+            ),
+            "right": (wt.Segment(BL.DAMPED),),
+            "bottom": (wt.Segment(BL.FREE, 0.0, 0.5), wt.Segment(BL.ELASTIC, 0.5, 1.0)),
+            "top": (wt.Segment(BL.DAMPED, 0.0, 0.5), wt.Segment(BL.FIXED, 0.5, 1.0)),
+        }
+    )
+
+
+def loop_rectangle_mesh(nx, ny, partition):
+    """Cells, facets and labels built square by square and edge by edge.
+
+    This is the construction rectangle_mesh replaced with grid slicing,
+    kept as the reference its arrays must match bit for bit.
+    """
+
+    def nid(i, j):
+        return i + j * (nx + 1)
+
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            a, b = nid(i, j), nid(i + 1, j)
+            c, d = nid(i + 1, j + 1), nid(i, j + 1)
+            cells.append((a, b, c))
+            cells.append((a, c, d))
+    side_edges = {
+        "bottom": [((nid(i, 0), nid(i + 1, 0)), i / nx, (i + 1) / nx) for i in range(nx)],
+        "top": [((nid(i, ny), nid(i + 1, ny)), i / nx, (i + 1) / nx) for i in range(nx)],
+        "left": [((nid(0, j), nid(0, j + 1)), j / ny, (j + 1) / ny) for j in range(ny)],
+        "right": [((nid(nx, j), nid(nx, j + 1)), j / ny, (j + 1) / ny) for j in range(ny)],
+    }
+    facets, labels = [], []
+    for side in meshmod.SIDES:
+        segs = partition.segments(side)
+        for edge, lo, hi in side_edges[side]:
+            mid = 0.5 * (lo + hi)
+            tol = meshmod.SNAP_TOL
+            seg = next(s for s in segs if s.start - tol <= mid <= s.stop + tol)
+            facets.append(edge)
+            labels.append(seg.label)
+    return np.array(cells), np.array(facets), tuple(labels)
+
+
+def per_dimension_problems(mesh):
+    """The separate 1-D and 2-D boundary checks that _boundary_problems replaced."""
+    problems = []
+    if mesh.dim == 1:
+        degree = np.zeros(mesh.num_nodes, dtype=int)
+        np.add.at(degree, mesh.cells.ravel(), 1)
+        expected = set(np.nonzero(degree == 1)[0].tolist())
+        listed = [int(f[0]) for f in mesh.boundary_facets]
+        if len(set(listed)) != len(listed):
+            problems.append("duplicate boundary facet")
+        if set(listed) != expected:
+            problems.append(
+                f"boundary facets {sorted(set(listed))} do not match endpoints {sorted(expected)}"
+            )
+        return problems
+    count = {}
+    for tri in mesh.cells:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            count[key] = count.get(key, 0) + 1
+    hull = {e for e, c in count.items() if c == 1}
+    bad = [e for e, c in count.items() if c > 2]
+    if bad:
+        problems.append(f"{len(bad)} edges shared by more than two triangles")
+    listed = [(min(a, b), max(a, b)) for a, b in mesh.boundary_facets]
+    if len(set(listed)) != len(listed):
+        problems.append("duplicate boundary facet")
+    missing = hull - set(listed)
+    extra = set(listed) - hull
+    if missing:
+        problems.append(f"{len(missing)} hull edges lack a boundary label")
+    if extra:
+        problems.append(f"{len(extra)} labeled facets are not hull edges")
+    return problems
 
 
 class TestInterval:
@@ -123,6 +211,40 @@ class TestRectangle:
         with pytest.raises(wt.MeshValidationError):
             wt.rectangle_mesh(2, 2, part)
 
+    @pytest.mark.parametrize(
+        "nx, ny, layout",
+        [(1, 1, "uniform"), (3, 5, "uniform")]
+        + [
+            (nx, ny, layout)  # mixed and split break at 1/2: nx and ny even
+            for nx, ny in [(2, 2), (4, 6), (6, 4), (8, 12), (64, 64)]
+            for layout in ("uniform", "mixed", "split")
+        ],
+    )
+    def test_arrays_match_the_loop_construction(self, nx, ny, layout):
+        partition = {
+            "uniform": wt.PartitionSpec.uniform(BL.ELASTIC),
+            "mixed": mixed_partition(),
+            "split": split_partition(),
+        }[layout]
+        mesh = wt.rectangle_mesh(nx, ny, partition)
+        cells, facets, labels = loop_rectangle_mesh(nx, ny, partition)
+        for got, want in ((mesh.cells, cells), (mesh.boundary_facets, facets)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert mesh.facet_labels == labels
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["break", "start", "stop"])
+    def test_nonfinite_segment_bound_rejected(self, bad, where):
+        bottom = {
+            "break": (wt.Segment(BL.FIXED, 0.0, bad), wt.Segment(BL.FREE, bad, 1.0)),
+            "start": (wt.Segment(BL.FIXED, bad, 1.0),),
+            "stop": (wt.Segment(BL.FIXED, 0.0, bad),),
+        }[where]
+        part = wt.PartitionSpec({**wt.PartitionSpec.uniform(BL.FREE).sides, "bottom": bottom})
+        with pytest.raises(wt.MeshValidationError, match="side 'bottom'"):
+            wt.rectangle_mesh(2, 2, part)
+
     def test_corner_between_fixed_and_damped_clamps(self):
         mesh = wt.rectangle_mesh(2, 2, mixed_partition())
         clamped = set(meshmod.clamped_nodes(mesh).tolist())
@@ -175,6 +297,65 @@ class TestValidation:
             mesh.facet_labels + (BL.FREE,),
         )
         assert any("duplicate" in p for p in meshmod.mesh_problems(doubled))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_duplicated_cell_shares_facets_three_ways(self, dim):
+        mesh = wt.interval_mesh(3) if dim == 1 else wt.rectangle_mesh(2, 2, mixed_partition())
+        doubled = wt.Mesh(
+            dim,
+            mesh.nodes,
+            np.vstack([mesh.cells, mesh.cells[1:2]]),
+            mesh.boundary_facets,
+            mesh.facet_labels,
+        )
+        # The middle segment's two nodes; the second triangle's diagonal and top edge.
+        want = "2 endpoints shared by more than two segments" if dim == 1 else (
+            "2 edges shared by more than two triangles"
+        )
+        assert want in meshmod.mesh_problems(doubled)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        nx=st.integers(1, 5),
+        ny=st.integers(1, 5),
+        corruption=st.sampled_from(
+            [None, "drop", "duplicate", "reverse", "permute", "interior"]
+        ),
+        data=st.data(),
+    )
+    def test_one_check_agrees_with_the_per_dimension_checks(
+        self, dim, nx, ny, corruption, data
+    ):
+        mesh = wt.interval_mesh(nx) if dim == 1 else wt.rectangle_mesh(
+            nx, ny, wt.PartitionSpec.uniform(BL.FREE)
+        )
+        facets, labels = mesh.boundary_facets, list(mesh.facet_labels)
+        k = data.draw(st.integers(0, len(labels) - 1))
+        if corruption == "drop":
+            facets, labels = np.delete(facets, k, axis=0), labels[:k] + labels[k + 1:]
+        elif corruption == "duplicate":
+            facets, labels = np.vstack([facets, facets[k:k + 1]]), labels + [labels[k]]
+        elif corruption == "reverse":
+            facets = facets.copy()
+            facets[k] = facets[k, ::-1]
+        elif corruption == "permute":
+            order = data.draw(st.permutations(range(len(labels))))
+            facets, labels = facets[order], [labels[i] for i in order]
+        elif corruption == "interior":
+            # An interior node in 1-D; a square's diagonal in 2-D.
+            assume(dim == 2 or nx > 1)
+            lower = mesh.cells[::2][data.draw(st.integers(0, mesh.num_cells // 2 - 1))]
+            inner = [[data.draw(st.integers(1, nx - 1))]] if dim == 1 else [lower[[0, 2]]]
+            facets, labels = np.vstack([facets, inner]), labels + [BL.FREE]
+        broken = wt.Mesh(dim, mesh.nodes, mesh.cells, facets, tuple(labels))
+        got, want = meshmod.mesh_problems(broken), per_dimension_problems(broken)
+        assert bool(got) == bool(want)
+        assert any("duplicate" in p for p in got) == any("duplicate" in p for p in want)
+        if dim == 2:
+            assert got == want
+        if corruption in (None, "reverse", "permute"):
+            assert got == []
 
     def test_validate_raises_joined_message(self):
         mesh = wt.interval_mesh(2)
