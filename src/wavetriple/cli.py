@@ -42,8 +42,7 @@ def _out_dir(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> Path:
     return out
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _load(args.config)
+def _cmd_validate(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     mesh, coeffs, damping = _build(cfg)
     pencil = assemble_pencil(mesh, coeffs)
     print(
@@ -54,8 +53,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _load(args.config)
+def _cmd_spectrum(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     mesh, coeffs, _ = _build(cfg)
     check_state_size(mesh, spectral.MAX_DENSE_STATE, "spectrum")
     pencil = assemble_pencil(mesh, coeffs)
@@ -76,8 +74,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load(args.config)
+def _cmd_simulate(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     missing = [
         key
         for key, val in (("t_end", cfg.t_end), ("dt", cfg.dt), ("w0", cfg.w0), ("w1", cfg.w1))
@@ -89,9 +86,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     mesh, coeffs, _ = _build(cfg)
     pencil = assemble_pencil(mesh, coeffs)
-    w0 = cfgmod.compile_expression(cfg.w0, cfg.dim)
-    w1 = cfgmod.compile_expression(cfg.w1, cfg.dim)
-    x0 = semigroup.initial_state(pencil, w0, w1)
+    x0 = semigroup.initial_state(pencil, cfg.w0, cfg.w1)
     nsteps = int(round(cfg.t_end / cfg.dt))
     if abs(nsteps * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, 1.0):
         raise ConfigError([f"t_end = {cfg.t_end} is not a whole number of dt = {cfg.dt} steps"])
@@ -106,16 +101,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_poincare(args: argparse.Namespace) -> int:
-    cfg = _load(args.config)
+def _cmd_poincare(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     mesh, coeffs, _ = _build(cfg)
     constant = spectral.poincare_constant(mesh, coeffs)
     print(f"poincare_constant {constant:.17g}")
     return 0
 
 
-def _cmd_helmholtz(args: argparse.Namespace) -> int:
-    cfg = _load(args.config)
+def _cmd_helmholtz(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     mesh, coeffs, _ = _build(cfg)
     field = cfgmod.helmholtz_field(cfg, mesh)
     grad_part, divfree_part = helmmod.decompose(mesh, coeffs, field)
@@ -131,8 +124,7 @@ def _cmd_helmholtz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_study(args: argparse.Namespace) -> int:
-    cfg = _load(args.config)
+def _cmd_study(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError:
@@ -201,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_load(args.config), args)
     except ConfigError as exc:
         for item in exc.diagnostics:
             print(f"error: {item}", file=sys.stderr)

@@ -18,7 +18,7 @@ import operator
 import re
 import string
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,10 +102,10 @@ def _compile(source: str, names: tuple[str, ...]) -> list:
 
 @dataclass(frozen=True)
 class Expression:
-    """Compiled coordinate expression; equality is by source text."""
+    """Compiled coordinate expression; equality is by source text, not dimension."""
 
     source: str
-    dim: int
+    dim: int = field(compare=False)
 
     def __post_init__(self):
         names = ("x",) if self.dim == 1 else ("x", "y")
@@ -167,31 +167,31 @@ _DAMPER_LABELS = tuple(lab.value for lab in BoundaryLabel if lab.has_damper)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Parsed model description; expression values stay as source text."""
+    """Parsed model description: segment tuples per side, compiled expressions."""
 
     dim: int = 1
     n: int = 16
     nx: int = 0
     ny: int = 0
-    left: str = "fixed"
-    right: str = "fixed"
-    bottom: str = ""
-    top: str = ""
-    modulus: str = "1"
-    density: str = "1"
-    reaction: str = "0"
-    damping: str = "0"
-    spring_default: str = "0"
-    damper_default: str = "0"
-    spring_by_label: tuple[tuple[str, str], ...] = ()
-    damper_by_label: tuple[tuple[str, str], ...] = ()
+    left: tuple[Segment, ...] = (Segment(BoundaryLabel.FIXED),)
+    right: tuple[Segment, ...] = (Segment(BoundaryLabel.FIXED),)
+    bottom: tuple[Segment, ...] = ()
+    top: tuple[Segment, ...] = ()
+    modulus: Expression = Expression("1", 1)
+    density: Expression = Expression("1", 1)
+    reaction: Expression = Expression("0", 1)
+    damping: Expression = Expression("0", 1)
+    spring_default: Expression = Expression("0", 1)
+    damper_default: Expression = Expression("0", 1)
+    spring_by_label: tuple[tuple[str, Expression], ...] = ()
+    damper_by_label: tuple[tuple[str, Expression], ...] = ()
     t_end: float | None = None
     dt: float | None = None
-    w0: str | None = None
-    w1: str | None = None
+    w0: Expression | None = None
+    w1: Expression | None = None
     axis_tol: float = 1e-6
     want_vectors: bool = False
-    helmholtz_field: tuple[str, ...] = ()
+    helmholtz_field: tuple[Expression, ...] = ()
     output_dir: str = "out"
 
 
@@ -213,12 +213,6 @@ def _parse_partition_value(text: str) -> tuple[Segment, ...]:
         else:
             raise ValueError(f"expected 'label' or 'label t0 t1', got {part!r}")
     return tuple(segments)
-
-
-def _format_partition(segments: tuple[Segment, ...]) -> str:
-    if len(segments) == 1 and segments[0].start == 0.0 and segments[0].stop == 1.0:
-        return segments[0].label.value
-    return ", ".join(f"{s.label.value} {s.start:.17g} {s.stop:.17g}" for s in segments)
 
 
 def _integer(text: str) -> int | None:
@@ -278,11 +272,10 @@ def _typed_value(section: str, key: str, text: str, dim: int):
         raise ValueError(f"{key!r} must be a boundary label, got {text!r}")
     try:
         if key in SIDES:
-            return _format_partition(_parse_partition_value(text))
-        compile_expression(text, dim)
+            return _parse_partition_value(text)
+        return compile_expression(text, dim)
     except ValueError as exc:
         raise ValueError(f"{key!r}: {exc}") from None
-    return text
 
 
 class _Diagnostics:
@@ -363,8 +356,8 @@ def parse_config(text: str) -> ModelConfig:
         except ValueError as exc:
             diags.add(lineno, str(exc))
     components = [key for key, dims in _SECTION_KEYS["helmholtz"].items() if dims in (0, dim)]
-    field = tuple(values.pop(key) for key in components if key in values)
-    if 0 < len(field) < len(components):
+    vector = tuple(values.pop(key) for key in components if key in values)
+    if 0 < len(vector) < len(components):
         need = " and ".join(repr(key) for key in components)
         diags.add(section_lines.get("helmholtz", 0), f"need both {need}")
     diags.raise_if_any()
@@ -380,7 +373,7 @@ def parse_config(text: str) -> ModelConfig:
         dim=dim,
         spring_by_label=tuple(sorted(by_label["k1"])),
         damper_by_label=tuple(sorted(by_label["k2"])),
-        helmholtz_field=field,
+        helmholtz_field=vector,
         **{_FIELD_NAMES.get(key, key): value for key, value in values.items()},
     )
 
@@ -388,32 +381,22 @@ def parse_config(text: str) -> ModelConfig:
 def build_mesh(cfg: ModelConfig) -> Mesh:
     """Mesh described by the domain section."""
     if cfg.dim == 1:
-        return interval_mesh(cfg.n, BoundaryLabel(cfg.left), BoundaryLabel(cfg.right))
-    sides = {
-        side: _parse_partition_value(getattr(cfg, side)) for side in SIDES
-    }
-    return rectangle_mesh(cfg.nx, cfg.ny, PartitionSpec(sides))
+        return interval_mesh(cfg.n, cfg.left[0].label, cfg.right[0].label)
+    return rectangle_mesh(cfg.nx, cfg.ny, PartitionSpec({s: getattr(cfg, s) for s in SIDES}))
 
 
 def build_coefficients(cfg: ModelConfig, mesh: Mesh) -> CoefficientSet:
     """Sample the configured coefficient expressions onto a mesh."""
-    dim = cfg.dim
-    spring = {lab: compile_expression(src, dim) for lab, src in cfg.spring_by_label}
-    damper = {lab: compile_expression(src, dim) for lab, src in cfg.damper_by_label}
-    spring_map = {}
-    for lab in _SPRING_LABELS:
-        spring_map[lab] = spring.get(lab, compile_expression(cfg.spring_default, dim))
-    damper_map = {}
-    for lab in _DAMPER_LABELS:
-        damper_map[lab] = damper.get(lab, compile_expression(cfg.damper_default, dim))
+    spring = dict(cfg.spring_by_label)
+    damper = dict(cfg.damper_by_label)
     return sample_coefficients(
         mesh,
-        modulus=compile_expression(cfg.modulus, dim),
-        density=compile_expression(cfg.density, dim),
-        reaction=compile_expression(cfg.reaction, dim),
-        damping=compile_expression(cfg.damping, dim),
-        boundary_stiffness=spring_map,
-        boundary_damping=damper_map,
+        modulus=cfg.modulus,
+        density=cfg.density,
+        reaction=cfg.reaction,
+        damping=cfg.damping,
+        boundary_stiffness={lab: spring.get(lab, cfg.spring_default) for lab in _SPRING_LABELS},
+        boundary_damping={lab: damper.get(lab, cfg.damper_default) for lab in _DAMPER_LABELS},
     )
 
 
@@ -430,7 +413,7 @@ def helmholtz_field(cfg: ModelConfig, mesh: Mesh) -> np.ndarray:
 
     mids = cell_midpoints(mesh)
     if cfg.helmholtz_field:
-        comps = [compile_expression(src, cfg.dim)(mids) for src in cfg.helmholtz_field]
+        comps = [expr(mids) for expr in cfg.helmholtz_field]
     else:
         comps = [mids[:, d] for d in range(cfg.dim)]
     return np.stack(comps, axis=1)

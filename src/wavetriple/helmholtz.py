@@ -76,7 +76,7 @@ def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> n
     if interior.size:
         stiff = stiffness_triplets(mesh, coeffs.modulus).tocsr()[interior][:, interior]
         rhs = _paired(mesh, grad_op, f)[interior]
-        potential[interior] = linalg.lu_solve(stiff, rhs)
+        potential[interior] = linalg.LuFactorization(stiff).solve(rhs)
     grad_p = (grad_op @ potential).reshape(mesh.num_cells, mesh.dim)
     return np.einsum("cab,cb->ca", _tensors(mesh, coeffs), grad_p)
 

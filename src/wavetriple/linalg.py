@@ -55,11 +55,6 @@ def cholesky(mat: np.ndarray) -> np.ndarray:
     return low
 
 
-def lu_solve(mat, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs by sparse LU.  rhs may be 1-D or 2-D."""
-    return LuFactorization(mat).solve(rhs)
-
-
 class LuFactorization:
     """Cached sparse LU factorization for repeated solves against one matrix.
 
@@ -159,7 +154,8 @@ def generalized_to_standard(op: np.ndarray, factors: tuple[np.ndarray, ...]) -> 
     block-diagonal Gram matrix, in order; a full Gram matrix is one block.
     The pencil eigenproblem op z = lambda gram z becomes B w = lambda w with
     z = L^{-T} w.  Congruence, so the spectrum is preserved exactly.  L is
-    never formed: B_ij = L_i^{-1} op_ij L_j^{-T}.
+    never formed: B_ij = L_i^{-1} op_ij L_j^{-T}.  A B that is not finite,
+    from a non-finite op or an overflow, is an EigenSolverError.
     """
     a = np.asarray(op, dtype=float)
     blocks = _blocks(factors)
@@ -168,9 +164,16 @@ def generalized_to_standard(op: np.ndarray, factors: tuple[np.ndarray, ...]) -> 
         raise ValueError(f"operator shape {a.shape} does not match Gram order {order}")
     b = np.empty((order, order))
     for rows, low in blocks:
-        b[rows] = scipy.linalg.solve_triangular(low, a[rows], lower=True)
+        b[rows] = scipy.linalg.solve_triangular(low, a[rows], lower=True, check_finite=False)
     for cols, low in blocks:
-        b[:, cols] = scipy.linalg.solve_triangular(low, b[:, cols].T, lower=True).T
+        b[:, cols] = scipy.linalg.solve_triangular(
+            low, b[:, cols].T, lower=True, check_finite=False
+        ).T
+    if not np.isfinite(b).all():
+        raise EigenSolverError(
+            "the eigenproblem reduced to standard form is not finite: "
+            "an operator entry is too large for float64"
+        )
     return b
 
 

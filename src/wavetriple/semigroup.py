@@ -46,8 +46,9 @@ def provably_dissipative(pencil: OperatorPencil) -> bool:
 class CayleyStepper:
     """Cached-factorization midpoint stepper for one pencil and step size.
 
-    Both shifted matrices are sparse: gram - dt/2 dyn is factored once by
-    sparse LU and gram + dt/2 dyn is applied as CSR.
+    Both shifted matrices are formed sparse from CSR copies of gram and
+    dyn, with no dense state-size temporary: gram - dt/2 dyn is factored
+    once by sparse LU and gram + dt/2 dyn is applied as CSR.
     """
 
     def __init__(self, pencil: OperatorPencil, dt: float):
@@ -56,8 +57,9 @@ class CayleyStepper:
         self.pencil = pencil
         self.dt = float(dt)
         half = 0.5 * self.dt
-        self._plus = csr_matrix(pencil.gram + half * pencil.dynamics)
-        self._solver = linalg.LuFactorization(pencil.gram - half * pencil.dynamics)
+        gram, dynamics = csr_matrix(pencil.gram), csr_matrix(pencil.dynamics)
+        self._plus = gram + half * dynamics
+        self._solver = linalg.LuFactorization(gram - half * dynamics)
 
     def step(self, state: np.ndarray) -> np.ndarray:
         return self._solver.solve(self._plus @ state)
@@ -89,7 +91,8 @@ def simulate(
     enforce_contraction is forced), any per-step norm growth beyond a
     rounding allowance aborts with ContractionBreachError.  A run that would
     record more than MAX_TRAJECTORY_VALUES values is refused with
-    ProblemSizeError before anything is allocated or factored.
+    ProblemSizeError before anything is allocated or factored, and so is
+    an x0 whose energy or norm is not finite, with InitialDataError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (pencil.state_dim,):
@@ -101,6 +104,14 @@ def simulate(
             f"{nsteps} steps of state dimension {pencil.state_dim} would record more "
             f"than {MAX_TRAJECTORY_VALUES} values, the largest trajectory this package keeps"
         )
+    # Finite data too large for float64 overflow here: say so, quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy0, xnorm0 = physical_energy(pencil, x0), state_norm(pencil, x0)
+    if not (np.isfinite(energy0) and np.isfinite(xnorm0)):
+        raise InitialDataError(
+            f"initial energy {energy0:.3e} or norm {xnorm0:.3e} is not finite: "
+            "the initial data are too large for float64"
+        )
     if enforce_contraction is None:
         enforce_contraction = provably_dissipative(pencil)
     stepper = CayleyStepper(pencil, dt)
@@ -109,8 +120,7 @@ def simulate(
     energy = np.zeros(nsteps + 1)
     xnorm = np.zeros(nsteps + 1)
     states[0] = x0
-    energy[0] = physical_energy(pencil, x0)
-    xnorm[0] = state_norm(pencil, x0)
+    energy[0], xnorm[0] = energy0, xnorm0
     x = x0
     for k in range(1, nsteps + 1):
         x = stepper.step(x)

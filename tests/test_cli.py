@@ -294,6 +294,49 @@ class TestDenseSizeGuard:
         assert not (out_dir / "energy.csv").exists()
 
 
+class TestValuesTooLargeForFloat64:
+    """Finite inputs whose arithmetic overflows end in one error line."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("spectrum", DAMPED.replace("k2 = 3", "k2 = 1e308")),
+            ("study", DAMPED.replace("k2 = 3", "k2 = 1e308")),
+            ("poincare", DAMPED.replace("damped", "elastic").replace("k2 = 3", "k1 = 1e308")),
+        ],
+        ids=["spectrum", "study", "poincare"],
+    )
+    def test_huge_coefficient_is_an_error_line(self, tmp_path, capsys, command, text):
+        out_dir = tmp_path / "run"
+        args = [command, "--config", write_config(tmp_path, text), "--out", str(out_dir)]
+        if command == "study":
+            args += ["--sizes", "4,8"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1
+        assert err.startswith("error: the eigenproblem reduced to standard form is not finite")
+        assert "Traceback" not in err
+        assert caught == []
+        assert not out_dir.exists()
+
+    def test_huge_initial_data_is_an_error_line(self, tmp_path, capsys):
+        text = UNDAMPED_RUN.replace("w0 = x*(1 - x)", "w0 = 1e200*x*(1-x)")
+        out_dir = tmp_path / "run"
+        args = ["simulate", "--config", write_config(tmp_path, text), "--out", str(out_dir)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: initial energy inf")
+        assert caught == []
+        assert not (out_dir / "energy.csv").exists()
+
+
 class TestBenchmarkHooks:
     """The benchmark's traced child wraps package names and reads pencil
     fields; a rename or a field without .nbytes must fail here first."""

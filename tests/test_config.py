@@ -133,11 +133,12 @@ class TestParse:
         cfg = wt.parse_config(MINIMAL)
         assert cfg.dim == 1
         assert cfg.n == 8
-        assert (cfg.left, cfg.right) == ("fixed", "fixed")
-        assert cfg.modulus == "1"
-        assert cfg.density == "1"
-        assert cfg.spring_default == "0"
-        assert cfg.damper_default == "0"
+        fixed = (wt.Segment(wt.BoundaryLabel.FIXED),)
+        assert (cfg.left, cfg.right) == (fixed, fixed)
+        assert cfg.modulus == wt.compile_expression("1", 1)
+        assert cfg.density == wt.compile_expression("1", 1)
+        assert cfg.spring_default == wt.compile_expression("0", 1)
+        assert cfg.damper_default == wt.compile_expression("0", 1)
         assert cfg.t_end is None
         assert cfg.axis_tol == 1e-6
         assert not cfg.want_vectors
@@ -152,9 +153,10 @@ class TestParse:
         cfg = wt.parse_config(SQUARE)
         assert cfg.dim == 2
         assert (cfg.nx, cfg.ny) == (4, 2)
-        assert cfg.bottom == "fixed 0 0.5, free 0.5 1"
-        assert cfg.top == "elastic"
-        assert cfg.damper_default == "1 + x"
+        label = wt.BoundaryLabel
+        assert cfg.bottom == (wt.Segment(label.FIXED, 0, 0.5), wt.Segment(label.FREE, 0.5, 1))
+        assert cfg.top == (wt.Segment(label.ELASTIC),)
+        assert cfg.damper_default == wt.compile_expression("1 + x", 2)
 
     def test_diagnostics_carry_line_numbers(self):
         diags = diagnostics_of(MINIMAL + "tilt = 3\nleft = 2\n")
@@ -254,7 +256,7 @@ class TestParse:
             "right = fixed", "right = elastic"
         )
         cfg = wt.parse_config(free + "[boundary]\nk1 = 2\n")
-        assert cfg.spring_default == "2"
+        assert cfg.spring_default == wt.compile_expression("2", 1)
         wt.parse_config(MINIMAL.replace("right = fixed", "right = free"))
 
     def test_want_vectors_values(self):
@@ -265,7 +267,7 @@ class TestParse:
 
     def test_helmholtz_section_by_dimension(self):
         cfg = wt.parse_config(MINIMAL + "[helmholtz]\nf = x\n")
-        assert cfg.helmholtz_field == ("x",)
+        assert cfg.helmholtz_field == (wt.compile_expression("x", 1),)
         diags = diagnostics_of(SQUARE + "\n[helmholtz]\nfx = x\n")
         assert any("need both 'fx' and 'fy'" in d for d in diags)
         diags = diagnostics_of(SQUARE + "\n[helmholtz]\nf = x\n")
@@ -330,3 +332,48 @@ class TestBuilders:
         mids = cell_midpoints(mesh)
         assert np.allclose(field[:, 0], mids[:, 1])
         assert np.allclose(field[:, 1], -mids[:, 0])
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL.replace("right = fixed", "right = elastic_damped")
+            + "[coefficients]\nreaction = x\n[boundary]\nk1 = 2\nk2_elastic_damped = 1 + x\n"
+            + "[simulation]\nt_end = 1\ndt = 0.5\nw0 = x*(1 - x)\nw1 = 0\n"
+            + "[helmholtz]\nf = x*x\n",
+            SQUARE + "[coefficients]\nmodulus = 1 + x*y\n[helmholtz]\nfx = y\nfy = 0 - x\n",
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_config_holds_compiled_values_and_builders_compile_nothing(self, text, monkeypatch):
+        cfg = wt.parse_config(text)
+        for side in ("left", "right", "bottom", "top"):
+            assert all(isinstance(seg, wt.Segment) for seg in getattr(cfg, side))
+        expressions = [
+            cfg.modulus,
+            cfg.density,
+            cfg.reaction,
+            cfg.damping,
+            cfg.spring_default,
+            cfg.damper_default,
+            *(expr for _, expr in cfg.spring_by_label + cfg.damper_by_label),
+            *cfg.helmholtz_field,
+            *(expr for expr in (cfg.w0, cfg.w1) if expr is not None),
+        ]
+        assert cfg.helmholtz_field
+        assert all(isinstance(expr, cfgmod.Expression) for expr in expressions)
+
+        def refuse(*args):
+            raise AssertionError("parsed again after parse_config")
+
+        monkeypatch.setattr(cfgmod, "_compile", refuse)
+        monkeypatch.setattr(cfgmod, "_parse_partition_value", refuse)
+        mesh = cfgmod.build_mesh(cfg)
+        cfgmod.build_coefficients(cfg, mesh)
+        assert np.all(np.isfinite(cfgmod.helmholtz_field(cfg, mesh)))
+
+    @pytest.mark.parametrize("base", [MINIMAL, SQUARE], ids=["1d", "2d"])
+    def test_explicit_default_equals_absent(self, base):
+        explicit = wt.parse_config(base + "[coefficients]\nmodulus = 1\ndamping = 0\n")
+        assert explicit == wt.parse_config(base)

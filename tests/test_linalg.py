@@ -113,20 +113,20 @@ class TestCholesky:
 
 class TestLuSolve:
     def test_diagonal_system(self):
-        x = linalg.lu_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        x = linalg.LuFactorization(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-15)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_zero_matrix_singular(self):
         with pytest.raises(SingularMatrixError):
-            linalg.lu_solve(np.zeros((3, 3)), np.ones(3))
+            linalg.LuFactorization(np.zeros((3, 3))).solve(np.ones(3))
 
     def test_random_residuals(self):
         rng = np.random.default_rng(5)
         for n in (2, 7, 31):
             mat = rng.standard_normal((n, n)) + n * np.eye(n)
             rhs = rng.standard_normal(n)
-            x = linalg.lu_solve(mat, rhs)
+            x = linalg.LuFactorization(mat).solve(rhs)
             bound = 1e-10 * np.abs(mat).max() * max(np.abs(x).max(), 1.0)
             assert np.abs(mat @ x - rhs).max() <= bound
 

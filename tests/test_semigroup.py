@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import models
 import wavetriple as wt
@@ -54,6 +55,11 @@ class TestCayleyStep:
             )
             got = semigroup.CayleyStepper(pencil, dt).step(x)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            # The shifts are summed from CSR copies; summing the dense
+            # arrays first and converting gives the same bits.
+            plus = csr_matrix(pencil.gram + 0.5 * dt * dyn)
+            minus = linalg.LuFactorization(pencil.gram - 0.5 * dt * dyn)
+            assert np.array_equal(got, minus.solve(plus @ x))
 
     def test_nonpositive_dt_rejected(self):
         pencil = models.damped_pencil(4)
@@ -114,6 +120,18 @@ class TestSimulate:
         assert grown.xnorm[-1] > grown.xnorm[0]
         with pytest.raises(wt.ContractionBreachError):
             wt.simulate(pencil, x0, 0.05, 40, enforce_contraction=True)
+
+    def test_overflowing_initial_energy_refused_before_factoring(self, monkeypatch):
+        pencil = models.dirichlet_pencil(8)
+        x0 = np.full(pencil.state_dim, 1e200)
+
+        def refuse(*args):
+            raise AssertionError("factored before the initial data were checked")
+
+        monkeypatch.setattr(linalg.LuFactorization, "__init__", refuse)
+        with np.errstate(all="raise"):
+            with pytest.raises(wt.InitialDataError, match="initial energy inf"):
+                wt.simulate(pencil, x0, 0.1, 5)
 
     def test_wrong_state_length_rejected(self):
         pencil = models.damped_pencil(6)
@@ -217,7 +235,7 @@ class TestDecayProfile:
         y = models.random_state(pencil, rng)
         _, prof = wt.decay_profile(pencil, y, 0.05, 0)
         dyn = pencil.dynamics
-        x0 = linalg.lu_solve(dyn, pencil.gram @ y)
+        x0 = linalg.LuFactorization(dyn).solve(pencil.gram @ y)
         graph = np.sqrt(
             wt.state_norm(pencil, x0) ** 2 + wt.state_norm(pencil, y) ** 2
         )
