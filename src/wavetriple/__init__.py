@@ -11,16 +11,12 @@ from .assembly import (
     OperatorPencil,
     apply_A,
     assemble_pencil,
-    boundary_mass,
-    cell_average_mass,
     duality_pairing,
     element_inner,
     green_identity_residual,
-    mass_matrix,
     physical_energy,
     state_inner,
     state_norm,
-    stiffness_matrix,
     surjectivity_witness,
     trace_B1,
     trace_B2,
@@ -51,7 +47,6 @@ from .helmholtz import (
 from .mesh import (
     BoundaryLabel,
     Mesh,
-    PartitionSpec,
     Segment,
     interval_mesh,
     rectangle_mesh,
@@ -96,7 +91,6 @@ __all__ = [
     "ModelConfig",
     "NotPositiveDefiniteError",
     "OperatorPencil",
-    "PartitionSpec",
     "ProblemSizeError",
     "Segment",
     "SingularMatrixError",
@@ -105,8 +99,6 @@ __all__ = [
     "WavetripleError",
     "apply_A",
     "assemble_pencil",
-    "boundary_mass",
-    "cell_average_mass",
     "compile_expression",
     "compute_spectrum",
     "decay_profile",
@@ -120,7 +112,6 @@ __all__ = [
     "imaginary_axis_gap",
     "initial_state",
     "interval_mesh",
-    "mass_matrix",
     "orthogonality_residual",
     "parse_config",
     "physical_energy",
@@ -132,7 +123,6 @@ __all__ = [
     "simulate",
     "state_inner",
     "state_norm",
-    "stiffness_matrix",
     "study_csv",
     "surjectivity_witness",
     "trace_B1",

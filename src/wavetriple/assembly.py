@@ -29,11 +29,10 @@ uniform in h, where the consistent mass loses the gap like h^2.  Only M
 changes; the stiffness, the boundary maps and both identities do not.
 
 Every element matrix goes through one scatter kernel that emits COO
-triplets, and each matrix has one triplet builder.  The dense builders
-return its toarray(), which sums duplicates in input order and so matches
-np.add.at bit for bit; the pencil reduces each block to the active nodes
-from the triplets (_restrict), and sparse consumers (the Helmholtz solve)
-convert to CSR or CSC instead.
+triplets, and each matrix has one triplet builder.  Its toarray() sums
+duplicates in input order and so matches np.add.at bit for bit; the pencil
+reduces each block to the active nodes from the triplets (_restrict), and
+sparse consumers (the Helmholtz solve) convert to CSR or CSC instead.
 """
 
 from __future__ import annotations
@@ -93,7 +92,10 @@ def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -
     """Mass matrix with a cellwise-constant weight, as COO triplets.
 
     kinetic "consistent" gives the P1 mass; "cell_average" gives the mass
-    of cell averages, sum_c w_c h_c / 4 [[1, 1], [1, 1]], 1-D only.  Any
+    of cell averages, sum_c w_c h_c / 4 [[1, 1], [1, 1]], 1-D only.  On a
+    uniform mesh with unit weight that is (h/4) tridiag(1, 2, 1).  It is
+    only semidefinite: the alternating nodal vector has zero cell averages,
+    so a reduced copy is definite only when some node is clamped.  Any
     other scheme is a ValueError.
     """
     if kinetic not in KINETIC_SCHEMES:
@@ -110,21 +112,6 @@ def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -
     local = (w * cell_volumes(mesh))[:, None, None] * template
     n = mesh.num_nodes
     return _scatter(mesh.cells, mesh.cells, local, (n, n))
-
-
-def mass_matrix(mesh: Mesh, weight: np.ndarray) -> np.ndarray:
-    """Consistent mass matrix with a cellwise-constant weight."""
-    return mass_triplets(mesh, weight).toarray()
-
-
-def cell_average_mass(mesh: Mesh, weight: np.ndarray) -> np.ndarray:
-    """Mass of cell averages, sum_c w_c h_c / 4 [[1, 1], [1, 1]]; 1-D only.
-
-    On a uniform mesh with unit weight it is (h/4) tridiag(1, 2, 1).  It is
-    only semidefinite: the alternating nodal vector has zero cell averages,
-    so a reduced copy is definite only when some node is clamped.
-    """
-    return mass_triplets(mesh, weight, "cell_average").toarray()
 
 
 def _basis_gradients(mesh: Mesh) -> np.ndarray:
@@ -165,8 +152,8 @@ def gradient_operator(mesh: Mesh) -> csr_matrix:
 def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
     """Stiffness for a cellwise-constant scalar or tensor modulus, as COO.
 
-    Convert with .tocsr() or .tocsc() for sparse use; stiffness_matrix is
-    its dense form.
+    Convert with .toarray() for the dense matrix, .tocsr() or .tocsc() for
+    sparse use.
     """
     t = np.asarray(modulus, dtype=float)
     vols = cell_volumes(mesh)
@@ -193,13 +180,11 @@ def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
     return _scatter(mesh.cells, mesh.cells, local, (n, n))
 
 
-def stiffness_matrix(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
-    """Stiffness matrix for a cellwise-constant scalar or tensor modulus."""
-    return stiffness_triplets(mesh, modulus).toarray()
-
-
 def boundary_triplets(mesh: Mesh, values: np.ndarray) -> coo_matrix:
-    """Boundary mass for per-facet coefficients, as COO triplets."""
+    """Boundary mass for per-facet coefficients, as COO triplets.
+
+    Point masses at endpoint facets in 1-D, consistent edge masses in 2-D.
+    """
     k = np.asarray(values, dtype=float)
     if k.shape != (mesh.num_facets,):
         raise CoefficientError(f"need one value per boundary facet, got {k.shape}")
@@ -212,15 +197,6 @@ def boundary_triplets(mesh: Mesh, values: np.ndarray) -> coo_matrix:
     else:
         local = (k * facet_measures(mesh))[:, None, None] * _SEG_MASS
     return _scatter(facets, facets, local, (n, n))
-
-
-def boundary_mass(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Boundary mass matrix for per-facet coefficients.
-
-    Point masses at endpoint facets in 1-D, consistent edge masses in 2-D.
-    Negative coefficients are rejected.
-    """
-    return boundary_triplets(mesh, values).toarray()
 
 
 def check_state_size(mesh: Mesh, limit: int, label: str) -> np.ndarray:
@@ -279,7 +255,6 @@ class OperatorPencil:
     gram: np.ndarray
     gram_factors: tuple[np.ndarray, np.ndarray]
     dynamics: np.ndarray
-    damping_active: bool
 
     @property
     def num_active(self) -> int:
@@ -309,15 +284,16 @@ def assemble_pencil(
     """Assemble and reduce all model matrices; checks the energy form.
 
     kinetic selects the kinetic mass M: "consistent" (the P1 mass, any
-    dimension) or "cell_average" (cell_average_mass, which keeps the
-    damped-string spectral gap uniform in h).  "cell_average" needs a 1-D
+    dimension) or "cell_average" (the mass of cell averages, which keeps
+    the damped-string spectral gap uniform in h).  "cell_average" needs a 1-D
     mesh with at least one fixed end, else KineticMassError; any other
     value is a ValueError.  A state above MAX_PENCIL_STATE is refused with
     ProblemSizeError before any dense block is built.
 
     S and M are each factored once by linalg.cholesky.  A failure of S is
-    NotPositiveDefiniteError, or DegenerateEnergyNormError when the model
-    has no fixed boundary and no boundary spring.
+    DegenerateEnergyNormError when the model has no fixed boundary and no
+    boundary spring, else NotPositiveDefiniteError naming the displacement
+    energy form.
     """
     kinetic_mass = mass_triplets(mesh, coeffs.density, kinetic)
     if kinetic == "cell_average" and clamped_nodes(mesh).size == 0:
@@ -352,10 +328,12 @@ def assemble_pencil(
             raise DegenerateEnergyNormError(
                 "degenerate energy norm: no fixed boundary portion and no boundary spring"
             ) from exc
-        raise
+        raise NotPositiveDefiniteError(
+            "displacement energy form (stiffness plus boundary spring) "
+            f"is not positive definite: {exc}"
+        ) from exc
     low_mass = linalg.cholesky(mass)
 
-    damping_active = bool(np.any(coeffs.boundary_damping > 0.0))
     return OperatorPencil(
         mesh=mesh,
         coeffs=coeffs,
@@ -369,7 +347,6 @@ def assemble_pencil(
         gram=gram,
         gram_factors=(low_disp, low_mass),
         dynamics=dynamics,
-        damping_active=damping_active,
     )
 
 

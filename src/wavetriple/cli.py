@@ -151,7 +151,7 @@ def _cmd_study(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     path = out / "study.csv"
     path.write_text(spectral.study_csv(rows))
     print(f"wrote {path}")
-    for h, n, abscissa, gap, _ in rows:
+    for h, n, abscissa, gap in rows:
         print(f"h {h:.17g} N {n} abscissa {abscissa:.17g} gap {gap:.17g}")
     return 0
 

@@ -35,6 +35,11 @@ class CoefficientSet:
     boundary_damping: np.ndarray
     bound: float
 
+    @property
+    def damping_active(self) -> bool:
+        """True when some boundary facet carries a positive damper coefficient."""
+        return bool(np.any(self.boundary_damping > 0.0))
+
 
 def _sample_cellwise(name: str, value, points: np.ndarray) -> np.ndarray:
     m = points.shape[0]
@@ -164,8 +169,7 @@ def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
     Raises CoefficientError for shape, sign, or bound violations, and
     DegenerateEnergyNormError when there is neither a clamped boundary
     portion nor a nonzero boundary spring (the energy form then has the
-    constants in its kernel).  The return value reports whether any
-    damper facet carries a positive coefficient.
+    constants in its kernel).  The return value is coeffs.damping_active.
     """
     ncell, nf = mesh.num_cells, mesh.num_facets
     if coeffs.density.shape != (ncell,) or coeffs.reaction.shape != (ncell,):
@@ -201,4 +205,4 @@ def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
         raise DegenerateEnergyNormError(
             "degenerate energy norm: no fixed boundary portion and no boundary spring"
         )
-    return bool(np.any(coeffs.boundary_damping[damper_mask] > 0.0)) if nf else False
+    return coeffs.damping_active

@@ -28,7 +28,6 @@ from .mesh import (
     SIDES,
     BoundaryLabel,
     Mesh,
-    PartitionSpec,
     Segment,
     interval_mesh,
     rectangle_mesh,
@@ -382,7 +381,7 @@ def build_mesh(cfg: ModelConfig) -> Mesh:
     """Mesh described by the domain section."""
     if cfg.dim == 1:
         return interval_mesh(cfg.n, cfg.left[0].label, cfg.right[0].label)
-    return rectangle_mesh(cfg.nx, cfg.ny, PartitionSpec({s: getattr(cfg, s) for s in SIDES}))
+    return rectangle_mesh(cfg.nx, cfg.ny, {side: getattr(cfg, side) for side in SIDES})
 
 
 def build_coefficients(cfg: ModelConfig, mesh: Mesh) -> CoefficientSet:

@@ -56,11 +56,18 @@ def _paired(mesh: Mesh, grad_op, field: np.ndarray) -> np.ndarray:
 def weighted_inner(
     mesh: Mesh, coeffs: CoefficientSet, first: np.ndarray, second: np.ndarray
 ) -> float:
-    """Inner product sum_c vol_c * first_c . modulus_c^{-1} second_c."""
+    """Inner product sum_c vol_c * first_c . modulus_c^{-1} second_c.
+
+    A result that overflows float64 is a FieldError.
+    """
     f = _as_field(mesh, first)
     g = _as_field(mesh, second)
     tinv = np.linalg.inv(_tensors(mesh, coeffs))
-    return float(np.einsum("c,cab,ca,cb->", cell_volumes(mesh), tinv, f, g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.einsum("c,cab,ca,cb->", cell_volumes(mesh), tinv, f, g))
+    if not np.isfinite(value):
+        raise FieldError(f"inner product {value} is not finite: it overflows float64")
+    return value
 
 
 def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -50,7 +48,8 @@ def cholesky(mat: np.ndarray) -> np.ndarray:
     j = int(np.argmin(pivots))
     if not pivots[j] > tol:
         raise NotPositiveDefiniteError(
-            f"pivot {pivots[j]:.3e} at row {j} is below {tol:.3e}"
+            f"pivot {pivots[j]:.3e} at row {j} is below {tol:.3e}, which is "
+            f"PIVOT_RTOL = {PIVOT_RTOL:.0e} times the largest entry {scale:.3e}"
         )
     return low
 
@@ -102,32 +101,20 @@ class LuFactorization:
         return self._lu.solve(rhs)
 
 
-@dataclass(frozen=True)
-class ComplexEigenSet:
-    """Eigenvalues of a real matrix, sorted by (real, imag), with vectors.
+def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectrum of a real square matrix: (values, vectors).
 
-    vectors[:, i] is a unit 2-norm eigenvector for values[i].
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def eig_nonsymmetric(mat: np.ndarray) -> ComplexEigenSet:
-    """Full spectrum of a real square matrix.
-
-    Backed by the LAPACK nonsymmetric solver (Hessenberg reduction plus
-    shifted QR).  It computes no residual: its consumers certify the pairs
-    against their own problem (generalized_eig against the pencil).
+    values are sorted by (real, imag) and vectors[:, i] is a unit 2-norm
+    eigenvector for values[i].  Backed by the LAPACK nonsymmetric solver
+    (Hessenberg reduction plus shifted QR).  It computes no residual: its
+    consumers certify the pairs against their own problem (generalized_eig
+    against the pencil).
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
-        return ComplexEigenSet(np.zeros(0, complex), np.zeros((0, 0), complex))
+        return np.zeros(0, complex), np.zeros((0, 0), complex)
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -135,7 +122,7 @@ def eig_nonsymmetric(mat: np.ndarray) -> ComplexEigenSet:
     norms = np.linalg.norm(vectors, axis=0)
     vectors = vectors / norms
     order = np.lexsort((values.imag, values.real))
-    return ComplexEigenSet(values[order], vectors[:, order])
+    return values[order], vectors[:, order]
 
 
 def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
@@ -177,42 +164,27 @@ def generalized_to_standard(op: np.ndarray, factors: tuple[np.ndarray, ...]) -> 
     return b
 
 
-@dataclass(frozen=True)
-class PencilEigenSet:
-    """Eigenpairs of op z = lambda gram z, sorted by (real, imag).
-
-    vectors[:, i] solves the pencil problem for values[i] and is normalized
-    to unit gram-norm (z* gram z = 1).  residuals[i] is
-    ||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)).
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def generalized_eig(
     gram: np.ndarray, op: np.ndarray, factors: tuple[np.ndarray, ...]
-) -> PencilEigenSet:
-    """Solve the generalized problem op z = lambda gram z for SPD gram.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of op z = lambda gram z for SPD gram: (values, vectors, residuals).
 
+    values are sorted by (real, imag); vectors[:, i] solves the pencil
+    problem for values[i] and has unit gram-norm (z* gram z = 1);
+    residuals[i] is ||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)).
     factors are the Cholesky factors of gram's diagonal blocks (see
     generalized_to_standard); the back-transform also runs block by block.
-    Residuals always use gram and op themselves.
     """
-    std = eig_nonsymmetric(generalized_to_standard(op, factors))
-    if len(std) == 0:
-        return PencilEigenSet(std.values, std.vectors, np.zeros(0))
-    vectors = np.empty_like(std.vectors)
+    values, std_vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
+    if values.size == 0:
+        return values, std_vectors, np.zeros(0)
+    vectors = np.empty_like(std_vectors)
     for rows, lo in _blocks(factors):
         vectors[rows] = scipy.linalg.solve_triangular(
-            lo, std.vectors[rows], lower=True, trans="T"
+            lo, std_vectors[rows], lower=True, trans="T"
         )
     # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
     gram_z = np.asarray(gram, dtype=float) @ vectors
-    raw = np.linalg.norm(np.asarray(op, dtype=float) @ vectors - gram_z * std.values, axis=0)
-    denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(std.values))
-    return PencilEigenSet(std.values, vectors, raw / denom)
+    raw = np.linalg.norm(np.asarray(op, dtype=float) @ vectors - gram_z * values, axis=0)
+    denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
+    return values, vectors, raw / denom

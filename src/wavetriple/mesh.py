@@ -8,7 +8,7 @@ Nodes are stored as an (N, dim) float array, cells as index tuples into it
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,28 +49,6 @@ class Segment:
 #: Sides of the unit square, each parameterized by its free coordinate
 #: increasing (bottom/top by x, left/right by y).
 SIDES = ("left", "right", "bottom", "top")
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Assignment of boundary labels to the four sides of the unit square.
-
-    Each side maps to a tuple of segments that must tile [0, 1] without
-    overlap, and every break point must land on a mesh facet boundary.
-    """
-
-    sides: Mapping[str, tuple[Segment, ...]] = field(default_factory=dict)
-
-    @staticmethod
-    def uniform(label: BoundaryLabel) -> "PartitionSpec":
-        return PartitionSpec({side: (Segment(label),) for side in SIDES})
-
-    def segments(self, side: str) -> tuple[Segment, ...]:
-        if side not in SIDES:
-            raise ValueError(f"unknown side {side!r}")
-        if side not in self.sides:
-            raise MeshValidationError(f"side {side!r} has no boundary label")
-        return tuple(self.sides[side])
 
 
 @dataclass(frozen=True)
@@ -117,13 +95,14 @@ def interval_mesh(
     return Mesh(1, nodes, cells, facets, (left, right))
 
 
-def rectangle_mesh(nx: int, ny: int, partition: PartitionSpec) -> Mesh:
+def rectangle_mesh(nx: int, ny: int, sides: Mapping[str, Sequence[Segment]]) -> Mesh:
     """Criss-cross-free triangulation of the unit square, nx by ny squares.
 
     Each square is split along its bottom-left to top-right diagonal into
-    two counterclockwise triangles.  Boundary edges are labeled from the
-    partition; a break point that does not coincide with a facet corner
-    raises MeshValidationError.
+    two counterclockwise triangles.  sides maps each name in SIDES to its
+    segments, which must tile [0, 1] in order; boundary edges are labeled
+    from them.  A missing side, or a break point that does not coincide
+    with a facet corner, raises MeshValidationError.
     """
     if nx < 1 or ny < 1:
         raise MeshValidationError(f"rectangle mesh needs nx, ny >= 1, got {nx}, {ny}")
@@ -141,7 +120,7 @@ def rectangle_mesh(nx: int, ny: int, partition: PartitionSpec) -> Mesh:
     for side in SIDES:
         line = side_nodes[side]
         breaks = np.arange(line.size) / (line.size - 1)
-        segs = partition.segments(side)
+        segs = sides.get(side, ())
         _check_segments(side, segs, breaks)
         mids = 0.5 * (breaks[:-1, None] + breaks[1:, None])
         bounds = np.array([(seg.start, seg.stop) for seg in segs])

@@ -79,17 +79,12 @@ class Trajectory:
 
 
 def simulate(
-    pencil: OperatorPencil,
-    x0: np.ndarray,
-    dt: float,
-    nsteps: int,
-    enforce_contraction: bool | None = None,
+    pencil: OperatorPencil, x0: np.ndarray, dt: float, nsteps: int
 ) -> Trajectory:
     """Run nsteps Cayley steps from x0, recording energy and norm each step.
 
-    When the model is provably dissipative (decided automatically unless
-    enforce_contraction is forced), any per-step norm growth beyond a
-    rounding allowance aborts with ContractionBreachError.  A run that would
+    When the model is provably dissipative, any per-step norm growth beyond
+    a rounding allowance aborts with ContractionBreachError.  A run that would
     record more than MAX_TRAJECTORY_VALUES values is refused with
     ProblemSizeError before anything is allocated or factored, and so is
     an x0 whose energy or norm is not finite, with InitialDataError.
@@ -112,8 +107,7 @@ def simulate(
             f"initial energy {energy0:.3e} or norm {xnorm0:.3e} is not finite: "
             "the initial data are too large for float64"
         )
-    if enforce_contraction is None:
-        enforce_contraction = provably_dissipative(pencil)
+    dissipative = provably_dissipative(pencil)
     stepper = CayleyStepper(pencil, dt)
 
     states = np.zeros((nsteps + 1, pencil.state_dim))
@@ -127,7 +121,7 @@ def simulate(
         states[k] = x
         energy[k] = physical_energy(pencil, x)
         xnorm[k] = state_norm(pencil, x)
-        if enforce_contraction and xnorm[k] > xnorm[k - 1] * (1.0 + BREACH_RTOL):
+        if dissipative and xnorm[k] > xnorm[k - 1] * (1.0 + BREACH_RTOL):
             raise ContractionBreachError(
                 f"norm grew from {xnorm[k - 1]:.17g} to {xnorm[k]:.17g} at step {k}"
             )

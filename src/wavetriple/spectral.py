@@ -99,39 +99,40 @@ def compute_spectrum(
     EigenSolverError if any recomputed pencil residual exceeds the
     accepted bound, so a report in hand is a certificate.
     """
-    pairs = linalg.generalized_eig(pencil.gram, pencil.dynamics, pencil.gram_factors)
-    if len(pairs) != pencil.state_dim:
+    values, vectors, residuals = linalg.generalized_eig(
+        pencil.gram, pencil.dynamics, pencil.gram_factors
+    )
+    if len(values) != pencil.state_dim:
         raise EigenSolverError(
-            f"expected {pencil.state_dim} eigenvalues, got {len(pairs)}"
+            f"expected {pencil.state_dim} eigenvalues, got {len(values)}"
         )
-    if len(pairs) and pairs.residuals.max() > RESIDUAL_TOL:
+    if len(values) and residuals.max() > RESIDUAL_TOL:
         raise EigenSolverError(
-            f"pencil residual {pairs.residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
+            f"pencil residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
 
     m = pencil.num_active
     slots = pencil.trace_slots
-    vec_u = pairs.vectors[:m]
-    vec_v = pairs.vectors[m:]
+    vec_u = vectors[:m]
+    vec_v = vectors[m:]
     damper_trace = (pencil.boundary_damper @ vec_v)[slots]
-    k2_res = np.linalg.norm(damper_trace, axis=0) if slots.size else np.zeros(len(pairs))
+    k2_res = np.linalg.norm(damper_trace, axis=0) if slots.size else np.zeros(len(values))
     # First boundary map under the absorbing condition: spring force plus
     # the eliminated flux, computed from its own ingredients.
     spring_force = (pencil.boundary_spring @ vec_u)[slots]
     flux = -spring_force - damper_trace
     b1 = spring_force + flux
-    flux_res = np.linalg.norm(b1, axis=0) if slots.size else np.zeros(len(pairs))
+    flux_res = np.linalg.norm(b1, axis=0) if slots.size else np.zeros(len(values))
 
-    values = pairs.values
-    abscissa = float(values.real.max()) if len(pairs) else -np.inf
+    abscissa = float(values.real.max()) if len(values) else -np.inf
     gap = imaginary_axis_gap(values)
-    min_modulus = float(np.abs(values).min()) if len(pairs) else np.inf
-    anchored = energy_anchored(pencil.mesh, pencil.coeffs)
-    zero_excluded = bool(min_modulus > ZERO_TOL) if (pencil.damping_active and anchored) else True
+    min_modulus = float(np.abs(values).min()) if len(values) else np.inf
+    damped = pencil.coeffs.damping_active and energy_anchored(pencil.mesh, pencil.coeffs)
+    zero_excluded = bool(min_modulus > ZERO_TOL) if damped else True
     near_axis = np.nonzero(np.abs(values.real) < axis_tol)[0]
     return SpectralReport(
         values=values,
-        residuals=pairs.residuals,
+        residuals=residuals,
         k2_trace_residual=k2_res,
         flux_residual=flux_res,
         abscissa=abscissa,
@@ -142,7 +143,7 @@ def compute_spectrum(
         axis_tol=float(axis_tol),
         h=mesh_size(pencil.mesh),
         state_dim=pencil.state_dim,
-        vectors=pairs.vectors if want_vectors else None,
+        vectors=vectors if want_vectors else None,
     )
 
 
@@ -221,21 +222,17 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     return 1.0 / np.sqrt(lam_min)
 
 
-def refinement_study(build, sizes) -> list[tuple[float, int, float, float, complex]]:
-    """Rows (h, N, abscissa, gap, extreme eigenvalue) over mesh sizes.
+def refinement_study(build, sizes) -> list[tuple[float, int, float, float]]:
+    """Rows (h, N, abscissa, gap) over mesh sizes.
 
-    build maps a size to an OperatorPencil; the extreme entry is the
-    eigenvalue of largest modulus at that size.  No convergence of the gap
-    is asserted; the table itself is the deliverable.
+    build maps a size to an OperatorPencil.  No convergence of the gap is
+    asserted; the table itself is the deliverable.
     """
     rows = []
     for size in sizes:
         pencil = build(int(size))
         report = compute_spectrum(pencil)
-        extreme = report.values[np.argmax(np.abs(report.values))]
-        rows.append(
-            (report.h, report.state_dim, report.abscissa, report.gap, extreme)
-        )
+        rows.append((report.h, report.state_dim, report.abscissa, report.gap))
     return rows
 
 
@@ -254,6 +251,6 @@ def eigenvalues_csv(report: SpectralReport) -> str:
 def study_csv(rows) -> str:
     """CSV with columns h,N,abscissa,gap."""
     lines = ["h,N,abscissa,gap"]
-    for h, n, abscissa, gap, _ in rows:
+    for h, n, abscissa, gap in rows:
         lines.append(f"{h:.17g},{n},{abscissa:.17g},{gap:.17g}")
     return "\n".join(lines) + "\n"

@@ -32,16 +32,19 @@ def elastic_pencil(n: int, k1: float = 2.0) -> wt.OperatorPencil:
     return wt.assemble_pencil(mesh, wt.sample_coefficients(mesh, boundary_stiffness=k1))
 
 
-def square_partition() -> wt.PartitionSpec:
+def uniform_sides(label: wt.BoundaryLabel) -> dict[str, tuple[wt.Segment, ...]]:
+    """Every side of the unit square carries one label."""
+    return {side: (wt.Segment(label),) for side in wt.mesh.SIDES}
+
+
+def square_partition() -> dict[str, tuple[wt.Segment, ...]]:
     """Fixed left side; springs and dampers in every flavor elsewhere."""
-    return wt.PartitionSpec(
-        {
-            "left": (wt.Segment(wt.BoundaryLabel.FIXED),),
-            "right": (wt.Segment(wt.BoundaryLabel.ELASTIC_DAMPED),),
-            "bottom": (wt.Segment(wt.BoundaryLabel.ELASTIC),),
-            "top": (wt.Segment(wt.BoundaryLabel.DAMPED),),
-        }
-    )
+    return {
+        "left": (wt.Segment(wt.BoundaryLabel.FIXED),),
+        "right": (wt.Segment(wt.BoundaryLabel.ELASTIC_DAMPED),),
+        "bottom": (wt.Segment(wt.BoundaryLabel.ELASTIC),),
+        "top": (wt.Segment(wt.BoundaryLabel.DAMPED),),
+    }
 
 
 def square_pencil(nx: int, ny: int, seed: int = 0) -> wt.OperatorPencil:

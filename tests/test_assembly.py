@@ -13,44 +13,45 @@ from wavetriple.mesh import cell_volumes, clamped_nodes, facet_measures
 class TestMassMatrix:
     def test_single_cell(self):
         mesh = wt.interval_mesh(1)
-        got = wt.mass_matrix(mesh, np.ones(1))
+        got = assembly.mass_triplets(mesh, np.ones(1)).toarray()
         assert np.allclose(got, np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0, atol=1e-16)
 
     def test_zero_weight(self):
         mesh = wt.interval_mesh(3)
-        assert np.array_equal(wt.mass_matrix(mesh, np.zeros(3)), np.zeros((4, 4)))
+        got = assembly.mass_triplets(mesh, np.zeros(3)).toarray()
+        assert np.array_equal(got, np.zeros((4, 4)))
 
     def test_partition_of_unity(self):
         mesh = wt.interval_mesh(2)
-        assert abs(wt.mass_matrix(mesh, np.ones(2)).sum() - 1.0) < 1e-15
-        square = wt.rectangle_mesh(3, 3, wt.PartitionSpec.uniform(BL.FREE))
-        total = wt.mass_matrix(square, np.ones(square.num_cells)).sum()
+        assert abs(assembly.mass_triplets(mesh, np.ones(2)).toarray().sum() - 1.0) < 1e-15
+        square = wt.rectangle_mesh(3, 3, models.uniform_sides(BL.FREE))
+        total = assembly.mass_triplets(square, np.ones(square.num_cells)).toarray().sum()
         assert abs(total - 1.0) < 1e-14
 
     def test_symmetry_bitwise(self):
-        square = wt.rectangle_mesh(3, 2, wt.PartitionSpec.uniform(BL.FREE))
+        square = wt.rectangle_mesh(3, 2, models.uniform_sides(BL.FREE))
         rng = np.random.default_rng(0)
-        mat = wt.mass_matrix(square, rng.uniform(0.5, 2.0, square.num_cells))
+        mat = assembly.mass_triplets(square, rng.uniform(0.5, 2.0, square.num_cells)).toarray()
         assert np.array_equal(mat, mat.T)
 
 
 class TestCellAverageMass:
     def test_single_cell(self):
         mesh = wt.interval_mesh(1)
-        got = wt.cell_average_mass(mesh, np.array([3.0]))
+        got = assembly.mass_triplets(mesh, np.array([3.0]), "cell_average").toarray()
         assert np.array_equal(got, 3.0 * 1.0 / 4.0 * np.ones((2, 2)))
 
     def test_total_mass_is_density_integral(self):
         mesh = wt.interval_mesh(7)
         rng = np.random.default_rng(15)
         rho = rng.uniform(0.5, 2.0, 7)
-        got = wt.cell_average_mass(mesh, rho).sum()
+        got = assembly.mass_triplets(mesh, rho, "cell_average").toarray().sum()
         assert abs(got - rho.sum() / 7.0) < 1e-14
 
     def test_symmetry_bitwise(self):
         mesh = wt.interval_mesh(9)
         rng = np.random.default_rng(16)
-        mat = wt.cell_average_mass(mesh, rng.uniform(0.5, 2.0, 9))
+        mat = assembly.mass_triplets(mesh, rng.uniform(0.5, 2.0, 9), "cell_average").toarray()
         assert np.array_equal(mat, mat.T)
 
     def test_two_dimensional_mesh_rejected(self):
@@ -87,54 +88,57 @@ class TestCellAverageMass:
 class TestStiffnessMatrix:
     def test_single_cell(self):
         mesh = wt.interval_mesh(1)
-        got = wt.stiffness_matrix(mesh, np.ones(1))
+        got = assembly.stiffness_triplets(mesh, np.ones(1)).toarray()
         assert np.allclose(got, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-16)
 
     def test_uniform_tridiagonal_stencil(self):
         n = 6
         mesh = wt.interval_mesh(n)
-        got = wt.stiffness_matrix(mesh, np.ones(n))
+        got = assembly.stiffness_triplets(mesh, np.ones(n)).toarray()
         want = n * (2 * np.eye(n + 1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1))
         want[0, 0] = want[n, n] = n
         assert np.allclose(got, want, atol=1e-12)
 
     def test_constants_in_kernel(self):
         mesh = wt.interval_mesh(5)
-        assert np.abs(wt.stiffness_matrix(mesh, np.ones(5)) @ np.ones(6)).max() < 1e-13
-        square = wt.rectangle_mesh(3, 3, wt.PartitionSpec.uniform(BL.FREE))
+        stiff = assembly.stiffness_triplets(mesh, np.ones(5)).toarray()
+        assert np.abs(stiff @ np.ones(6)).max() < 1e-13
+        square = wt.rectangle_mesh(3, 3, models.uniform_sides(BL.FREE))
         tensor = np.broadcast_to(
             np.array([[2.0, 0.5], [0.5, 1.0]]), (square.num_cells, 2, 2)
         ).copy()
-        stiff = wt.stiffness_matrix(square, tensor)
+        stiff = assembly.stiffness_triplets(square, tensor).toarray()
         assert np.abs(stiff @ np.ones(square.num_nodes)).max() < 1e-12
 
     def test_symmetry_bitwise_2d(self):
-        square = wt.rectangle_mesh(4, 3, wt.PartitionSpec.uniform(BL.FREE))
+        square = wt.rectangle_mesh(4, 3, models.uniform_sides(BL.FREE))
         rng = np.random.default_rng(1)
-        stiff = wt.stiffness_matrix(square, rng.uniform(0.5, 2.0, square.num_cells))
+        modulus = rng.uniform(0.5, 2.0, square.num_cells)
+        stiff = assembly.stiffness_triplets(square, modulus).toarray()
         assert np.array_equal(stiff, stiff.T)
 
 
 class TestBoundaryMass:
     def test_point_mass_at_right_end(self):
         mesh = wt.interval_mesh(4, right=BL.ELASTIC)
-        got = wt.boundary_mass(mesh, np.array([0.0, 1.0]))
+        got = assembly.boundary_triplets(mesh, np.array([0.0, 1.0])).toarray()
         want = np.zeros((5, 5))
         want[4, 4] = 1.0
         assert np.array_equal(got, want)
 
     def test_zero_coefficient(self):
         mesh = wt.interval_mesh(4)
-        assert np.array_equal(wt.boundary_mass(mesh, np.zeros(2)), np.zeros((5, 5)))
+        got = assembly.boundary_triplets(mesh, np.zeros(2)).toarray()
+        assert np.array_equal(got, np.zeros((5, 5)))
 
     def test_square_side_edge_masses(self):
-        mesh = wt.rectangle_mesh(2, 2, wt.PartitionSpec.uniform(BL.ELASTIC))
+        mesh = wt.rectangle_mesh(2, 2, models.uniform_sides(BL.ELASTIC))
         # Put unit stiffness on the two bottom edges (nodes 0-1 and 1-2).
         k = np.zeros(mesh.num_facets)
         for i, facet in enumerate(mesh.boundary_facets):
             if {int(facet[0]), int(facet[1])} in ({0, 1}, {1, 2}):
                 k[i] = 1.0
-        got = wt.boundary_mass(mesh, k)
+        got = assembly.boundary_triplets(mesh, k).toarray()
         h = 0.5
         block = h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
         want = np.zeros((9, 9))
@@ -146,7 +150,7 @@ class TestBoundaryMass:
     def test_negative_coefficient_rejected(self):
         mesh = wt.interval_mesh(2)
         with pytest.raises(wt.CoefficientError, match="nonnegative"):
-            wt.boundary_mass(mesh, np.array([-1.0, 0.0]))
+            assembly.boundary_triplets(mesh, np.array([-1.0, 0.0]))
 
 
 class TestPencilStructure:
@@ -237,7 +241,7 @@ class TestInteriorTerms:
         for mesh in interior_meshes():
             pencil = interior_pencil(mesh, damping=lambda p: 0.5 + 0.25 * p[:, 0])
             ix = np.ix_(pencil.active, pencil.active)
-            mb = wt.mass_matrix(mesh, pencil.coeffs.damping)[ix]
+            mb = assembly.mass_triplets(mesh, pencil.coeffs.damping).toarray()[ix]
             assert np.abs(mb).max() > 0.0
             m = pencil.num_active
             sym = pencil.dynamics + pencil.dynamics.T
@@ -249,7 +253,7 @@ class TestInteriorTerms:
         for mesh in interior_meshes():
             pencil = interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
             ix = np.ix_(pencil.active, pencil.active)
-            ma = wt.mass_matrix(mesh, pencil.coeffs.reaction)[ix]
+            ma = assembly.mass_triplets(mesh, pencil.coeffs.reaction).toarray()[ix]
             m = pencil.num_active
             assert np.array_equal(pencil.dynamics[m:, :m], -pencil.displacement_gram - ma)
             assert np.array_equal(pencil.dynamics[:m, m:], pencil.displacement_gram)
@@ -472,7 +476,7 @@ def reference_triangle_gradients(mesh):
 
 
 class TestDenseBuildersMatchAddAt:
-    """The dense builders scatter through COO triplets; toarray() sums the
+    """The triplet builders scatter through COO triplets; toarray() sums the
     duplicates in input order, so every entry must equal np.add.at's."""
 
     def meshes(self):
@@ -489,10 +493,11 @@ class TestDenseBuildersMatchAddAt:
             w = rng.uniform(0.5, 2.0, mesh.num_cells)
             scaled = (w * cell_volumes(mesh))[:, None, None]
             want = add_at_reference(mesh.num_nodes, mesh.cells, scaled * (seg if mesh.dim == 1 else tri))
-            assert np.array_equal(wt.mass_matrix(mesh, w), want)
+            assert np.array_equal(assembly.mass_triplets(mesh, w).toarray(), want)
             if mesh.dim == 1:
                 want = add_at_reference(mesh.num_nodes, mesh.cells, scaled * np.full((2, 2), 0.25))
-                assert np.array_equal(assembly.cell_average_mass(mesh, w), want)
+                got = assembly.mass_triplets(mesh, w, "cell_average").toarray()
+                assert np.array_equal(got, want)
 
     def test_stiffness(self):
         rng = np.random.default_rng(32)
@@ -500,7 +505,7 @@ class TestDenseBuildersMatchAddAt:
         t = rng.uniform(0.5, 2.0, interval.num_cells)
         local = (t / cell_volumes(interval))[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
         want = add_at_reference(interval.num_nodes, interval.cells, local)
-        assert np.array_equal(wt.stiffness_matrix(interval, t), want)
+        assert np.array_equal(assembly.stiffness_triplets(interval, t).toarray(), want)
         a = rng.uniform(-0.5, 0.5, (square.num_cells, 2, 2))
         for modulus in (
             rng.uniform(0.5, 2.0, square.num_cells),
@@ -513,7 +518,7 @@ class TestDenseBuildersMatchAddAt:
             local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux)
             local = np.triu(local) + np.swapaxes(np.triu(local, 1), 1, 2)
             want = add_at_reference(square.num_nodes, square.cells, local)
-            assert np.array_equal(wt.stiffness_matrix(square, modulus), want)
+            assert np.array_equal(assembly.stiffness_triplets(square, modulus).toarray(), want)
 
     def test_boundary_mass(self):
         rng = np.random.default_rng(33)
@@ -527,7 +532,7 @@ class TestDenseBuildersMatchAddAt:
                 seg = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
                 local = (k * facet_measures(mesh))[:, None, None] * seg
                 want = add_at_reference(mesh.num_nodes, facets, local)
-            assert np.array_equal(wt.boundary_mass(mesh, k), want)
+            assert np.array_equal(assembly.boundary_triplets(mesh, k).toarray(), want)
 
 
 class TestRestrict:
@@ -551,7 +556,7 @@ class TestSparseOperators:
         mesh = wt.rectangle_mesh(6, 5, models.square_partition())
         modulus = np.random.default_rng(34).uniform(0.5, 2.0, mesh.num_cells)
         sparse = assembly.stiffness_triplets(mesh, modulus).tocsr()
-        dense = wt.stiffness_matrix(mesh, modulus)
+        dense = assembly.stiffness_triplets(mesh, modulus).toarray()
         assert np.array_equal(sparse.toarray(), sparse.toarray().T)
         assert np.abs(sparse.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
         # Seven entries per interior row of a split-cell grid, not n.

@@ -91,6 +91,19 @@ class TestValidate:
         assert len(lines) == 1 and lines[0].startswith("error: side 'bottom'")
         assert "Traceback" not in err
 
+    def test_badly_scaled_spring_names_the_form_and_the_scale(self, tmp_path, capsys):
+        text = DAMPED.replace("left = fixed", "left = free").replace(
+            "right = damped", "right = elastic"
+        ).replace("k2 = 3", "k1 = 1e308")
+        code, out, err = run(["validate", "--config", write_config(tmp_path, text)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: displacement energy form (stiffness plus boundary spring) is not "
+            "positive definite: pivot 8.000e+00 at row 0 is below 1.000e+294, which is "
+            "PIVOT_RTOL = 1e-14 times the largest entry 1.000e+308\n"
+        )
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run(["validate", "--config", str(tmp_path / "absent.cfg")], capsys)
         assert code == 1
@@ -437,6 +450,18 @@ class TestHelmholtzErrors:
         assert err.startswith("error: ")
         assert "not finite" in err
         assert "Traceback" not in err
+
+    def test_overflowing_norm_is_an_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DAMPED + "\n[helmholtz]\nf = 1e200*x\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["helmholtz", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: inner product inf is not finite")
+        assert "Traceback" not in err
+        assert caught == []
 
     def test_floating_point_error_state_left_alone(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DAMPED + "\n[helmholtz]\nf = x\n")

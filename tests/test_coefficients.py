@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import models
 import wavetriple as wt
 from wavetriple.mesh import BoundaryLabel as BL
 
@@ -48,14 +49,12 @@ class TestSampling:
         mesh = wt.rectangle_mesh(
             2,
             2,
-            wt.PartitionSpec(
-                {
-                    "left": (wt.Segment(BL.FIXED),),
-                    "right": (wt.Segment(BL.DAMPED),),
-                    "bottom": (wt.Segment(BL.ELASTIC),),
-                    "top": (wt.Segment(BL.ELASTIC_DAMPED),),
-                }
-            ),
+            {
+                "left": (wt.Segment(BL.FIXED),),
+                "right": (wt.Segment(BL.DAMPED),),
+                "bottom": (wt.Segment(BL.ELASTIC),),
+                "top": (wt.Segment(BL.ELASTIC_DAMPED),),
+            },
         )
         coeffs = wt.sample_coefficients(
             mesh,
@@ -75,14 +74,14 @@ class TestSampling:
                 assert k1 == 0.0 and k2 == 0.0
 
     def test_tensor_modulus(self):
-        mesh = wt.rectangle_mesh(2, 2, wt.PartitionSpec.uniform(BL.FIXED))
+        mesh = wt.rectangle_mesh(2, 2, models.uniform_sides(BL.FIXED))
         tensor = np.array([[2.0, 0.5], [0.5, 1.0]])
         coeffs = wt.sample_coefficients(mesh, modulus=tensor)
         assert coeffs.modulus.shape == (mesh.num_cells, 2, 2)
         assert np.allclose(coeffs.modulus[3], tensor)
 
     def test_asymmetric_tensor_rejected(self):
-        mesh = wt.rectangle_mesh(2, 2, wt.PartitionSpec.uniform(BL.FIXED))
+        mesh = wt.rectangle_mesh(2, 2, models.uniform_sides(BL.FIXED))
         with pytest.raises(wt.CoefficientError, match="symmetric"):
             wt.sample_coefficients(mesh, modulus=np.array([[2.0, 0.4], [0.1, 1.0]]))
 

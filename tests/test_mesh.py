@@ -5,35 +5,32 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import models
 import wavetriple as wt
 from wavetriple import mesh as meshmod
 from wavetriple.mesh import BoundaryLabel as BL
 
 
 def mixed_partition():
-    return wt.PartitionSpec(
-        {
-            "left": (wt.Segment(BL.FIXED),),
-            "right": (wt.Segment(BL.DAMPED),),
-            "bottom": (wt.Segment(BL.FIXED, 0.0, 0.5), wt.Segment(BL.FREE, 0.5, 1.0)),
-            "top": (wt.Segment(BL.ELASTIC),),
-        }
-    )
+    return {
+        "left": (wt.Segment(BL.FIXED),),
+        "right": (wt.Segment(BL.DAMPED),),
+        "bottom": (wt.Segment(BL.FIXED, 0.0, 0.5), wt.Segment(BL.FREE, 0.5, 1.0)),
+        "top": (wt.Segment(BL.ELASTIC),),
+    }
 
 
 def split_partition():
     """Breaks at 1/2 on three sides, one of them off the corner by less than SNAP_TOL."""
-    return wt.PartitionSpec(
-        {
-            "left": (
-                wt.Segment(BL.FIXED, 0.0, 0.5 - 1e-10),
-                wt.Segment(BL.ELASTIC_DAMPED, 0.5 - 1e-10, 1.0),
-            ),
-            "right": (wt.Segment(BL.DAMPED),),
-            "bottom": (wt.Segment(BL.FREE, 0.0, 0.5), wt.Segment(BL.ELASTIC, 0.5, 1.0)),
-            "top": (wt.Segment(BL.DAMPED, 0.0, 0.5), wt.Segment(BL.FIXED, 0.5, 1.0)),
-        }
-    )
+    return {
+        "left": (
+            wt.Segment(BL.FIXED, 0.0, 0.5 - 1e-10),
+            wt.Segment(BL.ELASTIC_DAMPED, 0.5 - 1e-10, 1.0),
+        ),
+        "right": (wt.Segment(BL.DAMPED),),
+        "bottom": (wt.Segment(BL.FREE, 0.0, 0.5), wt.Segment(BL.ELASTIC, 0.5, 1.0)),
+        "top": (wt.Segment(BL.DAMPED, 0.0, 0.5), wt.Segment(BL.FIXED, 0.5, 1.0)),
+    }
 
 
 def loop_rectangle_mesh(nx, ny, partition):
@@ -61,7 +58,7 @@ def loop_rectangle_mesh(nx, ny, partition):
     }
     facets, labels = [], []
     for side in meshmod.SIDES:
-        segs = partition.segments(side)
+        segs = partition[side]
         for edge, lo, hi in side_edges[side]:
             mid = 0.5 * (lo + hi)
             tol = meshmod.SNAP_TOL
@@ -138,25 +135,23 @@ class TestInterval:
 
 class TestRectangle:
     def test_counts(self):
-        mesh = wt.rectangle_mesh(3, 2, wt.PartitionSpec.uniform(BL.FIXED))
+        mesh = wt.rectangle_mesh(3, 2, models.uniform_sides(BL.FIXED))
         assert mesh.num_nodes == 4 * 3
         assert mesh.num_cells == 2 * 3 * 2
         assert mesh.num_facets == 2 * (3 + 2)
         wt.validate_mesh(mesh)
 
     def test_single_square(self):
-        mesh = wt.rectangle_mesh(1, 1, wt.PartitionSpec.uniform(BL.FREE))
+        mesh = wt.rectangle_mesh(1, 1, models.uniform_sides(BL.FREE))
         assert mesh.num_nodes == 4 and mesh.num_cells == 2 and mesh.num_facets == 4
 
     def test_two_by_two_left_fixed(self):
-        part = wt.PartitionSpec(
-            {
-                "left": (wt.Segment(BL.FIXED),),
-                "right": (wt.Segment(BL.FREE),),
-                "bottom": (wt.Segment(BL.FREE),),
-                "top": (wt.Segment(BL.FREE),),
-            }
-        )
+        part = {
+            "left": (wt.Segment(BL.FIXED),),
+            "right": (wt.Segment(BL.FREE),),
+            "bottom": (wt.Segment(BL.FREE),),
+            "top": (wt.Segment(BL.FREE),),
+        }
         mesh = wt.rectangle_mesh(2, 2, part)
         assert mesh.num_nodes == 9 and mesh.num_cells == 8
         fixed = [lab for lab in mesh.facet_labels if lab is BL.FIXED]
@@ -166,7 +161,7 @@ class TestRectangle:
         assert meshmod.trace_nodes(mesh).tolist() == [1, 2, 5, 7, 8]
 
     def test_triangle_orientation_positive(self):
-        mesh = wt.rectangle_mesh(3, 3, wt.PartitionSpec.uniform(BL.FREE))
+        mesh = wt.rectangle_mesh(3, 3, models.uniform_sides(BL.FREE))
         assert meshmod.cell_volumes(mesh).min() > 0
         assert np.isclose(meshmod.cell_volumes(mesh).sum(), 1.0)
 
@@ -183,31 +178,27 @@ class TestRectangle:
         assert abs(totals[BL.ELASTIC] - 1.0) < 1e-12
 
     def test_partition_break_must_hit_corner(self):
-        part = wt.PartitionSpec(
-            {
-                "left": (wt.Segment(BL.FIXED),),
-                "right": (wt.Segment(BL.FREE),),
-                "bottom": (wt.Segment(BL.FIXED, 0.0, 0.3), wt.Segment(BL.FREE, 0.3, 1.0)),
-                "top": (wt.Segment(BL.FREE),),
-            }
-        )
+        part = {
+            "left": (wt.Segment(BL.FIXED),),
+            "right": (wt.Segment(BL.FREE),),
+            "bottom": (wt.Segment(BL.FIXED, 0.0, 0.3), wt.Segment(BL.FREE, 0.3, 1.0)),
+            "top": (wt.Segment(BL.FREE),),
+        }
         with pytest.raises(wt.MeshValidationError, match="break point"):
             wt.rectangle_mesh(2, 2, part)
 
     def test_partition_must_tile(self):
-        part = wt.PartitionSpec(
-            {
-                "left": (wt.Segment(BL.FIXED, 0.0, 0.5),),
-                "right": (wt.Segment(BL.FREE),),
-                "bottom": (wt.Segment(BL.FREE),),
-                "top": (wt.Segment(BL.FREE),),
-            }
-        )
+        part = {
+            "left": (wt.Segment(BL.FIXED, 0.0, 0.5),),
+            "right": (wt.Segment(BL.FREE),),
+            "bottom": (wt.Segment(BL.FREE),),
+            "top": (wt.Segment(BL.FREE),),
+        }
         with pytest.raises(wt.MeshValidationError):
             wt.rectangle_mesh(2, 2, part)
 
     def test_missing_side_rejected(self):
-        part = wt.PartitionSpec({"left": (wt.Segment(BL.FIXED),)})
+        part = {"left": (wt.Segment(BL.FIXED),)}
         with pytest.raises(wt.MeshValidationError):
             wt.rectangle_mesh(2, 2, part)
 
@@ -222,7 +213,7 @@ class TestRectangle:
     )
     def test_arrays_match_the_loop_construction(self, nx, ny, layout):
         partition = {
-            "uniform": wt.PartitionSpec.uniform(BL.ELASTIC),
+            "uniform": models.uniform_sides(BL.ELASTIC),
             "mixed": mixed_partition(),
             "split": split_partition(),
         }[layout]
@@ -241,7 +232,7 @@ class TestRectangle:
             "start": (wt.Segment(BL.FIXED, bad, 1.0),),
             "stop": (wt.Segment(BL.FIXED, 0.0, bad),),
         }[where]
-        part = wt.PartitionSpec({**wt.PartitionSpec.uniform(BL.FREE).sides, "bottom": bottom})
+        part = {**models.uniform_sides(BL.FREE), "bottom": bottom}
         with pytest.raises(wt.MeshValidationError, match="side 'bottom'"):
             wt.rectangle_mesh(2, 2, part)
 
@@ -276,7 +267,7 @@ class TestValidation:
         assert any("endpoints" in p for p in meshmod.mesh_problems(broken))
 
     def test_hull_edge_coverage(self):
-        mesh = wt.rectangle_mesh(2, 2, wt.PartitionSpec.uniform(BL.FREE))
+        mesh = wt.rectangle_mesh(2, 2, models.uniform_sides(BL.FREE))
         short = wt.Mesh(
             2, mesh.nodes, mesh.cells, mesh.boundary_facets[:-1], mesh.facet_labels[:-1]
         )
@@ -288,7 +279,7 @@ class TestValidation:
         assert any("not hull edges" in p for p in meshmod.mesh_problems(extra))
 
     def test_duplicate_facet(self):
-        mesh = wt.rectangle_mesh(1, 1, wt.PartitionSpec.uniform(BL.FREE))
+        mesh = wt.rectangle_mesh(1, 1, models.uniform_sides(BL.FREE))
         doubled = wt.Mesh(
             2,
             mesh.nodes,
@@ -328,7 +319,7 @@ class TestValidation:
         self, dim, nx, ny, corruption, data
     ):
         mesh = wt.interval_mesh(nx) if dim == 1 else wt.rectangle_mesh(
-            nx, ny, wt.PartitionSpec.uniform(BL.FREE)
+            nx, ny, models.uniform_sides(BL.FREE)
         )
         facets, labels = mesh.boundary_facets, list(mesh.facet_labels)
         k = data.draw(st.integers(0, len(labels) - 1))

@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 
 import models
 import wavetriple as wt
-from wavetriple import linalg, semigroup
+from wavetriple import assembly, linalg, semigroup
 
 
 class TestCayleyStep:
@@ -106,10 +106,10 @@ class TestSimulate:
         assert traj.xnorm[-1] < traj.xnorm[0]
         assert np.all(np.diff(traj.xnorm) <= 1e-10 * traj.xnorm[:-1] + 1e-300)
 
-    def test_contraction_breach_detected(self):
+    def test_contraction_breach_detected(self, monkeypatch):
         # Negative interior damping makes the flow expansive; simulate must
-        # not enforce contraction automatically then, but forcing the check
-        # on has to trip.
+        # not enforce contraction then, but a model taken for dissipative
+        # has to trip the check.
         mesh = wt.interval_mesh(12)
         coeffs = wt.sample_coefficients(mesh, damping=-2.0)
         pencil = wt.assemble_pencil(mesh, coeffs)
@@ -118,8 +118,9 @@ class TestSimulate:
         x0 = models.random_state(pencil, rng)
         grown = wt.simulate(pencil, x0, 0.05, 40)
         assert grown.xnorm[-1] > grown.xnorm[0]
+        monkeypatch.setattr(semigroup, "provably_dissipative", lambda pencil: True)
         with pytest.raises(wt.ContractionBreachError):
-            wt.simulate(pencil, x0, 0.05, 40, enforce_contraction=True)
+            wt.simulate(pencil, x0, 0.05, 40)
 
     def test_overflowing_initial_energy_refused_before_factoring(self, monkeypatch):
         pencil = models.dirichlet_pencil(8)
@@ -166,8 +167,8 @@ class TestPerturbation:
         coeffs = wt.sample_coefficients(mesh, reaction=1.5, damping=0.5)
         pencil = wt.assemble_pencil(mesh, coeffs)
         ix = np.ix_(pencil.active, pencil.active)
-        ma = wt.mass_matrix(mesh, coeffs.reaction)[ix]
-        mb = wt.mass_matrix(mesh, coeffs.damping)[ix]
+        ma = assembly.mass_triplets(mesh, coeffs.reaction).toarray()[ix]
+        mb = assembly.mass_triplets(mesh, coeffs.damping).toarray()[ix]
         m = pencil.num_active
         s, d = pencil.displacement_gram, pencil.boundary_damper
         dyn = pencil.dynamics

@@ -158,10 +158,8 @@ class TestComputeSpectrum:
         real = linalg.generalized_eig
 
         def dropped(gram, op, factors=None):
-            pairs = real(gram, op, factors)
-            return linalg.PencilEigenSet(
-                pairs.values[:-1], pairs.vectors[:, :-1], pairs.residuals[:-1]
-            )
+            values, vectors, residuals = real(gram, op, factors)
+            return values[:-1], vectors[:, :-1], residuals[:-1]
 
         monkeypatch.setattr(spectral.linalg, "generalized_eig", dropped)
         with pytest.raises(EigenSolverError, match="expected"):
@@ -171,10 +169,8 @@ class TestComputeSpectrum:
         real = linalg.generalized_eig
 
         def inflated(gram, op, factors=None):
-            pairs = real(gram, op, factors)
-            return linalg.PencilEigenSet(
-                pairs.values, pairs.vectors, pairs.residuals + 1e-3
-            )
+            values, vectors, residuals = real(gram, op, factors)
+            return values, vectors, residuals + 1e-3
 
         monkeypatch.setattr(spectral.linalg, "generalized_eig", inflated)
         with pytest.raises(EigenSolverError, match="residual"):
@@ -195,7 +191,7 @@ class TestComputeSpectrum:
             mesh, boundary_stiffness=1.0, boundary_damping=lambda p: 1.0 + p[:, 0]
         )
         pencil = wt.assemble_pencil(mesh, coeffs)
-        assert pencil.damping_active
+        assert pencil.coeffs.damping_active
         wt.compute_spectrum(pencil)
         assert orders == [pencil.num_active, pencil.num_active]
 
@@ -289,18 +285,11 @@ class TestRefinementStudy:
         rows = wt.refinement_study(models.damped_pencil, [8, 16, 32])
         assert len(rows) == 3
         for n, row in zip([8, 16, 32], rows):
-            h, dim, abscissa, gap, extreme = row
+            h, dim, abscissa, gap = row
             assert h == pytest.approx(1.0 / n, rel=1e-14)
             assert dim == 2 * n
             assert abscissa < 0
             assert 0 < gap <= -abscissa + 1e-15
-            assert isinstance(extreme, complex)
-
-    def test_extreme_is_largest_modulus_eigenvalue(self):
-        rows = wt.refinement_study(models.damped_pencil, [16])
-        report = wt.compute_spectrum(models.damped_pencil(16))
-        want = report.values[np.argmax(np.abs(report.values))]
-        assert rows[0][4] == want
 
     def test_study_csv_format(self):
         rows = wt.refinement_study(models.damped_pencil, [8, 16])
