@@ -30,9 +30,14 @@ changes; the stiffness, the boundary maps and both identities do not.
 
 Every element matrix goes through one scatter kernel that emits COO
 triplets, and each matrix has one triplet builder.  Its toarray() sums
-duplicates in input order and so matches np.add.at bit for bit; the pencil
-reduces each block to the active nodes from the triplets (_restrict), and
-sparse consumers (the Helmholtz solve) convert to CSR or CSC instead.
+duplicates in input order and so matches np.add.at bit for bit.  The
+pencil reduces each block to the active nodes from the triplets with
+_restrict, which returns CSR and sums duplicates in that same input
+order, so its toarray() is the dense block bit for bit.  The pencil keeps
+the stiffness, S and M both dense (for the spectrum and the Cholesky
+factors) and as those CSR blocks; the per-step energy and Gram norm read
+only the CSR ones.  Other sparse consumers (the Helmholtz solve) convert
+the triplets to CSR or CSC themselves.
 """
 
 from __future__ import annotations
@@ -214,19 +219,25 @@ def check_state_size(mesh: Mesh, limit: int, label: str) -> np.ndarray:
     return active
 
 
-def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> np.ndarray:
-    """Dense block of a square COO matrix on the rows and columns in nodes.
+def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> csr_matrix:
+    """CSR block of a square COO matrix on the rows and columns in nodes.
 
-    Keeps, in their order, the triplets whose row and column are both in
-    nodes, so duplicates sum in the same order and the result equals
-    toarray()[nodes][:, nodes] bit for bit without the full dense matrix.
+    Keeps the triplets whose row and column are both in nodes and sums the
+    duplicates of each entry from zero in input order, with np.add.at, as
+    toarray() does.  So toarray() of the block equals
+    toarray()[nodes][:, nodes] of the full matrix bit for bit.  tocsr() and
+    np.add.reduceat sum in another order and do not.
     """
+    n = nodes.size
     slot = np.full(triplets.shape[0], -1)
-    slot[nodes] = np.arange(nodes.size)
+    slot[nodes] = np.arange(n)
     rows, cols = slot[triplets.row], slot[triplets.col]
     keep = (rows >= 0) & (cols >= 0)
-    shape = (nodes.size, nodes.size)
-    return coo_matrix((triplets.data[keep], (rows[keep], cols[keep])), shape=shape).toarray()
+    key, entry = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    data = np.zeros(key.size)
+    np.add.at(data, entry, triplets.data[keep])
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return csr_matrix((data, key % n, indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -241,6 +252,10 @@ class OperatorPencil:
     lower Cholesky factors (L_S, L_M), computed once at assembly.
     dynamics is the whole generator, interior reaction and damping
     included; the stepper, the spectrum and the decay profile read it.
+    stiffness_csr, displacement_gram_csr and mass_csr are CSR copies of
+    stiffness, displacement_gram and mass, equal to them bit for bit; the
+    energy and the Gram norm (state_inner, state_norm, physical_energy)
+    read only these.
     """
 
     mesh: Mesh
@@ -255,6 +270,9 @@ class OperatorPencil:
     gram: np.ndarray
     gram_factors: tuple[np.ndarray, np.ndarray]
     dynamics: np.ndarray
+    stiffness_csr: csr_matrix
+    displacement_gram_csr: csr_matrix
+    mass_csr: csr_matrix
 
     @property
     def num_active(self) -> int:
@@ -303,9 +321,11 @@ def assemble_pencil(
         )
     active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
-    stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
-    spring = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)
-    damper = _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
+    stiff_csr = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
+    spring_csr = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)
+    mass_csr = _restrict(kinetic_mass, active)
+    stiff, spring = stiff_csr.toarray(), spring_csr.toarray()
+    damper = _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active).toarray()
 
     m = active.shape[0]
     gram = np.zeros((2 * m, 2 * m))
@@ -313,13 +333,17 @@ def assemble_pencil(
     disp_gram = gram[:m, :m]
     mass = gram[m:, m:]
     np.add(stiff, spring, out=disp_gram)
-    mass[...] = _restrict(kinetic_mass, active)
+    entries = mass_csr.tocoo()
+    mass[entries.row, entries.col] = entries.data
     dynamics = np.zeros((2 * m, 2 * m))
     dynamics[:m, m:] = disp_gram
     dynamics[m:, :m] = -disp_gram
-    dynamics[m:, :m] -= _restrict(mass_triplets(mesh, coeffs.reaction), active)
     dynamics[m:, m:] = -damper
-    dynamics[m:, m:] -= _restrict(mass_triplets(mesh, coeffs.damping), active)
+    # Ma and Mb are subtracted entry by entry, with no dense block.
+    interior = ((dynamics[m:, :m], coeffs.reaction), (dynamics[m:, m:], coeffs.damping))
+    for block, weight in interior:
+        entries = _restrict(mass_triplets(mesh, weight), active).tocoo()
+        block[entries.row, entries.col] -= entries.data
 
     try:
         low_disp = linalg.cholesky(disp_gram)
@@ -347,6 +371,9 @@ def assemble_pencil(
         gram=gram,
         gram_factors=(low_disp, low_mass),
         dynamics=dynamics,
+        stiffness_csr=stiff_csr,
+        displacement_gram_csr=stiff_csr + spring_csr,
+        mass_csr=mass_csr,
     )
 
 
@@ -417,7 +444,7 @@ def state_inner(pencil: OperatorPencil, x: np.ndarray, y: np.ndarray) -> float:
     """Inner product of two states in the energy Gram metric."""
     ux, vx = pencil.split(x)
     uy, vy = pencil.split(y)
-    return float(ux @ pencil.displacement_gram @ uy + vx @ pencil.mass @ vy)
+    return float(ux @ (pencil.displacement_gram_csr @ uy) + vx @ (pencil.mass_csr @ vy))
 
 
 def state_norm(pencil: OperatorPencil, x: np.ndarray) -> float:
@@ -428,7 +455,7 @@ def state_norm(pencil: OperatorPencil, x: np.ndarray) -> float:
 def physical_energy(pencil: OperatorPencil, x: np.ndarray) -> float:
     """Kinetic plus strain energy; omits the boundary spring term."""
     u, v = pencil.split(x)
-    return float(u @ pencil.stiffness @ u + v @ pencil.mass @ v)
+    return float(u @ (pencil.stiffness_csr @ u) + v @ (pencil.mass_csr @ v))
 
 
 def element_inner(pencil: OperatorPencil, ex: DomainElement, ey: DomainElement) -> float:

@@ -6,9 +6,10 @@ included), reduced to standard form block by block through the Cholesky
 factors of the Gram matrix's two diagonal blocks, computed once at
 assembly.
 Every reported pair carries a recomputed residual plus two boundary
-residuals: the damped velocity trace and the first boundary map, which
-must both vanish on any eigenvector whose eigenvalue sits on the
-imaginary axis.
+residuals: the damped velocity trace, which must vanish on any
+eigenvector whose eigenvalue sits on the imaginary axis, and the
+absorbing boundary condition with the flux derived from the pair, which
+every pair must satisfy.
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ class SpectralReport:
     """Spectrum of one model with quality and boundary diagnostics.
 
     values are sorted by (real, imag).  residuals are relative pencil
-    residuals; k2_trace_residual and flux_residual are the norms of the
-    damper-weighted velocity trace and of the first boundary map on each
-    unit-norm eigenvector.  near_axis lists indices with |Re| < axis_tol.
+    residuals; k2_trace_residual is the norm of the damper-weighted
+    velocity trace on each unit-norm eigenvector, and flux_residual that of
+    the absorbing boundary condition with the flux derived from the
+    eigenpair (_flux_residual).  near_axis lists indices with
+    |Re| < axis_tol.
     """
 
     values: np.ndarray
@@ -115,14 +118,8 @@ def compute_spectrum(
     slots = pencil.trace_slots
     vec_u = vectors[:m]
     vec_v = vectors[m:]
-    damper_trace = (pencil.boundary_damper @ vec_v)[slots]
-    k2_res = np.linalg.norm(damper_trace, axis=0) if slots.size else np.zeros(len(values))
-    # First boundary map under the absorbing condition: spring force plus
-    # the eliminated flux, computed from its own ingredients.
-    spring_force = (pencil.boundary_spring @ vec_u)[slots]
-    flux = -spring_force - damper_trace
-    b1 = spring_force + flux
-    flux_res = np.linalg.norm(b1, axis=0) if slots.size else np.zeros(len(values))
+    k2_res = np.linalg.norm(pencil.boundary_damper[slots] @ vec_v, axis=0)
+    flux_res = _flux_residual(pencil, values, vec_u, vec_v)
 
     abscissa = float(values.real.max()) if len(values) else -np.inf
     gap = imaginary_axis_gap(values)
@@ -147,13 +144,38 @@ def compute_spectrum(
     )
 
 
+def _dissipation_forms(pencil: OperatorPencil):
+    """CSR Ma and D + Mb, assembled from the coefficients, not read back."""
+    mesh, coeffs, active = pencil.mesh, pencil.coeffs, pencil.active
+    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
+    damping = _restrict(mass_triplets(mesh, coeffs.damping), active)
+    return reaction, damping + _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
+
+
+def _flux_residual(pencil: OperatorPencil, values, vec_u, vec_v) -> np.ndarray:
+    """Norm of the absorbing condition on the trace rows, one per pair.
+
+    The flux trace g is what apply_A needs to reproduce the eigenpair,
+    lift(g) = lambda M v + K u on the trace rows.  There the first boundary
+    map spring u + g must balance the dissipation D v + Ma u + Mb v, so
+    the norm of spring u + g + D v + Ma u + Mb v is reported.  Only trace
+    rows are formed.
+    """
+    slots = pencil.trace_slots
+    reaction, damper = _dissipation_forms(pencil)
+    flux = values * (pencil.mass_csr[slots] @ vec_v) + pencil.stiffness_csr[slots] @ vec_u
+    b1 = pencil.boundary_spring[slots] @ vec_u + flux
+    return np.linalg.norm(b1 + damper[slots] @ vec_v + reaction[slots] @ vec_u, axis=0)
+
+
 def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.ndarray:
     """Defect of the eigenpair energy balance, one value per pair.
 
     For each eigenpair, -Re(lambda) * ||z||^2 must equal the dissipation
     v^H (D + Mb) v + Re(v^H Ma u): the damper form of the velocity trace
-    plus the interior damping and reaction forms.  Ma and Mb are assembled
-    here from the coefficients, not read back from the dynamics.  Requires
+    plus the interior damping and reaction forms.  D, Ma and Mb are
+    assembled here from the coefficients as CSR blocks, not read back from
+    the dynamics, and the Gram norms use the pencil's CSR forms.  Requires
     a report built with want_vectors.
     """
     if report.vectors is None:
@@ -161,12 +183,10 @@ def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.
     m = pencil.num_active
     vec_u = report.vectors[:m]
     vec_v = report.vectors[m:]
-    mesh, coeffs, active = pencil.mesh, pencil.coeffs, pencil.active
-    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
-    damper = pencil.boundary_damper + _restrict(mass_triplets(mesh, coeffs.damping), active)
+    reaction, damper = _dissipation_forms(pencil)
     gram_norms = np.einsum(
-        "im,im->m", np.conj(vec_u), pencil.displacement_gram @ vec_u
-    ) + np.einsum("im,im->m", np.conj(vec_v), pencil.mass @ vec_v)
+        "im,im->m", np.conj(vec_u), pencil.displacement_gram_csr @ vec_u
+    ) + np.einsum("im,im->m", np.conj(vec_v), pencil.mass_csr @ vec_v)
     dissipation = np.einsum("im,im->m", np.conj(vec_v), damper @ vec_v + reaction @ vec_u)
     return np.abs(-report.values.real * gram_norms.real - dissipation.real)
 
@@ -212,7 +232,8 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     form = _restrict(stiffness_triplets(mesh, ones), active) + _restrict(
         boundary_triplets(mesh, coeffs.boundary_stiffness), active
     )
-    mass = _restrict(mass_triplets(mesh, ones), active)
+    form = form.toarray()
+    mass = _restrict(mass_triplets(mesh, ones), active).toarray()
     std = linalg.generalized_to_standard(form, (linalg.cholesky(mass),))
     lam_min = float(np.linalg.eigvalsh(0.5 * (std + std.T)).min())
     if lam_min <= 0:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 import models
 import wavetriple as wt
@@ -213,6 +216,16 @@ class TestPencilStructure:
         assert np.array_equal(
             pencil.displacement_gram, pencil.stiffness + pencil.boundary_spring
         )
+
+    def test_csr_forms_equal_dense_fields_bitwise(self):
+        for pencil in models.ci_pencils() + models.cell_average_pencils():
+            for sparse, dense in (
+                (pencil.stiffness_csr, pencil.stiffness),
+                (pencil.displacement_gram_csr, pencil.displacement_gram),
+                (pencil.mass_csr, pencil.mass),
+            ):
+                assert sparse.format == "csr"
+                assert np.array_equal(sparse.toarray(), dense)
 
 
 def interior_pencil(mesh, **fields):
@@ -548,7 +561,77 @@ class TestRestrict:
                 assembly.boundary_triplets(mesh, k),
             ):
                 want = triplets.toarray()[np.ix_(active, active)]
-                assert np.array_equal(assembly._restrict(triplets, active), want)
+                assert np.array_equal(assembly._restrict(triplets, active).toarray(), want)
+
+    def test_returns_canonical_csr(self):
+        mesh = wt.rectangle_mesh(5, 4, models.square_partition())
+        active = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
+        triplets = assembly.stiffness_triplets(mesh, np.ones(mesh.num_cells))
+        block = assembly._restrict(triplets, active)
+        assert block.format == "csr" and block.shape == (active.size, active.size)
+        assert block.has_canonical_format
+
+    def test_empty_node_set(self):
+        mesh = wt.rectangle_mesh(3, 2, models.square_partition())
+        triplets = assembly.mass_triplets(mesh, np.ones(mesh.num_cells))
+        block = assembly._restrict(triplets, np.arange(0))
+        assert block.shape == (0, 0) and block.nnz == 0
+
+    def test_eight_or_more_duplicates(self):
+        # Two stacked copies of a 2-D stiffness give up to twelve triplets
+        # per diagonal entry; np.add.reduceat sums runs that long pairwise.
+        mesh = wt.rectangle_mesh(6, 5, models.square_partition())
+        triplets = stacked_triplets(mesh, "stiffness", np.random.default_rng(7), copies=2)
+        _, counts = np.unique(triplets.row * mesh.num_nodes + triplets.col, return_counts=True)
+        assert counts.max() >= 8
+        nodes = np.arange(mesh.num_nodes)
+        want = triplets.toarray()
+        assert np.array_equal(assembly._restrict(triplets, nodes).toarray(), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_indexing_on_random_meshes(self, data):
+        labels = st.sampled_from(list(BL))
+        if data.draw(st.booleans(), label="one-dimensional"):
+            n = data.draw(st.integers(1, 10), label="n")
+            mesh = wt.interval_mesh(n, left=data.draw(labels), right=data.draw(labels))
+        else:
+            sides = {side: (wt.Segment(data.draw(labels, label=side)),) for side in wt.mesh.SIDES}
+            nx, ny = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+            mesh = wt.rectangle_mesh(nx, ny, sides)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["mass", "stiffness", "boundary"]), label="kind")
+        triplets = stacked_triplets(mesh, kind, rng, copies=data.draw(st.integers(1, 5)))
+        if data.draw(st.booleans(), label="active set"):
+            nodes = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
+        else:
+            size = data.draw(st.integers(0, mesh.num_nodes), label="subset size")
+            nodes = rng.permutation(mesh.num_nodes)[:size]
+        want = triplets.toarray()[np.ix_(nodes, nodes)]
+        assert np.array_equal(assembly._restrict(triplets, nodes).toarray(), want)
+
+
+def stacked_triplets(mesh, kind, rng, copies):
+    """copies triplet sets of one kind with random weights, in one COO matrix.
+
+    Weights span several decades, so a different order of summation shows
+    in the last bits.
+    """
+    parts = []
+    for _ in range(copies):
+        if kind == "boundary":
+            k = rng.lognormal(0.0, 3.0, mesh.num_facets)
+            parts.append(assembly.boundary_triplets(mesh, k))
+        else:
+            build = assembly.mass_triplets if kind == "mass" else assembly.stiffness_triplets
+            parts.append(build(mesh, rng.lognormal(0.0, 3.0, mesh.num_cells)))
+    return coo_matrix(
+        (
+            np.concatenate([p.data for p in parts]),
+            (np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts])),
+        ),
+        shape=parts[0].shape,
+    )
 
 
 class TestSparseOperators:

@@ -134,6 +134,18 @@ class TestSimulate:
             with pytest.raises(wt.InitialDataError, match="initial energy inf"):
                 wt.simulate(pencil, x0, 0.1, 5)
 
+    def test_step_loop_reads_only_the_csr_forms(self):
+        # A dense read of an energy form in the loop would turn the record NaN.
+        pencil = models.square_pencil(6, 5, seed=2)
+        nan = np.full_like(pencil.mass, np.nan)
+        blind = dataclasses.replace(pencil, stiffness=nan, displacement_gram=nan, mass=nan)
+        x0 = models.random_state(pencil, np.random.default_rng(6))
+        want = wt.simulate(pencil, x0, 0.02, 20)
+        got = wt.simulate(blind, x0, 0.02, 20)
+        assert np.isfinite(want.energy).all() and np.isfinite(want.xnorm).all()
+        assert np.array_equal(got.energy, want.energy)
+        assert np.array_equal(got.xnorm, want.xnorm)
+
     def test_wrong_state_length_rejected(self):
         pencil = models.damped_pencil(6)
         with pytest.raises(ValueError):

@@ -61,6 +61,29 @@ class TestComputeSpectrum:
         assert report.k2_trace_residual.shape == report.values.shape
         assert report.flux_residual.shape == report.values.shape
 
+    def test_flux_residual_certifies_the_absorbing_condition(self):
+        fields = {"reaction": lambda p: 1.0 + p[:, 0], "damping": lambda p: 0.5 + p[:, 0]}
+        mesh = wt.rectangle_mesh(5, 4, models.square_partition())
+        interior = wt.assemble_pencil(
+            mesh, wt.sample_coefficients(mesh, boundary_damping=1.0, **fields)
+        )
+        pencils = models.ci_pencils() + models.cell_average_pencils() + [interior]
+        for pencil in pencils:
+            report = wt.compute_spectrum(pencil)
+            assert (report.flux_residual <= 1e-11 * (1.0 + np.abs(report.values))).all()
+
+    def test_flux_residual_is_not_the_damper_trace(self):
+        pencil = models.damped_pencil(24)
+        report = wt.compute_spectrum(pencil)
+        assert report.k2_trace_residual.max() > 1.0
+        assert report.flux_residual.max() < 1e-9
+        # Eigenpairs of a generator that drops the damper fail the condition.
+        m = pencil.num_active
+        dynamics = pencil.dynamics.copy()
+        dynamics[m:, m:] = 0.0
+        wrong = wt.compute_spectrum(dataclasses.replace(pencil, dynamics=dynamics))
+        assert wrong.flux_residual.max() > 1e-3
+
     def test_undamped_spectrum_sits_on_axis(self):
         for pencil in (
             models.dirichlet_pencil(48),
