@@ -32,12 +32,13 @@ Every element matrix goes through one scatter kernel that emits COO
 triplets, and each matrix has one triplet builder.  Its toarray() sums
 duplicates in input order and so matches np.add.at bit for bit.  The
 pencil reduces each block to the active nodes from the triplets with
-_restrict, which returns CSR and sums duplicates in that same input
-order, so its toarray() is the dense block bit for bit.  The pencil keeps
-the stiffness, S and M both dense (for the spectrum and the Cholesky
-factors) and as those CSR blocks; the per-step energy and Gram norm read
-only the CSR ones.  Other sparse consumers (the Helmholtz solve) convert
-the triplets to CSR or CSC themselves.
+_restrict, which returns CSR, sums duplicates in that same input order
+and drops the entries that sum to exactly zero, so its toarray() is the
+dense block bit for bit.  The pencil stores every matrix once, as CSR,
+gram and dynamics included; only the Cholesky factors of S and M are
+dense.  Its dense names are views that densify on each read, and only
+the full spectrum reads them.  Other sparse consumers (the Helmholtz
+solve) convert the triplets to CSR or CSC themselves.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix
 
 from . import linalg
 from .coefficients import CoefficientSet, energy_anchored
@@ -73,12 +74,12 @@ _TRI_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _SEG_AVERAGE = np.full((2, 2), 0.25)
 
 KINETIC_SCHEMES = ("consistent", "cell_average")
-# Largest state dimension (twice the active nodes) whose dense pencil
-# assemble_pencil builds, and whose dense trace form poincare_constant
+# Largest state dimension (twice the active nodes) whose dense Gram factors
+# assemble_pencil computes, and whose dense trace form poincare_constant
 # builds: the 2-D square at nx = 64 with one side fixed.  Memory grows like
-# its square; on a 2-core machine that model peaked at 2.8 GB in simulate,
-# 1.8 GB in validate and 0.9 GB in poincare (13 s), and nx = 48 (state
-# 4,704) at 0.95, 0.61 and 0.33 GB.
+# its square; with a dense pencil that model peaked at 2.8 GB in simulate,
+# 1.8 GB in validate and 0.9 GB in poincare (13 s) on a 2-core machine, and
+# nx = 48 (state 4,704) at 0.95, 0.61 and 0.33 GB.
 MAX_PENCIL_STATE = 8320
 
 
@@ -226,7 +227,9 @@ def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> csr_matrix:
     duplicates of each entry from zero in input order, with np.add.at, as
     toarray() does.  So toarray() of the block equals
     toarray()[nodes][:, nodes] of the full matrix bit for bit.  tocsr() and
-    np.add.reduceat sum in another order and do not.
+    np.add.reduceat sum in another order and do not.  Entries that sum to
+    exactly zero are not stored, so the pattern is the dense block's
+    nonzeros.
     """
     n = nodes.size
     slot = np.full(triplets.shape[0], -1)
@@ -237,7 +240,14 @@ def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> csr_matrix:
     data = np.zeros(key.size)
     np.add.at(data, entry, triplets.data[keep])
     indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    return csr_matrix((data, key % n, indptr), shape=(n, n))
+    block = csr_matrix((data, key % n, indptr), shape=(n, n))
+    block.eliminate_zeros()
+    return block
+
+
+def _dense_view(name: str) -> property:
+    """Read-only dense copy of the field name + "_csr", made on every read."""
+    return property(lambda self: getattr(self, f"{name}_csr").toarray())
 
 
 @dataclass(frozen=True)
@@ -246,33 +256,37 @@ class OperatorPencil:
 
     active: node indices kept after eliminating clamped nodes, sorted.
     trace_slots: positions inside `active` of the trace nodes.
-    All matrices are restricted to active nodes; gram and dynamics act on
-    stacked [u; v] states of length 2 * num_active.  displacement_gram and
-    mass are views of gram's diagonal blocks, and gram_factors holds their
-    lower Cholesky factors (L_S, L_M), computed once at assembly.
-    dynamics is the whole generator, interior reaction and damping
-    included; the stepper, the spectrum and the decay profile read it.
-    stiffness_csr, displacement_gram_csr and mass_csr are CSR copies of
-    stiffness, displacement_gram and mass, equal to them bit for bit; the
-    energy and the Gram norm (state_inner, state_norm, physical_energy)
-    read only these.
+    Every matrix is restricted to active nodes and stored once, as CSR
+    with no stored zeros: gram_csr and dynamics_csr act on stacked [u; v]
+    states of length 2 * num_active; displacement_gram_csr (S) and
+    mass_csr (M) are gram's diagonal blocks, and gram_factors holds their
+    dense lower Cholesky factors (L_S, L_M), computed once at assembly.
+    dynamics_csr is the whole generator, interior reaction and damping
+    included.  mass, stiffness, boundary_spring, boundary_damper,
+    displacement_gram, gram and dynamics are dense views: each read
+    builds a fresh toarray() of its CSR field, which nothing stores.
     """
 
     mesh: Mesh
     coeffs: CoefficientSet
     active: np.ndarray
     trace_slots: np.ndarray
-    mass: np.ndarray
-    stiffness: np.ndarray
-    boundary_spring: np.ndarray
-    boundary_damper: np.ndarray
-    displacement_gram: np.ndarray
-    gram: np.ndarray
-    gram_factors: tuple[np.ndarray, np.ndarray]
-    dynamics: np.ndarray
-    stiffness_csr: csr_matrix
-    displacement_gram_csr: csr_matrix
+    gram_csr: csr_matrix
+    dynamics_csr: csr_matrix
     mass_csr: csr_matrix
+    stiffness_csr: csr_matrix
+    boundary_spring_csr: csr_matrix
+    boundary_damper_csr: csr_matrix
+    displacement_gram_csr: csr_matrix
+    gram_factors: tuple[np.ndarray, np.ndarray]
+
+    mass = _dense_view("mass")
+    stiffness = _dense_view("stiffness")
+    boundary_spring = _dense_view("boundary_spring")
+    boundary_damper = _dense_view("boundary_damper")
+    displacement_gram = _dense_view("displacement_gram")
+    gram = _dense_view("gram")
+    dynamics = _dense_view("dynamics")
 
     @property
     def num_active(self) -> int:
@@ -308,10 +322,10 @@ def assemble_pencil(
     value is a ValueError.  A state above MAX_PENCIL_STATE is refused with
     ProblemSizeError before any dense block is built.
 
-    S and M are each factored once by linalg.cholesky.  A failure of S is
-    DegenerateEnergyNormError when the model has no fixed boundary and no
-    boundary spring, else NotPositiveDefiniteError naming the displacement
-    energy form.
+    S and M are each densified and factored once by linalg.cholesky.  A
+    failure of S is DegenerateEnergyNormError when the model has no fixed
+    boundary and no boundary spring, else NotPositiveDefiniteError naming
+    the displacement energy form.
     """
     kinetic_mass = mass_triplets(mesh, coeffs.density, kinetic)
     if kinetic == "cell_average" and clamped_nodes(mesh).size == 0:
@@ -321,32 +335,20 @@ def assemble_pencil(
         )
     active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
-    stiff_csr = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
-    spring_csr = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)
-    mass_csr = _restrict(kinetic_mass, active)
-    stiff, spring = stiff_csr.toarray(), spring_csr.toarray()
-    damper = _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active).toarray()
-
-    m = active.shape[0]
-    gram = np.zeros((2 * m, 2 * m))
-    # S and M live only inside gram; the pencil's fields are views.
-    disp_gram = gram[:m, :m]
-    mass = gram[m:, m:]
-    np.add(stiff, spring, out=disp_gram)
-    entries = mass_csr.tocoo()
-    mass[entries.row, entries.col] = entries.data
-    dynamics = np.zeros((2 * m, 2 * m))
-    dynamics[:m, m:] = disp_gram
-    dynamics[m:, :m] = -disp_gram
-    dynamics[m:, m:] = -damper
-    # Ma and Mb are subtracted entry by entry, with no dense block.
-    interior = ((dynamics[m:, :m], coeffs.reaction), (dynamics[m:, m:], coeffs.damping))
-    for block, weight in interior:
-        entries = _restrict(mass_triplets(mesh, weight), active).tocoo()
-        block[entries.row, entries.col] -= entries.data
+    stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
+    spring = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)
+    damper = _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
+    mass = _restrict(kinetic_mass, active)
+    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
+    damping = _restrict(mass_triplets(mesh, coeffs.damping), active)
+    disp_gram = stiff + spring
+    # Sparse sums drop exact zeros, so each block has its dense pattern.
+    gram = block_diag((disp_gram, mass), format="csr")
+    lower = [-disp_gram - reaction, -damper - damping]
+    dynamics = bmat([[None, disp_gram], lower], format="csr")
 
     try:
-        low_disp = linalg.cholesky(disp_gram)
+        low_disp = linalg.cholesky(disp_gram.toarray())
     except NotPositiveDefiniteError as exc:
         if not energy_anchored(mesh, coeffs):
             raise DegenerateEnergyNormError(
@@ -356,24 +358,21 @@ def assemble_pencil(
             "displacement energy form (stiffness plus boundary spring) "
             f"is not positive definite: {exc}"
         ) from exc
-    low_mass = linalg.cholesky(mass)
+    low_mass = linalg.cholesky(mass.toarray())
 
     return OperatorPencil(
         mesh=mesh,
         coeffs=coeffs,
         active=active,
         trace_slots=trace_slots,
-        mass=mass,
-        stiffness=stiff,
-        boundary_spring=spring,
-        boundary_damper=damper,
-        displacement_gram=disp_gram,
-        gram=gram,
+        gram_csr=gram,
+        dynamics_csr=dynamics,
+        mass_csr=mass,
+        stiffness_csr=stiff,
+        boundary_spring_csr=spring,
+        boundary_damper_csr=damper,
+        displacement_gram_csr=disp_gram,
         gram_factors=(low_disp, low_mass),
-        dynamics=dynamics,
-        stiffness_csr=stiff_csr,
-        displacement_gram_csr=stiff_csr + spring_csr,
-        mass_csr=mass_csr,
     )
 
 
@@ -414,7 +413,7 @@ def apply_A(pencil: OperatorPencil, elem: DomainElement) -> np.ndarray:
     with its boundary flux, through the pencil's Cholesky factor of M.
     """
     _check_element(pencil, elem)
-    rhs = -pencil.stiffness @ elem.displacement + lift_trace(pencil, elem.flux_trace)
+    rhs = -(pencil.stiffness_csr @ elem.displacement) + lift_trace(pencil, elem.flux_trace)
     vdot = scipy.linalg.cho_solve((pencil.gram_factors[1], True), rhs)
     return pencil.join(elem.velocity, vdot)
 
@@ -425,7 +424,7 @@ def trace_B1(pencil: OperatorPencil, elem: DomainElement) -> np.ndarray:
     Functional-valued (it pairs against nodal data by plain dot product).
     """
     _check_element(pencil, elem)
-    spring_force = (pencil.boundary_spring @ elem.displacement)[pencil.trace_slots]
+    spring_force = (pencil.boundary_spring_csr @ elem.displacement)[pencil.trace_slots]
     return spring_force + elem.flux_trace
 
 
@@ -479,8 +478,8 @@ def green_identity_residual(
 
     def pair(ea: DomainElement, eb: DomainElement) -> float:
         # <A ea, eb> with M^{-1} cancelled against the mass weight.
-        first = ea.velocity @ pencil.displacement_gram @ eb.displacement
-        weak = -pencil.stiffness @ ea.displacement + lift_trace(pencil, ea.flux_trace)
+        first = ea.velocity @ (pencil.displacement_gram_csr @ eb.displacement)
+        weak = -(pencil.stiffness_csr @ ea.displacement) + lift_trace(pencil, ea.flux_trace)
         return float(first + weak @ eb.velocity)
 
     lhs = pair(ex, ey) + pair(ey, ex)
@@ -516,7 +515,7 @@ def surjectivity_witness(
         displacement = np.asarray(displacement, dtype=float)
         if displacement.shape != (pencil.num_active,):
             raise ValueError(f"displacement must have length {pencil.num_active}")
-        flux = flux_target - (pencil.boundary_spring @ displacement)[pencil.trace_slots]
+        flux = flux_target - (pencil.boundary_spring_csr @ displacement)[pencil.trace_slots]
     return DomainElement(
         displacement=displacement,
         velocity=lift_trace(pencil, velocity_target),

@@ -1,10 +1,10 @@
 """Time evolution of the assembled model by the Cayley (midpoint) scheme.
 
 One step solves (gram - dt/2 * dyn) x_next = (gram + dt/2 * dyn) x with
-dyn = pencil.dynamics, the whole generator including interior reaction and
-damping.  The scheme is A-stable and norm-exact: for a dissipative model
-the state norm never grows, and with no damping it is conserved to
-rounding.  Explicit schemes are deliberately not offered.
+gram = pencil.gram_csr and dyn = pencil.dynamics_csr, the whole generator
+including interior reaction and damping.  The scheme is A-stable and
+norm-exact: for a dissipative model the state norm never grows, and with
+no damping it is conserved to rounding.  Explicit schemes are deliberately not offered.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from . import linalg
 from .assembly import OperatorPencil, physical_energy, state_norm
@@ -46,9 +45,9 @@ def provably_dissipative(pencil: OperatorPencil) -> bool:
 class CayleyStepper:
     """Cached-factorization midpoint stepper for one pencil and step size.
 
-    Both shifted matrices are formed sparse from CSR copies of gram and
-    dyn, with no dense state-size temporary: gram - dt/2 dyn is factored
-    once by sparse LU and gram + dt/2 dyn is applied as CSR.
+    Both shifted matrices are summed from the pencil's CSR gram and dyn,
+    with no dense state-size temporary: gram - dt/2 dyn is factored once
+    by sparse LU and gram + dt/2 dyn is applied as CSR.
     """
 
     def __init__(self, pencil: OperatorPencil, dt: float):
@@ -57,9 +56,9 @@ class CayleyStepper:
         self.pencil = pencil
         self.dt = float(dt)
         half = 0.5 * self.dt
-        gram, dynamics = csr_matrix(pencil.gram), csr_matrix(pencil.dynamics)
-        self._plus = gram + half * dynamics
-        self._solver = linalg.LuFactorization(gram - half * dynamics)
+        gram, dyn = pencil.gram_csr, pencil.dynamics_csr
+        self._plus = gram + half * dyn
+        self._solver = linalg.LuFactorization(gram - half * dyn)
 
     def step(self, state: np.ndarray) -> np.ndarray:
         return self._solver.solve(self._plus @ state)
@@ -175,7 +174,7 @@ def decay_profile(
     """
     image = np.asarray(image, dtype=float)
     try:
-        x0 = linalg.LuFactorization(pencil.dynamics).solve(pencil.gram @ image)
+        x0 = linalg.LuFactorization(pencil.dynamics_csr).solve(pencil.gram_csr @ image)
     except SingularMatrixError as err:
         raise SingularMatrixError(
             "dynamics matrix is singular: zero is an eigenvalue of the "

@@ -4,7 +4,8 @@ Eigenvalues come from the generalized problem dyn z = lambda gram z, with
 dyn = pencil.dynamics the whole generator (interior reaction and damping
 included), reduced to standard form block by block through the Cholesky
 factors of the Gram matrix's two diagonal blocks, computed once at
-assembly.
+assembly.  That dense eigensolve is the one place that densifies the
+pencil; the boundary residuals read its CSR forms.
 Every reported pair carries a recomputed residual plus two boundary
 residuals: the damped velocity trace, which must vanish on any
 eigenvector whose eigenvalue sits on the imaginary axis, and the
@@ -118,7 +119,7 @@ def compute_spectrum(
     slots = pencil.trace_slots
     vec_u = vectors[:m]
     vec_v = vectors[m:]
-    k2_res = np.linalg.norm(pencil.boundary_damper[slots] @ vec_v, axis=0)
+    k2_res = np.linalg.norm(pencil.boundary_damper_csr[slots] @ vec_v, axis=0)
     flux_res = _flux_residual(pencil, values, vec_u, vec_v)
 
     abscissa = float(values.real.max()) if len(values) else -np.inf
@@ -164,7 +165,7 @@ def _flux_residual(pencil: OperatorPencil, values, vec_u, vec_v) -> np.ndarray:
     slots = pencil.trace_slots
     reaction, damper = _dissipation_forms(pencil)
     flux = values * (pencil.mass_csr[slots] @ vec_v) + pencil.stiffness_csr[slots] @ vec_u
-    b1 = pencil.boundary_spring[slots] @ vec_u + flux
+    b1 = pencil.boundary_spring_csr[slots] @ vec_u + flux
     return np.linalg.norm(b1 + damper[slots] @ vec_v + reaction[slots] @ vec_u, axis=0)
 
 

@@ -1,5 +1,7 @@
 """Tests for matrix assembly, the boundary maps, and the Green identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,14 +220,66 @@ class TestPencilStructure:
         )
 
     def test_csr_forms_equal_dense_fields_bitwise(self):
-        for pencil in models.ci_pencils() + models.cell_average_pencils():
-            for sparse, dense in (
-                (pencil.stiffness_csr, pencil.stiffness),
-                (pencil.displacement_gram_csr, pencil.displacement_gram),
-                (pencil.mass_csr, pencil.mass),
-            ):
+        mesh = wt.rectangle_mesh(5, 4, models.square_partition())
+        interior = interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
+        cases = [(p, "consistent") for p in models.ci_pencils() + [interior]]
+        cases += [(p, "cell_average") for p in models.cell_average_pencils()]
+        for pencil, kinetic in cases:
+            for name, dense in dense_pencil(pencil, kinetic).items():
+                sparse = getattr(pencil, f"{name}_csr")
                 assert sparse.format == "csr"
-                assert np.array_equal(sparse.toarray(), dense)
+                assert np.array_equal(sparse.toarray(), dense), name
+
+    def test_only_the_gram_factors_are_dense(self):
+        for pencil in models.ci_pencils() + models.cell_average_pencils():
+            for field in dataclasses.fields(pencil):
+                value = getattr(pencil, field.name)
+                if field.name == "gram_factors":
+                    assert all(isinstance(low, np.ndarray) for low in value)
+                elif field.name.endswith("_csr"):
+                    assert value.format == "csr" and value.has_canonical_format
+                    assert np.all(value.data != 0.0)
+                else:
+                    assert not isinstance(value, np.ndarray) or value.ndim == 1
+
+    def test_dense_views_are_fresh_read_only_copies(self):
+        pencil = models.square_pencil(4, 3, seed=9)
+        view = pencil.gram
+        view[:] = np.nan
+        assert np.isfinite(pencil.gram).all()
+        with pytest.raises(AttributeError):
+            pencil.gram = view
+
+
+def dense_pencil(pencil, kinetic):
+    """Every pencil matrix built dense, block by block, from the triplets.
+
+    Each block is the dense triplet sum restricted to the active nodes;
+    gram = blockdiag(S, M) and dynamics = [[0, S], [-S - Ma, -D - Mb]].
+    """
+    mesh, coeffs = pencil.mesh, pencil.coeffs
+
+    def block(triplets):
+        return triplets.toarray()[np.ix_(pencil.active, pencil.active)]
+
+    m = pencil.num_active
+    out = {
+        "stiffness": block(assembly.stiffness_triplets(mesh, coeffs.modulus)),
+        "boundary_spring": block(assembly.boundary_triplets(mesh, coeffs.boundary_stiffness)),
+        "boundary_damper": block(assembly.boundary_triplets(mesh, coeffs.boundary_damping)),
+        "mass": block(assembly.mass_triplets(mesh, coeffs.density, kinetic)),
+    }
+    gram = np.zeros((2 * m, 2 * m))
+    disp_gram = gram[:m, :m]
+    np.add(out["stiffness"], out["boundary_spring"], out=disp_gram)
+    gram[m:, m:] = out["mass"]
+    dynamics = np.zeros((2 * m, 2 * m))
+    dynamics[:m, m:] = disp_gram
+    dynamics[m:, :m] = -disp_gram
+    dynamics[m:, m:] = -out["boundary_damper"]
+    dynamics[m:, :m] -= block(assembly.mass_triplets(mesh, coeffs.reaction))
+    dynamics[m:, m:] -= block(assembly.mass_triplets(mesh, coeffs.damping))
+    return {**out, "displacement_gram": disp_gram.copy(), "gram": gram, "dynamics": dynamics}
 
 
 def interior_pencil(mesh, **fields):

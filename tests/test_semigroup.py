@@ -10,6 +10,16 @@ import models
 import wavetriple as wt
 from wavetriple import assembly, linalg, semigroup
 
+DENSE_VIEWS = (
+    "mass",
+    "stiffness",
+    "boundary_spring",
+    "boundary_damper",
+    "displacement_gram",
+    "gram",
+    "dynamics",
+)
+
 
 class TestCayleyStep:
     def test_undamped_step_is_isometry(self):
@@ -60,6 +70,33 @@ class TestCayleyStep:
             plus = csr_matrix(pencil.gram + 0.5 * dt * dyn)
             minus = linalg.LuFactorization(pencil.gram - 0.5 * dt * dyn)
             assert np.array_equal(got, minus.solve(plus @ x))
+
+    def test_shifted_matrices_have_the_dense_pattern(self, monkeypatch):
+        # The shifts are summed from the pencil's CSR forms; converting the
+        # dense gram and dynamics first gives the same pattern and bits, so
+        # SuperLU sees the same matrix and picks the same ordering.
+        factored = []
+        real_init = linalg.LuFactorization.__init__
+
+        def capture(self, mat):
+            factored.append(mat)
+            real_init(self, mat)
+
+        monkeypatch.setattr(linalg.LuFactorization, "__init__", capture)
+        mesh = wt.rectangle_mesh(5, 4, models.square_partition())
+        interior = wt.assemble_pencil(
+            mesh, wt.sample_coefficients(mesh, reaction=0.5, damping=lambda p: p[:, 0])
+        )
+        half = 0.015
+        for pencil in models.ci_pencils() + [interior]:
+            stepper = semigroup.CayleyStepper(pencil, 2.0 * half)
+            gram, dyn = csr_matrix(pencil.gram), csr_matrix(pencil.dynamics)
+            pairs = ((stepper._plus, gram + half * dyn), (factored[-1], gram - half * dyn))
+            for got, want in pairs:
+                assert np.all(got.data != 0.0)
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
 
     def test_nonpositive_dt_rejected(self):
         pencil = models.damped_pencil(4)
@@ -134,17 +171,28 @@ class TestSimulate:
             with pytest.raises(wt.InitialDataError, match="initial energy inf"):
                 wt.simulate(pencil, x0, 0.1, 5)
 
-    def test_step_loop_reads_only_the_csr_forms(self):
-        # A dense read of an energy form in the loop would turn the record NaN.
+    def test_step_loop_reads_only_the_csr_forms(self, monkeypatch):
+        # Any read of a dense view while stepping raises.
         pencil = models.square_pencil(6, 5, seed=2)
-        nan = np.full_like(pencil.mass, np.nan)
-        blind = dataclasses.replace(pencil, stiffness=nan, displacement_gram=nan, mass=nan)
         x0 = models.random_state(pencil, np.random.default_rng(6))
         want = wt.simulate(pencil, x0, 0.02, 20)
-        got = wt.simulate(blind, x0, 0.02, 20)
+        want_profile = wt.decay_profile(pencil, x0, 0.02, 20)[1]
+        want_energy = [wt.physical_energy(pencil, x) for x in want.states]
+
+        def refuse(self):
+            raise AssertionError("a dense view of the pencil was read")
+
+        for name in DENSE_VIEWS:
+            monkeypatch.setattr(assembly.OperatorPencil, name, property(refuse))
+            with pytest.raises(AssertionError, match="dense view"):
+                getattr(pencil, name)
+        got = wt.simulate(pencil, x0, 0.02, 20)
         assert np.isfinite(want.energy).all() and np.isfinite(want.xnorm).all()
+        assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.energy, want.energy)
         assert np.array_equal(got.xnorm, want.xnorm)
+        assert np.array_equal(wt.decay_profile(pencil, x0, 0.02, 20)[1], want_profile)
+        assert [wt.physical_energy(pencil, x) for x in got.states] == want_energy
 
     def test_wrong_state_length_rejected(self):
         pencil = models.damped_pencil(6)
@@ -257,7 +305,8 @@ class TestDecayProfile:
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_dynamics_reported(self):
         pencil = models.damped_pencil(4)
-        broken = dataclasses.replace(pencil, dynamics=np.zeros_like(pencil.dynamics))
+        zero = csr_matrix(np.zeros_like(pencil.dynamics))
+        broken = dataclasses.replace(pencil, dynamics_csr=zero)
         with pytest.raises(wt.SingularMatrixError, match="zero is an eigenvalue"):
             wt.decay_profile(broken, np.ones(broken.state_dim), 0.1, 1)
 

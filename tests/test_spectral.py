@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import models
 import oracles
@@ -81,7 +82,8 @@ class TestComputeSpectrum:
         m = pencil.num_active
         dynamics = pencil.dynamics.copy()
         dynamics[m:, m:] = 0.0
-        wrong = wt.compute_spectrum(dataclasses.replace(pencil, dynamics=dynamics))
+        undamped = dataclasses.replace(pencil, dynamics_csr=csr_matrix(dynamics))
+        wrong = wt.compute_spectrum(undamped)
         assert wrong.flux_residual.max() > 1e-3
 
     def test_undamped_spectrum_sits_on_axis(self):
@@ -251,7 +253,7 @@ class TestEnergyBalance:
             dynamics = pencil.dynamics.copy()
             dynamics[m:, m:] = -pencil.boundary_damper
             wrong = wt.compute_spectrum(
-                dataclasses.replace(pencil, dynamics=dynamics), want_vectors=True
+                dataclasses.replace(pencil, dynamics_csr=csr_matrix(dynamics)), want_vectors=True
             )
             with pytest.raises(EigenSolverError, match="energy balance"):
                 spectral.balance_worst_ratio(pencil, wrong)
