@@ -457,6 +457,14 @@ def physical_energy(pencil: OperatorPencil, x: np.ndarray) -> float:
     return float(u @ (pencil.stiffness_csr @ u) + v @ (pencil.mass_csr @ v))
 
 
+def dissipation_forms(pencil: OperatorPencil) -> tuple[csr_matrix, csr_matrix]:
+    """CSR Ma and D + Mb, assembled from the coefficients, not read back."""
+    mesh, coeffs, active = pencil.mesh, pencil.coeffs, pencil.active
+    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
+    damping = _restrict(mass_triplets(mesh, coeffs.damping), active)
+    return reaction, damping + _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
+
+
 def element_inner(pencil: OperatorPencil, ex: DomainElement, ey: DomainElement) -> float:
     """State inner product of two domain elements (flux data not involved)."""
     x = pencil.join(ex.displacement, ex.velocity)

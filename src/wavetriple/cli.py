@@ -98,6 +98,7 @@ def _cmd_simulate(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     print(f"steps {nsteps}")
     print(f"final_energy {traj.energy[-1]:.17g}")
     print(f"final_xnorm {traj.xnorm[-1]:.17g}")
+    print(f"balance_worst_ratio {traj.balance_worst_ratio:.17g}")
     return 0
 
 

@@ -46,7 +46,7 @@ class ProblemSizeError(WavetripleError):
 
 
 class ContractionBreachError(WavetripleError):
-    """Time stepping grew the state norm on a provably dissipative model."""
+    """A time step gained or lost more state norm than its dissipation allows."""
 
 
 class ConfigError(WavetripleError):

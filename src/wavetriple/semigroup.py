@@ -2,9 +2,11 @@
 
 One step solves (gram - dt/2 * dyn) x_next = (gram + dt/2 * dyn) x with
 gram = pencil.gram_csr and dyn = pencil.dynamics_csr, the whole generator
-including interior reaction and damping.  The scheme is A-stable and
-norm-exact: for a dissipative model the state norm never grows, and with
-no damping it is conserved to rounding.  Explicit schemes are deliberately not offered.
+including interior reaction and damping.  The scheme is A-stable and keeps
+the energy balance |x_next|^2 - |x|^2 = -2 dt [v'(D + Mb)v + u'Ma v] exactly,
+with (u, v) the mean of the two states and |.| the Gram norm.  simulate
+checks it after every step of every model, with Ma and D + Mb from
+dissipation_forms.  Explicit schemes are deliberately not offered.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .assembly import OperatorPencil, physical_energy, state_norm
+from .assembly import OperatorPencil, dissipation_forms, physical_energy, state_norm
 from .errors import (
     ContractionBreachError,
     InitialDataError,
@@ -23,23 +25,12 @@ from .errors import (
 )
 from .mesh import clamped_nodes
 
-# Relative per-step growth beyond which a dissipative run is aborted.
-BREACH_RTOL = 1e-10
+# Per-step energy-balance defect allowed, relative to the size of its terms.
+BALANCE_RTOL = 1e-10
 # Largest number of float64 values a trajectory records, (nsteps + 1) times
 # (state_dim + 3) for the states, times, energies and norms: 1 GiB.  The
 # three per-step values also bound the step count of an empty state.
 MAX_TRAJECTORY_VALUES = 2**27
-
-
-def provably_dissipative(pencil: OperatorPencil) -> bool:
-    """True when the symmetric part of the dynamics is certainly <= 0.
-
-    Requires no reaction term and nonnegative interior damping; boundary
-    damper coefficients are nonnegative by construction.
-    """
-    return bool(
-        np.all(pencil.coeffs.reaction == 0.0) and np.all(pencil.coeffs.damping >= 0.0)
-    )
 
 
 class CayleyStepper:
@@ -72,6 +63,7 @@ class Trajectory:
     states: np.ndarray     # (nsteps + 1, state_dim)
     energy: np.ndarray     # (nsteps + 1,) physical energy
     xnorm: np.ndarray      # (nsteps + 1,) state norm in the gram metric
+    balance_worst_ratio: float  # largest step balance defect / its bound, 0 if none
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -82,11 +74,11 @@ def simulate(
 ) -> Trajectory:
     """Run nsteps Cayley steps from x0, recording energy and norm each step.
 
-    When the model is provably dissipative, any per-step norm growth beyond
-    a rounding allowance aborts with ContractionBreachError.  A run that would
-    record more than MAX_TRAJECTORY_VALUES values is refused with
-    ProblemSizeError before anything is allocated or factored, and so is
-    an x0 whose energy or norm is not finite, with InitialDataError.
+    A step whose energy-balance defect exceeds BALANCE_RTOL times the sum of
+    the magnitudes of its terms, or is NaN, raises ContractionBreachError.
+    A run that would record more than MAX_TRAJECTORY_VALUES values is refused
+    with ProblemSizeError before anything is allocated or factored, and so
+    is an x0 whose energy or norm is not finite, with InitialDataError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (pencil.state_dim,):
@@ -106,7 +98,7 @@ def simulate(
             f"initial energy {energy0:.3e} or norm {xnorm0:.3e} is not finite: "
             "the initial data are too large for float64"
         )
-    dissipative = provably_dissipative(pencil)
+    reaction, damper = dissipation_forms(pencil)
     stepper = CayleyStepper(pencil, dt)
 
     states = np.zeros((nsteps + 1, pencil.state_dim))
@@ -114,18 +106,24 @@ def simulate(
     xnorm = np.zeros(nsteps + 1)
     states[0] = x0
     energy[0], xnorm[0] = energy0, xnorm0
-    x = x0
+    x, worst = x0, 0.0
     for k in range(1, nsteps + 1):
         x = stepper.step(x)
         states[k] = x
         energy[k] = physical_energy(pencil, x)
         xnorm[k] = state_norm(pencil, x)
-        if dissipative and xnorm[k] > xnorm[k - 1] * (1.0 + BREACH_RTOL):
+        u, v = pencil.split(0.5 * (states[k - 1] + x))
+        damped, reacted = 2.0 * dt * float(v @ (damper @ v)), 2.0 * dt * float(u @ (reaction @ v))
+        before, after = xnorm[k - 1 : k + 1].tolist()
+        defect = after * after - before * before + damped + reacted
+        bound = BALANCE_RTOL * (after * after + before * before + abs(damped) + abs(reacted))
+        if not abs(defect) <= bound:
             raise ContractionBreachError(
-                f"norm grew from {xnorm[k - 1]:.17g} to {xnorm[k]:.17g} at step {k}"
+                f"energy balance fails at step {k}: defect {defect:.3e} exceeds {bound:.3e}"
             )
+        worst = max(worst, abs(defect) / bound) if defect else worst
     times = dt * np.arange(nsteps + 1)
-    return Trajectory(times, states, energy, xnorm)
+    return Trajectory(times, states, energy, xnorm, worst)
 
 
 def initial_state(pencil: OperatorPencil, w0, w1) -> np.ndarray:

@@ -26,6 +26,7 @@ from .assembly import (
     _restrict,
     boundary_triplets,
     check_state_size,
+    dissipation_forms,
     mass_triplets,
     stiffness_triplets,
 )
@@ -145,25 +146,17 @@ def compute_spectrum(
     )
 
 
-def _dissipation_forms(pencil: OperatorPencil):
-    """CSR Ma and D + Mb, assembled from the coefficients, not read back."""
-    mesh, coeffs, active = pencil.mesh, pencil.coeffs, pencil.active
-    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
-    damping = _restrict(mass_triplets(mesh, coeffs.damping), active)
-    return reaction, damping + _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
-
-
 def _flux_residual(pencil: OperatorPencil, values, vec_u, vec_v) -> np.ndarray:
     """Norm of the absorbing condition on the trace rows, one per pair.
 
     The flux trace g is what apply_A needs to reproduce the eigenpair,
     lift(g) = lambda M v + K u on the trace rows.  There the first boundary
     map spring u + g must balance the dissipation D v + Ma u + Mb v, so
-    the norm of spring u + g + D v + Ma u + Mb v is reported.  Only trace
-    rows are formed.
+    the norm of spring u + g + D v + Ma u + Mb v is reported, with Ma and
+    D + Mb from dissipation_forms.  Only trace rows are formed.
     """
     slots = pencil.trace_slots
-    reaction, damper = _dissipation_forms(pencil)
+    reaction, damper = dissipation_forms(pencil)
     flux = values * (pencil.mass_csr[slots] @ vec_v) + pencil.stiffness_csr[slots] @ vec_u
     b1 = pencil.boundary_spring_csr[slots] @ vec_u + flux
     return np.linalg.norm(b1 + damper[slots] @ vec_v + reaction[slots] @ vec_u, axis=0)
@@ -174,17 +167,17 @@ def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.
 
     For each eigenpair, -Re(lambda) * ||z||^2 must equal the dissipation
     v^H (D + Mb) v + Re(v^H Ma u): the damper form of the velocity trace
-    plus the interior damping and reaction forms.  D, Ma and Mb are
-    assembled here from the coefficients as CSR blocks, not read back from
-    the dynamics, and the Gram norms use the pencil's CSR forms.  Requires
-    a report built with want_vectors.
+    plus the interior damping and reaction forms.  dissipation_forms
+    assembles D, Ma and Mb from the coefficients, not from the dynamics,
+    and the Gram norms use the pencil's CSR forms.  Requires a report
+    built with want_vectors.
     """
     if report.vectors is None:
         raise ValueError("report carries no eigenvectors; recompute with want_vectors")
     m = pencil.num_active
     vec_u = report.vectors[:m]
     vec_v = report.vectors[m:]
-    reaction, damper = _dissipation_forms(pencil)
+    reaction, damper = dissipation_forms(pencil)
     gram_norms = np.einsum(
         "im,im->m", np.conj(vec_u), pencil.displacement_gram_csr @ vec_u
     ) + np.einsum("im,im->m", np.conj(vec_v), pencil.mass_csr @ vec_v)

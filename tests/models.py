@@ -59,6 +59,18 @@ def square_pencil(nx: int, ny: int, seed: int = 0) -> wt.OperatorPencil:
     return wt.assemble_pencil(mesh, coeffs)
 
 
+def interior_pencil(mesh: wt.Mesh, **fields) -> wt.OperatorPencil:
+    """Pencil with random boundary data and the given interior fields."""
+    rng = np.random.default_rng(41)
+    coeffs = wt.sample_coefficients(
+        mesh,
+        boundary_stiffness=rng.uniform(0.0, 2.0, mesh.num_facets),
+        boundary_damping=rng.uniform(0.0, 2.0, mesh.num_facets),
+        **fields,
+    )
+    return wt.assemble_pencil(mesh, coeffs)
+
+
 def variable_pencil(n: int, kinetic: str = "consistent") -> wt.OperatorPencil:
     """Interval with smoothly varying modulus and density, damped right end."""
     mesh = wt.interval_mesh(n, right=wt.BoundaryLabel.DAMPED)

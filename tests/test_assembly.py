@@ -221,7 +221,7 @@ class TestPencilStructure:
 
     def test_csr_forms_equal_dense_fields_bitwise(self):
         mesh = wt.rectangle_mesh(5, 4, models.square_partition())
-        interior = interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
+        interior = models.interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
         cases = [(p, "consistent") for p in models.ci_pencils() + [interior]]
         cases += [(p, "cell_average") for p in models.cell_average_pencils()]
         for pencil, kinetic in cases:
@@ -282,18 +282,6 @@ def dense_pencil(pencil, kinetic):
     return {**out, "displacement_gram": disp_gram.copy(), "gram": gram, "dynamics": dynamics}
 
 
-def interior_pencil(mesh, **fields):
-    """Pencil with random boundary data and the given interior fields."""
-    rng = np.random.default_rng(41)
-    coeffs = wt.sample_coefficients(
-        mesh,
-        boundary_stiffness=rng.uniform(0.0, 2.0, mesh.num_facets),
-        boundary_damping=rng.uniform(0.0, 2.0, mesh.num_facets),
-        **fields,
-    )
-    return wt.assemble_pencil(mesh, coeffs)
-
-
 def interior_meshes():
     return [
         wt.interval_mesh(12, right=BL.ELASTIC_DAMPED),
@@ -306,7 +294,7 @@ class TestInteriorTerms:
 
     def test_interior_damping_dissipation_identity_bitwise(self):
         for mesh in interior_meshes():
-            pencil = interior_pencil(mesh, damping=lambda p: 0.5 + 0.25 * p[:, 0])
+            pencil = models.interior_pencil(mesh, damping=lambda p: 0.5 + 0.25 * p[:, 0])
             ix = np.ix_(pencil.active, pencil.active)
             mb = assembly.mass_triplets(mesh, pencil.coeffs.damping).toarray()[ix]
             assert np.abs(mb).max() > 0.0
@@ -318,7 +306,7 @@ class TestInteriorTerms:
 
     def test_reaction_block_bitwise(self):
         for mesh in interior_meshes():
-            pencil = interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
+            pencil = models.interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
             ix = np.ix_(pencil.active, pencil.active)
             ma = assembly.mass_triplets(mesh, pencil.coeffs.reaction).toarray()[ix]
             m = pencil.num_active

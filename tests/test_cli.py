@@ -205,6 +205,27 @@ class TestSimulate:
         energy = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert energy.max() - energy.min() <= 1e-10 * energy[0]
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "",
+            "\n[boundary]\nk2 = 3\n\n[coefficients]\nreaction = 2\ndamping = 0 - 1\n",
+        ],
+        ids=["undamped", "reaction-and-negative-damping"],
+    )
+    def test_balance_line_follows_final_xnorm(self, tmp_path, capsys, model):
+        right = "right = damped" if model else "right = fixed"
+        cfg = write_config(tmp_path, UNDAMPED_RUN.replace("right = fixed", right) + model)
+        code, out, err = run(["simulate", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        keys = [line.split(" ")[0] for line in lines]
+        assert keys == ["wrote", "steps", "final_energy", "final_xnorm", "balance_worst_ratio"]
+        key, value = lines[-1].split(" ")
+        assert 0.0 <= float(value) <= 1.0
+        energy_csv = (tmp_path / "energy.csv").read_text().splitlines()
+        assert energy_csv[0] == "t,energy,xnorm" and len(energy_csv) == 12
+
     def test_missing_simulation_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DAMPED)
         code, _, err = run(["simulate", "--config", cfg], capsys)

@@ -1,14 +1,18 @@
 """Tests for the midpoint time stepper and trajectory bookkeeping."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import models
 import wavetriple as wt
 from wavetriple import assembly, linalg, semigroup
+from wavetriple.coefficients import energy_anchored
 
 DENSE_VIEWS = (
     "mass",
@@ -19,6 +23,22 @@ DENSE_VIEWS = (
     "gram",
     "dynamics",
 )
+
+
+class MismatchedStepper(semigroup.CayleyStepper):
+    """Midpoint stepper whose implicit matrix is shifted by 1.001 dt / 2."""
+
+    def __init__(self, pencil, dt):
+        super().__init__(pencil, dt)
+        shift = 0.5 * 1.001 * dt
+        self._solver = linalg.LuFactorization(pencil.gram_csr - shift * pencil.dynamics_csr)
+
+
+class LossyStepper(semigroup.CayleyStepper):
+    """Midpoint stepper whose every output is shrunk by a factor 1 - 1e-6."""
+
+    def step(self, state):
+        return (1.0 - 1e-6) * super().step(state)
 
 
 class TestCayleyStep:
@@ -144,20 +164,119 @@ class TestSimulate:
         assert np.all(np.diff(traj.xnorm) <= 1e-10 * traj.xnorm[:-1] + 1e-300)
 
     def test_contraction_breach_detected(self, monkeypatch):
-        # Negative interior damping makes the flow expansive; simulate must
-        # not enforce contraction then, but a model taken for dissipative
-        # has to trip the check.
+        # Negative interior damping makes the flow expansive; its steps keep
+        # the energy balance and pass.  A stepper that factors its implicit
+        # matrix with 1.001 dt breaks the balance and has to trip the check.
         mesh = wt.interval_mesh(12)
         coeffs = wt.sample_coefficients(mesh, damping=-2.0)
         pencil = wt.assemble_pencil(mesh, coeffs)
-        assert not semigroup.provably_dissipative(pencil)
         rng = np.random.default_rng(5)
         x0 = models.random_state(pencil, rng)
         grown = wt.simulate(pencil, x0, 0.05, 40)
         assert grown.xnorm[-1] > grown.xnorm[0]
-        monkeypatch.setattr(semigroup, "provably_dissipative", lambda pencil: True)
-        with pytest.raises(wt.ContractionBreachError):
+        assert 0.0 < grown.balance_worst_ratio <= 1.0
+        monkeypatch.setattr(semigroup, "CayleyStepper", MismatchedStepper)
+        with pytest.raises(wt.ContractionBreachError, match="energy balance fails at step 1:"):
             wt.simulate(pencil, x0, 0.05, 40)
+
+    @pytest.mark.parametrize(
+        ("faulty", "message"),
+        [(MismatchedStepper, "at step 1:"), (LossyStepper, "at step 1: defect -")],
+        ids=["mismatched", "lossy"],
+    )
+    def test_injected_gain_or_loss_detected_on_every_model(self, monkeypatch, faulty, message):
+        # A dissipative model, a model with reaction and an expansive one:
+        # each is checked at every step, through simulate and decay_profile.
+        # The lossy stepper never grows the norm, so a growth check passes it.
+        mesh = wt.interval_mesh(12, right=wt.BoundaryLabel.ELASTIC_DAMPED)
+        pencils = [
+            models.damped_pencil(16),
+            models.interior_pencil(mesh, reaction=1.5, damping=0.5),
+            models.interior_pencil(mesh, reaction=-0.5, damping=-1.0),
+        ]
+        rng = np.random.default_rng(11)
+        states = [models.random_state(pencil, rng) for pencil in pencils]
+        for pencil, x0 in zip(pencils, states):
+            assert wt.simulate(pencil, x0, 0.02, 10).balance_worst_ratio <= 1.0
+        monkeypatch.setattr(semigroup, "CayleyStepper", faulty)
+        for pencil, x0 in zip(pencils, states):
+            with pytest.raises(wt.ContractionBreachError, match=message):
+                wt.simulate(pencil, x0, 0.02, 10)
+            with pytest.raises(wt.ContractionBreachError, match=message):
+                wt.decay_profile(pencil, x0, 0.02, 10)
+
+    def test_certificate_does_not_read_the_generator(self):
+        # Dropping the interior damping from dynamics_csr changes the steps
+        # but not the forms the balance is checked against.
+        mesh = wt.interval_mesh(12, right=wt.BoundaryLabel.ELASTIC_DAMPED)
+        pencil = models.interior_pencil(mesh, reaction=0.5, damping=1.0)
+        m = pencil.num_active
+        dyn = pencil.dynamics
+        dyn[m:, m:] = -pencil.boundary_damper
+        wrong = dataclasses.replace(pencil, dynamics_csr=csr_matrix(dyn))
+        x0 = models.random_state(pencil, np.random.default_rng(13))
+        assert wt.simulate(pencil, x0, 0.02, 10).balance_worst_ratio <= 1.0
+        with pytest.raises(wt.ContractionBreachError, match="at step 1:"):
+            wt.simulate(wrong, x0, 0.02, 10)
+
+    def test_balance_on_ci_and_cell_average_models(self):
+        rng = np.random.default_rng(14)
+        for pencil in models.ci_pencils() + models.cell_average_pencils():
+            x0 = models.random_state(pencil, rng)
+            traj = wt.simulate(pencil, x0, 0.03, 20)
+            assert 0.0 < traj.balance_worst_ratio <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_balance_holds_on_random_models(self, data):
+        labels = st.sampled_from(list(wt.BoundaryLabel))
+        if data.draw(st.booleans(), label="one-dimensional"):
+            n = data.draw(st.integers(1, 24), label="n")
+            mesh = wt.interval_mesh(n, left=data.draw(labels), right=data.draw(labels))
+        else:
+            nx, ny = data.draw(st.integers(1, 8), label="nx"), data.draw(st.integers(1, 8))
+            sides = {}
+            for side in wt.mesh.SIDES:
+                # Left and right run along y, bottom and top along x; a cut
+                # sits on a grid line, and 0 means the side is one segment.
+                cells = ny if side in ("left", "right") else nx
+                cut = data.draw(st.integers(0, cells - 1), label=f"{side} cut") / cells
+                if cut:
+                    sides[side] = (
+                        wt.Segment(data.draw(labels), 0.0, cut),
+                        wt.Segment(data.draw(labels), cut, 1.0),
+                    )
+                else:
+                    sides[side] = (wt.Segment(data.draw(labels)),)
+            mesh = wt.rectangle_mesh(nx, ny, sides)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cells, facets = mesh.num_cells, mesh.num_facets
+        coeffs = wt.sample_coefficients(
+            mesh,
+            modulus=rng.lognormal(0.0, 1.5, cells),
+            density=rng.lognormal(0.0, 1.5, cells),
+            reaction=rng.normal(0.0, 3.0, cells),
+            damping=rng.uniform(-3.0, 3.0, cells),
+            boundary_stiffness=rng.lognormal(0.0, 2.0, facets),
+            boundary_damping=rng.lognormal(0.0, 3.0, facets),
+        )
+        assume(energy_anchored(mesh, coeffs))
+        pencil = wt.assemble_pencil(mesh, coeffs)
+        dt = data.draw(st.floats(1e-3, 0.5), label="dt")
+        traj = wt.simulate(pencil, models.random_state(pencil, rng), dt, 8)
+        assert 0.0 <= traj.balance_worst_ratio <= 1.0
+
+    @pytest.mark.parametrize("case", ["fully-clamped", "no-steps", "zero-state"])
+    def test_trivial_runs_report_ratio_zero(self, case):
+        mesh = wt.interval_mesh(1) if case == "fully-clamped" else wt.interval_mesh(8)
+        pencil = wt.assemble_pencil(mesh, wt.sample_coefficients(mesh, reaction=1.0))
+        x0 = np.zeros(pencil.state_dim)
+        if case == "no-steps":
+            x0 = models.random_state(pencil, np.random.default_rng(15))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = wt.simulate(pencil, x0, 0.1, 0 if case == "no-steps" else 5)
+        assert traj.balance_worst_ratio == 0.0
 
     def test_overflowing_initial_energy_refused_before_factoring(self, monkeypatch):
         pencil = models.dirichlet_pencil(8)
@@ -244,7 +363,6 @@ class TestPerturbation:
         mesh = wt.interval_mesh(10)
         coeffs = wt.sample_coefficients(mesh, damping=0.75)
         pencil = wt.assemble_pencil(mesh, coeffs)
-        assert semigroup.provably_dissipative(pencil)
         dyn = pencil.dynamics
         sym = dyn + dyn.T
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
