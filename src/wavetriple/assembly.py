@@ -77,9 +77,10 @@ KINETIC_SCHEMES = ("consistent", "cell_average")
 # Largest state dimension (twice the active nodes) whose dense Gram factors
 # assemble_pencil computes, and whose dense trace form poincare_constant
 # builds: the 2-D square at nx = 64 with one side fixed.  Memory grows like
-# its square; with a dense pencil that model peaked at 2.8 GB in simulate,
-# 1.8 GB in validate and 0.9 GB in poincare (13 s) on a 2-core machine, and
-# nx = 48 (state 4,704) at 0.95, 0.61 and 0.33 GB.
+# its square, mostly the two dense Gram factors; that model peaked at
+# 0.48 GB in simulate (100 steps), 0.48 GB in validate and 0.74 GB in
+# poincare (12 s) on a 2-core machine, and nx = 48 (state 4,704) at 0.20,
+# 0.20 and 0.28 GB.
 MAX_PENCIL_STATE = 8320
 
 

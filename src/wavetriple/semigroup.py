@@ -1,8 +1,17 @@
 """Time evolution of the assembled model by the Cayley (midpoint) scheme.
 
-One step solves (gram - dt/2 * dyn) x_next = (gram + dt/2 * dyn) x with
-gram = pencil.gram_csr and dyn = pencil.dynamics_csr, the whole generator
-including interior reaction and damping.  The scheme is A-stable and keeps
+The midpoint map solves (gram - h dyn) x_next = (gram + h dyn) x with
+h = dt/2, gram = blockdiag(S, M) and dyn = pencil.dynamics_csr, the whole
+generator [[0, S], [Cvu, Cvv]] including interior reaction and damping.
+Because the top block row of dyn is exactly [0, S], the first block row
+reads S(u_next - u - h(v + v_next)) = 0, so the displacement is eliminated
+and one step solves a system half the size (the velocity form of the
+trapezoidal, average-acceleration scheme):
+
+    (M - h Cvv - h^2 Cvu) v_next = 2h Cvu u + (M + h Cvv + h^2 Cvu) v,
+    u_next = u + h (v + v_next).
+
+It is the same map in exact arithmetic.  The scheme is A-stable and keeps
 the energy balance |x_next|^2 - |x|^2 = -2 dt [v'(D + Mb)v + u'Ma v] exactly,
 with (u, v) the mean of the two states and |.| the Gram norm.  simulate
 checks it after every step of every model, with Ma and D + Mb from
@@ -14,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, hstack, vstack
 
 from . import linalg
 from .assembly import OperatorPencil, dissipation_forms, physical_energy, state_norm
@@ -36,9 +46,12 @@ MAX_TRAJECTORY_VALUES = 2**27
 class CayleyStepper:
     """Cached-factorization midpoint stepper for one pencil and step size.
 
-    Both shifted matrices are summed from the pencil's CSR gram and dyn,
-    with no dense state-size temporary: gram - dt/2 dyn is factored once
-    by sparse LU and gram + dt/2 dyn is applied as CSR.
+    Solves for the velocity only (see the module docstring), which needs
+    the top block row of pencil.dynamics_csr to be exactly [0, S] with
+    S = pencil.displacement_gram_csr; any other generator is a ValueError.
+    With h = dt/2 and Cvu, Cvv the lower block row of the generator, the
+    m x m matrix M - h Cvv - h^2 Cvu is factored once by sparse LU and
+    [2h Cvu, M + h Cvv + h^2 Cvu] is applied as one m x 2m CSR product.
     """
 
     def __init__(self, pencil: OperatorPencil, dt: float):
@@ -46,13 +59,40 @@ class CayleyStepper:
             raise ValueError(f"step size must be positive, got {dt}")
         self.pencil = pencil
         self.dt = float(dt)
-        half = 0.5 * self.dt
-        gram, dyn = pencil.gram_csr, pencil.dynamics_csr
-        self._plus = gram + half * dyn
-        self._solver = linalg.LuFactorization(gram - half * dyn)
+        m = self._m = pencil.num_active
+        half = self._half = 0.5 * self.dt
+        dyn = pencil.dynamics_csr
+        top = dyn[:m]
+        if top[:, :m].count_nonzero() or (top[:, m:] != pencil.displacement_gram_csr).nnz:
+            raise ValueError(
+                "the generator's top block row is not [0, S]: the midpoint step "
+                "eliminates the displacement only for that structure"
+            )
+        vu, vv, mass = dyn[m:, :m], dyn[m:, m:], pencil.mass_csr
+        square = half * half
+        self._rhs = hstack([2.0 * half * vu, mass + half * vv + square * vu], format="csr")
+        self._solver = linalg.LuFactorization(mass - half * vv - square * vu)
 
     def step(self, state: np.ndarray) -> np.ndarray:
-        return self._solver.solve(self._plus @ state)
+        m = self._m
+        v_next = self._solver.solve(self._rhs @ state)
+        return np.concatenate([state[:m] + self._half * (state[m:] + v_next), v_next])
+
+
+def _stacked_forms(pencil: OperatorPencil) -> csr_matrix:
+    """[D + Mb; Ma] from dissipation_forms, stacked for one product per step."""
+    reaction, damper = dissipation_forms(pencil)
+    return vstack([damper, reaction], format="csr")
+
+
+def _dissipation_terms(forms: csr_matrix, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """v'(D + Mb)v and u'Ma v from one product of _stacked_forms with v.
+
+    Stacking keeps each row's entries in order, so both terms equal the
+    two separate products bit for bit.
+    """
+    both = forms @ v
+    return float(v @ both[: v.shape[0]]), float(u @ both[v.shape[0] :])
 
 
 @dataclass(frozen=True)
@@ -98,7 +138,7 @@ def simulate(
             f"initial energy {energy0:.3e} or norm {xnorm0:.3e} is not finite: "
             "the initial data are too large for float64"
         )
-    reaction, damper = dissipation_forms(pencil)
+    forms = _stacked_forms(pencil)
     stepper = CayleyStepper(pencil, dt)
 
     states = np.zeros((nsteps + 1, pencil.state_dim))
@@ -112,8 +152,8 @@ def simulate(
         states[k] = x
         energy[k] = physical_energy(pencil, x)
         xnorm[k] = state_norm(pencil, x)
-        u, v = pencil.split(0.5 * (states[k - 1] + x))
-        damped, reacted = 2.0 * dt * float(v @ (damper @ v)), 2.0 * dt * float(u @ (reaction @ v))
+        rate_d, rate_r = _dissipation_terms(forms, *pencil.split(0.5 * (states[k - 1] + x)))
+        damped, reacted = 2.0 * dt * rate_d, 2.0 * dt * rate_r
         before, after = xnorm[k - 1 : k + 1].tolist()
         defect = after * after - before * before + damped + reacted
         bound = BALANCE_RTOL * (after * after + before * before + abs(damped) + abs(reacted))

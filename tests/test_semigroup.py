@@ -25,13 +25,72 @@ DENSE_VIEWS = (
 )
 
 
+def eliminated_blocks(pencil, half):
+    """Dense A = M - h Cvv - h^2 Cvu and R = [2h Cvu, M + h Cvv + h^2 Cvu].
+
+    Cvu and Cvv are the lower block row of the dense generator.
+    """
+    m = pencil.num_active
+    dyn, mass = pencil.dynamics, pencil.mass
+    vu, vv = dyn[m:, :m], dyn[m:, m:]
+    square = half * half
+    explicit = np.hstack([2.0 * half * vu, mass + half * vv + square * vu])
+    return mass - half * vv - square * vu, explicit
+
+
+def dense_cayley_step(pencil, x, dt):
+    """The full-size midpoint step, solved densely."""
+    dyn, gram = pencil.dynamics, pencil.gram
+    return np.linalg.solve(gram - 0.5 * dt * dyn, (gram + 0.5 * dt * dyn) @ x)
+
+
+def draw_random_pencil(data):
+    """A random anchored 1-D or 2-D pencil, with the rng that drew its fields.
+
+    Partitions, cut sides and every coefficient field are random; reaction
+    and negative interior damping are included.
+    """
+    labels = st.sampled_from(list(wt.BoundaryLabel))
+    if data.draw(st.booleans(), label="one-dimensional"):
+        n = data.draw(st.integers(1, 24), label="n")
+        mesh = wt.interval_mesh(n, left=data.draw(labels), right=data.draw(labels))
+    else:
+        nx, ny = data.draw(st.integers(1, 8), label="nx"), data.draw(st.integers(1, 8))
+        sides = {}
+        for side in wt.mesh.SIDES:
+            # Left and right run along y, bottom and top along x; a cut
+            # sits on a grid line, and 0 means the side is one segment.
+            cells = ny if side in ("left", "right") else nx
+            cut = data.draw(st.integers(0, cells - 1), label=f"{side} cut") / cells
+            if cut:
+                sides[side] = (
+                    wt.Segment(data.draw(labels), 0.0, cut),
+                    wt.Segment(data.draw(labels), cut, 1.0),
+                )
+            else:
+                sides[side] = (wt.Segment(data.draw(labels)),)
+        mesh = wt.rectangle_mesh(nx, ny, sides)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cells, facets = mesh.num_cells, mesh.num_facets
+    coeffs = wt.sample_coefficients(
+        mesh,
+        modulus=rng.lognormal(0.0, 1.5, cells),
+        density=rng.lognormal(0.0, 1.5, cells),
+        reaction=rng.normal(0.0, 3.0, cells),
+        damping=rng.uniform(-3.0, 3.0, cells),
+        boundary_stiffness=rng.lognormal(0.0, 2.0, facets),
+        boundary_damping=rng.lognormal(0.0, 3.0, facets),
+    )
+    assume(energy_anchored(mesh, coeffs))
+    return wt.assemble_pencil(mesh, coeffs), rng
+
+
 class MismatchedStepper(semigroup.CayleyStepper):
     """Midpoint stepper whose implicit matrix is shifted by 1.001 dt / 2."""
 
     def __init__(self, pencil, dt):
         super().__init__(pencil, dt)
-        shift = 0.5 * 1.001 * dt
-        self._solver = linalg.LuFactorization(pencil.gram_csr - shift * pencil.dynamics_csr)
+        self._solver = linalg.LuFactorization(eliminated_blocks(pencil, 0.5 * 1.001 * dt)[0])
 
 
 class LossyStepper(semigroup.CayleyStepper):
@@ -75,26 +134,30 @@ class TestCayleyStep:
                 mesh, reaction=0.5, damping=0.25, boundary_stiffness=1.0, boundary_damping=2.0
             ),
         )
+        expansive = models.interior_pencil(mesh, reaction=-0.5, damping=-1.0)
         rng = np.random.default_rng(4)
-        for pencil in (models.damped_pencil(16), models.square_pencil(4, 5, seed=3), perturbed):
+        for pencil in (
+            models.damped_pencil(16),
+            models.square_pencil(4, 5, seed=3),
+            perturbed,
+            expansive,
+        ):
             dt = 0.03
-            dyn = pencil.dynamics
             x = models.random_state(pencil, rng)
-            want = np.linalg.solve(
-                pencil.gram - 0.5 * dt * dyn, (pencil.gram + 0.5 * dt * dyn) @ x
-            )
+            want = dense_cayley_step(pencil, x, dt)
             got = semigroup.CayleyStepper(pencil, dt).step(x)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            # The shifts are summed from CSR copies; summing the dense
-            # arrays first and converting gives the same bits.
-            plus = csr_matrix(pencil.gram + 0.5 * dt * dyn)
-            minus = linalg.LuFactorization(pencil.gram - 0.5 * dt * dyn)
-            assert np.array_equal(got, minus.solve(plus @ x))
+            # The eliminated matrices are summed from CSR blocks; summing
+            # the dense blocks first and converting gives the same bits.
+            implicit, explicit = eliminated_blocks(pencil, 0.5 * dt)
+            v_next = linalg.LuFactorization(implicit).solve(csr_matrix(explicit) @ x)
+            u, v = pencil.split(x)
+            assert np.array_equal(got, pencil.join(u + 0.5 * dt * (v + v_next), v_next))
 
     def test_shifted_matrices_have_the_dense_pattern(self, monkeypatch):
-        # The shifts are summed from the pencil's CSR forms; converting the
-        # dense gram and dynamics first gives the same pattern and bits, so
-        # SuperLU sees the same matrix and picks the same ordering.
+        # A and R are summed from the pencil's CSR forms; building them from
+        # the dense blocks and converting gives the same pattern and bits,
+        # so SuperLU sees the same matrix and picks the same ordering.
         factored = []
         real_init = linalg.LuFactorization.__init__
 
@@ -110,8 +173,8 @@ class TestCayleyStep:
         half = 0.015
         for pencil in models.ci_pencils() + [interior]:
             stepper = semigroup.CayleyStepper(pencil, 2.0 * half)
-            gram, dyn = csr_matrix(pencil.gram), csr_matrix(pencil.dynamics)
-            pairs = ((stepper._plus, gram + half * dyn), (factored[-1], gram - half * dyn))
+            implicit, explicit = eliminated_blocks(pencil, half)
+            pairs = ((stepper._rhs, csr_matrix(explicit)), (factored[-1], csr_matrix(implicit)))
             for got, want in pairs:
                 assert np.all(got.data != 0.0)
                 assert np.array_equal(got.indptr, want.indptr)
@@ -229,42 +292,66 @@ class TestSimulate:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_balance_holds_on_random_models(self, data):
-        labels = st.sampled_from(list(wt.BoundaryLabel))
-        if data.draw(st.booleans(), label="one-dimensional"):
-            n = data.draw(st.integers(1, 24), label="n")
-            mesh = wt.interval_mesh(n, left=data.draw(labels), right=data.draw(labels))
-        else:
-            nx, ny = data.draw(st.integers(1, 8), label="nx"), data.draw(st.integers(1, 8))
-            sides = {}
-            for side in wt.mesh.SIDES:
-                # Left and right run along y, bottom and top along x; a cut
-                # sits on a grid line, and 0 means the side is one segment.
-                cells = ny if side in ("left", "right") else nx
-                cut = data.draw(st.integers(0, cells - 1), label=f"{side} cut") / cells
-                if cut:
-                    sides[side] = (
-                        wt.Segment(data.draw(labels), 0.0, cut),
-                        wt.Segment(data.draw(labels), cut, 1.0),
-                    )
-                else:
-                    sides[side] = (wt.Segment(data.draw(labels)),)
-            mesh = wt.rectangle_mesh(nx, ny, sides)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        cells, facets = mesh.num_cells, mesh.num_facets
-        coeffs = wt.sample_coefficients(
-            mesh,
-            modulus=rng.lognormal(0.0, 1.5, cells),
-            density=rng.lognormal(0.0, 1.5, cells),
-            reaction=rng.normal(0.0, 3.0, cells),
-            damping=rng.uniform(-3.0, 3.0, cells),
-            boundary_stiffness=rng.lognormal(0.0, 2.0, facets),
-            boundary_damping=rng.lognormal(0.0, 3.0, facets),
-        )
-        assume(energy_anchored(mesh, coeffs))
-        pencil = wt.assemble_pencil(mesh, coeffs)
+        pencil, rng = draw_random_pencil(data)
         dt = data.draw(st.floats(1e-3, 0.5), label="dt")
         traj = wt.simulate(pencil, models.random_state(pencil, rng), dt, 8)
         assert 0.0 <= traj.balance_worst_ratio <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_step_matches_dense_solve_on_random_models(self, data):
+        # Compared in the Gram norm, in which the step is a contraction: the
+        # dense reference's own max-norm error grows with the conditioning
+        # of the random coefficients.
+        pencil, rng = draw_random_pencil(data)
+        dt = data.draw(st.floats(1e-3, 0.5), label="dt")
+        x = models.random_state(pencil, rng)
+        want = dense_cayley_step(pencil, x, dt)
+        got = semigroup.CayleyStepper(pencil, dt).step(x)
+        assert wt.state_norm(pencil, got - want) <= 1e-12 * wt.state_norm(pencil, want)
+        m = pencil.num_active
+        if not m:
+            return
+        dyn = pencil.dynamics
+        row = data.draw(st.integers(0, m - 1), label="altered row")
+        if data.draw(st.booleans(), label="fill the zero block"):
+            dyn[row, data.draw(st.integers(0, m - 1), label="column")] = 1.0
+        else:
+            # S is positive definite, so its diagonal is stored.
+            dyn[row, m + row] = np.nextafter(dyn[row, m + row], np.inf)
+        altered = dataclasses.replace(pencil, dynamics_csr=csr_matrix(dyn))
+        with pytest.raises(ValueError, match=r"top block row is not \[0, S\]"):
+            semigroup.CayleyStepper(altered, dt)
+
+    def test_stacked_forms_give_both_terms_bitwise(self):
+        # One product with [D + Mb; Ma] gives the same two terms as the two
+        # separate products, bit for bit.
+        interior = []
+        for mesh in (
+            wt.interval_mesh(12, right=wt.BoundaryLabel.ELASTIC_DAMPED),
+            wt.rectangle_mesh(5, 4, models.square_partition()),
+        ):
+            interior.append(models.interior_pencil(mesh, reaction=1.5, damping=0.5))
+            interior.append(models.interior_pencil(mesh, reaction=lambda p: -p[:, 0]))
+        rng = np.random.default_rng(16)
+        for pencil in models.ci_pencils() + interior:
+            reaction, damper = assembly.dissipation_forms(pencil)
+            forms = semigroup._stacked_forms(pencil)
+            u, v = pencil.split(models.random_state(pencil, rng))
+            assert np.array_equal(forms @ v, np.concatenate([damper @ v, reaction @ v]))
+            separate = (float(v @ (damper @ v)), float(u @ (reaction @ v)))
+            assert semigroup._dissipation_terms(forms, u, v) == separate
+        assert any(assembly.dissipation_forms(p)[0].nnz for p in interior)
+
+    def test_balance_ratio_on_a_fine_string(self):
+        # The worst ratio grows with n on the 1-D string; 6.4e-3 was measured
+        # at n = 4,096 (1.9e-2 with the full-size step), pinned at twice that.
+        pencil = models.damped_pencil(4096, k2=3.0)
+        x0 = semigroup.initial_state(
+            pencil, lambda p: p[:, 0], lambda p: np.zeros(p.shape[0])
+        )
+        traj = wt.simulate(pencil, x0, 0.01, 200)
+        assert 0.0 < traj.balance_worst_ratio <= 1.3e-2
 
     @pytest.mark.parametrize("case", ["fully-clamped", "no-steps", "zero-state"])
     def test_trivial_runs_report_ratio_zero(self, case):
