@@ -35,10 +35,10 @@ pencil reduces each block to the active nodes from the triplets with
 _restrict, which returns CSR, sums duplicates in that same input order
 and drops the entries that sum to exactly zero, so its toarray() is the
 dense block bit for bit.  The pencil stores every matrix once, as CSR,
-gram and dynamics included; only the Cholesky factors of S and M are
-dense.  Its dense names are views that densify on each read, and only
-the full spectrum reads them.  Other sparse consumers (the Helmholtz
-solve) convert the triplets to CSR or CSC themselves.
+gram and dynamics included; nothing is dense, as S and M are certified
+on their band alone.  Its dense names are views that densify on each
+read, and only the full spectrum reads them.  Other sparse consumers
+(the Helmholtz solve) convert the triplets to CSR or CSC themselves.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix
 
 from . import linalg
@@ -74,13 +73,13 @@ _TRI_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _SEG_AVERAGE = np.full((2, 2), 0.25)
 
 KINETIC_SCHEMES = ("consistent", "cell_average")
-# Largest state dimension (twice the active nodes) whose dense Gram factors
-# assemble_pencil computes, and whose dense trace form poincare_constant
-# builds: the 2-D square at nx = 64 with one side fixed.  Memory grows like
-# its square, mostly the two dense Gram factors; that model peaked at
-# 0.48 GB in simulate (100 steps), 0.48 GB in validate and 0.74 GB in
-# poincare (12 s) on a 2-core machine, and nx = 48 (state 4,704) at 0.20,
-# 0.20 and 0.28 GB.
+# Largest state dimension (twice the active nodes) that assemble_pencil and
+# poincare_constant accept: the 2-D square at nx = 64 with one side fixed.
+# poincare still builds a dense trace form there (0.74 GB, 7 s on a 2-core
+# machine); validate and simulate (100 steps) peak at 0.07 and 0.08 GB.
+# The guard stays for poincare, and because it is the only size check on
+# validate and simulate: it turns a 1-D n = 100000 into one error line
+# instead of a long run.
 MAX_PENCIL_STATE = 8320
 
 
@@ -258,12 +257,12 @@ class OperatorPencil:
     active: node indices kept after eliminating clamped nodes, sorted.
     trace_slots: positions inside `active` of the trace nodes.
     Every matrix is restricted to active nodes and stored once, as CSR
-    with no stored zeros: gram_csr and dynamics_csr act on stacked [u; v]
-    states of length 2 * num_active; displacement_gram_csr (S) and
-    mass_csr (M) are gram's diagonal blocks, and gram_factors holds their
-    dense lower Cholesky factors (L_S, L_M), computed once at assembly.
-    dynamics_csr is the whole generator, interior reaction and damping
-    included.  mass, stiffness, boundary_spring, boundary_damper,
+    with no stored zeros, and no field is dense: gram_csr and dynamics_csr
+    act on stacked [u; v] states of length 2 * num_active;
+    displacement_gram_csr (S) and mass_csr (M) are gram's diagonal blocks,
+    both certified positive definite at assembly.  dynamics_csr is the
+    whole generator, interior reaction and damping included.  mass,
+    stiffness, boundary_spring, boundary_damper,
     displacement_gram, gram and dynamics are dense views: each read
     builds a fresh toarray() of its CSR field, which nothing stores.
     """
@@ -279,7 +278,6 @@ class OperatorPencil:
     boundary_spring_csr: csr_matrix
     boundary_damper_csr: csr_matrix
     displacement_gram_csr: csr_matrix
-    gram_factors: tuple[np.ndarray, np.ndarray]
 
     mass = _dense_view("mass")
     stiffness = _dense_view("stiffness")
@@ -320,10 +318,10 @@ def assemble_pencil(
     dimension) or "cell_average" (the mass of cell averages, which keeps
     the damped-string spectral gap uniform in h).  "cell_average" needs a 1-D
     mesh with at least one fixed end, else KineticMassError; any other
-    value is a ValueError.  A state above MAX_PENCIL_STATE is refused with
-    ProblemSizeError before any dense block is built.
+    value is a ValueError.  A state above MAX_PENCIL_STATE is a
+    ProblemSizeError.
 
-    S and M are each densified and factored once by linalg.cholesky.  A
+    linalg.certify_positive_definite checks S and M on their band.  A
     failure of S is DegenerateEnergyNormError when the model has no fixed
     boundary and no boundary spring, else NotPositiveDefiniteError naming
     the displacement energy form.
@@ -349,7 +347,7 @@ def assemble_pencil(
     dynamics = bmat([[None, disp_gram], lower], format="csr")
 
     try:
-        low_disp = linalg.cholesky(disp_gram.toarray())
+        linalg.certify_positive_definite(disp_gram)
     except NotPositiveDefiniteError as exc:
         if not energy_anchored(mesh, coeffs):
             raise DegenerateEnergyNormError(
@@ -359,7 +357,7 @@ def assemble_pencil(
             "displacement energy form (stiffness plus boundary spring) "
             f"is not positive definite: {exc}"
         ) from exc
-    low_mass = linalg.cholesky(mass.toarray())
+    linalg.certify_positive_definite(mass)
 
     return OperatorPencil(
         mesh=mesh,
@@ -373,7 +371,6 @@ def assemble_pencil(
         boundary_spring_csr=spring,
         boundary_damper_csr=damper,
         displacement_gram_csr=disp_gram,
-        gram_factors=(low_disp, low_mass),
     )
 
 
@@ -411,11 +408,11 @@ def apply_A(pencil: OperatorPencil, elem: DomainElement) -> np.ndarray:
 
     The displacement part of the image is the velocity; the velocity part
     solves M vdot = -K u + lift(g), the discrete divergence of the stress
-    with its boundary flux, through the pencil's Cholesky factor of M.
+    with its boundary flux, by a sparse LU of M.
     """
     _check_element(pencil, elem)
     rhs = -(pencil.stiffness_csr @ elem.displacement) + lift_trace(pencil, elem.flux_trace)
-    vdot = scipy.linalg.cho_solve((pencil.gram_factors[1], True), rhs)
+    vdot = linalg.LuFactorization(pencil.mass_csr).solve(rhs)
     return pencil.join(elem.velocity, vdot)
 
 

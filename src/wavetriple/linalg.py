@@ -1,13 +1,13 @@
 """Linear-algebra kernels: Cholesky, LU solves, nonsymmetric eigenproblems.
 
-Cholesky and the eigensolvers work on dense numpy arrays; they serve the
-full spectrum, which is dense by nature.  LU solves take dense or
-scipy.sparse input and always factor with SuperLU, since every matrix
+Cholesky and the eigensolvers work on dense arrays for the full spectrum,
+dense by nature; certify_positive_definite applies Cholesky's pivot rule
+to a sparse symmetric matrix by factoring only its band.  LU solves take
+dense or scipy.sparse input and always factor with SuperLU: every matrix
 solved against is a finite element matrix with a handful of entries per
 row.  Both factorizations apply a package-wide relative pivot threshold on
 top of the library's own checks.  A block-diagonal Gram matrix is reduced
-block by block from the factors of its diagonal blocks, so its full factor
-is never formed.
+block by block from the factors of its diagonal blocks.
 """
 
 from __future__ import annotations
@@ -19,39 +19,57 @@ import scipy.sparse
 from .errors import EigenSolverError, NotPositiveDefiniteError, SingularMatrixError
 
 # Relative pivot threshold below which a matrix is treated as not positive
-# definite (resp. singular).  Scaled by the max-magnitude entry of the input.
+# definite (resp. singular), scaled by the max-magnitude entry of the input:
+# the package-wide detector for energy forms with a nontrivial kernel.
 PIVOT_RTOL = 1e-14
 
 
-def cholesky(mat: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor L with mat = L @ L.T.
+def _pivot_rule(factorize, operand, shape, entries: np.ndarray, diagonal):
+    """Lower factor by factorize(operand) under the package's positivity rule.
 
-    Raises NotPositiveDefiniteError if LAPACK breaks down or any pivot
-    diag(L)_j**2 falls at or below PIVOT_RTOL times the largest entry
-    magnitude.  That threshold is the package-wide detector for energy
-    forms with a nontrivial kernel.  The input is never modified.
+    shape and entries (stored values) are the matrix's: a non-square shape
+    or a non-finite entry is a ValueError.  diagonal(factor) is diag(L).  A
+    LAPACK breakdown, or a pivot diag(L)_j**2 at or below PIVOT_RTOL times
+    the largest entry magnitude, is a NotPositiveDefiniteError.
     """
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    scale = float(np.abs(a).max())
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    scale = float(np.abs(entries).max(initial=0.0))
     if not np.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
-    tol = PIVOT_RTOL * scale
     try:
-        low = scipy.linalg.cholesky(a, lower=True, check_finite=False)
+        factor = factorize(operand, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"nonpositive pivot: {exc}") from exc
-    pivots = np.diag(low) ** 2
-    j = int(np.argmin(pivots))
-    if not pivots[j] > tol:
+    pivots = diagonal(factor) ** 2
+    tol = PIVOT_RTOL * scale
+    if not pivots.min(initial=np.inf) > tol:
+        j = int(np.argmin(pivots))
         raise NotPositiveDefiniteError(
             f"pivot {pivots[j]:.3e} at row {j} is below {tol:.3e}, which is "
             f"PIVOT_RTOL = {PIVOT_RTOL:.0e} times the largest entry {scale:.3e}"
         )
-    return low
+    return factor
+
+
+def cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L, mat = L @ L.T, under _pivot_rule; mat is not modified."""
+    a = np.asarray(mat, dtype=float)
+    return _pivot_rule(scipy.linalg.cholesky, a, a.shape, a, np.diag)
+
+
+def certify_positive_definite(mat) -> None:
+    """Raise unless the symmetric sparse mat passes cholesky's pivot rule.
+
+    Only the band of its lower triangle is factored, in natural order, by
+    scipy.linalg.cholesky_banded: half-bandwidth b costs (b + 1) m floats,
+    no more than cholesky at b = m - 1.  The pivots are cholesky's to
+    rounding, and so are the verdict, the exception and the reported row.
+    """
+    low = scipy.sparse.tril(mat, format="coo")
+    band = np.zeros((int((low.row - low.col).max(initial=0)) + 1, low.shape[1]))
+    np.add.at(band, (low.row - low.col, low.col), low.data)
+    _pivot_rule(scipy.linalg.cholesky_banded, band, np.shape(mat), low.data, lambda c: c[0])
 
 
 class LuFactorization:

@@ -3,9 +3,9 @@
 Eigenvalues come from the generalized problem dyn z = lambda gram z, with
 dyn = pencil.dynamics the whole generator (interior reaction and damping
 included), reduced to standard form block by block through the Cholesky
-factors of the Gram matrix's two diagonal blocks, computed once at
-assembly.  That dense eigensolve is the one place that densifies the
-pencil; the boundary residuals read its CSR forms.
+factors of the dense Gram matrix's two diagonal blocks, S and M.  That
+dense eigensolve is the one place that densifies the pencil or keeps a
+dense factor; the boundary residuals read its CSR forms.
 Every reported pair carries a recomputed residual plus two boundary
 residuals: the damped velocity trace, which must vanish on any
 eigenvector whose eigenvalue sits on the imaginary axis, and the
@@ -104,9 +104,10 @@ def compute_spectrum(
     EigenSolverError if any recomputed pencil residual exceeds the
     accepted bound, so a report in hand is a certificate.
     """
-    values, vectors, residuals = linalg.generalized_eig(
-        pencil.gram, pencil.dynamics, pencil.gram_factors
-    )
+    m = pencil.num_active
+    gram = pencil.gram
+    factors = (linalg.cholesky(gram[:m, :m]), linalg.cholesky(gram[m:, m:]))
+    values, vectors, residuals = linalg.generalized_eig(gram, pencil.dynamics, factors)
     if len(values) != pencil.state_dim:
         raise EigenSolverError(
             f"expected {pencil.state_dim} eigenvalues, got {len(values)}"
@@ -116,7 +117,6 @@ def compute_spectrum(
             f"pencil residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
 
-    m = pencil.num_active
     slots = pencil.trace_slots
     vec_u = vectors[:m]
     vec_v = vectors[m:]

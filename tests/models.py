@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 import wavetriple as wt
+from wavetriple.coefficients import energy_anchored
 
 
 def dirichlet_pencil(n: int, kinetic: str = "consistent") -> wt.OperatorPencil:
@@ -115,3 +118,44 @@ def random_element(pencil: wt.OperatorPencil, rng: np.random.Generator) -> wt.Do
 
 def random_state(pencil: wt.OperatorPencil, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(pencil.state_dim)
+
+
+def draw_random_pencil(data):
+    """A random anchored 1-D or 2-D pencil, with the rng that drew its fields.
+
+    Partitions, cut sides and every coefficient field are random; reaction
+    and negative interior damping are included.
+    """
+    labels = st.sampled_from(list(wt.BoundaryLabel))
+    if data.draw(st.booleans(), label="one-dimensional"):
+        n = data.draw(st.integers(1, 24), label="n")
+        mesh = wt.interval_mesh(n, left=data.draw(labels), right=data.draw(labels))
+    else:
+        nx, ny = data.draw(st.integers(1, 8), label="nx"), data.draw(st.integers(1, 8))
+        sides = {}
+        for side in wt.mesh.SIDES:
+            # Left and right run along y, bottom and top along x; a cut
+            # sits on a grid line, and 0 means the side is one segment.
+            cells = ny if side in ("left", "right") else nx
+            cut = data.draw(st.integers(0, cells - 1), label=f"{side} cut") / cells
+            if cut:
+                sides[side] = (
+                    wt.Segment(data.draw(labels), 0.0, cut),
+                    wt.Segment(data.draw(labels), cut, 1.0),
+                )
+            else:
+                sides[side] = (wt.Segment(data.draw(labels)),)
+        mesh = wt.rectangle_mesh(nx, ny, sides)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cells, facets = mesh.num_cells, mesh.num_facets
+    coeffs = wt.sample_coefficients(
+        mesh,
+        modulus=rng.lognormal(0.0, 1.5, cells),
+        density=rng.lognormal(0.0, 1.5, cells),
+        reaction=rng.normal(0.0, 3.0, cells),
+        damping=rng.uniform(-3.0, 3.0, cells),
+        boundary_stiffness=rng.lognormal(0.0, 2.0, facets),
+        boundary_damping=rng.lognormal(0.0, 3.0, facets),
+    )
+    assume(energy_anchored(mesh, coeffs))
+    return wt.assemble_pencil(mesh, coeffs), rng

@@ -1,6 +1,7 @@
 """Tests for matrix assembly, the boundary maps, and the Green identity."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,17 +231,28 @@ class TestPencilStructure:
                 assert sparse.format == "csr"
                 assert np.array_equal(sparse.toarray(), dense), name
 
-    def test_only_the_gram_factors_are_dense(self):
+    def test_every_matrix_field_is_csr(self):
         for pencil in models.ci_pencils() + models.cell_average_pencils():
             for field in dataclasses.fields(pencil):
                 value = getattr(pencil, field.name)
-                if field.name == "gram_factors":
-                    assert all(isinstance(low, np.ndarray) for low in value)
-                elif field.name.endswith("_csr"):
+                assert not (isinstance(value, np.ndarray) and value.ndim == 2), field.name
+                if field.name.endswith("_csr"):
                     assert value.format == "csr" and value.has_canonical_format
                     assert np.all(value.data != 0.0)
                 else:
                     assert not isinstance(value, np.ndarray) or value.ndim == 1
+
+    def test_assembly_allocates_less_than_one_dense_block(self):
+        mesh = wt.rectangle_mesh(32, 32, models.square_partition())
+        coeffs = wt.sample_coefficients(mesh, boundary_stiffness=1.0, boundary_damping=1.0)
+        tracemalloc.start()
+        try:
+            pencil = wt.assemble_pencil(mesh, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pencil.num_active == 1056
+        assert peak < pencil.num_active**2 * 8
 
     def test_dense_views_are_fresh_read_only_copies(self):
         pencil = models.square_pencil(4, 3, seed=9)

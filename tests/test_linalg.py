@@ -1,9 +1,11 @@
 """Tests for the linear-algebra kernels."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import models
 import oracles
 from wavetriple import linalg, spectral
 from wavetriple.errors import NotPositiveDefiniteError, SingularMatrixError
@@ -109,6 +112,126 @@ class TestCholesky:
             return
         assert np.array_equal(np.triu(low, 1), np.zeros((n, n)))
         assert np.abs(low @ low.T - mat).max() <= 1e-12 * np.abs(mat).max()
+
+
+def banded_matrix(kind, n, width, rng):
+    """Symmetric matrix of order n and half-bandwidth at most width.
+
+    "spd" is L L^T for a random lower band L whose diagonal dominates its
+    rows, so L is well conditioned; "indefinite" is a random symmetric
+    band whose diagonal may take either sign; "near_singular" is an spd
+    matrix with one row and column scaled by 10^-4 to 10^-12, so one pivot
+    is tiny but computed without cancellation; "badly_scaled" scales every
+    row and column of an spd matrix by 10^-8 to 10^8.
+    """
+    low = np.tril(np.triu(rng.uniform(-1.0, 1.0, (n, n)), -width)) / (width + 1)
+    np.fill_diagonal(low, rng.uniform(1.0, 2.0, n))
+    if kind == "indefinite":
+        sym = low + low.T
+        np.fill_diagonal(sym, rng.uniform(-3.0, 3.0, n))
+        return sym
+    scaling = np.ones(n)
+    if kind == "near_singular":
+        scaling[rng.integers(n)] = 10.0 ** rng.uniform(-12.0, -4.0)
+    elif kind == "badly_scaled":
+        scaling = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    low *= scaling[:, None]
+    return low @ low.T
+
+
+def rule_outcome(certify, mat):
+    """(error, pivots) of one call: the NotPositiveDefiniteError raised or
+    None, and the pivots _pivot_rule checked (None on a LAPACK breakdown)."""
+    seen = []
+    real = linalg._pivot_rule
+
+    def spy(factorize, operand, shape, entries, diagonal):
+        def record(factor):
+            seen.append(diagonal(factor))
+            return seen[-1]
+
+        return real(factorize, operand, shape, entries, record)
+
+    with mock.patch.object(linalg, "_pivot_rule", spy):
+        try:
+            certify(mat)
+        except NotPositiveDefiniteError as exc:
+            return exc, seen[0] ** 2 if seen else None
+    return None, seen[0] ** 2
+
+
+def reported_row(exc):
+    """Row a rejection names: the pivot rule's row, or a breakdown's minor - 1."""
+    found = re.search(r"at row (\d+)", str(exc))
+    if found:
+        return int(found[1])
+    return int(re.search(r"(\d+)-th leading minor", str(exc))[1]) - 1
+
+
+def assert_same_verdict(mat):
+    """The banded certificate and the dense factor agree on mat.
+
+    Same verdict, and on rejection the same row and a reported pivot that
+    agrees to 1e-12 relative, unless the smallest dense pivot lies within
+    1e-12 relative of the threshold, where rounding may flip the verdict.
+    """
+    dense_error, dense_pivots = rule_outcome(linalg.cholesky, mat)
+    band_error, band_pivots = rule_outcome(
+        linalg.certify_positive_definite, scipy.sparse.csr_matrix(mat)
+    )
+    tol = linalg.PIVOT_RTOL * np.abs(mat).max(initial=0.0)
+    if dense_pivots is not None and dense_pivots.size:
+        if abs(dense_pivots.min() - tol) <= 1e-12 * tol:
+            return
+    assert (dense_error is None) == (band_error is None)
+    if dense_error is None:
+        return
+    assert type(band_error) is type(dense_error)
+    row = reported_row(dense_error)
+    assert reported_row(band_error) == row
+    assert (dense_pivots is None) == (band_pivots is None)
+    if dense_pivots is not None:
+        assert abs(band_pivots[row] - dense_pivots[row]) <= 1e-12 * dense_pivots[row]
+
+
+class TestBandedCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["spd", "indefinite", "near_singular", "badly_scaled"]),
+        n=st.integers(1, 40),
+        width=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_dense_cholesky(self, kind, n, width, seed):
+        assert_same_verdict(banded_matrix(kind, n, width, np.random.default_rng(seed)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_agrees_on_random_pencil_forms(self, data):
+        pencil, _ = models.draw_random_pencil(data)
+        for form in (pencil.displacement_gram_csr, pencil.mass_csr):
+            assert_same_verdict(form.toarray())
+
+    def test_accepts_spd_and_rejects_a_kernel(self):
+        mat = banded_matrix("spd", 12, 2, np.random.default_rng(3))
+        assert linalg.certify_positive_definite(scipy.sparse.csr_matrix(mat)) is None
+        mat[:, 5] = mat[5, :] = 0.0
+        with pytest.raises(NotPositiveDefiniteError, match="6-th leading minor"):
+            linalg.certify_positive_definite(scipy.sparse.csr_matrix(mat))
+
+    def test_empty_matrix(self):
+        linalg.certify_positive_definite(scipy.sparse.csr_matrix((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entry_is_the_dense_value_error(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(ValueError) as dense:
+            linalg.cholesky(mat)
+        with pytest.raises(ValueError) as band:
+            linalg.certify_positive_definite(scipy.sparse.csr_matrix(mat))
+        assert type(band.value) is type(dense.value)
+        assert str(band.value) == str(dense.value) == "matrix contains non-finite entries"
 
 
 class TestLuSolve:

@@ -5,14 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import models
 import wavetriple as wt
 from wavetriple import assembly, linalg, semigroup
-from wavetriple.coefficients import energy_anchored
 
 DENSE_VIEWS = (
     "mass",
@@ -42,47 +41,6 @@ def dense_cayley_step(pencil, x, dt):
     """The full-size midpoint step, solved densely."""
     dyn, gram = pencil.dynamics, pencil.gram
     return np.linalg.solve(gram - 0.5 * dt * dyn, (gram + 0.5 * dt * dyn) @ x)
-
-
-def draw_random_pencil(data):
-    """A random anchored 1-D or 2-D pencil, with the rng that drew its fields.
-
-    Partitions, cut sides and every coefficient field are random; reaction
-    and negative interior damping are included.
-    """
-    labels = st.sampled_from(list(wt.BoundaryLabel))
-    if data.draw(st.booleans(), label="one-dimensional"):
-        n = data.draw(st.integers(1, 24), label="n")
-        mesh = wt.interval_mesh(n, left=data.draw(labels), right=data.draw(labels))
-    else:
-        nx, ny = data.draw(st.integers(1, 8), label="nx"), data.draw(st.integers(1, 8))
-        sides = {}
-        for side in wt.mesh.SIDES:
-            # Left and right run along y, bottom and top along x; a cut
-            # sits on a grid line, and 0 means the side is one segment.
-            cells = ny if side in ("left", "right") else nx
-            cut = data.draw(st.integers(0, cells - 1), label=f"{side} cut") / cells
-            if cut:
-                sides[side] = (
-                    wt.Segment(data.draw(labels), 0.0, cut),
-                    wt.Segment(data.draw(labels), cut, 1.0),
-                )
-            else:
-                sides[side] = (wt.Segment(data.draw(labels)),)
-        mesh = wt.rectangle_mesh(nx, ny, sides)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    cells, facets = mesh.num_cells, mesh.num_facets
-    coeffs = wt.sample_coefficients(
-        mesh,
-        modulus=rng.lognormal(0.0, 1.5, cells),
-        density=rng.lognormal(0.0, 1.5, cells),
-        reaction=rng.normal(0.0, 3.0, cells),
-        damping=rng.uniform(-3.0, 3.0, cells),
-        boundary_stiffness=rng.lognormal(0.0, 2.0, facets),
-        boundary_damping=rng.lognormal(0.0, 3.0, facets),
-    )
-    assume(energy_anchored(mesh, coeffs))
-    return wt.assemble_pencil(mesh, coeffs), rng
 
 
 class MismatchedStepper(semigroup.CayleyStepper):
@@ -292,7 +250,7 @@ class TestSimulate:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_balance_holds_on_random_models(self, data):
-        pencil, rng = draw_random_pencil(data)
+        pencil, rng = models.draw_random_pencil(data)
         dt = data.draw(st.floats(1e-3, 0.5), label="dt")
         traj = wt.simulate(pencil, models.random_state(pencil, rng), dt, 8)
         assert 0.0 <= traj.balance_worst_ratio <= 1.0
@@ -303,7 +261,7 @@ class TestSimulate:
         # Compared in the Gram norm, in which the step is a contraction: the
         # dense reference's own max-norm error grows with the conditioning
         # of the random coefficients.
-        pencil, rng = draw_random_pencil(data)
+        pencil, rng = models.draw_random_pencil(data)
         dt = data.draw(st.floats(1e-3, 0.5), label="dt")
         x = models.random_state(pencil, rng)
         want = dense_cayley_step(pencil, x, dt)
