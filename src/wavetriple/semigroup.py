@@ -15,7 +15,9 @@ It is the same map in exact arithmetic.  The scheme is A-stable and keeps
 the energy balance |x_next|^2 - |x|^2 = -2 dt [v'(D + Mb)v + u'Ma v] exactly,
 with (u, v) the mean of the two states and |.| the Gram norm.  simulate
 checks it after every step of every model, with Ma and D + Mb from
-dissipation_forms.  Explicit schemes are deliberately not offered.
+dissipation_forms and the left side polarized as 2 (u, v)'G(x_next - x),
+so no two close squared norms cancel.  Only two states are held at a
+time.  Explicit schemes are deliberately not offered.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from .mesh import clamped_nodes
 
 # Per-step energy-balance defect allowed, relative to the size of its terms.
 BALANCE_RTOL = 1e-10
-# Largest number of float64 values a trajectory records, (nsteps + 1) times
-# (state_dim + 3) for the states, times, energies and norms: 1 GiB.  The
-# three per-step values also bound the step count of an empty state.
+# Largest number of float64 values a trajectory records, 3 (nsteps + 1) for
+# the times, energies and norms: 1 GiB.
 MAX_TRAJECTORY_VALUES = 2**27
 
 
@@ -97,10 +98,10 @@ def _dissipation_terms(forms: csr_matrix, u: np.ndarray, v: np.ndarray) -> tuple
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time history of one run: states plus energy and norm per sample."""
+    """Energy and norm per sample of one run, and the run's final state."""
 
     times: np.ndarray      # (nsteps + 1,)
-    states: np.ndarray     # (nsteps + 1, state_dim)
+    states: np.ndarray     # (1, state_dim), the state at times[-1]
     energy: np.ndarray     # (nsteps + 1,) physical energy
     xnorm: np.ndarray      # (nsteps + 1,) state norm in the gram metric
     balance_worst_ratio: float  # largest step balance defect / its bound, 0 if none
@@ -114,8 +115,10 @@ def simulate(
 ) -> Trajectory:
     """Run nsteps Cayley steps from x0, recording energy and norm each step.
 
-    A step whose energy-balance defect exceeds BALANCE_RTOL times the sum of
-    the magnitudes of its terms, or is NaN, raises ContractionBreachError.
+    Two states are held at a time; the trajectory keeps the last (a copy of
+    x0 when nsteps is 0).  A step whose energy-balance defect exceeds
+    BALANCE_RTOL times the sum of the magnitudes of its terms, or is NaN,
+    raises ContractionBreachError.
     A run that would record more than MAX_TRAJECTORY_VALUES values is refused
     with ProblemSizeError before anything is allocated or factored, and so
     is an x0 whose energy or norm is not finite, with InitialDataError.
@@ -125,10 +128,10 @@ def simulate(
         raise ValueError(f"initial state must have length {pencil.state_dim}")
     if nsteps < 0:
         raise ValueError("nsteps must be nonnegative")
-    if (int(nsteps) + 1) * (pencil.state_dim + 3) > MAX_TRAJECTORY_VALUES:
+    if 3 * (int(nsteps) + 1) > MAX_TRAJECTORY_VALUES:
         raise ProblemSizeError(
-            f"{nsteps} steps of state dimension {pencil.state_dim} would record more "
-            f"than {MAX_TRAJECTORY_VALUES} values, the largest trajectory this package keeps"
+            f"{nsteps} steps would record more than {MAX_TRAJECTORY_VALUES} values, "
+            "the largest trajectory this package keeps"
         )
     # Finite data too large for float64 overflow here: say so, quietly.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -141,21 +144,19 @@ def simulate(
     forms = _stacked_forms(pencil)
     stepper = CayleyStepper(pencil, dt)
 
-    states = np.zeros((nsteps + 1, pencil.state_dim))
     energy = np.zeros(nsteps + 1)
     xnorm = np.zeros(nsteps + 1)
-    states[0] = x0
     energy[0], xnorm[0] = energy0, xnorm0
-    x, worst = x0, 0.0
+    x, worst = x0.copy(), 0.0
     for k in range(1, nsteps + 1):
-        x = stepper.step(x)
-        states[k] = x
+        prev, x = x, stepper.step(x)
         energy[k] = physical_energy(pencil, x)
         xnorm[k] = state_norm(pencil, x)
-        rate_d, rate_r = _dissipation_terms(forms, *pencil.split(0.5 * (states[k - 1] + x)))
+        mid = 0.5 * (prev + x)
+        rate_d, rate_r = _dissipation_terms(forms, *pencil.split(mid))
         damped, reacted = 2.0 * dt * rate_d, 2.0 * dt * rate_r
+        defect = 2.0 * float(mid @ (pencil.gram_csr @ (x - prev))) + damped + reacted
         before, after = xnorm[k - 1 : k + 1].tolist()
-        defect = after * after - before * before + damped + reacted
         bound = BALANCE_RTOL * (after * after + before * before + abs(damped) + abs(reacted))
         if not abs(defect) <= bound:
             raise ContractionBreachError(
@@ -163,7 +164,7 @@ def simulate(
             )
         worst = max(worst, abs(defect) / bound) if defect else worst
     times = dt * np.arange(nsteps + 1)
-    return Trajectory(times, states, energy, xnorm, worst)
+    return Trajectory(times, x[np.newaxis], energy, xnorm, worst)
 
 
 def initial_state(pencil: OperatorPencil, w0, w1) -> np.ndarray:

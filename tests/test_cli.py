@@ -527,3 +527,39 @@ class TestStudy:
         assert "Traceback" not in err
         assert out == ""
         assert not (out_dir / "study.csv").exists()
+
+
+HUGE_STRING = UNDAMPED_RUN.replace("n = 16", "n = 1000000000000000")
+HUGE_SQUARE = (
+    SQUARE.replace("nx = 4\nny = 4", "nx = 10000000\nny = 10000000")
+    + "\n[helmholtz]\nfx = x\nfy = y\n"
+)
+
+
+class TestOutOfMemory:
+    # Each mesh needs one array larger than any user address space, so numpy
+    # refuses it at once whatever the kernel's overcommit policy.
+    @pytest.mark.parametrize(
+        ("command", "text", "extra"),
+        [
+            ("validate", HUGE_STRING, []),
+            ("spectrum", HUGE_STRING, []),
+            ("simulate", HUGE_STRING, []),
+            ("helmholtz", HUGE_SQUARE, []),
+            ("poincare", HUGE_SQUARE, []),
+            ("study", UNDAMPED_RUN, ["--sizes", "4,1000000000000000"]),
+        ],
+        ids=["validate", "spectrum", "simulate", "helmholtz", "poincare", "study"],
+    )
+    def test_oversized_mesh_is_one_error_line(self, tmp_path, capsys, command, text, extra):
+        cfg = write_config(tmp_path, text)
+        out_dir = tmp_path / "run"
+        start = time.perf_counter()
+        code, out, err = run([command, "--config", cfg, "--out", str(out_dir), *extra], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: out of memory: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_dir.exists()

@@ -1,6 +1,7 @@
 """Tests for the midpoint time stepper and trajectory bookkeeping."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,10 +180,40 @@ class TestSimulate:
         x0 = models.random_state(pencil, rng)
         traj = wt.simulate(pencil, x0, 0.02, 150)
         assert len(traj) == 151
-        assert traj.states.shape == (151, pencil.state_dim)
+        assert traj.states.shape == (1, pencil.state_dim)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.xnorm[-1] < traj.xnorm[0]
         assert np.all(np.diff(traj.xnorm) <= 1e-10 * traj.xnorm[:-1] + 1e-300)
+        stepper, x = wt.CayleyStepper(pencil, 0.02), x0
+        for _ in range(150):
+            x = stepper.step(x)
+        assert np.array_equal(traj.states[-1], x)
+
+    def test_memory_does_not_grow_with_the_history(self):
+        # 2,001 states of length 400 would take 6.4 MB; the run keeps two.
+        pencil = models.damped_pencil(200)
+        x0 = models.random_state(pencil, np.random.default_rng(9))
+        nsteps = 2000
+        wt.simulate(pencil, x0, 0.01, 2)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            wt.simulate(pencil, x0, 0.01, nsteps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history = (nsteps + 1) * pencil.state_dim * 8
+        assert peak < history / 8
+
+    def test_trajectory_guard_counts_only_the_recorded_values(self, monkeypatch):
+        # Three values per sample: 3 * 101 fits in 1,000, 3 * 334 does not,
+        # whatever the state dimension.
+        monkeypatch.setattr(semigroup, "MAX_TRAJECTORY_VALUES", 1000)
+        pencil = models.damped_pencil(24)
+        x0 = models.random_state(pencil, np.random.default_rng(10))
+        assert pencil.state_dim == 48
+        assert len(wt.simulate(pencil, x0, 0.01, 100)) == 101
+        with pytest.raises(wt.ProblemSizeError, match="333 steps would record more than 1000"):
+            wt.simulate(pencil, x0, 0.01, 333)
 
     def test_contraction_breach_detected(self, monkeypatch):
         # Negative interior damping makes the flow expansive; its steps keep
@@ -303,13 +334,25 @@ class TestSimulate:
 
     def test_balance_ratio_on_a_fine_string(self):
         # The worst ratio grows with n on the 1-D string; 6.4e-3 was measured
-        # at n = 4,096 (1.9e-2 with the full-size step), pinned at twice that.
+        # at n = 4,096 before the defect was polarized (6.3e-5 after), and the
+        # bound pinned at twice the former.
         pencil = models.damped_pencil(4096, k2=3.0)
         x0 = semigroup.initial_state(
             pencil, lambda p: p[:, 0], lambda p: np.zeros(p.shape[0])
         )
         traj = wt.simulate(pencil, x0, 0.01, 200)
         assert 0.0 < traj.balance_worst_ratio <= 1.3e-2
+
+    def test_balance_holds_on_a_string_between_powers_of_two(self):
+        # The difference of squared norms read 2.2e-10 against a bound of
+        # 2.0e-10 at step 1 here; the polarized defect's worst ratio is 2.8e-2.
+        pencil = models.damped_pencil(4160, k2=3.0)
+        x0 = semigroup.initial_state(
+            pencil, lambda p: p[:, 0], lambda p: np.zeros(p.shape[0])
+        )
+        traj = wt.simulate(pencil, x0, 0.01, 200)
+        assert len(traj) == 201
+        assert 0.0 < traj.balance_worst_ratio <= 1.0
 
     @pytest.mark.parametrize("case", ["fully-clamped", "no-steps", "zero-state"])
     def test_trivial_runs_report_ratio_zero(self, case):
@@ -322,6 +365,10 @@ class TestSimulate:
             warnings.simplefilter("error")
             traj = wt.simulate(pencil, x0, 0.1, 0 if case == "no-steps" else 5)
         assert traj.balance_worst_ratio == 0.0
+        # The final state, a copy of x0 in each case, never an alias of it.
+        assert traj.states.shape == (1, pencil.state_dim)
+        assert np.array_equal(traj.states[-1], x0)
+        assert not np.shares_memory(traj.states, x0)
 
     def test_overflowing_initial_energy_refused_before_factoring(self, monkeypatch):
         pencil = models.dirichlet_pencil(8)
