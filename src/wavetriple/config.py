@@ -146,7 +146,6 @@ _SECTION_KEYS = {
     "coefficients": {"modulus": 0, "density": 0, "reaction": 0, "damping": 0},
     "boundary": None,
     "simulation": {"t_end": 0, "dt": 0, "w0": 0, "w1": 0},
-    "spectral": {"axis_tol": 0, "want_vectors": 0},
     "helmholtz": {"f": 1, "fx": 2, "fy": 2},
     "output": {"dir": 0},
 }
@@ -154,9 +153,7 @@ _SECTION_KEYS = {
 _NUMBER_RULES = {
     "t_end": ("a finite number >= 0", lambda v: v >= 0),
     "dt": ("a finite number > 0", lambda v: v > 0),
-    "axis_tol": ("a finite number > 0", lambda v: v > 0),
 }
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 # Keys stored under another ModelConfig field name.
 _FIELD_NAMES = {"k1": "spring_default", "k2": "damper_default", "dir": "output_dir"}
 
@@ -188,8 +185,6 @@ class ModelConfig:
     dt: float | None = None
     w0: Expression | None = None
     w1: Expression | None = None
-    axis_tol: float = 1e-6
-    want_vectors: bool = False
     helmholtz_field: tuple[Expression, ...] = ()
     output_dir: str = "out"
 
@@ -260,10 +255,6 @@ def _typed_value(section: str, key: str, text: str, dim: int):
         if not (np.isfinite(number) and valid(number)):
             raise ValueError(f"{key!r} must be {rule}, got {text!r}")
         return number
-    if key == "want_vectors":
-        if text.lower() not in _BOOLEANS:
-            raise ValueError(f"'want_vectors' must be boolean, got {text!r}")
-        return _BOOLEANS[text.lower()]
     if key == "dir":
         return text
     # A 1-D end takes one label; a 2-D side takes a label partition.

@@ -110,6 +110,15 @@ class Trajectory:
         return self.times.shape[0]
 
 
+def check_run_length(nsteps: float) -> None:
+    """ProblemSizeError if nsteps (a float, inf included) steps record too many values."""
+    if not 3 * (nsteps + 1) <= MAX_TRAJECTORY_VALUES:
+        raise ProblemSizeError(
+            f"{nsteps} steps would record more than {MAX_TRAJECTORY_VALUES} values, "
+            "the largest trajectory this package keeps"
+        )
+
+
 def simulate(
     pencil: OperatorPencil, x0: np.ndarray, dt: float, nsteps: int
 ) -> Trajectory:
@@ -128,11 +137,7 @@ def simulate(
         raise ValueError(f"initial state must have length {pencil.state_dim}")
     if nsteps < 0:
         raise ValueError("nsteps must be nonnegative")
-    if 3 * (int(nsteps) + 1) > MAX_TRAJECTORY_VALUES:
-        raise ProblemSizeError(
-            f"{nsteps} steps would record more than {MAX_TRAJECTORY_VALUES} values, "
-            "the largest trajectory this package keeps"
-        )
+    check_run_length(nsteps)
     # Finite data too large for float64 overflow here: say so, quietly.
     with np.errstate(over="ignore", invalid="ignore"):
         energy0, xnorm0 = physical_energy(pencil, x0), state_norm(pencil, x0)

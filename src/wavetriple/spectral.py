@@ -10,7 +10,8 @@ Every reported pair carries a recomputed residual plus two boundary
 residuals: the damped velocity trace, which must vanish on any
 eigenvector whose eigenvalue sits on the imaginary axis, and the
 absorbing boundary condition with the flux derived from the pair, which
-every pair must satisfy.
+every pair must satisfy.  spectrum and study also certify every pair's
+energy balance (balance_worst_ratio) on the eigenvectors a report keeps.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .mesh import Mesh
 
 # Pencil residual bound accepted from the eigensolver.
 RESIDUAL_TOL = 1e-8
-# Default half-width of the strip around the imaginary axis.
+# Half-width of the strip around the imaginary axis that near_axis lists.
 AXIS_TOL = 1e-6
 # Modulus below which an eigenvalue counts as zero for the exclusion check.
 ZERO_TOL = 1e-6
@@ -67,7 +68,7 @@ class SpectralReport:
     velocity trace on each unit-norm eigenvector, and flux_residual that of
     the absorbing boundary condition with the flux derived from the
     eigenpair (_flux_residual).  near_axis lists indices with
-    |Re| < axis_tol.
+    |Re| < AXIS_TOL, and vectors has one eigenvector column per value.
     """
 
     values: np.ndarray
@@ -79,10 +80,9 @@ class SpectralReport:
     min_modulus: float
     zero_excluded: bool
     near_axis: np.ndarray
-    axis_tol: float
     h: float
     state_dim: int
-    vectors: np.ndarray | None = None
+    vectors: np.ndarray
 
 
 def imaginary_axis_gap(values: np.ndarray) -> float:
@@ -93,16 +93,13 @@ def imaginary_axis_gap(values: np.ndarray) -> float:
     return float(np.abs(values.real).min())
 
 
-def compute_spectrum(
-    pencil: OperatorPencil,
-    axis_tol: float = AXIS_TOL,
-    want_vectors: bool = False,
-) -> SpectralReport:
-    """Full spectrum of the closed-loop generator with diagnostics.
+def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
+    """Full spectrum of the closed-loop generator with diagnostics and eigenvectors.
 
     Interior reaction and damping terms are included.  Raises
     EigenSolverError if any recomputed pencil residual exceeds the
-    accepted bound, so a report in hand is a certificate.
+    accepted bound, so a report in hand is a certificate of its pairs;
+    balance_worst_ratio certifies their energy balance.
     """
     m = pencil.num_active
     gram = pencil.gram
@@ -128,7 +125,7 @@ def compute_spectrum(
     min_modulus = float(np.abs(values).min()) if len(values) else np.inf
     damped = pencil.coeffs.damping_active and energy_anchored(pencil.mesh, pencil.coeffs)
     zero_excluded = bool(min_modulus > ZERO_TOL) if damped else True
-    near_axis = np.nonzero(np.abs(values.real) < axis_tol)[0]
+    near_axis = np.nonzero(np.abs(values.real) < AXIS_TOL)[0]
     return SpectralReport(
         values=values,
         residuals=residuals,
@@ -139,10 +136,9 @@ def compute_spectrum(
         min_modulus=min_modulus,
         zero_excluded=zero_excluded,
         near_axis=near_axis,
-        axis_tol=float(axis_tol),
         h=mesh_size(pencil.mesh),
         state_dim=pencil.state_dim,
-        vectors=vectors if want_vectors else None,
+        vectors=vectors,
     )
 
 
@@ -169,11 +165,8 @@ def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.
     v^H (D + Mb) v + Re(v^H Ma u): the damper form of the velocity trace
     plus the interior damping and reaction forms.  dissipation_forms
     assembles D, Ma and Mb from the coefficients, not from the dynamics,
-    and the Gram norms use the pencil's CSR forms.  Requires a report
-    built with want_vectors.
+    and the Gram norms use the pencil's CSR forms.
     """
-    if report.vectors is None:
-        raise ValueError("report carries no eigenvectors; recompute with want_vectors")
     m = pencil.num_active
     vec_u = report.vectors[:m]
     vec_v = report.vectors[m:]
@@ -195,11 +188,7 @@ def balance_tolerance(report: SpectralReport) -> np.ndarray:
 
 
 def balance_worst_ratio(pencil: OperatorPencil, report: SpectralReport) -> float:
-    """Largest eigenpair energy-balance defect as a fraction of its bound.
-
-    Requires a report built with want_vectors.  A ratio above 1 (or NaN)
-    means the eigenvectors fail the balance: EigenSolverError.
-    """
+    """Largest eigenpair energy-balance defect over its bound; above 1 or NaN: EigenSolverError."""
     defect = eigvec_boundary_check(pencil, report)
     ratio = float((defect / balance_tolerance(report)).max(initial=0.0))
     if not ratio <= 1.0:
@@ -229,7 +218,8 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     form = form.toarray()
     mass = _restrict(mass_triplets(mesh, ones), active).toarray()
     std = linalg.generalized_to_standard(form, (linalg.cholesky(mass),))
-    lam_min = float(np.linalg.eigvalsh(0.5 * (std + std.T)).min())
+    # An empty form (no active node) has smallest eigenvalue +inf, so C = 0.
+    lam_min = float(np.linalg.eigvalsh(0.5 * (std + std.T)).min(initial=np.inf))
     if lam_min <= 0:
         raise DegenerateEnergyNormError(
             f"trace form is not coercive (smallest eigenvalue {lam_min:.3e})"
@@ -240,15 +230,18 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
 def refinement_study(build, sizes) -> list[tuple[float, int, float, float]]:
     """Rows (h, N, abscissa, gap) over mesh sizes.
 
-    build maps a size to an OperatorPencil.  No convergence of the gap is
-    asserted; the table itself is the deliverable.
+    build maps a size to an OperatorPencil.  Each size's energy balance is
+    certified, and its report and eigenvectors freed, before the next size
+    is solved.  No convergence of the gap is asserted; the table is the
+    deliverable.
     """
-    rows = []
-    for size in sizes:
-        pencil = build(int(size))
-        report = compute_spectrum(pencil)
-        rows.append((report.h, report.state_dim, report.abscissa, report.gap))
-    return rows
+    return [_study_row(build(int(size))) for size in sizes]
+
+
+def _study_row(pencil: OperatorPencil) -> tuple[float, int, float, float]:
+    report = compute_spectrum(pencil)
+    balance_worst_ratio(pencil, report)
+    return (report.h, report.state_dim, report.abscissa, report.gap)
 
 
 def eigenvalues_csv(report: SpectralReport) -> str:

@@ -155,7 +155,7 @@ def test_criterion_05_damped_spectrum():
 def test_criterion_06_eigenpair_balance():
     worst = 0.0
     for pencil in models.ci_pencils():
-        report = wt.compute_spectrum(pencil, want_vectors=True)
+        report = wt.compute_spectrum(pencil)
         if report.state_dim == 0:
             continue
         defect = wt.eigvec_boundary_check(pencil, report)

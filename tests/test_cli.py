@@ -154,6 +154,7 @@ class TestSpectrum:
         assert out == ""
         assert not (out_dir / "eigenvalues.csv").exists()
 
+    # There is no [spectral] section: the near-axis strip is a constant.
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_axis_tol_is_a_line_numbered_error(self, tmp_path, capsys, value):
         text = DAMPED + f"\n[spectral]\naxis_tol = {value}\n"
@@ -163,7 +164,10 @@ class TestSpectrum:
         code, out, err = run(["spectrum", "--config", cfg, "--out", str(out_dir)], capsys)
         assert code == 1
         assert out == ""
-        assert err == f"error: line {lineno}: 'axis_tol' must be a finite number > 0, got {value!r}\n"
+        assert err == (
+            f"error: line {lineno - 1}: unknown section [spectral]\n"
+            f"error: line {lineno}: key outside any known section\n"
+        )
         assert not (out_dir / "eigenvalues.csv").exists()
 
     @pytest.mark.parametrize(
@@ -171,21 +175,11 @@ class TestSpectrum:
         ["", "\n[coefficients]\ndamping = 1\nreaction = 1\n"],
         ids=["boundary-damping", "interior-terms"],
     )
-    def test_want_vectors_adds_only_the_balance_line(self, tmp_path, capsys, interior):
-        outputs = {}
-        for name, extra in (
-            ("plain", ""),
-            ("false", "\n[spectral]\nwant_vectors = false\n"),
-            ("true", "\n[spectral]\nwant_vectors = true\n"),
-        ):
-            cfg = write_config(tmp_path, DAMPED + interior + extra, name=f"{name}.cfg")
-            code, out, err = run(["spectrum", "--config", cfg, "--out", str(tmp_path)], capsys)
-            assert code == 0, err
-            outputs[name] = out
-        assert outputs["false"] == outputs["plain"]
-        head, _, last = outputs["true"].rstrip("\n").rpartition("\n")
-        assert head + "\n" == outputs["plain"]
-        key, value = last.split(" ")
+    def test_stdout_ends_with_balance_line(self, tmp_path, capsys, interior):
+        cfg = write_config(tmp_path, DAMPED + interior)
+        code, out, err = run(["spectrum", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 0 and err == ""
+        key, value = out.splitlines()[-1].split(" ")
         assert key == "balance_worst_ratio"
         assert 0.0 <= float(value) <= 1.0
 
@@ -290,8 +284,20 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "n, t_end, dt",
-        [(4, "1e300", "1"), (4, "1e9", "1"), (1, "1e9", "1")],
-        ids=["beyond-array-limits", "beyond-memory", "fully-clamped"],
+        [
+            (4, "1e300", "1"),
+            (4, "1e9", "1"),
+            (1, "1e9", "1"),
+            (4, "1", "1e-320"),
+            (4, "1e308", "1e-10"),
+        ],
+        ids=[
+            "beyond-array-limits",
+            "beyond-memory",
+            "fully-clamped",
+            "step-count-overflows-tiny-dt",
+            "step-count-overflows-huge-horizon",
+        ],
     )
     def test_over_long_run_is_refused_up_front(self, tmp_path, capsys, n, t_end, dt):
         text = (
@@ -430,6 +436,20 @@ class TestScalarCommands:
         value = float(out.split("poincare_constant ")[1])
         assert value == pytest.approx(1.0 / np.pi, rel=0.01)
 
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            "dim = 1\nn = 1\nleft = fixed\nright = fixed\n",
+            "dim = 2\nnx = 1\nny = 1\nleft = fixed\nright = fixed\nbottom = fixed\ntop = fixed\n",
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_poincare_constant_without_active_node(self, tmp_path, capsys, domain):
+        cfg = write_config(tmp_path, "[domain]\n" + domain)
+        code, out, err = run(["poincare", "--config", cfg], capsys)
+        assert code == 0 and err == ""
+        assert out == "poincare_constant 0\n"
+
     def test_helmholtz_norms(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DAMPED + "\n[helmholtz]\nf = x\n")
         code, out, _ = run(["helmholtz", "--config", cfg], capsys)
@@ -563,3 +583,52 @@ class TestOutOfMemory:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+
+class TestUnusableOutput:
+    """An --out that cannot be a directory is one error line, after the work."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize(
+        "command, text, extra",
+        [
+            ("spectrum", DAMPED, []),
+            ("simulate", UNDAMPED_RUN, []),
+            ("study", DAMPED, ["--sizes", "4,8"]),
+        ],
+        ids=["spectrum", "simulate", "study"],
+    )
+    def test_is_one_error_line(self, tmp_path, capsys, command, text, extra, below):
+        cfg = write_config(tmp_path, text)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out_dir = blocker / "sub" if below else blocker
+        code, out, err = run([command, "--config", cfg, "--out", str(out_dir), *extra], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "model.cfg"]
+
+
+class TestReadmeExample:
+    """The example configuration in README.md runs under every command."""
+
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def example(self):
+        text = self.README.read_text().split("### Example configuration", 1)[1]
+        return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "spectrum", "simulate", "poincare", "helmholtz"]
+    )
+    def test_runs(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.example())
+        code, out, err = run([command, "--config", cfg, "--out", str(tmp_path / "out")], capsys)
+        assert code == 0, err
+        assert err == ""
+        if command == "spectrum":
+            assert out.splitlines()[-1].startswith("balance_worst_ratio ")

@@ -140,8 +140,6 @@ class TestParse:
         assert cfg.spring_default == wt.compile_expression("0", 1)
         assert cfg.damper_default == wt.compile_expression("0", 1)
         assert cfg.t_end is None
-        assert cfg.axis_tol == 1e-6
-        assert not cfg.want_vectors
         assert cfg.helmholtz_field == ()
         assert cfg.output_dir == "out"
 
@@ -258,12 +256,6 @@ class TestParse:
         cfg = wt.parse_config(free + "[boundary]\nk1 = 2\n")
         assert cfg.spring_default == wt.compile_expression("2", 1)
         wt.parse_config(MINIMAL.replace("right = fixed", "right = free"))
-
-    def test_want_vectors_values(self):
-        cfg = wt.parse_config(MINIMAL + "[spectral]\nwant_vectors = true\n")
-        assert cfg.want_vectors
-        diags = diagnostics_of(MINIMAL + "[spectral]\nwant_vectors = maybe\n")
-        assert any("must be boolean" in d for d in diags)
 
     def test_helmholtz_section_by_dimension(self):
         cfg = wt.parse_config(MINIMAL + "[helmholtz]\nf = x\n")
