@@ -5,8 +5,8 @@ vanishing on the whole boundary, plus a divergence-free remainder; the two
 parts are orthogonal in the inner product weighted by the inverse modulus.
 Discretely the potential is piecewise linear and zero at every boundary
 node, so its weighted gradient is cellwise constant like the input.  The
-potential solve is sparse: the stiffness and the gradient operator come
-from assembly, and the interior block is factored by sparse LU.
+potential solve is sparse: assembly gives the stiffness, its interior block
+(_restrict) and the gradient operator, and sparse LU factors the block.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .assembly import gradient_operator, stiffness_triplets
+from .assembly import _restrict, gradient_operator, stiffness_triplets
 from .coefficients import CoefficientSet
 from .errors import FieldError
 from .mesh import Mesh, boundary_nodes, cell_midpoints, cell_volumes
@@ -81,7 +81,7 @@ def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> n
     interior = _interior(mesh)
     potential = np.zeros(mesh.num_nodes)
     if interior.size:
-        stiff = stiffness_triplets(mesh, coeffs.modulus).tocsr()[interior][:, interior]
+        stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), interior)
         rhs = _paired(mesh, grad_op, f)[interior]
         potential[interior] = linalg.LuFactorization(stiff).solve(rhs)
     grad_p = (grad_op @ potential).reshape(mesh.num_cells, mesh.dim)

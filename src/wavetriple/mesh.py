@@ -89,6 +89,8 @@ def interval_mesh(
     """Uniform mesh of [0, 1] with n cells and labeled endpoints."""
     if n < 1:
         raise MeshValidationError(f"interval mesh needs at least 1 cell, got {n}")
+    if 8 * (n + 1) > np.iinfo(np.intp).max:
+        raise MeshValidationError(f"interval mesh of {n} cells: more than numpy can address")
     nodes = np.linspace(0.0, 1.0, n + 1).reshape(-1, 1)
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     facets = np.array([[0], [n]])
@@ -101,11 +103,13 @@ def rectangle_mesh(nx: int, ny: int, sides: Mapping[str, Sequence[Segment]]) -> 
     Each square is split along its bottom-left to top-right diagonal into
     two counterclockwise triangles.  sides maps each name in SIDES to its
     segments, which must tile [0, 1] in order; boundary edges are labeled
-    from them.  A missing side, or a break point that does not coincide
-    with a facet corner, raises MeshValidationError.
+    from them.  A missing side, a break point off the facet corners, or a
+    node array beyond numpy's address range raises MeshValidationError.
     """
     if nx < 1 or ny < 1:
         raise MeshValidationError(f"rectangle mesh needs nx, ny >= 1, got {nx}, {ny}")
+    if 16 * (nx + 1) * (ny + 1) > np.iinfo(np.intp).max:
+        raise MeshValidationError(f"{nx} by {ny} mesh: more than numpy can address")
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")

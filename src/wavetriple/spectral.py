@@ -10,8 +10,8 @@ Every reported pair carries a recomputed residual plus two boundary
 residuals: the damped velocity trace, which must vanish on any
 eigenvector whose eigenvalue sits on the imaginary axis, and the
 absorbing boundary condition with the flux derived from the pair, which
-every pair must satisfy.  spectrum and study also certify every pair's
-energy balance (balance_worst_ratio) on the eigenvectors a report keeps.
+every pair must satisfy.  compute_spectrum certifies every pair's energy
+balance too, so every report carries its worst ratio.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ RESIDUAL_TOL = 1e-8
 AXIS_TOL = 1e-6
 # Modulus below which an eigenvalue counts as zero for the exclusion check.
 ZERO_TOL = 1e-6
-# Largest state dimension whose full dense spectrum the spectrum and study
-# commands attempt.  Time grows like the cube of the dimension and memory like its
+# Largest state dimension whose full dense spectrum compute_spectrum
+# attempts.  Time grows like the cube of the dimension and memory like its
 # square: on a 2-core machine compute_spectrum took 9 s at 2048, 31 s at
 # 3072 and 68 s with a 2.1 GB peak at 4096.
 MAX_DENSE_STATE = 4096
@@ -67,8 +67,9 @@ class SpectralReport:
     residuals; k2_trace_residual is the norm of the damper-weighted
     velocity trace on each unit-norm eigenvector, and flux_residual that of
     the absorbing boundary condition with the flux derived from the
-    eigenpair (_flux_residual).  near_axis lists indices with
-    |Re| < AXIS_TOL, and vectors has one eigenvector column per value.
+    eigenpair.  near_axis lists indices with |Re| < AXIS_TOL, and vectors
+    has one eigenvector column per value.  balance_worst_ratio is the
+    largest energy-balance defect over its bound, at most 1.
     """
 
     values: np.ndarray
@@ -83,6 +84,7 @@ class SpectralReport:
     h: float
     state_dim: int
     vectors: np.ndarray
+    balance_worst_ratio: float
 
 
 def imaginary_axis_gap(values: np.ndarray) -> float:
@@ -96,11 +98,13 @@ def imaginary_axis_gap(values: np.ndarray) -> float:
 def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     """Full spectrum of the closed-loop generator with diagnostics and eigenvectors.
 
-    Interior reaction and damping terms are included.  Raises
-    EigenSolverError if any recomputed pencil residual exceeds the
-    accepted bound, so a report in hand is a certificate of its pairs;
-    balance_worst_ratio certifies their energy balance.
+    Interior reaction and damping terms are included.  Above
+    MAX_DENSE_STATE states it is a ProblemSizeError before anything is
+    densified.  A recomputed pencil residual or an eigenpair energy-balance
+    defect beyond its bound is an EigenSolverError, so a report in hand is
+    a certificate of its pairs.
     """
+    check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
     m = pencil.num_active
     gram = pencil.gram
     factors = (linalg.cholesky(gram[:m, :m]), linalg.cholesky(gram[m:, m:]))
@@ -113,12 +117,20 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
         raise EigenSolverError(
             f"pencil residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
+    defect, (mass_v, damp_v, react_u) = _balance_defect(pencil, values, vectors)
+    ratio = float((defect / balance_tolerance(values)).max(initial=0.0))
+    if not ratio <= 1.0:
+        raise EigenSolverError(f"eigenpair energy balance defect at {ratio:.3e} of its bound")
 
+    # The flux trace g that apply_A needs to reproduce a pair is
+    # lift(g) = lambda M v + K u on the trace rows.  There the first
+    # boundary map spring u + g must balance (D + Mb) v + Ma u.
     slots = pencil.trace_slots
     vec_u = vectors[:m]
-    vec_v = vectors[m:]
-    k2_res = np.linalg.norm(pencil.boundary_damper_csr[slots] @ vec_v, axis=0)
-    flux_res = _flux_residual(pencil, values, vec_u, vec_v)
+    flux = values * mass_v[slots] + pencil.stiffness_csr[slots] @ vec_u
+    b1 = pencil.boundary_spring_csr[slots] @ vec_u + flux
+    flux_res = np.linalg.norm(b1 + damp_v[slots] + react_u[slots], axis=0)
+    k2_res = np.linalg.norm(pencil.boundary_damper_csr[slots] @ vectors[m:], axis=0)
 
     abscissa = float(values.real.max()) if len(values) else -np.inf
     gap = imaginary_axis_gap(values)
@@ -139,23 +151,26 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
         h=mesh_size(pencil.mesh),
         state_dim=pencil.state_dim,
         vectors=vectors,
+        balance_worst_ratio=ratio,
     )
 
 
-def _flux_residual(pencil: OperatorPencil, values, vec_u, vec_v) -> np.ndarray:
-    """Norm of the absorbing condition on the trace rows, one per pair.
+def _balance_defect(pencil: OperatorPencil, values, vectors):
+    """Eigenpair energy-balance defect, with the products M v, (D + Mb) v, Ma u.
 
-    The flux trace g is what apply_A needs to reproduce the eigenpair,
-    lift(g) = lambda M v + K u on the trace rows.  There the first boundary
-    map spring u + g must balance the dissipation D v + Ma u + Mb v, so
-    the norm of spring u + g + D v + Ma u + Mb v is reported, with Ma and
-    D + Mb from dissipation_forms.  Only trace rows are formed.
+    -Re(lambda) * ||z||^2 must equal v^H (D + Mb) v + Re(v^H Ma u).  Ma and
+    D + Mb come from dissipation_forms, assembled from the coefficients,
+    not read back from the dynamics; the Gram norms use the CSR forms.
     """
-    slots = pencil.trace_slots
+    m = pencil.num_active
+    vec_u, vec_v = vectors[:m], vectors[m:]
     reaction, damper = dissipation_forms(pencil)
-    flux = values * (pencil.mass_csr[slots] @ vec_v) + pencil.stiffness_csr[slots] @ vec_u
-    b1 = pencil.boundary_spring_csr[slots] @ vec_u + flux
-    return np.linalg.norm(b1 + damper[slots] @ vec_v + reaction[slots] @ vec_u, axis=0)
+    mass_v, damp_v, react_u = pencil.mass_csr @ vec_v, damper @ vec_v, reaction @ vec_u
+    gram_norms = np.einsum(
+        "im,im->m", np.conj(vec_u), pencil.displacement_gram_csr @ vec_u
+    ) + np.einsum("im,im->m", np.conj(vec_v), mass_v)
+    dissipation = np.einsum("im,im->m", np.conj(vec_v), damp_v + react_u)
+    return np.abs(-values.real * gram_norms.real - dissipation.real), (mass_v, damp_v, react_u)
 
 
 def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.ndarray:
@@ -163,37 +178,19 @@ def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.
 
     For each eigenpair, -Re(lambda) * ||z||^2 must equal the dissipation
     v^H (D + Mb) v + Re(v^H Ma u): the damper form of the velocity trace
-    plus the interior damping and reaction forms.  dissipation_forms
-    assembles D, Ma and Mb from the coefficients, not from the dynamics,
-    and the Gram norms use the pencil's CSR forms.
+    plus the interior damping and reaction forms.  compute_spectrum bounds
+    the same defect; this recomputes it from the report's eigenvectors.
     """
-    m = pencil.num_active
-    vec_u = report.vectors[:m]
-    vec_v = report.vectors[m:]
-    reaction, damper = dissipation_forms(pencil)
-    gram_norms = np.einsum(
-        "im,im->m", np.conj(vec_u), pencil.displacement_gram_csr @ vec_u
-    ) + np.einsum("im,im->m", np.conj(vec_v), pencil.mass_csr @ vec_v)
-    dissipation = np.einsum("im,im->m", np.conj(vec_v), damper @ vec_v + reaction @ vec_u)
-    return np.abs(-report.values.real * gram_norms.real - dissipation.real)
+    return _balance_defect(pencil, report.values, report.vectors)[0]
 
 
-def balance_tolerance(report: SpectralReport) -> np.ndarray:
+def balance_tolerance(values: np.ndarray) -> np.ndarray:
     """Acceptance bound for the eigenpair energy-balance defect.
 
     Both sides of the balance are |Re lambda| times the unit gram norm, so
     the bound scales with that plus an absolute floor in |lambda|.
     """
-    return 2e-8 * np.abs(report.values.real) + 1e-10 * (1.0 + np.abs(report.values))
-
-
-def balance_worst_ratio(pencil: OperatorPencil, report: SpectralReport) -> float:
-    """Largest eigenpair energy-balance defect over its bound; above 1 or NaN: EigenSolverError."""
-    defect = eigvec_boundary_check(pencil, report)
-    ratio = float((defect / balance_tolerance(report)).max(initial=0.0))
-    if not ratio <= 1.0:
-        raise EigenSolverError(f"eigenpair energy balance defect at {ratio:.3e} of its bound")
-    return ratio
+    return 2e-8 * np.abs(values.real) + 1e-10 * (1.0 + np.abs(values))
 
 
 def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
@@ -230,17 +227,16 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
 def refinement_study(build, sizes) -> list[tuple[float, int, float, float]]:
     """Rows (h, N, abscissa, gap) over mesh sizes.
 
-    build maps a size to an OperatorPencil.  Each size's energy balance is
-    certified, and its report and eigenvectors freed, before the next size
-    is solved.  No convergence of the gap is asserted; the table is the
-    deliverable.
+    build maps a size to an OperatorPencil.  Each size's report, energy
+    balance included, is certified by compute_spectrum and freed with its
+    eigenvectors before the next size is solved.  No convergence of the
+    gap is asserted; the table is the deliverable.
     """
     return [_study_row(build(int(size))) for size in sizes]
 
 
 def _study_row(pencil: OperatorPencil) -> tuple[float, int, float, float]:
     report = compute_spectrum(pencil)
-    balance_worst_ratio(pencil, report)
     return (report.h, report.state_dim, report.abscissa, report.gap)
 
 

@@ -159,7 +159,7 @@ def test_criterion_06_eigenpair_balance():
         if report.state_dim == 0:
             continue
         defect = wt.eigvec_boundary_check(pencil, report)
-        bound = spectral.balance_tolerance(report)
+        bound = spectral.balance_tolerance(report.values)
         worst = max(worst, float((defect / bound).max()))
     ok = worst <= 1.0
     verdict(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavetriple import cli
+from wavetriple import cli, spectral
 
 DAMPED = """\
 [domain]
@@ -182,6 +182,20 @@ class TestSpectrum:
         key, value = out.splitlines()[-1].split(" ")
         assert key == "balance_worst_ratio"
         assert 0.0 <= float(value) <= 1.0
+
+    def test_dissipation_forms_assembled_once(self, tmp_path, capsys, monkeypatch):
+        real = spectral.dissipation_forms
+        calls = []
+
+        def counting(pencil):
+            calls.append(pencil)
+            return real(pencil)
+
+        monkeypatch.setattr(spectral, "dissipation_forms", counting)
+        cfg = write_config(tmp_path, DAMPED + "\n[coefficients]\ndamping = 1\nreaction = 1\n")
+        code, _, err = run(["spectrum", "--config", cfg, "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 class TestSimulate:
@@ -549,27 +563,32 @@ class TestStudy:
         assert not (out_dir / "study.csv").exists()
 
 
-HUGE_STRING = UNDAMPED_RUN.replace("n = 16", "n = 1000000000000000")
-HUGE_SQUARE = (
-    SQUARE.replace("nx = 4\nny = 4", "nx = 10000000\nny = 10000000")
-    + "\n[helmholtz]\nfx = x\nfy = y\n"
-)
+def oversized_cases(n, nx):
+    """One case per command: a string of n cells or a square of nx by nx."""
+    string = UNDAMPED_RUN.replace("n = 16", f"n = {n}")
+    square = (
+        SQUARE.replace("nx = 4\nny = 4", f"nx = {nx}\nny = {nx}")
+        + "\n[helmholtz]\nfx = x\nfy = y\n"
+    )
+    return [
+        ("validate", string, []),
+        ("spectrum", string, []),
+        ("simulate", string, []),
+        ("helmholtz", square, []),
+        ("poincare", square, []),
+        ("validate", square, []),
+        ("study", UNDAMPED_RUN, ["--sizes", f"4,{n}"]),
+    ]
+
+
+COMMAND_IDS = ["validate", "spectrum", "simulate", "helmholtz", "poincare", "validate-2d", "study"]
 
 
 class TestOutOfMemory:
     # Each mesh needs one array larger than any user address space, so numpy
     # refuses it at once whatever the kernel's overcommit policy.
     @pytest.mark.parametrize(
-        ("command", "text", "extra"),
-        [
-            ("validate", HUGE_STRING, []),
-            ("spectrum", HUGE_STRING, []),
-            ("simulate", HUGE_STRING, []),
-            ("helmholtz", HUGE_SQUARE, []),
-            ("poincare", HUGE_SQUARE, []),
-            ("study", UNDAMPED_RUN, ["--sizes", "4,1000000000000000"]),
-        ],
-        ids=["validate", "spectrum", "simulate", "helmholtz", "poincare", "study"],
+        ("command", "text", "extra"), oversized_cases(10**15, 10**7), ids=COMMAND_IDS
     )
     def test_oversized_mesh_is_one_error_line(self, tmp_path, capsys, command, text, extra):
         cfg = write_config(tmp_path, text)
@@ -581,6 +600,25 @@ class TestOutOfMemory:
         assert out == ""
         assert err.startswith("error: out of memory: ")
         assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    # Node arrays whose byte size exceeds the largest numpy index are refused
+    # by interval_mesh and rectangle_mesh, before numpy sees them.
+    @pytest.mark.parametrize(
+        ("command", "text", "extra"),
+        oversized_cases(2**60, 10**10) + oversized_cases(2**63 - 1, 10**20),
+        ids=[f"{cmd}-{size}" for size in ("2^60", "2^63-1") for cmd in COMMAND_IDS],
+    )
+    def test_unaddressable_mesh_is_one_error_line(self, tmp_path, capsys, command, text, extra):
+        cfg = write_config(tmp_path, text)
+        out_dir = tmp_path / "run"
+        code, out, err = run([command, "--config", cfg, "--out", str(out_dir), *extra], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "more than numpy can address" in err
+        assert err.count("error:") == 1 and err.count("\n") == 1
         assert "Traceback" not in err
         assert not out_dir.exists()
 

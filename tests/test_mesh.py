@@ -132,6 +132,15 @@ class TestInterval:
         with pytest.raises(wt.MeshValidationError):
             wt.interval_mesh(0)
 
+    @pytest.mark.parametrize("n", [2**60, 2**63 - 1, 10**20], ids=["2^60", "2^63-1", "1e20"])
+    def test_unaddressable_node_array_is_refused(self, n):
+        with pytest.raises(wt.MeshValidationError, match="more than numpy can address"):
+            wt.interval_mesh(n)
+
+    def test_unaddressable_square_is_refused(self):
+        with pytest.raises(wt.MeshValidationError, match="more than numpy can address"):
+            wt.rectangle_mesh(10**10, 10**10, models.square_partition())
+
 
 class TestRectangle:
     def test_counts(self):

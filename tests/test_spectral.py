@@ -95,18 +95,30 @@ class TestComputeSpectrum:
             report = wt.compute_spectrum(pencil)
             assert (report.flux_residual <= 1e-11 * (1.0 + np.abs(report.values))).all()
 
-    def test_flux_residual_is_not_the_damper_trace(self):
+    def test_flux_residual_is_not_the_damper_trace(self, monkeypatch):
         pencil = models.damped_pencil(24)
         report = wt.compute_spectrum(pencil)
         assert report.k2_trace_residual.max() > 1.0
         assert report.flux_residual.max() < 1e-9
-        # Eigenpairs of a generator that drops the damper fail the condition.
+        # Eigenpairs of a generator that drops the damper fail the condition,
+        # and compute_spectrum refuses them for their energy balance.
         m = pencil.num_active
         dynamics = pencil.dynamics.copy()
         dynamics[m:, m:] = 0.0
         undamped = dataclasses.replace(pencil, dynamics_csr=csr_matrix(dynamics))
+        with pytest.raises(EigenSolverError, match="energy balance"):
+            wt.compute_spectrum(undamped)
+        monkeypatch.setattr(spectral, "balance_tolerance", lambda values: np.inf)
         wrong = wt.compute_spectrum(undamped)
         assert wrong.flux_residual.max() > 1e-3
+
+    def test_dense_limit_is_refused_before_the_eigensolve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "generalized_eig", lambda *args: calls.append(args))
+        monkeypatch.setattr(spectral, "MAX_DENSE_STATE", 16)
+        with pytest.raises(wt.ProblemSizeError, match="spectrum: state dimension 32 exceeds 16"):
+            wt.compute_spectrum(models.damped_pencil(16))
+        assert calls == []
 
     def test_undamped_spectrum_sits_on_axis(self):
         for pencil in (
@@ -247,37 +259,47 @@ class TestEnergyBalance:
         for pencil in models.ci_pencils():
             report = wt.compute_spectrum(pencil)
             defect = wt.eigvec_boundary_check(pencil, report)
-            bound = spectral.balance_tolerance(report)
+            bound = spectral.balance_tolerance(report.values)
             assert (defect <= bound).all()
-            assert 0.0 <= spectral.balance_worst_ratio(pencil, report) <= 1.0
+            assert 0.0 <= report.balance_worst_ratio <= 1.0
 
     def test_balance_identity_on_cell_average_models(self):
         for pencil in models.cell_average_pencils():
             report = wt.compute_spectrum(pencil)
             defect = wt.eigvec_boundary_check(pencil, report)
-            bound = spectral.balance_tolerance(report)
+            bound = spectral.balance_tolerance(report.values)
             assert (defect <= bound).all()
+
+    def test_report_ratio_is_the_public_check_over_its_bound(self):
+        for pencil in models.ci_pencils() + interior_terms_pencils():
+            report = wt.compute_spectrum(pencil)
+            defect = wt.eigvec_boundary_check(pencil, report)
+            bound = spectral.balance_tolerance(report.values)
+            assert report.balance_worst_ratio == (defect / bound).max(initial=0.0)
 
     def test_balance_identity_with_interior_reaction_and_damping(self):
         for pencil in interior_terms_pencils():
             report = wt.compute_spectrum(pencil)
-            assert 0.0 <= spectral.balance_worst_ratio(pencil, report) <= 1.0
+            assert 0.0 <= report.balance_worst_ratio <= 1.0
             # Dropping the interior damping from the generator breaks the balance.
-            wrong = wt.compute_spectrum(without_interior_damping(pencil))
             with pytest.raises(EigenSolverError, match="energy balance"):
-                spectral.balance_worst_ratio(pencil, wrong)
+                wt.compute_spectrum(without_interior_damping(pencil))
 
     def test_balance_is_not_vacuous_when_damped(self):
         pencil = models.damped_pencil(32)
         report = wt.compute_spectrum(pencil)
         assert np.abs(report.values.real).max() > 0.1
 
-    def test_worst_ratio_above_one_is_an_eigensolver_error(self):
-        pencil = models.damped_pencil(8)
-        report = wt.compute_spectrum(pencil)
-        shifted = dataclasses.replace(report, values=report.values - 1.0)
+    def test_worst_ratio_above_one_is_an_eigensolver_error(self, monkeypatch):
+        real = spectral.dissipation_forms
+
+        def doubled(pencil):
+            reaction, damper = real(pencil)
+            return 2.0 * reaction, 2.0 * damper
+
+        monkeypatch.setattr(spectral, "dissipation_forms", doubled)
         with pytest.raises(EigenSolverError, match="energy balance"):
-            spectral.balance_worst_ratio(pencil, shifted)
+            wt.compute_spectrum(models.damped_pencil(8))
 
 
 class TestPoincareConstant:
