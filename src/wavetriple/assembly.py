@@ -37,8 +37,9 @@ and drops the entries that sum to exactly zero, so its toarray() is the
 dense block bit for bit.  The pencil stores every matrix once, as CSR,
 gram and dynamics included; nothing is dense, as S and M are certified
 on their band alone.  Its dense names are views that densify on each
-read, and only the full spectrum reads them.  Other sparse consumers
-(the Helmholtz solve) convert the triplets to CSR or CSC themselves.
+read; nothing in the package reads them, only the benchmark and the
+tests do.  Other sparse consumers (the Helmholtz solve) convert the
+triplets to CSR or CSC themselves.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ _SEG_AVERAGE = np.full((2, 2), 0.25)
 KINETIC_SCHEMES = ("consistent", "cell_average")
 # Largest state dimension (twice the active nodes) that assemble_pencil and
 # poincare_constant accept: the 2-D square at nx = 64 with one side fixed.
-# poincare still builds a dense trace form there (0.74 GB, 7 s on a 2-core
-# machine); validate and simulate (100 steps) peak at 0.07 and 0.08 GB.
+# poincare still reduces a dense trace form there (0.47 GB, 8.5 s on a
+# 2-core machine); validate and simulate (100 steps) peak at 0.07 and 0.08 GB.
 # The guard stays for poincare, and because it is the only size check on
 # validate and simulate: it turns a 1-D n = 100000 into one error line
 # instead of a long run.

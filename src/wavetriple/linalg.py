@@ -1,13 +1,13 @@
 """Linear-algebra kernels: Cholesky, LU solves, nonsymmetric eigenproblems.
 
-Cholesky and the eigensolvers work on dense arrays for the full spectrum,
-dense by nature; certify_positive_definite applies Cholesky's pivot rule
-to a sparse symmetric matrix by factoring only its band.  LU solves take
-dense or scipy.sparse input and always factor with SuperLU: every matrix
-solved against is a finite element matrix with a handful of entries per
-row.  Both factorizations apply a package-wide relative pivot threshold on
-top of the library's own checks.  A block-diagonal Gram matrix is reduced
-block by block from the factors of its diagonal blocks.
+certify_positive_definite applies Cholesky's pivot rule to a sparse
+symmetric matrix by factoring only its band, and returns the band factor.
+LU solves take dense or scipy.sparse input and always factor with SuperLU:
+every matrix solved against is a finite element matrix with a handful of
+entries per row.  Both apply a package-wide relative pivot threshold on
+top of the library's own checks.  A pencil with a block-diagonal Gram
+matrix is reduced by banded triangular solves with the factors of its
+diagonal blocks; the eigensolve of the reduced matrix is dense by nature.
 """
 
 from __future__ import annotations
@@ -53,23 +53,28 @@ def _pivot_rule(factorize, operand, shape, entries: np.ndarray, diagonal):
 
 
 def cholesky(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L, mat = L @ L.T, under _pivot_rule; mat is not modified."""
+    """Lower Cholesky factor L, mat = L @ L.T, under _pivot_rule; mat is not modified.
+
+    No caller in the package uses it.  It stays as the tests' reference for
+    the band certificate, and the benchmark wraps it to count dense factors.
+    """
     a = np.asarray(mat, dtype=float)
     return _pivot_rule(scipy.linalg.cholesky, a, a.shape, a, np.diag)
 
 
-def certify_positive_definite(mat) -> None:
-    """Raise unless the symmetric sparse mat passes cholesky's pivot rule.
+def certify_positive_definite(mat) -> np.ndarray:
+    """Lower band factor of the symmetric sparse mat under cholesky's pivot rule.
 
     Only the band of its lower triangle is factored, in natural order, by
     scipy.linalg.cholesky_banded: half-bandwidth b costs (b + 1) m floats,
     no more than cholesky at b = m - 1.  The pivots are cholesky's to
     rounding, and so are the verdict, the exception and the reported row.
+    The factor is in LAPACK lower band storage: L[j + k, j] = factor[k, j].
     """
     low = scipy.sparse.tril(mat, format="coo")
     band = np.zeros((int((low.row - low.col).max(initial=0)) + 1, low.shape[1]))
     np.add.at(band, (low.row - low.col, low.col), low.data)
-    _pivot_rule(scipy.linalg.cholesky_banded, band, np.shape(mat), low.data, lambda c: c[0])
+    return _pivot_rule(scipy.linalg.cholesky_banded, band, low.shape, low.data, lambda c: c[0])
 
 
 class LuFactorization:
@@ -137,43 +142,54 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
-    norms = np.linalg.norm(vectors, axis=0)
-    vectors = vectors / norms
+    vectors /= np.linalg.norm(vectors, axis=0)
     order = np.lexsort((values.imag, values.real))
-    return values[order], vectors[:, order]
+    # take keeps C order, where vectors[:, order] would give F order.
+    return values[order], np.take(vectors, order, axis=1)
 
 
 def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
-    """Index range of each diagonal block, paired with its factor."""
+    """Index range of each diagonal block, paired with its band factor."""
     out, start = [], 0
     for low in factors:
-        out.append((slice(start, start + low.shape[0]), low))
-        start += low.shape[0]
+        out.append((slice(start, start + low.shape[1]), low))
+        start += low.shape[1]
     return out
 
 
-def generalized_to_standard(op: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
-    """B = L^{-1} op L^{-T} for L = blockdiag(factors), one block at a time.
+def _band_solve(low: np.ndarray, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    """L^{-1} rhs (trans "N") or L^{-T} rhs (trans "T") for a lower band factor.
 
-    factors are the lower Cholesky factors L_i of the diagonal blocks of a
-    block-diagonal Gram matrix, in order; a full Gram matrix is one block.
+    An F-ordered rhs is overwritten; any other is copied.
+    """
+    x, info = scipy.linalg.lapack.dtbtrs(low, rhs, uplo="L", trans=trans, overwrite_b=1)
+    if info != 0:
+        raise SingularMatrixError(f"banded triangular solve failed: LAPACK info {info}")
+    return x
+
+
+def generalized_to_standard(op, factors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Dense B = L^{-1} op L^{-T} for L = blockdiag(factors), one block at a time.
+
+    factors are the band factors L_i (from certify_positive_definite) of the
+    diagonal blocks of a block-diagonal Gram matrix, in order; a full Gram
+    matrix is one block.  op is densified from CSR one block row at a time.
     The pencil eigenproblem op z = lambda gram z becomes B w = lambda w with
     z = L^{-T} w.  Congruence, so the spectrum is preserved exactly.  L is
     never formed: B_ij = L_i^{-1} op_ij L_j^{-T}.  A B that is not finite,
     from a non-finite op or an overflow, is an EigenSolverError.
     """
-    a = np.asarray(op, dtype=float)
+    a = scipy.sparse.csr_matrix(op)
     blocks = _blocks(factors)
-    order = sum(low.shape[0] for low in factors)
+    order = sum(low.shape[1] for low in factors)
     if a.shape != (order, order):
         raise ValueError(f"operator shape {a.shape} does not match Gram order {order}")
     b = np.empty((order, order))
     for rows, low in blocks:
-        b[rows] = scipy.linalg.solve_triangular(low, a[rows], lower=True, check_finite=False)
+        b[rows] = _band_solve(low, a[rows].toarray(order="F"))
     for cols, low in blocks:
-        b[:, cols] = scipy.linalg.solve_triangular(
-            low, b[:, cols].T, lower=True, check_finite=False
-        ).T
+        # b[:, cols].T is F-ordered when cols spans b, and is solved in place.
+        b[:, cols] = _band_solve(low, b[:, cols].T).T
     if not np.isfinite(b).all():
         raise EigenSolverError(
             "the eigenproblem reduced to standard form is not finite: "
@@ -183,26 +199,30 @@ def generalized_to_standard(op: np.ndarray, factors: tuple[np.ndarray, ...]) -> 
 
 
 def generalized_eig(
-    gram: np.ndarray, op: np.ndarray, factors: tuple[np.ndarray, ...]
+    gram, op, factors: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs of op z = lambda gram z for SPD gram: (values, vectors, residuals).
 
     values are sorted by (real, imag); vectors[:, i] solves the pencil
     problem for values[i] and has unit gram-norm (z* gram z = 1);
     residuals[i] is ||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)).
-    factors are the Cholesky factors of gram's diagonal blocks (see
-    generalized_to_standard); the back-transform also runs block by block.
+    gram and op are applied as CSR.  factors are the band factors of gram's
+    diagonal blocks (see generalized_to_standard); the back-transform runs
+    block by block, in place.  A residual norm that overflows is inf or nan,
+    with no warning.
     """
-    values, std_vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
+    values, vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
     if values.size == 0:
-        return values, std_vectors, np.zeros(0)
-    vectors = np.empty_like(std_vectors)
-    for rows, lo in _blocks(factors):
-        vectors[rows] = scipy.linalg.solve_triangular(
-            lo, std_vectors[rows], lower=True, trans="T"
-        )
+        return values, vectors, np.zeros(0)
+    for rows, low in _blocks(factors):
+        # The real view solves the real and imaginary parts side by side.
+        real = vectors[rows].view(float)
+        real[...] = _band_solve(low, real, trans="T")
     # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
-    gram_z = np.asarray(gram, dtype=float) @ vectors
-    raw = np.linalg.norm(np.asarray(op, dtype=float) @ vectors - gram_z * values, axis=0)
-    denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
-    return values, vectors, raw / denom
+    gram_z = scipy.sparse.csr_matrix(gram) @ vectors
+    resid = scipy.sparse.csr_matrix(op) @ vectors
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
+        gram_z *= values
+        resid -= gram_z
+        return values, vectors, np.linalg.norm(resid, axis=0) / denom

@@ -376,6 +376,27 @@ class TestValuesTooLargeForFloat64:
         assert caught == []
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            DAMPED + "\n[coefficients]\nmodulus = 1e200\n",
+            DAMPED + "\n[coefficients]\ndensity = 1e-300\n",
+            DAMPED.replace("k2 = 3", "k2 = 1e300"),
+        ],
+        ids=["modulus", "density", "k2"],
+    )
+    def test_overflowing_residual_is_one_error_line(self, tmp_path, capsys, text):
+        out_dir = tmp_path / "run"
+        args = ["spectrum", "--config", write_config(tmp_path, text), "--out", str(out_dir)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: pencil residual inf exceeds {spectral.RESIDUAL_TOL:.1e}\n"
+        assert caught == []
+        assert not out_dir.exists()
+
     def test_huge_initial_data_is_an_error_line(self, tmp_path, capsys):
         text = UNDAMPED_RUN.replace("w0 = x*(1 - x)", "w0 = 1e200*x*(1-x)")
         out_dir = tmp_path / "run"

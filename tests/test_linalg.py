@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,20 @@ class TestCholesky:
         assert np.abs(low @ low.T - mat).max() <= 1e-12 * np.abs(mat).max()
 
 
+def band_factor(gram):
+    """Band factor of a dense SPD gram, the form the reduction takes."""
+    return linalg.certify_positive_definite(scipy.sparse.csr_matrix(gram))
+
+
+def dense_factor(band):
+    """The lower triangular matrix a band factor stores."""
+    n = band.shape[1]
+    low = np.zeros((n, n))
+    for k in range(band.shape[0]):
+        low[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
+    return low
+
+
 def banded_matrix(kind, n, width, rng):
     """Symmetric matrix of order n and half-bandwidth at most width.
 
@@ -214,7 +229,10 @@ class TestBandedCertificate:
 
     def test_accepts_spd_and_rejects_a_kernel(self):
         mat = banded_matrix("spd", 12, 2, np.random.default_rng(3))
-        assert linalg.certify_positive_definite(scipy.sparse.csr_matrix(mat)) is None
+        band = linalg.certify_positive_definite(scipy.sparse.csr_matrix(mat))
+        assert band.shape == (3, 12)
+        low = linalg.cholesky(mat)
+        assert np.abs(dense_factor(band) - low).max() <= 1e-14 * np.abs(low).max()
         mat[:, 5] = mat[5, :] = 0.0
         with pytest.raises(NotPositiveDefiniteError, match="6-th leading minor"):
             linalg.certify_positive_definite(scipy.sparse.csr_matrix(mat))
@@ -404,7 +422,7 @@ class TestPencil:
     def test_hand_pencil(self):
         gram = np.array([[2.0, 0.0], [0.0, 1.0]])
         dyn = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        values, _, _ = linalg.generalized_eig(gram, dyn, (linalg.cholesky(gram),))
+        values, _, _ = linalg.generalized_eig(gram, dyn, (band_factor(gram),))
         want = np.array([-1j, 1j]) / np.sqrt(2.0)
         assert np.allclose(values, want, atol=1e-14)
 
@@ -412,8 +430,9 @@ class TestPencil:
         rng = np.random.default_rng(21)
         gram = random_spd(rng, 6)
         op = rng.standard_normal((6, 6))
-        low = linalg.cholesky(gram)
-        b = linalg.generalized_to_standard(op, (low,))
+        band = band_factor(gram)
+        b = linalg.generalized_to_standard(op, (band,))
+        low = dense_factor(band)
         assert np.abs(low @ low.T - gram).max() <= 1e-12 * np.abs(gram).max()
         assert np.abs(low @ b @ low.T - op).max() <= 1e-10 * np.abs(op).max()
 
@@ -423,7 +442,7 @@ class TestPencil:
         for _ in range(25):
             gram = random_spd(rng, n)
             op = rng.standard_normal((n, n))
-            got, _, _ = linalg.generalized_eig(gram, op, (linalg.cholesky(gram),))
+            got, _, _ = linalg.generalized_eig(gram, op, (band_factor(gram),))
             want = oracles.pencil_eigenvalues(gram.tolist(), op.tolist())
             scale = 1.0 + max(abs(z) for z in want)
             assert oracles.match_roots(got, want) <= 1e-8 * scale
@@ -432,7 +451,7 @@ class TestPencil:
         rng = np.random.default_rng(22)
         gram = random_spd(rng, 10)
         op = rng.standard_normal((10, 10))
-        values, vectors, residuals = linalg.generalized_eig(gram, op, (linalg.cholesky(gram),))
+        values, vectors, residuals = linalg.generalized_eig(gram, op, (band_factor(gram),))
         for k in range(values.shape[0]):
             z = vectors[:, k]
             assert abs(np.real(np.conj(z) @ gram @ z) - 1.0) < 1e-8
@@ -448,16 +467,39 @@ class TestPencil:
         gram[:9, :9] = blocks[0]
         gram[9:, 9:] = blocks[1]
         op = rng.standard_normal((15, 15))
-        factors = tuple(np.linalg.cholesky(b) for b in blocks)
-        full, _, _ = linalg.generalized_eig(gram, op, (linalg.cholesky(gram),))
+        factors = tuple(band_factor(b) for b in blocks)
+        full, _, _ = linalg.generalized_eig(gram, op, (band_factor(gram),))
         split, _, split_residuals = linalg.generalized_eig(gram, op, factors)
         scale = np.abs(full).max()
         assert np.abs(split - full).max() <= 1e-12 * scale
         assert split_residuals.max() < spectral.RESIDUAL_TOL
         b_split = linalg.generalized_to_standard(op, factors)
         low = np.zeros((15, 15))
-        low[:9, :9], low[9:, 9:] = factors
+        low[:9, :9], low[9:, 9:] = map(dense_factor, factors)
         assert np.abs(low @ b_split @ low.T - op).max() <= 1e-10 * np.abs(op).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_band_reduction_matches_dense_cholesky_reduction(self, data):
+        # Two backward-stable triangular solves per side: the two routes
+        # agree to order * eps * cond(L) relative to the largest entry.
+        pencil, _ = models.draw_random_pencil(data)
+        blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
+        got = linalg.generalized_to_standard(
+            pencil.dynamics_csr, tuple(map(linalg.certify_positive_definite, blocks))
+        )
+        low = scipy.linalg.block_diag(*(linalg.cholesky(b.toarray()) for b in blocks))
+        half = scipy.linalg.solve_triangular(low, pencil.dynamics_csr.toarray(), lower=True)
+        want = scipy.linalg.solve_triangular(low, half.T, lower=True).T
+        order = want.shape[0]
+        if order:
+            tol = order * np.finfo(float).eps * np.linalg.cond(low) * np.abs(want).max()
+            assert np.abs(got - want).max() <= tol
+
+    def test_zero_on_the_band_factor_diagonal_is_singular(self):
+        band = np.array([[1.0, 0.0, 1.0]])
+        with pytest.raises(SingularMatrixError, match="LAPACK info 2"):
+            linalg.generalized_to_standard(np.eye(3), (band,))
 
     def test_block_factors_must_cover_operator(self):
         factors = (np.eye(2), np.eye(2))
@@ -467,4 +509,4 @@ class TestPencil:
     def test_indefinite_gram_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             gram = np.array([[1.0, 0.0], [0.0, -1.0]])
-            linalg.generalized_eig(gram, np.eye(2), (linalg.cholesky(gram),))
+            linalg.generalized_eig(gram, np.eye(2), (band_factor(gram),))

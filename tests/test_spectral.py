@@ -201,6 +201,40 @@ class TestComputeSpectrum:
         undamped = wt.compute_spectrum(models.dirichlet_pencil(16))
         assert undamped.near_axis.size == undamped.state_dim
 
+    def test_reads_no_dense_view(self, monkeypatch):
+        pencils = [models.damped_pencil(16), interior_terms_pencils()[1]]
+
+        def refuse(pencil):
+            raise AssertionError("compute_spectrum read a dense view")
+
+        for name in (
+            "mass",
+            "stiffness",
+            "boundary_spring",
+            "boundary_damper",
+            "displacement_gram",
+            "gram",
+            "dynamics",
+        ):
+            monkeypatch.setattr(wt.OperatorPencil, name, property(refuse))
+        for pencil in pencils:
+            wt.compute_spectrum(pencil)
+
+    def test_peak_memory_is_four_complex_state_blocks(self):
+        # At its peak compute_spectrum holds the eigenvectors, gram z, op z
+        # and one temporary of the residual norms: four complex (2m, 2m)
+        # arrays.  A dense copy of the pencil, a dense factor or one more
+        # copy of the eigenvectors would push it past five.
+        pencil = models.damped_pencil(128)
+        block = 16 * pencil.state_dim**2
+        tracemalloc.start()
+        try:
+            wt.compute_spectrum(pencil)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * block
+
     def test_fully_constrained_model(self):
         pencil = wt.assemble_pencil(
             wt.interval_mesh(1), wt.sample_coefficients(wt.interval_mesh(1))
@@ -236,22 +270,24 @@ class TestComputeSpectrum:
 
 
     def test_each_gram_block_factored_once(self, monkeypatch):
-        real = linalg.cholesky
-        orders = []
+        real = linalg.certify_positive_definite
+        orders, dense = [], []
 
         def counting(mat):
             orders.append(np.shape(mat)[0])
             return real(mat)
 
-        monkeypatch.setattr(linalg, "cholesky", counting)
         mesh = wt.rectangle_mesh(5, 4, models.square_partition())
         coeffs = wt.sample_coefficients(
             mesh, boundary_stiffness=1.0, boundary_damping=lambda p: 1.0 + p[:, 0]
         )
         pencil = wt.assemble_pencil(mesh, coeffs)
         assert pencil.coeffs.damping_active
+        monkeypatch.setattr(linalg, "certify_positive_definite", counting)
+        monkeypatch.setattr(linalg, "cholesky", lambda mat: dense.append(mat))
         wt.compute_spectrum(pencil)
         assert orders == [pencil.num_active, pencil.num_active]
+        assert dense == []
 
 
 class TestEnergyBalance:
