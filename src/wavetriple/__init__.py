@@ -64,7 +64,6 @@ from .spectral import (
     SpectralReport,
     compute_spectrum,
     eigenvalues_csv,
-    eigvec_boundary_check,
     imaginary_axis_gap,
     poincare_constant,
     refinement_study,
@@ -106,7 +105,6 @@ __all__ = [
     "duality_pairing",
     "element_inner",
     "eigenvalues_csv",
-    "eigvec_boundary_check",
     "energy_csv",
     "green_identity_residual",
     "imaginary_axis_gap",

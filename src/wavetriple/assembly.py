@@ -50,7 +50,7 @@ import numpy as np
 from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix
 
 from . import linalg
-from .coefficients import CoefficientSet, energy_anchored
+from .coefficients import DEGENERATE_ENERGY, CoefficientSet, energy_anchored
 from .errors import (
     CoefficientError,
     DegenerateEnergyNormError,
@@ -74,13 +74,12 @@ _TRI_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _SEG_AVERAGE = np.full((2, 2), 0.25)
 
 KINETIC_SCHEMES = ("consistent", "cell_average")
-# Largest state dimension (twice the active nodes) that assemble_pencil and
-# poincare_constant accept: the 2-D square at nx = 64 with one side fixed.
-# poincare still reduces a dense trace form there (0.47 GB, 8.5 s on a
-# 2-core machine); validate and simulate (100 steps) peak at 0.07 and 0.08 GB.
-# The guard stays for poincare, and because it is the only size check on
-# validate and simulate: it turns a 1-D n = 100000 into one error line
-# instead of a long run.
+# Largest state dimension (twice the active nodes) that assemble_pencil, and
+# so validate, simulate and poincare, accept: the 2-D square at nx = 64 with
+# one side fixed.  Nothing they build there is dense; on a 2-core machine
+# validate, simulate (100 steps) and poincare peak at 0.07, 0.08 and 0.07 GB.
+# The guard stays because it is their only size check: it turns a 1-D
+# n = 100000 into one error line instead of a long run.
 MAX_PENCIL_STATE = 8320
 
 
@@ -351,9 +350,7 @@ def assemble_pencil(
         linalg.certify_positive_definite(disp_gram)
     except NotPositiveDefiniteError as exc:
         if not energy_anchored(mesh, coeffs):
-            raise DegenerateEnergyNormError(
-                "degenerate energy norm: no fixed boundary portion and no boundary spring"
-            ) from exc
+            raise DegenerateEnergyNormError(DEGENERATE_ENERGY) from exc
         raise NotPositiveDefiniteError(
             "displacement energy form (stiffness plus boundary spring) "
             f"is not positive definite: {exc}"

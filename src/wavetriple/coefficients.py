@@ -151,6 +151,10 @@ def sample_coefficients(
     return CoefficientSet(t, rho, a, b, k1, k2, float(bound))
 
 
+# What validate_model and assemble_pencil say when energy_anchored is False.
+DEGENERATE_ENERGY = "degenerate energy norm: no fixed boundary portion and no boundary spring"
+
+
 def energy_anchored(mesh: Mesh, coeffs: CoefficientSet) -> bool:
     """The degenerate-energy rule: True when the energy form is anchored.
 
@@ -202,7 +206,5 @@ def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
         raise CoefficientError("boundary damping set on a facet without a damper label")
 
     if not energy_anchored(mesh, coeffs):
-        raise DegenerateEnergyNormError(
-            "degenerate energy norm: no fixed boundary portion and no boundary spring"
-        )
+        raise DegenerateEnergyNormError(DEGENERATE_ENERGY)
     return coeffs.damping_active

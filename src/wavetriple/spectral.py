@@ -21,18 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .assembly import (
-    MAX_PENCIL_STATE,
-    OperatorPencil,
-    _restrict,
-    boundary_triplets,
-    check_state_size,
-    dissipation_forms,
-    mass_triplets,
-    stiffness_triplets,
-)
-from .coefficients import CoefficientSet, energy_anchored
-from .errors import DegenerateEnergyNormError, EigenSolverError
+from .assembly import OperatorPencil, assemble_pencil, check_state_size, dissipation_forms
+from .coefficients import CoefficientSet, energy_anchored, sample_coefficients
+from .errors import EigenSolverError, NotPositiveDefiniteError
 from .mesh import Mesh
 
 # Pencil residual bound accepted from the eigensolver.
@@ -176,17 +167,6 @@ def _balance_defect(pencil: OperatorPencil, values, vectors):
     return np.abs(-values.real * gram_norms.real - dissipation.real), (mass_v, damp_v, react_u)
 
 
-def eigvec_boundary_check(pencil: OperatorPencil, report: SpectralReport) -> np.ndarray:
-    """Defect of the eigenpair energy balance, one value per pair.
-
-    For each eigenpair, -Re(lambda) * ||z||^2 must equal the dissipation
-    v^H (D + Mb) v + Re(v^H Ma u): the damper form of the velocity trace
-    plus the interior damping and reaction forms.  compute_spectrum bounds
-    the same defect; this recomputes it from the report's eigenvectors.
-    """
-    return _balance_defect(pencil, report.values, report.vectors)[0]
-
-
 def balance_tolerance(values: np.ndarray) -> np.ndarray:
     """Acceptance bound for the eigenpair energy-balance defect.
 
@@ -199,31 +179,39 @@ def balance_tolerance(values: np.ndarray) -> np.ndarray:
 def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     """Best constant C with ||f|| <= C * (||grad f||^2 + spring trace)^{1/2}.
 
-    The right-hand side is the quadratic form of the plain stiffness plus
+    The right-hand side is the quadratic form S of the plain stiffness plus
     the spring boundary mass, restricted to functions vanishing on the
-    fixed boundary.  C is the inverse square root of the smallest
-    generalized eigenvalue of that form against the plain mass form.
-    Needs a fixed portion or a nonzero spring; otherwise constants defeat
-    any such bound.  A mesh above MAX_PENCIL_STATE is a ProblemSizeError.
+    fixed boundary; the left is the plain mass form M.  Both come from
+    assemble_pencil on unit coefficients with coeffs' springs, so its size
+    guard and its degenerate-energy rule apply, and S is certified there.
+    C = 1/sqrt(lambda_min) for the smallest eigenvalue of S z = lambda M z.
+    By Sylvester's law of inertia, S - sigma M passes the band Cholesky
+    certificate exactly when sigma < lambda_min, so lambda_min is bisected
+    between 0 and min_j S_jj / M_jj (the Rayleigh quotient of e_j) until
+    the midpoint is one of the ends.  The result is resolved only as
+    finely as the certificate's pivot rule tells the two sides apart, and
+    no dense block is built.  A model with no active node gives 0; one
+    whose every shift is rejected is a NotPositiveDefiniteError.
     """
-    if not energy_anchored(mesh, coeffs):
-        raise DegenerateEnergyNormError(
-            "degenerate energy norm: constants break the trace bound"
+    unit = sample_coefficients(mesh, boundary_stiffness=coeffs.boundary_stiffness)
+    pencil = assemble_pencil(mesh, unit)
+    if pencil.num_active == 0:
+        return 0.0
+    form, mass = pencil.displacement_gram_csr, pencil.mass_csr
+    lo, hi = 0.0, float((form.diagonal() / mass.diagonal()).min())
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        try:
+            linalg.certify_positive_definite(form - mid * mass)
+            lo = mid
+        except NotPositiveDefiniteError:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    if lo == 0.0:
+        raise NotPositiveDefiniteError(
+            f"trace form is not coercive: every shift down to {hi:.3e} fails the pivot rule"
         )
-    ones = np.ones(mesh.num_cells)
-    active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
-    form = _restrict(stiffness_triplets(mesh, ones), active) + _restrict(
-        boundary_triplets(mesh, coeffs.boundary_stiffness), active
-    )
-    mass = _restrict(mass_triplets(mesh, ones), active)
-    std = linalg.generalized_to_standard(form, (linalg.certify_positive_definite(mass),))
-    # An empty form (no active node) has smallest eigenvalue +inf, so C = 0.
-    lam_min = float(np.linalg.eigvalsh(0.5 * (std + std.T)).min(initial=np.inf))
-    if lam_min <= 0:
-        raise DegenerateEnergyNormError(
-            f"trace form is not coercive (smallest eigenvalue {lam_min:.3e})"
-        )
-    return 1.0 / np.sqrt(lam_min)
+    return 1.0 / np.sqrt(lo)
 
 
 def refinement_study(build, sizes) -> list[tuple[float, int, float, float]]:

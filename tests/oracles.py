@@ -74,6 +74,20 @@ def discrete_dirichlet_frequency_cell_average(n: int, k: int) -> float:
     return (2.0 / h) * math.tan(k * math.pi * h / 2.0)
 
 
+def discrete_poincare_constant(n: int, free_right: bool) -> float:
+    """1/sqrt(lambda_1) for the n-cell P1 string fixed at its left end.
+
+    Stiffness and consistent mass share the eigenvectors sin(j*theta), so
+    lambda_1 = (6/h^2)(1 - cos theta) / (2 + cos theta), with theta = pi/n
+    for a fixed right end.  A free right end halves the last row of both
+    matrices, which the even reflection about node n reproduces when
+    theta = pi/(2n).
+    """
+    h = 1.0 / n
+    c = math.cos(math.pi / (2 * n if free_right else n))
+    return 1.0 / math.sqrt((6.0 / h**2) * (1.0 - c) / (2.0 + c))
+
+
 FULL_DIRICHLET_POINCARE = 1.0 / math.pi
 MIXED_POINCARE = 2.0 / math.pi
 

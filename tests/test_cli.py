@@ -348,19 +348,27 @@ class TestDenseSizeGuard:
         assert not (out_dir / "energy.csv").exists()
 
 
+REDUCED_NOT_FINITE = "error: the eigenproblem reduced to standard form is not finite"
+
+
 class TestValuesTooLargeForFloat64:
     """Finite inputs whose arithmetic overflows end in one error line."""
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, text, prefix",
         [
-            ("spectrum", DAMPED.replace("k2 = 3", "k2 = 1e308")),
-            ("study", DAMPED.replace("k2 = 3", "k2 = 1e308")),
-            ("poincare", DAMPED.replace("damped", "elastic").replace("k2 = 3", "k1 = 1e308")),
+            ("spectrum", DAMPED.replace("k2 = 3", "k2 = 1e308"), REDUCED_NOT_FINITE),
+            ("study", DAMPED.replace("k2 = 3", "k2 = 1e308"), REDUCED_NOT_FINITE),
+            (
+                "poincare",
+                DAMPED.replace("damped", "elastic").replace("k2 = 3", "k1 = 1e308"),
+                "error: displacement energy form (stiffness plus boundary spring) "
+                "is not positive definite",
+            ),
         ],
         ids=["spectrum", "study", "poincare"],
     )
-    def test_huge_coefficient_is_an_error_line(self, tmp_path, capsys, command, text):
+    def test_huge_coefficient_is_an_error_line(self, tmp_path, capsys, command, text, prefix):
         out_dir = tmp_path / "run"
         args = [command, "--config", write_config(tmp_path, text), "--out", str(out_dir)]
         if command == "study":
@@ -371,7 +379,7 @@ class TestValuesTooLargeForFloat64:
         assert code == 1
         assert out == ""
         assert err.count("error:") == 1
-        assert err.startswith("error: the eigenproblem reduced to standard form is not finite")
+        assert err.startswith(prefix)
         assert "Traceback" not in err
         assert caught == []
         assert not out_dir.exists()

@@ -11,7 +11,11 @@ import models
 import oracles
 import wavetriple as wt
 from wavetriple import linalg, spectral
-from wavetriple.errors import DegenerateEnergyNormError, EigenSolverError
+from wavetriple.errors import (
+    DegenerateEnergyNormError,
+    EigenSolverError,
+    NotPositiveDefiniteError,
+)
 
 
 def without_interior_damping(pencil):
@@ -294,7 +298,7 @@ class TestEnergyBalance:
     def test_balance_identity_on_ci_models(self):
         for pencil in models.ci_pencils():
             report = wt.compute_spectrum(pencil)
-            defect = wt.eigvec_boundary_check(pencil, report)
+            defect = spectral._balance_defect(pencil, report.values, report.vectors)[0]
             bound = spectral.balance_tolerance(report.values)
             assert (defect <= bound).all()
             assert 0.0 <= report.balance_worst_ratio <= 1.0
@@ -302,14 +306,14 @@ class TestEnergyBalance:
     def test_balance_identity_on_cell_average_models(self):
         for pencil in models.cell_average_pencils():
             report = wt.compute_spectrum(pencil)
-            defect = wt.eigvec_boundary_check(pencil, report)
+            defect = spectral._balance_defect(pencil, report.values, report.vectors)[0]
             bound = spectral.balance_tolerance(report.values)
             assert (defect <= bound).all()
 
     def test_report_ratio_is_the_public_check_over_its_bound(self):
         for pencil in models.ci_pencils() + interior_terms_pencils():
             report = wt.compute_spectrum(pencil)
-            defect = wt.eigvec_boundary_check(pencil, report)
+            defect = spectral._balance_defect(pencil, report.values, report.vectors)[0]
             bound = spectral.balance_tolerance(report.values)
             assert report.balance_worst_ratio == (defect / bound).max(initial=0.0)
 
@@ -366,6 +370,44 @@ class TestPoincareConstant:
             sides = ("left", "right", "bottom", "top")
             mesh = wt.rectangle_mesh(1, 1, {side: (wt.Segment(fixed),) for side in sides})
         assert wt.poincare_constant(mesh, wt.sample_coefficients(mesh)) == 0.0
+
+    @pytest.mark.parametrize("free_right", [False, True], ids=["fixed-fixed", "fixed-free"])
+    @pytest.mark.parametrize("n", [64, 512, 2048, 4000])
+    def test_matches_the_discrete_closed_form(self, n, free_right):
+        right = wt.BoundaryLabel.FREE if free_right else wt.BoundaryLabel.FIXED
+        mesh = wt.interval_mesh(n, left=wt.BoundaryLabel.FIXED, right=right)
+        got = wt.poincare_constant(mesh, wt.sample_coefficients(mesh))
+        want = oracles.discrete_poincare_constant(n, free_right)
+        assert abs(got - want) <= 5e-10 * want
+
+    def test_allocates_less_than_one_dense_block(self):
+        mesh = wt.rectangle_mesh(32, 32, models.square_partition())
+        coeffs = wt.sample_coefficients(mesh, boundary_stiffness=1.0)
+        tracemalloc.start()
+        try:
+            wt.poincare_constant(mesh, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        active = 1056
+        assert wt.assemble_pencil(mesh, coeffs).num_active == active
+        assert peak < active**2 * 8
+
+    def test_every_shift_rejected_is_an_error(self, monkeypatch):
+        real, calls = linalg.certify_positive_definite, []
+
+        def assembly_only(mat):
+            # The first two calls certify S and M inside assemble_pencil.
+            calls.append(mat.shape)
+            if len(calls) > 2:
+                raise NotPositiveDefiniteError("rejected")
+            return real(mat)
+
+        pencil = models.dirichlet_pencil(16)
+        monkeypatch.setattr(linalg, "certify_positive_definite", assembly_only)
+        with pytest.raises(NotPositiveDefiniteError, match="not coercive"):
+            wt.poincare_constant(pencil.mesh, pencil.coeffs)
+        assert len(calls) > 50
 
     def test_degenerate_form_rejected(self):
         mesh = wt.interval_mesh(
