@@ -155,27 +155,34 @@ def gradient_operator(mesh: Mesh) -> csr_matrix:
     return _scatter(rows, mesh.cells, _basis_gradients(mesh), shape).tocsr()
 
 
+def modulus_tensors(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
+    """(ncell, dim, dim) tensors of a cellwise modulus.
+
+    A scalar per cell becomes that multiple of the identity; (ncell, 2, 2)
+    tensors pass through on a 2-D mesh.  Any other shape is a
+    CoefficientError.
+    """
+    t = np.asarray(modulus, dtype=float)
+    if t.shape == (mesh.num_cells,):
+        return t[:, None, None] * np.eye(mesh.dim)
+    if mesh.dim == 2 and t.shape == (mesh.num_cells, 2, 2):
+        return t
+    raise CoefficientError(f"modulus shape {t.shape} not supported on a {mesh.dim}-D mesh")
+
+
 def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
     """Stiffness for a cellwise-constant scalar or tensor modulus, as COO.
 
     Convert with .toarray() for the dense matrix, .tocsr() or .tocsc() for
     sparse use.
     """
-    t = np.asarray(modulus, dtype=float)
+    tensors = modulus_tensors(mesh, modulus)
     vols = cell_volumes(mesh)
     n = mesh.num_nodes
     if mesh.dim == 1:
-        if t.shape != (mesh.num_cells,):
-            raise CoefficientError(f"modulus must have one value per cell, got {t.shape}")
         template = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        local = (t / vols)[:, None, None] * template
+        local = (tensors[:, 0, 0] / vols)[:, None, None] * template
         return _scatter(mesh.cells, mesh.cells, local, (n, n))
-    if t.shape == (mesh.num_cells,):
-        tensors = t[:, None, None] * np.eye(2)
-    elif t.shape == (mesh.num_cells, 2, 2):
-        tensors = t
-    else:
-        raise CoefficientError(f"modulus shape {t.shape} not supported")
     grads = _basis_gradients(mesh)
     flux = np.einsum("cab,cbj->caj", tensors, grads)
     local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux)
@@ -209,7 +216,8 @@ def check_state_size(mesh: Mesh, limit: int, label: str) -> np.ndarray:
     """Active nodes of mesh, once the state they carry is known to fit limit.
 
     The state dimension is twice the active nodes.  Above limit it is a
-    ProblemSizeError naming label, raised before any dense block is built.
+    ProblemSizeError naming label, raised before anything the size of the
+    cell list is built.
     """
     active = active_nodes(mesh)
     if 2 * active.size > limit:
@@ -326,13 +334,13 @@ def assemble_pencil(
     boundary and no boundary spring, else NotPositiveDefiniteError naming
     the displacement energy form.
     """
+    active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     kinetic_mass = mass_triplets(mesh, coeffs.density, kinetic)
     if kinetic == "cell_average" and clamped_nodes(mesh).size == 0:
         raise KineticMassError(
             "cell-average kinetic mass needs a fixed end: without one the "
             "alternating nodal vector has zero cell averages, so M is singular"
         )
-    active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
     stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
     spring = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)

@@ -23,8 +23,8 @@ class CoefficientSet:
     modulus: (ncell,) scalars, or (ncell, 2, 2) symmetric tensors in 2-D.
     density, reaction, damping: (ncell,) scalars.
     boundary_stiffness, boundary_damping: (nf,) per-facet values.
-    bound: two-sided ellipticity constant; modulus and density eigenvalues
-    lie in [1/bound, bound].
+    sample_coefficients checks the standing assumptions on these arrays,
+    and validate_model checks them again on a set built by hand.
     """
 
     modulus: np.ndarray
@@ -33,7 +33,6 @@ class CoefficientSet:
     damping: np.ndarray
     boundary_stiffness: np.ndarray
     boundary_damping: np.ndarray
-    bound: float
 
     @property
     def damping_active(self) -> bool:
@@ -41,20 +40,14 @@ class CoefficientSet:
         return bool(np.any(self.boundary_damping > 0.0))
 
 
-def _sample_cellwise(name: str, value, points: np.ndarray) -> np.ndarray:
-    m = points.shape[0]
+def _sample_cellwise(value, points: np.ndarray) -> np.ndarray:
     if callable(value):
-        out = np.asarray(value(points), dtype=float)
-    else:
-        out = np.asarray(value, dtype=float)
-        if out.ndim == 0:
-            out = np.full(m, float(out))
-        elif out.shape == (2, 2):
-            out = np.broadcast_to(out, (m, 2, 2)).copy()
-    if out.shape not in ((m,), (m, 2, 2)):
-        raise CoefficientError(f"{name}: expected {m} samples, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise CoefficientError(f"{name}: non-finite sample")
+        return np.asarray(value(points), dtype=float)
+    out = np.asarray(value, dtype=float)
+    if out.ndim == 0:
+        return np.full(points.shape[0], float(out))
+    if out.shape == (2, 2):
+        return np.broadcast_to(out, (points.shape[0], 2, 2)).copy()
     return out
 
 
@@ -76,26 +69,18 @@ def _sample_facetwise(name: str, value, mesh: Mesh, use_mask: np.ndarray) -> np.
     else:
         arr = np.asarray(value, dtype=float)
         out = np.full(mesh.num_facets, float(arr)) if arr.ndim == 0 else arr
-    if out.shape != (mesh.num_facets,):
-        raise CoefficientError(f"{name}: expected {mesh.num_facets} facet values")
-    if not np.all(np.isfinite(out)):
+    # Masking would hide a bad sample on a facet that takes no value.
+    _check_field(name, out, ((mesh.num_facets,),))
+    return np.where(use_mask, out, 0.0)
+
+
+def _check_field(name: str, values: np.ndarray, shapes: tuple) -> None:
+    """CoefficientError unless values has one of shapes and is finite."""
+    if values.shape not in shapes:
+        allowed = " or ".join(str(shape) for shape in shapes)
+        raise CoefficientError(f"{name}: expected shape {allowed}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
         raise CoefficientError(f"{name}: non-finite sample")
-    out = np.where(use_mask, out, 0.0)
-    if out.size and out.min() < 0:
-        raise CoefficientError(f"{name}: negative value {out.min():.3e} on an applicable facet")
-    return out
-
-
-def _modulus_range(modulus: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest modulus value.
-
-    Scalar samples count as they are; (ncell, 2, 2) tensors count through
-    the eigenvalues of their symmetric part.
-    """
-    if modulus.ndim == 3:
-        eigs = np.linalg.eigvalsh(0.5 * (modulus + np.swapaxes(modulus, 1, 2)))
-        return eigs.min(), eigs.max()
-    return modulus.min(), modulus.max()
 
 
 def _facet_masks(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +88,46 @@ def _facet_masks(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     spring = np.array([lab.has_spring for lab in mesh.facet_labels], dtype=bool)
     damper = np.array([lab.has_damper for lab in mesh.facet_labels], dtype=bool)
     return spring, damper
+
+
+def _check_assumptions(mesh: Mesh, coeffs: CoefficientSet) -> None:
+    """The standing assumptions on the data; CoefficientError on the first breach.
+
+    Every field has its shape (a tensor modulus in 2-D only) and is finite;
+    the modulus is symmetric and positive definite, the density positive;
+    spring and damper values are nonnegative, and zero on facets whose
+    label does not take them.
+    """
+    ncell, nf = mesh.num_cells, mesh.num_facets
+    modulus_shapes = ((ncell,), (ncell, 2, 2)) if mesh.dim == 2 else ((ncell,),)
+    t, rho = coeffs.modulus, coeffs.density
+    _check_field("modulus", t, modulus_shapes)
+    for name in ("density", "reaction", "damping"):
+        _check_field(name, getattr(coeffs, name), ((ncell,),))
+    for name in ("boundary_stiffness", "boundary_damping"):
+        _check_field(name, getattr(coeffs, name), ((nf,),))
+
+    if t.ndim == 3:
+        sym = 0.5 * (t + np.swapaxes(t, 1, 2))
+        if np.abs(t - sym).max() > 1e-12 * max(np.abs(t).max(), 1.0):
+            raise CoefficientError("tensor modulus must be symmetric")
+        t_lo = np.linalg.eigvalsh(sym).min()
+    else:
+        t_lo = t.min()
+    if t_lo <= 0:
+        raise CoefficientError(f"modulus must be positive, min eigenvalue {t_lo:.3e}")
+    if rho.min() <= 0:
+        raise CoefficientError(f"density must be positive, min {rho.min():.3e}")
+
+    # Springs and dampers only act where the facet label allows them.
+    for name, mask, part in zip(
+        ("boundary_stiffness", "boundary_damping"), _facet_masks(mesh), ("spring", "damper")
+    ):
+        values = getattr(coeffs, name)
+        if nf and values.min() < 0:
+            raise CoefficientError(f"{name} must be nonnegative, min {values.min():.3e}")
+        if np.any(values[~mask] != 0.0):
+            raise CoefficientError(f"{name} set on a facet without a {part} label")
 
 
 def sample_coefficients(
@@ -114,41 +139,24 @@ def sample_coefficients(
     boundary_stiffness=None,
     boundary_damping=None,
 ) -> CoefficientSet:
-    """Midpoint-sample coefficient data onto a mesh.
+    """Midpoint-sample coefficient data onto a mesh and check it.
 
     Each interior argument is a constant, a callable on (m, dim) midpoint
     arrays, or (for the modulus in 2-D) a constant 2x2 tensor or a callable
     returning (m, 2, 2).  Boundary arguments may additionally be a dict
-    keyed by BoundaryLabel.  The ellipticity bound is computed from the
-    samples and stored on the result.
+    keyed by BoundaryLabel; they are zeroed on facets whose label does not
+    take them, after a finiteness check.  Samples that break a standing
+    assumption are a CoefficientError (see validate_model).
     """
     mids = cell_midpoints(mesh)
-    t = _sample_cellwise("modulus", modulus, mids)
-    rho = _sample_cellwise("density", density, mids)
-    if rho.ndim != 1:
-        raise CoefficientError("density must be scalar-valued")
-    a = _sample_cellwise("reaction", reaction, mids)
-    b = _sample_cellwise("damping", damping, mids)
-    if a.ndim != 1 or b.ndim != 1:
-        raise CoefficientError("reaction and damping must be scalar-valued")
-    if t.ndim == 3 and mesh.dim == 1:
-        raise CoefficientError("tensor modulus requires a 2-D mesh")
-
     spring_mask, damper_mask = _facet_masks(mesh)
-    k1 = _sample_facetwise("boundary_stiffness", boundary_stiffness, mesh, spring_mask)
-    k2 = _sample_facetwise("boundary_damping", boundary_damping, mesh, damper_mask)
-
-    if t.ndim == 3:
-        sym = 0.5 * (t + np.swapaxes(t, 1, 2))
-        if np.abs(t - sym).max() > 1e-12 * max(np.abs(t).max(), 1.0):
-            raise CoefficientError("tensor modulus must be symmetric")
-    t_lo, t_hi = _modulus_range(t)
-    if t_lo <= 0:
-        raise CoefficientError(f"modulus must be positive, min eigenvalue {t_lo:.3e}")
-    if rho.min() <= 0:
-        raise CoefficientError(f"density must be positive, min {rho.min():.3e}")
-    bound = max(t_hi, 1.0 / t_lo, rho.max(), 1.0 / rho.min(), 1.0)
-    return CoefficientSet(t, rho, a, b, k1, k2, float(bound))
+    coeffs = CoefficientSet(
+        *(_sample_cellwise(value, mids) for value in (modulus, density, reaction, damping)),
+        _sample_facetwise("boundary_stiffness", boundary_stiffness, mesh, spring_mask),
+        _sample_facetwise("boundary_damping", boundary_damping, mesh, damper_mask),
+    )
+    _check_assumptions(mesh, coeffs)
+    return coeffs
 
 
 # What validate_model and assemble_pencil say when energy_anchored is False.
@@ -170,41 +178,15 @@ def energy_anchored(mesh: Mesh, coeffs: CoefficientSet) -> bool:
 def validate_model(mesh: Mesh, coeffs: CoefficientSet) -> bool:
     """Check the model's standing assumptions; return True if damping acts.
 
-    Raises CoefficientError for shape, sign, or bound violations, and
-    DegenerateEnergyNormError when there is neither a clamped boundary
-    portion nor a nonzero boundary spring (the energy form then has the
-    constants in its kernel).  The return value is coeffs.damping_active.
+    Raises CoefficientError for a field of the wrong shape, a non-finite
+    value, a modulus that is not symmetric positive definite, a density
+    that is not positive, or a negative or misplaced spring or damper
+    value, and DegenerateEnergyNormError when there is neither a clamped
+    boundary portion nor a nonzero boundary spring (the energy form then
+    has the constants in its kernel).  The return value is
+    coeffs.damping_active.
     """
-    ncell, nf = mesh.num_cells, mesh.num_facets
-    if coeffs.density.shape != (ncell,) or coeffs.reaction.shape != (ncell,):
-        raise CoefficientError("cellwise field has wrong length")
-    if coeffs.damping.shape != (ncell,):
-        raise CoefficientError("cellwise field has wrong length")
-    if coeffs.modulus.shape not in ((ncell,), (ncell, 2, 2)):
-        raise CoefficientError("modulus has wrong shape")
-    if coeffs.boundary_stiffness.shape != (nf,) or coeffs.boundary_damping.shape != (nf,):
-        raise CoefficientError("facetwise field has wrong length")
-    c = coeffs.bound
-    if not (np.isfinite(c) and c >= 1.0):
-        raise CoefficientError(f"ellipticity bound must be finite and >= 1, got {c}")
-    for name, lo, hi in (
-        ("modulus", *_modulus_range(coeffs.modulus)),
-        ("density", coeffs.density.min(), coeffs.density.max()),
-    ):
-        if lo < 1.0 / c - 1e-15 * c or hi > c * (1 + 1e-15):
-            raise CoefficientError(f"{name} leaves [{1/c:.3e}, {c:.3e}]")
-    if coeffs.boundary_stiffness.min() < 0:
-        raise CoefficientError("boundary stiffness must be nonnegative")
-    if coeffs.boundary_damping.min() < 0:
-        raise CoefficientError("boundary damping must be nonnegative")
-
-    # Springs and dampers only act where the facet label allows them.
-    spring_mask, damper_mask = _facet_masks(mesh)
-    if nf and np.any(coeffs.boundary_stiffness[~spring_mask] != 0.0):
-        raise CoefficientError("boundary stiffness set on a facet without a spring label")
-    if nf and np.any(coeffs.boundary_damping[~damper_mask] != 0.0):
-        raise CoefficientError("boundary damping set on a facet without a damper label")
-
+    _check_assumptions(mesh, coeffs)
     if not energy_anchored(mesh, coeffs):
         raise DegenerateEnergyNormError(DEGENERATE_ENERGY)
     return coeffs.damping_active

@@ -5,8 +5,9 @@ vanishing on the whole boundary, plus a divergence-free remainder; the two
 parts are orthogonal in the inner product weighted by the inverse modulus.
 Discretely the potential is piecewise linear and zero at every boundary
 node, so its weighted gradient is cellwise constant like the input.  The
-potential solve is sparse: assembly gives the stiffness, its interior block
-(_restrict) and the gradient operator, and sparse LU factors the block.
+potential solve is sparse: assembly gives the modulus tensors, the
+stiffness, its interior block (_restrict) and the gradient operator, and
+sparse LU factors the block.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .assembly import _restrict, gradient_operator, stiffness_triplets
+from .assembly import _restrict, gradient_operator, modulus_tensors, stiffness_triplets
 from .coefficients import CoefficientSet
 from .errors import FieldError
-from .mesh import Mesh, boundary_nodes, cell_midpoints, cell_volumes
+from .mesh import Mesh, cell_midpoints, cell_volumes
 
 
 def _as_field(mesh: Mesh, field: np.ndarray) -> np.ndarray:
@@ -36,16 +37,10 @@ def _as_field(mesh: Mesh, field: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _tensors(mesh: Mesh, coeffs: CoefficientSet) -> np.ndarray:
-    t = coeffs.modulus
-    if t.ndim == 1:
-        eye = np.eye(mesh.dim)
-        return t[:, None, None] * eye
-    return t
-
-
 def _interior(mesh: Mesh) -> np.ndarray:
-    return np.setdiff1d(np.arange(mesh.num_nodes), boundary_nodes(mesh))
+    inside = np.ones(mesh.num_nodes, dtype=bool)
+    inside[mesh.boundary_facets] = False
+    return np.flatnonzero(inside)
 
 
 def _paired(mesh: Mesh, grad_op, field: np.ndarray) -> np.ndarray:
@@ -62,7 +57,7 @@ def weighted_inner(
     """
     f = _as_field(mesh, first)
     g = _as_field(mesh, second)
-    tinv = np.linalg.inv(_tensors(mesh, coeffs))
+    tinv = np.linalg.inv(modulus_tensors(mesh, coeffs.modulus))
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.einsum("c,cab,ca,cb->", cell_volumes(mesh), tinv, f, g))
     if not np.isfinite(value):
@@ -85,7 +80,7 @@ def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> n
         rhs = _paired(mesh, grad_op, f)[interior]
         potential[interior] = linalg.LuFactorization(stiff).solve(rhs)
     grad_p = (grad_op @ potential).reshape(mesh.num_cells, mesh.dim)
-    return np.einsum("cab,cb->ca", _tensors(mesh, coeffs), grad_p)
+    return np.einsum("cab,cb->ca", modulus_tensors(mesh, coeffs.modulus), grad_p)
 
 
 def orthogonality_residual(mesh: Mesh, divfree: np.ndarray) -> float:

@@ -207,7 +207,9 @@ def clamped_nodes(mesh: Mesh) -> np.ndarray:
 
 def active_nodes(mesh: Mesh) -> np.ndarray:
     """Sorted indices of the nodes that carry the state: all but the clamped."""
-    return np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
+    keep = np.ones(mesh.num_nodes, dtype=bool)
+    keep[clamped_nodes(mesh)] = False
+    return np.flatnonzero(keep)
 
 
 def trace_nodes(mesh: Mesh) -> np.ndarray:

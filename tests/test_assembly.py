@@ -90,6 +90,20 @@ class TestCellAverageMass:
         with pytest.raises(wt.ProblemSizeError, match="state dimension"):
             wt.assemble_pencil(mesh, wt.sample_coefficients(mesh))
 
+    def test_oversized_model_refused_in_little_memory(self):
+        # The size check comes before anything the size of the cell list:
+        # refusing the nx = 300 square (state 180,600) stays below 4 MB.
+        mesh = wt.rectangle_mesh(300, 300, models.square_partition())
+        coeffs = wt.sample_coefficients(mesh)
+        tracemalloc.start()
+        try:
+            with pytest.raises(wt.ProblemSizeError, match="state dimension 180600"):
+                wt.assemble_pencil(mesh, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
 
 class TestStiffnessMatrix:
     def test_single_cell(self):

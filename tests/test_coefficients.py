@@ -7,7 +7,10 @@ import pytest
 
 import models
 import wavetriple as wt
+from wavetriple import coefficients
 from wavetriple.mesh import BoundaryLabel as BL
+
+FIELDS = [field.name for field in dataclasses.fields(wt.CoefficientSet)]
 
 
 def damped_interval(n=4):
@@ -24,13 +27,6 @@ class TestSampling:
         mesh = wt.interval_mesh(3)
         coeffs = wt.sample_coefficients(mesh, density=2.0)
         assert np.array_equal(coeffs.density, [2.0, 2.0, 2.0])
-
-    def test_bound_covers_spread(self):
-        mesh = wt.interval_mesh(4)
-        coeffs = wt.sample_coefficients(mesh, modulus=4.0, density=0.25)
-        assert coeffs.bound == 4.0
-        unit = wt.sample_coefficients(mesh)
-        assert unit.bound == 1.0
 
     def test_negative_damper_on_applicable_facet_rejected(self):
         with pytest.raises(wt.CoefficientError, match="negative"):
@@ -128,15 +124,37 @@ class TestValidateModel:
         with pytest.raises(wt.CoefficientError):
             wt.validate_model(mesh, broken)
 
-    def test_bound_violation(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_non_finite_value_rejected(self, field, bad):
+        # One bad value in any field of a hand-built set is refused; the
+        # right end takes both a spring and a damper.
+        mesh = wt.interval_mesh(4, left=BL.ELASTIC, right=BL.ELASTIC_DAMPED)
+        coeffs = wt.sample_coefficients(mesh, boundary_stiffness=1.0, boundary_damping=1.0)
+        values = getattr(coeffs, field).copy()
+        values[-1] = bad
+        broken = dataclasses.replace(coeffs, **{field: values})
+        with pytest.raises(wt.CoefficientError, match=f"{field}: non-finite"):
+            wt.validate_model(mesh, broken)
+
+    def test_tensor_modulus_on_a_1d_mesh_rejected(self):
         mesh = damped_interval()
         coeffs = wt.sample_coefficients(mesh, boundary_damping=1.0)
-        broken = dataclasses.replace(coeffs, bound=0.5)
-        with pytest.raises(wt.CoefficientError, match="bound"):
-            wt.validate_model(mesh, broken)
-        stretched = dataclasses.replace(coeffs, modulus=np.full(4, 7.0))
-        with pytest.raises(wt.CoefficientError, match="modulus"):
-            wt.validate_model(mesh, stretched)
+        tensors = np.broadcast_to(np.eye(2), (mesh.num_cells, 2, 2)).copy()
+        with pytest.raises(wt.CoefficientError, match="modulus: expected shape"):
+            wt.validate_model(mesh, dataclasses.replace(coeffs, modulus=tensors))
+
+    def test_sampling_and_validation_share_one_check(self, monkeypatch):
+        calls = []
+        real = coefficients._check_assumptions
+        monkeypatch.setattr(
+            coefficients, "_check_assumptions", lambda *args: calls.append(1) or real(*args)
+        )
+        mesh = damped_interval()
+        coeffs = wt.sample_coefficients(mesh, boundary_damping=1.0)
+        assert len(calls) == 1
+        wt.validate_model(mesh, coeffs)
+        assert len(calls) == 2
 
     def test_value_on_unlabeled_facet_rejected(self):
         mesh = damped_interval()

@@ -312,26 +312,6 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"top block row is not \[0, S\]"):
             semigroup.CayleyStepper(altered, dt)
 
-    def test_stacked_forms_give_both_terms_bitwise(self):
-        # One product with [D + Mb; Ma] gives the same two terms as the two
-        # separate products, bit for bit.
-        interior = []
-        for mesh in (
-            wt.interval_mesh(12, right=wt.BoundaryLabel.ELASTIC_DAMPED),
-            wt.rectangle_mesh(5, 4, models.square_partition()),
-        ):
-            interior.append(models.interior_pencil(mesh, reaction=1.5, damping=0.5))
-            interior.append(models.interior_pencil(mesh, reaction=lambda p: -p[:, 0]))
-        rng = np.random.default_rng(16)
-        for pencil in models.ci_pencils() + interior:
-            reaction, damper = assembly.dissipation_forms(pencil)
-            forms = semigroup._stacked_forms(pencil)
-            u, v = pencil.split(models.random_state(pencil, rng))
-            assert np.array_equal(forms @ v, np.concatenate([damper @ v, reaction @ v]))
-            separate = (float(v @ (damper @ v)), float(u @ (reaction @ v)))
-            assert semigroup._dissipation_terms(forms, u, v) == separate
-        assert any(assembly.dissipation_forms(p)[0].nnz for p in interior)
-
     def test_balance_ratio_on_a_fine_string(self):
         # The worst ratio grows with n on the 1-D string; 6.4e-3 was measured
         # at n = 4,096 before the defect was polarized (6.3e-5 after), and the
