@@ -17,7 +17,7 @@ from pathlib import Path
 from . import config as cfgmod
 from . import helmholtz as helmmod
 from . import semigroup, spectral
-from .assembly import assemble_pencil, check_state_size
+from .assembly import MAX_PENCIL_STATE, assemble_pencil, check_state_size
 from .coefficients import validate_model
 from .errors import ConfigError, WavetripleError
 from .mesh import validate_mesh
@@ -31,8 +31,12 @@ def _load(path: str) -> cfgmod.ModelConfig:
     return cfgmod.parse_config(text)
 
 
-def _build(cfg: cfgmod.ModelConfig):
+def _build(cfg: cfgmod.ModelConfig, pencil: bool = True):
+    """Checked mesh, coefficients and damping flag; with pencil, a model too
+    large to assemble is refused before the mesh is validated or sampled."""
     mesh = cfgmod.build_mesh(cfg)
+    if pencil:
+        check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     validate_mesh(mesh)
     coeffs = cfgmod.build_coefficients(cfg, mesh)
     damping = validate_model(mesh, coeffs)
@@ -109,7 +113,7 @@ def _cmd_poincare(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_helmholtz(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
-    mesh, coeffs, _ = _build(cfg)
+    mesh, coeffs, _ = _build(cfg, pencil=False)
     field = cfgmod.helmholtz_field(cfg, mesh)
     grad_part, divfree_part = helmmod.decompose(mesh, coeffs, field)
     total = helmmod.weighted_inner(mesh, coeffs, field, field)

@@ -8,6 +8,9 @@ entries per row.  Both apply a package-wide relative pivot threshold on
 top of the library's own checks.  A pencil with a block-diagonal Gram
 matrix is reduced by banded triangular solves with the factors of its
 diagonal blocks; the eigensolve of the reduced matrix is dense by nature.
+It frees the reduced matrix once it has its own copy, and every later pass
+over the eigenvectors runs in column blocks: at its peak a pencil
+eigensolve holds LAPACK's real eigenvector matrix beside the complex one.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from .errors import EigenSolverError, NotPositiveDefiniteError, SingularMatrixEr
 # definite (resp. singular), scaled by the max-magnitude entry of the input:
 # the package-wide detector for energy forms with a nontrivial kernel.
 PIVOT_RTOL = 1e-14
+# sqrt(tiny) / eps: LAPACK dgeev scales a matrix whose largest entry lies
+# outside [EIG_SAFE_MIN, 1 / EIG_SAFE_MIN] (see eig_nonsymmetric).
+EIG_SAFE_MIN = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+# Width of the column blocks that every pass over eigenvectors works in.
+COLUMN_BLOCK = 64
 
 
 def _pivot_rule(factorize, operand, shape, entries: np.ndarray, diagonal):
@@ -124,28 +132,75 @@ class LuFactorization:
         return self._lu.solve(rhs)
 
 
+def column_blocks(n: int) -> list[slice]:
+    """Slices of about COLUMN_BLOCK columns that cover range(n) in order.
+
+    numpy reduces each column of a block (a norm, an einsum) in the order it
+    uses on the whole array, so block results equal full-width ones bit for
+    bit; a block one column wide would be summed pairwise, so a remainder of
+    one column joins the block before it.
+    """
+    starts = list(range(0, n, COLUMN_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full spectrum of a real square matrix: (values, vectors).
 
     values are sorted by (real, imag) and vectors[:, i] is a unit 2-norm
-    eigenvector for values[i].  Backed by the LAPACK nonsymmetric solver
-    (Hessenberg reduction plus shifted QR).  It computes no residual: its
-    consumers certify the pairs against their own problem (generalized_eig
-    against the pencil).
+    eigenvector for values[i], a C-ordered complex array.  LAPACK dgeev
+    (Hessenberg reduction plus shifted QR, optimal workspace) overwrites one
+    Fortran-ordered copy of mat; the complex vectors are built from its real
+    vector matrix once, in sorted order, as numpy's eig builds them, and
+    normalized in column blocks.  A non-finite entry or a LAPACK failure is
+    an EigenSolverError.  It computes no residual: its consumers certify the
+    pairs against their own problem (generalized_eig against the pencil).
+
+    dgeev scales a matrix whose largest entry lies outside [EIG_SAFE_MIN,
+    1 / EIG_SAFE_MIN], and the OpenBLAS bundled with some scipy releases
+    does not scale the eigenvalues back ([[1e139, 1], [0, 2]] gives
+    1.4886e138 and 0.2977).  So only such a copy is scaled here, by an exact
+    power of two, and its eigenvalues scaled back; any other is passed as is.
     """
-    a = np.asarray(mat, dtype=float)
+    a = np.array(mat, dtype=float, order="F")
+    # A caller that passes a temporary (generalized_eig does) frees it here.
+    del mat
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
+    n = a.shape[0]
+    if n == 0:
         return np.zeros(0, complex), np.zeros((0, 0), complex)
-    try:
-        values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
-    vectors /= np.linalg.norm(vectors, axis=0)
+    largest = float(np.maximum(a.max(), -a.min()))
+    if not np.isfinite(largest):
+        raise EigenSolverError("eigenvalue iteration failed: matrix contains non-finite entries")
+    exponent = 0
+    if largest > 0.0 and not EIG_SAFE_MIN <= largest <= 1.0 / EIG_SAFE_MIN:
+        exponent = int(np.frexp(largest)[1])
+        np.ldexp(a, -exponent, out=a)
+    lwork, _ = scipy.linalg.lapack.dgeev_lwork(n, compute_vl=0)
+    wr, wi, _, vr, info = scipy.linalg.lapack.dgeev(
+        a, compute_vl=0, lwork=int(lwork), overwrite_a=1
+    )
+    del a
+    if info != 0:
+        raise EigenSolverError(f"eigenvalue iteration failed: LAPACK dgeev info {info}")
+    values = np.ldexp(wr, exponent).astype(complex)
+    values.imag = np.ldexp(wi, exponent)
     order = np.lexsort((values.imag, values.real))
-    # take keeps C order, where vectors[:, order] would give F order.
-    return values[order], np.take(vectors, order, axis=1)
+    # A conjugate pair j, j + 1 (wi[j] > 0) is stored as re, im in columns
+    # j, j + 1 of vr: its vectors are re + i*im and re - i*im.
+    first = np.arange(n) - (wi < 0)
+    vectors = np.empty((n, n), complex)
+    for cols in column_blocks(n):
+        block, src = vectors[:, cols], order[cols]
+        block.real = vr[:, first[src]]
+        pair = wi[src] != 0
+        block.imag[:, ~pair] = 0.0
+        block.imag[:, pair] = vr[:, first[src[pair]] + 1] * np.sign(wi[src[pair]])
+        block /= np.linalg.norm(block, axis=0)
+    return values[order], vectors
 
 
 def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
@@ -208,8 +263,8 @@ def generalized_eig(
     residuals[i] is ||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)).
     gram and op are applied as CSR.  factors are the band factors of gram's
     diagonal blocks (see generalized_to_standard); the back-transform runs
-    block by block, in place.  A residual norm that overflows is inf or nan,
-    with no warning.
+    block by block, in place, and the residuals are computed in column
+    blocks.  A residual norm that overflows is inf or nan, with no warning.
     """
     values, vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
     if values.size == 0:
@@ -219,10 +274,13 @@ def generalized_eig(
         real = vectors[rows].view(float)
         real[...] = _band_solve(low, real, trans="T")
     # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
-    gram_z = scipy.sparse.csr_matrix(gram) @ vectors
-    resid = scipy.sparse.csr_matrix(op) @ vectors
+    gram, op = scipy.sparse.csr_matrix(gram), scipy.sparse.csr_matrix(op)
+    residuals = np.empty(values.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
-        gram_z *= values
-        resid -= gram_z
-        return values, vectors, np.linalg.norm(resid, axis=0) / denom
+        for cols in column_blocks(values.size):
+            gram_z, resid = gram @ vectors[:, cols], op @ vectors[:, cols]
+            denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values[cols]))
+            gram_z *= values[cols]
+            resid -= gram_z
+            residuals[cols] = np.linalg.norm(resid, axis=0) / denom
+    return values, vectors, residuals

@@ -34,8 +34,9 @@ AXIS_TOL = 1e-6
 ZERO_TOL = 1e-6
 # Largest state dimension whose full dense spectrum compute_spectrum
 # attempts.  Time grows like the cube of the dimension and memory like its
-# square: on a 2-core machine the spectrum command took 7.8 s with a 0.34 GB
-# peak at 2048 and 60 s with a 1.1 GB peak at 4096 (1-D damped string).
+# square: on a 2-core machine with one BLAS thread the spectrum command took
+# 7.6 s with a 0.18 GB peak at 2048 and 56 s with a 0.46 GB peak at 4096
+# (1-D damped string): the import plus 1.5 complex blocks of the state.
 MAX_DENSE_STATE = 4096
 
 
@@ -94,7 +95,9 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     it is a ProblemSizeError before anything is densified.  A recomputed
     pencil residual (overflowed or not) or an eigenpair energy-balance
     defect beyond its bound is an EigenSolverError, so a report in hand is
-    a certificate of its pairs.
+    a certificate of its pairs.  The balance defect and the two boundary
+    residuals come from one loop over column blocks of the eigenvectors, so
+    the working set stays that of linalg.generalized_eig.
     """
     check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
     m = pencil.num_active
@@ -111,20 +114,26 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
         raise EigenSolverError(
             f"pencil residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    defect, (mass_v, damp_v, react_u) = _balance_defect(pencil, values, vectors)
+    forms = dissipation_forms(pencil)
+    slots = pencil.trace_slots
+    stiff, spring = pencil.stiffness_csr[slots], pencil.boundary_spring_csr[slots]
+    damper = pencil.boundary_damper_csr[slots]
+    defect, flux_res, k2_res = (np.empty(len(values)) for _ in range(3))
+    for cols in linalg.column_blocks(len(values)):
+        lam, vec_u, vec_v = values[cols], vectors[:m, cols], vectors[m:, cols]
+        defect[cols], (mass_v, damp_v, react_u) = _balance_defect(
+            pencil, lam, vectors[:, cols], forms
+        )
+        # The flux trace g that apply_A needs to reproduce a pair is
+        # lift(g) = lambda M v + K u on the trace rows.  There the first
+        # boundary map spring u + g must balance (D + Mb) v + Ma u.
+        flux = lam * mass_v[slots] + stiff @ vec_u
+        b1 = spring @ vec_u + flux
+        flux_res[cols] = np.linalg.norm(b1 + damp_v[slots] + react_u[slots], axis=0)
+        k2_res[cols] = np.linalg.norm(damper @ vec_v, axis=0)
     ratio = float((defect / balance_tolerance(values)).max(initial=0.0))
     if not ratio <= 1.0:
         raise EigenSolverError(f"eigenpair energy balance defect at {ratio:.3e} of its bound")
-
-    # The flux trace g that apply_A needs to reproduce a pair is
-    # lift(g) = lambda M v + K u on the trace rows.  There the first
-    # boundary map spring u + g must balance (D + Mb) v + Ma u.
-    slots = pencil.trace_slots
-    vec_u = vectors[:m]
-    flux = values * mass_v[slots] + pencil.stiffness_csr[slots] @ vec_u
-    b1 = pencil.boundary_spring_csr[slots] @ vec_u + flux
-    flux_res = np.linalg.norm(b1 + damp_v[slots] + react_u[slots], axis=0)
-    k2_res = np.linalg.norm(pencil.boundary_damper_csr[slots] @ vectors[m:], axis=0)
 
     abscissa = float(values.real.max()) if len(values) else -np.inf
     gap = imaginary_axis_gap(values)
@@ -149,16 +158,17 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     )
 
 
-def _balance_defect(pencil: OperatorPencil, values, vectors):
+def _balance_defect(pencil: OperatorPencil, values, vectors, forms=None):
     """Eigenpair energy-balance defect, with the products M v, (D + Mb) v, Ma u.
 
     -Re(lambda) * ||z||^2 must equal v^H (D + Mb) v + Re(v^H Ma u).  Ma and
     D + Mb come from dissipation_forms, assembled from the coefficients,
-    not read back from the dynamics; the Gram norms use the CSR forms.
+    not read back from the dynamics (forms, when given, is its result); the
+    Gram norms use the CSR forms.  vectors may be a block of columns.
     """
     m = pencil.num_active
     vec_u, vec_v = vectors[:m], vectors[m:]
-    reaction, damper = dissipation_forms(pencil)
+    reaction, damper = dissipation_forms(pencil) if forms is None else forms
     mass_v, damp_v, react_u = pencil.mass_csr @ vec_v, damper @ vec_v, reaction @ vec_u
     gram_norms = np.einsum(
         "im,im->m", np.conj(vec_u), pencil.displacement_gram_csr @ vec_u

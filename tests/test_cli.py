@@ -347,6 +347,33 @@ class TestDenseSizeGuard:
         assert "Traceback" not in err
         assert not (out_dir / "energy.csv").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "spectrum", "simulate", "poincare"])
+    def test_oversized_model_is_neither_validated_nor_sampled(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = []
+
+        def recorded(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recorded(cli, "validate_mesh")
+        recorded(cli.cfgmod, "build_coefficients")
+        cfg = write_config(tmp_path, UNDAMPED_RUN.replace("n = 16", "n = 100000"))
+        code, out, err = run([command, "--config", cfg, "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: dense model: state dimension 199998 exceeds 8320, "
+            "the largest this package attempts\n"
+        )
+        assert calls == []
+
 
 REDUCED_NOT_FINITE = "error: the eigenproblem reduced to standard form is not finite"
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import models
 import oracles
 from wavetriple import linalg, spectral
-from wavetriple.errors import NotPositiveDefiniteError, SingularMatrixError
+from wavetriple.errors import EigenSolverError, NotPositiveDefiniteError, SingularMatrixError
 
 
 def random_spd(rng, n):
@@ -416,6 +416,51 @@ class TestEig:
         assert np.allclose(norms, 1.0, atol=1e-12)
         residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
         assert residuals.max() <= 1e-10 * np.abs(mat).max() * 20
+
+    # dgeev scales a matrix whose largest entry lies outside [EIG_SAFE_MIN,
+    # 1 / EIG_SAFE_MIN], and some OpenBLAS builds do not scale its
+    # eigenvalues back; eig_nonsymmetric brings such a copy into range.
+    @pytest.mark.parametrize(
+        "mat, want",
+        [([[s, 1.0], [0.0, 2.0]], [2.0, s]) for s in (1e139, 1e200, 1e300)]
+        + [([[t, t], [0.0, 2 * t]], [t, 2 * t]) for t in (1e-140, 1e-200)],
+        ids=["1e139", "1e200", "1e300", "1e-140", "1e-200"],
+    )
+    def test_values_right_outside_the_unscaled_range(self, mat, want):
+        values, vectors = linalg.eig_nonsymmetric(np.array(mat))
+        assert np.all(np.abs(values - want) <= 1e-14 * np.abs(want))
+        assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_an_eigensolver_error(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = bad
+        with pytest.raises(EigenSolverError, match="non-finite"):
+            linalg.eig_nonsymmetric(mat)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 129, 200])
+    def test_matches_numpy_eig_on_random_matrices(self, n):
+        rng = np.random.default_rng(40 + n)
+        mat = rng.standard_normal((n, n))
+        kept = mat.copy()
+        values, vectors = linalg.eig_nonsymmetric(mat)
+        assert np.array_equal(mat, kept)
+        assert vectors.dtype == complex and vectors.flags.c_contiguous
+        assert np.array_equal(values, values[np.lexsort((values.imag, values.real))])
+        want = np.linalg.eig(mat)[0]
+        want = want[np.lexsort((want.imag, want.real))]
+        assert np.all(np.abs(values - want) <= 1e-12 * np.abs(want).max())
+        assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-13)
+        residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
+        assert residuals.max() <= 1e-12 * np.abs(mat).max() * n
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129, 130, 200])
+    def test_column_blocks_cover_in_order_and_none_is_one_column(self, n):
+        blocks = linalg.column_blocks(n)
+        assert [i for cols in blocks for i in range(n)[cols]] == list(range(n))
+        widths = [b.stop - b.start for b in blocks]
+        assert all(w <= linalg.COLUMN_BLOCK + 1 for w in widths)
+        assert n <= 1 or 1 not in widths
 
 
 class TestPencil:

@@ -239,6 +239,45 @@ class TestComputeSpectrum:
             tracemalloc.stop()
         assert peak <= 5 * block
 
+    def test_peak_memory_is_below_three_complex_state_blocks(self):
+        # At its peak compute_spectrum holds the eigenvectors (one complex
+        # (2m, 2m) block) and one real array of half a block: LAPACK's vector
+        # matrix, or the copy the back-transform solves in.  That is 1.67
+        # blocks here, 2.17 if the reduced matrix outlives its copy.  Every
+        # product with the eigenvectors is a column block; one full-width
+        # complex product more would pass 2.5, and full-width residuals and
+        # balance products peak at four.
+        pencil = models.damped_pencil(256)
+        block = 16 * pencil.state_dim**2
+        tracemalloc.start()
+        try:
+            wt.compute_spectrum(pencil)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * block
+
+    def test_block_results_equal_full_width_recomputation(self):
+        # State dimension 200 is not a multiple of the column block, so the
+        # last block is narrower than the others.
+        pencil = models.damped_pencil(100)
+        assert pencil.state_dim % linalg.COLUMN_BLOCK != 0
+        report = wt.compute_spectrum(pencil)
+        values, vectors, m = report.values, report.vectors, pencil.num_active
+        gram_z, resid = pencil.gram_csr @ vectors, pencil.dynamics_csr @ vectors
+        denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
+        gram_z *= values
+        resid -= gram_z
+        assert np.array_equal(report.residuals, np.linalg.norm(resid, axis=0) / denom)
+        _, (mass_v, damp_v, react_u) = spectral._balance_defect(pencil, values, vectors)
+        slots = pencil.trace_slots
+        flux = values * mass_v[slots] + pencil.stiffness_csr[slots] @ vectors[:m]
+        b1 = pencil.boundary_spring_csr[slots] @ vectors[:m] + flux
+        flux_res = np.linalg.norm(b1 + damp_v[slots] + react_u[slots], axis=0)
+        k2_res = np.linalg.norm(pencil.boundary_damper_csr[slots] @ vectors[m:], axis=0)
+        assert np.array_equal(report.flux_residual, flux_res)
+        assert np.array_equal(report.k2_trace_residual, k2_res)
+
     def test_fully_constrained_model(self):
         pencil = wt.assemble_pencil(
             wt.interval_mesh(1), wt.sample_coefficients(wt.interval_mesh(1))
