@@ -28,18 +28,22 @@ from the Banks-Ito-Wang mixed method.  Its damped-string spectral gap is
 uniform in h, where the consistent mass loses the gap like h^2.  Only M
 changes; the stiffness, the boundary maps and both identities do not.
 
-Every element matrix goes through one scatter kernel that emits COO
-triplets, and each matrix has one triplet builder.  Its toarray() sums
-duplicates in input order and so matches np.add.at bit for bit.  The
-pencil reduces each block to the active nodes from the triplets with
-_restrict, which returns CSR, sums duplicates in that same input order
-and drops the entries that sum to exactly zero, so its toarray() is the
-dense block bit for bit.  The pencil stores every matrix once, as CSR,
-gram and dynamics included; nothing is dense, as S and M are certified
-on their band alone.  Its dense names are views that densify on each
-read; nothing in the package reads them, only the benchmark and the
-tests do.  Other sparse consumers (the Helmholtz solve) convert the
-triplets to CSR or CSC themselves.
+Each matrix has one builder of its element matrices.  The scatter
+kernel turns them into COO triplets, whose toarray() sums duplicates in
+input order and so matches np.add.at bit for bit.  Every matrix on the
+same node set shares one sparsity pattern (_Pattern): one np.unique over
+the (row, col) pairs of the cells and boundary facets gives the sorted
+CSR indices and each triplet's slot.  A block is then one np.bincount of
+its element matrices into those slots, which sums duplicates from zero in
+that same input order, with the entries that sum to exactly zero dropped,
+so its toarray() is the dense block bit for bit (Cuvelier, Japhet &
+Scarella, BIT Numer. Math. 56, 2016, compute the pattern once the same
+way).  gram and dynamics are stacked from the block values on the
+pattern.  dissipation_forms builds its own pattern on the active nodes,
+and the Helmholtz solve one on the interior nodes.  The pencil stores
+every matrix once, as CSR; nothing is dense, as S and M are certified on
+their band alone.  Its dense names are views that densify on each read;
+nothing in the package reads them, only the benchmark and the tests do.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 from . import linalg
 from .coefficients import DEGENERATE_ENERGY, CoefficientSet, energy_anchored
@@ -86,9 +90,10 @@ MAX_PENCIL_STATE = 8320
 def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray, shape) -> coo_matrix:
     """COO triplets placing local[c] at rows[c] x cols[c], for every c.
 
-    The package's one scatter kernel.  Duplicates stay separate triplets
-    until conversion: toarray() sums them in input order, exactly as
-    np.add.at would, and tocsr()/tocsc() give the sparse operators.
+    Duplicates stay separate triplets until conversion: toarray() sums them
+    in input order, exactly as np.add.at would, and tocsr()/tocsc() give
+    the sparse operators.  _Pattern.sum takes the same triplets, in the
+    same order, straight from local.
     """
     r, c, vals = np.broadcast_arrays(rows[:, :, None], cols[:, None, :], local)
     return coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape)
@@ -104,6 +109,12 @@ def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -
     so a reduced copy is definite only when some node is clamped.  Any
     other scheme is a ValueError.
     """
+    n = mesh.num_nodes
+    return _scatter(mesh.cells, mesh.cells, _mass_local(mesh, weight, kinetic), (n, n))
+
+
+def _mass_local(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -> np.ndarray:
+    """Element matrices of mass_triplets, (ncell, k, k)."""
     if kinetic not in KINETIC_SCHEMES:
         raise ValueError(f"kinetic must be one of {KINETIC_SCHEMES}, got {kinetic!r}")
     if kinetic == "cell_average":
@@ -115,9 +126,7 @@ def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -
     w = np.asarray(weight, dtype=float)
     if w.shape != (mesh.num_cells,):
         raise CoefficientError(f"weight must have one value per cell, got {w.shape}")
-    local = (w * cell_volumes(mesh))[:, None, None] * template
-    n = mesh.num_nodes
-    return _scatter(mesh.cells, mesh.cells, local, (n, n))
+    return (w * cell_volumes(mesh))[:, None, None] * template
 
 
 def _basis_gradients(mesh: Mesh) -> np.ndarray:
@@ -176,21 +185,24 @@ def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
     Convert with .toarray() for the dense matrix, .tocsr() or .tocsc() for
     sparse use.
     """
+    n = mesh.num_nodes
+    return _scatter(mesh.cells, mesh.cells, _stiffness_local(mesh, modulus), (n, n))
+
+
+def _stiffness_local(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
+    """Element matrices of stiffness_triplets, (ncell, k, k), each bitwise symmetric."""
     tensors = modulus_tensors(mesh, modulus)
     vols = cell_volumes(mesh)
-    n = mesh.num_nodes
     if mesh.dim == 1:
         template = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        local = (tensors[:, 0, 0] / vols)[:, None, None] * template
-        return _scatter(mesh.cells, mesh.cells, local, (n, n))
+        return (tensors[:, 0, 0] / vols)[:, None, None] * template
     grads = _basis_gradients(mesh)
     flux = np.einsum("cab,cbj->caj", tensors, grads)
     local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux)
     # Tie the lower triangle to the upper bit-for-bit so the assembled
     # matrix is exactly symmetric.
     upper = np.triu(local)
-    local = upper + np.swapaxes(np.triu(local, 1), 1, 2)
-    return _scatter(mesh.cells, mesh.cells, local, (n, n))
+    return upper + np.swapaxes(np.triu(local, 1), 1, 2)
 
 
 def boundary_triplets(mesh: Mesh, values: np.ndarray) -> coo_matrix:
@@ -198,18 +210,21 @@ def boundary_triplets(mesh: Mesh, values: np.ndarray) -> coo_matrix:
 
     Point masses at endpoint facets in 1-D, consistent edge masses in 2-D.
     """
+    n = mesh.num_nodes
+    facets = mesh.boundary_facets
+    return _scatter(facets, facets, _boundary_local(mesh, values), (n, n))
+
+
+def _boundary_local(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Element matrices of boundary_triplets, (nf, dim, dim)."""
     k = np.asarray(values, dtype=float)
     if k.shape != (mesh.num_facets,):
         raise CoefficientError(f"need one value per boundary facet, got {k.shape}")
     if k.size and k.min() < 0:
         raise CoefficientError(f"boundary coefficient must be nonnegative, min {k.min():.3e}")
-    n = mesh.num_nodes
-    facets = mesh.boundary_facets
     if mesh.dim == 1:
-        local = k[:, None, None]
-    else:
-        local = (k * facet_measures(mesh))[:, None, None] * _SEG_MASS
-    return _scatter(facets, facets, local, (n, n))
+        return k[:, None, None]
+    return (k * facet_measures(mesh))[:, None, None] * _SEG_MASS
 
 
 def check_state_size(mesh: Mesh, limit: int, label: str) -> np.ndarray:
@@ -228,29 +243,82 @@ def check_state_size(mesh: Mesh, limit: int, label: str) -> np.ndarray:
     return active
 
 
-def _restrict(triplets: coo_matrix, nodes: np.ndarray) -> csr_matrix:
-    """CSR block of a square COO matrix on the rows and columns in nodes.
+class _Pattern:
+    """One sorted CSR pattern for every P1 form of a mesh on a node set.
 
-    Keeps the triplets whose row and column are both in nodes and sums the
-    duplicates of each entry from zero in input order, with np.add.at, as
-    toarray() does.  So toarray() of the block equals
-    toarray()[nodes][:, nodes] of the full matrix bit for bit.  tocsr() and
-    np.add.reduceat sum in another order and do not.  Entries that sum to
-    exactly zero are not stored, so the pattern is the dense block's
-    nonzeros.
+    Its entries are the (row, col) pairs, both in nodes, of the triplets
+    that _scatter emits for mesh.cells and for mesh.boundary_facets, found
+    by one np.unique; rows and columns are positions in nodes.  cells and
+    facets give each such triplet its slot, in _scatter's order; a triplet
+    off the node set goes to the spare slot nnz, which sum discards.
     """
-    n = nodes.size
-    slot = np.full(triplets.shape[0], -1)
-    slot[nodes] = np.arange(n)
-    rows, cols = slot[triplets.row], slot[triplets.col]
-    keep = (rows >= 0) & (cols >= 0)
-    key, entry = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
-    data = np.zeros(key.size)
-    np.add.at(data, entry, triplets.data[keep])
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    block = csr_matrix((data, key % n, indptr), shape=(n, n))
+
+    def __init__(self, mesh: Mesh, nodes: np.ndarray):
+        n = self.n = nodes.size
+        slot = np.full(mesh.num_nodes, n)
+        slot[nodes] = np.arange(n)
+        pairs = []
+        for elements in (mesh.cells, mesh.boundary_facets):
+            s = slot[elements]
+            rows, cols = s[:, :, None], s[:, None, :]
+            pairs.append(np.where((rows < n) & (cols < n), rows * n + cols, n * n).ravel())
+        key, entry = np.unique(np.concatenate(pairs), return_inverse=True)
+        self.nnz = int(np.searchsorted(key, n * n))
+        self.cells, self.facets = np.split(entry, [pairs[0].size])
+        self.rows, self.indices = np.divmod(key[: self.nnz], max(n, 1))
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+
+    def sum(self, local: np.ndarray, entry: np.ndarray) -> np.ndarray:
+        """Value of every entry: its triplets summed from zero in input order.
+
+        local holds the element matrices of the cells or of the facets, as
+        entry is cells or facets.  np.bincount sums as np.add.at and
+        toarray() do, so the values are the dense block's bit for bit.
+        """
+        return np.bincount(entry, weights=local.ravel(), minlength=self.nnz)[: self.nnz]
+
+    def csr(self, values: np.ndarray) -> csr_matrix:
+        """CSR matrix of values on the pattern, with the zero entries dropped."""
+        return _compact(values, self.indices, self.indptr, (self.n, self.n))
+
+
+def _compact(data, indices, indptr, shape) -> csr_matrix:
+    """CSR matrix of copies of the arrays, without its stored zeros.
+
+    eliminate_zeros compacts data, indices and indptr in place, so it gets
+    copies and no other matrix or pattern is altered.
+    """
+    block = csr_matrix((data, indices, indptr), shape=shape, copy=True)
     block.eliminate_zeros()
     return block
+
+
+def _gram_and_dynamics(pattern: _Pattern, disp_gram, mass, lower_left, lower_right):
+    """CSR gram = blockdiag(S, M) and dynamics = [[0, S], [Cvu, Cvv]].
+
+    Each block is given by its values on pattern.  Stored zeros are
+    dropped, so both matrices equal the stacked CSR blocks bit for bit.
+    """
+    m, nnz, cols, ptr = pattern.n, pattern.nnz, pattern.indices, pattern.indptr
+    gram = _compact(
+        np.concatenate([disp_gram, mass]),
+        np.concatenate([cols, cols + m]),
+        np.concatenate([ptr, ptr[1:] + nnz]),
+        (2 * m, 2 * m),
+    )
+    # Row r of the lower block row holds row r of Cvu, then row r of Cvv.
+    left = np.arange(nnz) + ptr[pattern.rows]
+    right = np.arange(nnz) + ptr[pattern.rows + 1]
+    data, indices = np.empty(2 * nnz), np.empty(2 * nnz, dtype=cols.dtype)
+    data[left], data[right] = lower_left, lower_right
+    indices[left], indices[right] = cols, cols + m
+    dynamics = _compact(
+        np.concatenate([disp_gram, data]),
+        np.concatenate([cols + m, indices]),
+        np.concatenate([ptr, 2 * ptr[1:] + nnz]),
+        (2 * m, 2 * m),
+    )
+    return gram, dynamics
 
 
 def _dense_view(name: str) -> property:
@@ -335,24 +403,28 @@ def assemble_pencil(
     the displacement energy form.
     """
     active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
-    kinetic_mass = mass_triplets(mesh, coeffs.density, kinetic)
+    kinetic_mass = _mass_local(mesh, coeffs.density, kinetic)
     if kinetic == "cell_average" and clamped_nodes(mesh).size == 0:
         raise KineticMassError(
             "cell-average kinetic mass needs a fixed end: without one the "
             "alternating nodal vector has zero cell averages, so M is singular"
         )
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
-    stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), active)
-    spring = _restrict(boundary_triplets(mesh, coeffs.boundary_stiffness), active)
-    damper = _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
-    mass = _restrict(kinetic_mass, active)
-    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
-    damping = _restrict(mass_triplets(mesh, coeffs.damping), active)
+    pattern = _Pattern(mesh, active)
+    cells, facets = pattern.cells, pattern.facets
+    stiff = pattern.sum(_stiffness_local(mesh, coeffs.modulus), cells)
+    spring = pattern.sum(_boundary_local(mesh, coeffs.boundary_stiffness), facets)
+    damper = pattern.sum(_boundary_local(mesh, coeffs.boundary_damping), facets)
+    mass = pattern.sum(kinetic_mass, cells)
+    reaction = pattern.sum(_mass_local(mesh, coeffs.reaction), cells)
+    damping = pattern.sum(_mass_local(mesh, coeffs.damping), cells)
     disp_gram = stiff + spring
-    # Sparse sums drop exact zeros, so each block has its dense pattern.
-    gram = block_diag((disp_gram, mass), format="csr")
-    lower = [-disp_gram - reaction, -damper - damping]
-    dynamics = bmat([[None, disp_gram], lower], format="csr")
+    gram, dynamics = _gram_and_dynamics(
+        pattern, disp_gram, mass, -disp_gram - reaction, -damper - damping
+    )
+    stiff, spring, damper, disp_gram, mass = map(
+        pattern.csr, (stiff, spring, damper, disp_gram, mass)
+    )
 
     try:
         linalg.certify_positive_definite(disp_gram)
@@ -463,10 +535,12 @@ def physical_energy(pencil: OperatorPencil, x: np.ndarray) -> float:
 
 def dissipation_forms(pencil: OperatorPencil) -> tuple[csr_matrix, csr_matrix]:
     """CSR Ma and D + Mb, assembled from the coefficients, not read back."""
-    mesh, coeffs, active = pencil.mesh, pencil.coeffs, pencil.active
-    reaction = _restrict(mass_triplets(mesh, coeffs.reaction), active)
-    damping = _restrict(mass_triplets(mesh, coeffs.damping), active)
-    return reaction, damping + _restrict(boundary_triplets(mesh, coeffs.boundary_damping), active)
+    mesh, coeffs = pencil.mesh, pencil.coeffs
+    pattern = _Pattern(mesh, pencil.active)
+    reaction = pattern.sum(_mass_local(mesh, coeffs.reaction), pattern.cells)
+    damping = pattern.sum(_mass_local(mesh, coeffs.damping), pattern.cells)
+    damper = pattern.sum(_boundary_local(mesh, coeffs.boundary_damping), pattern.facets)
+    return pattern.csr(reaction), pattern.csr(damping + damper)
 
 
 def element_inner(pencil: OperatorPencil, ex: DomainElement, ey: DomainElement) -> float:

@@ -2,7 +2,9 @@
 
 Every subcommand reads a model configuration file; outputs that are
 tables go to CSV files under the output directory, scalar results go to
-stdout.  All file output is byte-deterministic for a given input.
+stdout.  All file output is byte-deterministic for a given input and
+BLAS thread count (the spectrum of the 1-D string at n = 1024 prints a
+rounding-level abscissa that differs between one and two threads).
 spectrum prints the certified worst eigenpair energy-balance ratio that
 its report carries.  Every failure, an unusable output path included,
 ends in error lines, exit 1.

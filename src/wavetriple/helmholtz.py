@@ -6,8 +6,8 @@ parts are orthogonal in the inner product weighted by the inverse modulus.
 Discretely the potential is piecewise linear and zero at every boundary
 node, so its weighted gradient is cellwise constant like the input.  The
 potential solve is sparse: assembly gives the modulus tensors, the
-stiffness, its interior block (_restrict) and the gradient operator, and
-sparse LU factors the block.
+stiffness, its interior block (on the sparsity pattern of the interior
+nodes) and the gradient operator, and sparse LU factors the block.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .assembly import _restrict, gradient_operator, modulus_tensors, stiffness_triplets
+from .assembly import _Pattern, _stiffness_local, gradient_operator, modulus_tensors
 from .coefficients import CoefficientSet
 from .errors import FieldError
 from .mesh import Mesh, cell_midpoints, cell_volumes
@@ -76,7 +76,10 @@ def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> n
     interior = _interior(mesh)
     potential = np.zeros(mesh.num_nodes)
     if interior.size:
-        stiff = _restrict(stiffness_triplets(mesh, coeffs.modulus), interior)
+        pattern = _Pattern(mesh, interior)
+        stiff = pattern.csr(pattern.sum(_stiffness_local(mesh, coeffs.modulus), pattern.cells))
+        # The pattern holds a slot per cell triplet; free it before the LU.
+        del pattern
         rhs = _paired(mesh, grad_op, f)[interior]
         potential[interior] = linalg.LuFactorization(stiff).solve(rhs)
     grad_p = (grad_op @ potential).reshape(mesh.num_cells, mesh.dim)

@@ -77,12 +77,21 @@ def certify_positive_definite(mat) -> np.ndarray:
     scipy.linalg.cholesky_banded: half-bandwidth b costs (b + 1) m floats,
     no more than cholesky at b = m - 1.  The pivots are cholesky's to
     rounding, and so are the verdict, the exception and the reported row.
+    The band is read straight from mat as canonical CSR (sorted indices,
+    no duplicates; other input is converted, duplicates summed by scipy).
     The factor is in LAPACK lower band storage: L[j + k, j] = factor[k, j].
     """
-    low = scipy.sparse.tril(mat, format="coo")
-    band = np.zeros((int((low.row - low.col).max(initial=0)) + 1, low.shape[1]))
-    np.add.at(band, (low.row - low.col, low.col), low.data)
-    return _pivot_rule(scipy.linalg.cholesky_banded, band, low.shape, low.data, lambda c: c[0])
+    csr = scipy.sparse.csr_matrix(mat)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    low = csr.indices <= rows
+    cols, entries = csr.indices[low], csr.data[low]
+    offsets = rows[low] - cols
+    band = np.zeros((int(offsets.max(initial=0)) + 1, csr.shape[1]))
+    band[offsets, cols] = entries
+    return _pivot_rule(scipy.linalg.cholesky_banded, band, csr.shape, entries, lambda c: c[0])
 
 
 class LuFactorization:

@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_matrix
+from scipy.sparse import block_diag, bmat, coo_matrix, csr_matrix
 
 import models
 import wavetriple as wt
 from wavetriple import assembly, linalg
+from wavetriple.coefficients import energy_anchored
 from wavetriple.mesh import BoundaryLabel as BL
 from wavetriple.mesh import cell_volumes, clamped_nodes, facet_measures
 
@@ -83,9 +84,9 @@ class TestCellAverageMass:
 
     def test_oversized_model_refused_before_any_dense_block(self, monkeypatch):
         def no_dense_block(*args):
-            raise AssertionError("a dense block was built")
+            raise AssertionError("a sparsity pattern was built")
 
-        monkeypatch.setattr(assembly, "_restrict", no_dense_block)
+        monkeypatch.setattr(assembly, "_Pattern", no_dense_block)
         mesh = wt.interval_mesh(assembly.MAX_PENCIL_STATE // 2 + 1, right=BL.DAMPED)
         with pytest.raises(wt.ProblemSizeError, match="state dimension"):
             wt.assemble_pencil(mesh, wt.sample_coefficients(mesh))
@@ -617,32 +618,34 @@ class TestDenseBuildersMatchAddAt:
 
 
 class TestRestrict:
+    """A form restricted to a node set through the shared sparsity pattern."""
+
     def test_matches_dense_indexing_bitwise(self):
         rng = np.random.default_rng(42)
         for mesh in interior_meshes():
             active = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
             w = rng.uniform(0.5, 2.0, mesh.num_cells)
             k = rng.uniform(0.0, 2.0, mesh.num_facets)
-            for triplets in (
-                assembly.mass_triplets(mesh, w),
-                assembly.stiffness_triplets(mesh, w),
-                assembly.boundary_triplets(mesh, k),
+            for triplets, element in (
+                (assembly.mass_triplets(mesh, w), "cells"),
+                (assembly.stiffness_triplets(mesh, w), "cells"),
+                (assembly.boundary_triplets(mesh, k), "facets"),
             ):
                 want = triplets.toarray()[np.ix_(active, active)]
-                assert np.array_equal(assembly._restrict(triplets, active).toarray(), want)
+                assert np.array_equal(restrict(mesh, triplets, active, element).toarray(), want)
 
     def test_returns_canonical_csr(self):
         mesh = wt.rectangle_mesh(5, 4, models.square_partition())
         active = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
         triplets = assembly.stiffness_triplets(mesh, np.ones(mesh.num_cells))
-        block = assembly._restrict(triplets, active)
+        block = restrict(mesh, triplets, active)
         assert block.format == "csr" and block.shape == (active.size, active.size)
         assert block.has_canonical_format
 
     def test_empty_node_set(self):
         mesh = wt.rectangle_mesh(3, 2, models.square_partition())
         triplets = assembly.mass_triplets(mesh, np.ones(mesh.num_cells))
-        block = assembly._restrict(triplets, np.arange(0))
+        block = restrict(mesh, triplets, np.arange(0))
         assert block.shape == (0, 0) and block.nnz == 0
 
     def test_eight_or_more_duplicates(self):
@@ -654,7 +657,7 @@ class TestRestrict:
         assert counts.max() >= 8
         nodes = np.arange(mesh.num_nodes)
         want = triplets.toarray()
-        assert np.array_equal(assembly._restrict(triplets, nodes).toarray(), want)
+        assert np.array_equal(restrict(mesh, triplets, nodes).toarray(), want)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -676,7 +679,151 @@ class TestRestrict:
             size = data.draw(st.integers(0, mesh.num_nodes), label="subset size")
             nodes = rng.permutation(mesh.num_nodes)[:size]
         want = triplets.toarray()[np.ix_(nodes, nodes)]
-        assert np.array_equal(assembly._restrict(triplets, nodes).toarray(), want)
+        element = "facets" if kind == "boundary" else "cells"
+        assert np.array_equal(restrict(mesh, triplets, nodes, element).toarray(), want)
+
+
+def restrict(mesh, triplets, nodes, element="cells"):
+    """CSR block on nodes of triplets, through the pattern of mesh on nodes.
+
+    triplets are one or more copies, stacked in order, of the output of a
+    builder over element ("cells" or "facets").
+    """
+    pattern = assembly._Pattern(mesh, nodes)
+    entry = getattr(pattern, element)
+    copies = triplets.nnz // max(entry.size, 1)
+    return pattern.csr(pattern.sum(triplets.data, np.tile(entry, copies)))
+
+
+def reference_restrict(triplets, nodes):
+    """CSR block of triplets on nodes, summed with np.add.at as toarray() does.
+
+    The restriction the pencil was built with before the shared pattern:
+    one np.unique per block, exact zeros dropped.
+    """
+    n = nodes.size
+    slot = np.full(triplets.shape[0], -1)
+    slot[nodes] = np.arange(n)
+    rows, cols = slot[triplets.row], slot[triplets.col]
+    keep = (rows >= 0) & (cols >= 0)
+    key, entry = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    data = np.zeros(key.size)
+    np.add.at(data, entry, triplets.data[keep])
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    block = csr_matrix((data, key % max(n, 1), indptr), shape=(n, n))
+    block.eliminate_zeros()
+    return block
+
+
+def reference_fields(mesh, coeffs, active, kinetic):
+    """The seven CSR pencil fields composed with reference_restrict, block_diag and bmat."""
+
+    def block(triplets):
+        return reference_restrict(triplets, active)
+
+    stiff = block(assembly.stiffness_triplets(mesh, coeffs.modulus))
+    spring = block(assembly.boundary_triplets(mesh, coeffs.boundary_stiffness))
+    damper = block(assembly.boundary_triplets(mesh, coeffs.boundary_damping))
+    mass = block(assembly.mass_triplets(mesh, coeffs.density, kinetic))
+    reaction = block(assembly.mass_triplets(mesh, coeffs.reaction))
+    damping = block(assembly.mass_triplets(mesh, coeffs.damping))
+    disp_gram = stiff + spring
+    lower = [-disp_gram - reaction, -damper - damping]
+    return {
+        "gram": block_diag((disp_gram, mass), format="csr"),
+        "dynamics": bmat([[None, disp_gram], lower], format="csr"),
+        "mass": mass,
+        "stiffness": stiff,
+        "boundary_spring": spring,
+        "boundary_damper": damper,
+        "displacement_gram": disp_gram,
+    }
+
+
+def draw_field(data, rng, size, label, low, high):
+    """A random field of one of three kinds: all zero, partly zero, or dense."""
+    kind = data.draw(st.sampled_from(["zero", "sparse", "dense"]), label=label)
+    values = rng.uniform(low, high, size)
+    if kind == "zero":
+        return np.zeros(size)
+    if kind == "sparse":
+        values[rng.random(size) < 0.5] = 0.0
+    return values
+
+
+class TestSharedPattern:
+    """Every pencil block comes from one pattern, bit for bit as before it."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_seven_fields_match_the_reference_composition_bitwise(self, data):
+        labels = st.sampled_from(list(BL))
+        one_d = data.draw(st.booleans(), label="one-dimensional")
+        if one_d:
+            n = data.draw(st.integers(1, 16), label="n")
+            mesh = wt.interval_mesh(n, left=data.draw(labels), right=data.draw(labels))
+        else:
+            sides = {side: (wt.Segment(data.draw(labels, label=side)),) for side in wt.mesh.SIDES}
+            nx, ny = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+            mesh = wt.rectangle_mesh(nx, ny, sides)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cells, facets = mesh.num_cells, mesh.num_facets
+        coeffs = wt.sample_coefficients(
+            mesh,
+            modulus=rng.lognormal(0.0, 1.5, cells),
+            density=rng.lognormal(0.0, 1.5, cells),
+            reaction=draw_field(data, rng, cells, "reaction", -3.0, 3.0),
+            damping=draw_field(data, rng, cells, "damping", -3.0, 3.0),
+            boundary_stiffness=draw_field(data, rng, facets, "springs", 0.0, 2.0),
+            boundary_damping=draw_field(data, rng, facets, "dampers", 0.0, 2.0),
+        )
+        kinetic = "consistent"
+        if one_d and clamped_nodes(mesh).size and data.draw(st.booleans(), label="cell average"):
+            kinetic = "cell_average"
+        assume(energy_anchored(mesh, coeffs))
+        pencil = wt.assemble_pencil(mesh, coeffs, kinetic=kinetic)
+        want = reference_fields(mesh, coeffs, pencil.active, kinetic)
+        for name, ref in want.items():
+            got = getattr(pencil, f"{name}_csr")
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(ref, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+
+    def test_one_pattern_per_assembly(self, monkeypatch):
+        built = []
+
+        class Counting(assembly._Pattern):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(assembly, "_Pattern", Counting)
+        for build, size in ((models.square_pencil, (4, 3)), (models.variable_pencil, (9,))):
+            pencil = build(*size)
+            assert len(built) == 1
+            assert np.array_equal(built[0][1], pencil.active)
+            built.clear()
+
+    def test_dropping_zeros_alters_neither_values_nor_pattern(self):
+        # eliminate_zeros compacts its arrays in place; csr works on copies.
+        mesh = wt.rectangle_mesh(4, 3, models.square_partition())
+        pattern = assembly._Pattern(mesh, np.arange(mesh.num_nodes))
+        values = np.random.default_rng(3).uniform(1.0, 2.0, pattern.nnz)
+        values[::3] = 0.0
+        kept = values.copy(), pattern.indices.copy(), pattern.indptr.copy()
+        first, second = pattern.csr(values), pattern.csr(values)
+        for before, after in zip(kept, (values, pattern.indices, pattern.indptr)):
+            assert np.array_equal(before, after)
+        assert first.nnz == second.nnz == np.count_nonzero(values)
+        assert np.array_equal(first.toarray(), second.toarray())
+
+    def test_zero_fields_store_no_entries(self):
+        mesh = wt.rectangle_mesh(4, 3, models.square_partition())
+        pencil = wt.assemble_pencil(mesh, wt.sample_coefficients(mesh))
+        assert pencil.boundary_spring_csr.nnz == pencil.boundary_damper_csr.nnz == 0
+        reaction, damper = assembly.dissipation_forms(pencil)
+        assert reaction.nnz == damper.nnz == 0
+        assert pencil.dynamics_csr.nnz == 2 * pencil.stiffness_csr.nnz
 
 
 def stacked_triplets(mesh, kind, rng, copies):

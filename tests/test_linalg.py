@@ -240,6 +240,18 @@ class TestBandedCertificate:
     def test_empty_matrix(self):
         linalg.certify_positive_definite(scipy.sparse.csr_matrix((0, 0)))
 
+    def test_duplicate_entries_are_summed(self):
+        # Each entry stored twice, as two exact halves: not canonical CSR.
+        csr = scipy.sparse.csr_matrix(banded_matrix("spd", 9, 2, np.random.default_rng(8)))
+        twice = scipy.sparse.csr_matrix(
+            (np.repeat(csr.data / 2, 2), np.repeat(csr.indices, 2), 2 * csr.indptr),
+            shape=csr.shape,
+        )
+        assert not twice.has_canonical_format
+        want = linalg.certify_positive_definite(csr)
+        assert np.array_equal(linalg.certify_positive_definite(twice), want)
+        assert twice.nnz == 2 * csr.nnz
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_entry_is_the_dense_value_error(self, bad):
         mat = np.eye(3)

@@ -189,6 +189,19 @@ class TestSimulate:
             x = stepper.step(x)
         assert np.array_equal(traj.states[-1], x)
 
+    def test_fused_record_equals_energy_and_norm_bitwise(self):
+        # simulate records K u, S u and M v from one stacked product; each
+        # sample equals physical_energy and state_norm of its state.
+        for pencil in models.ci_pencils() + models.cell_average_pencils():
+            rng = np.random.default_rng(pencil.state_dim)
+            x0 = models.random_state(pencil, rng)
+            one, two = wt.simulate(pencil, x0, 0.02, 1), wt.simulate(pencil, x0, 0.02, 2)
+            for traj in (one, two):
+                x = traj.states[0]
+                assert traj.energy[-1] == wt.physical_energy(pencil, x)
+                assert traj.xnorm[-1] == wt.state_norm(pencil, x)
+            assert two.energy[1] == one.energy[1] and two.xnorm[1] == one.xnorm[1]
+
     def test_memory_does_not_grow_with_the_history(self):
         # 2,001 states of length 400 would take 6.4 MB; the run keeps two.
         pencil = models.damped_pencil(200)

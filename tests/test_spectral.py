@@ -224,38 +224,25 @@ class TestComputeSpectrum:
         for pencil in pencils:
             wt.compute_spectrum(pencil)
 
-    def test_peak_memory_is_four_complex_state_blocks(self):
-        # At its peak compute_spectrum holds the eigenvectors, gram z, op z
-        # and one temporary of the residual norms: four complex (2m, 2m)
-        # arrays.  A dense copy of the pencil, a dense factor or one more
-        # copy of the eigenvectors would push it past five.
-        pencil = models.damped_pencil(128)
-        block = 16 * pencil.state_dim**2
-        tracemalloc.start()
-        try:
-            wt.compute_spectrum(pencil)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * block
-
     def test_peak_memory_is_below_three_complex_state_blocks(self):
         # At its peak compute_spectrum holds the eigenvectors (one complex
         # (2m, 2m) block) and one real array of half a block: LAPACK's vector
         # matrix, or the copy the back-transform solves in.  That is 1.67
-        # blocks here, 2.17 if the reduced matrix outlives its copy.  Every
-        # product with the eigenvectors is a column block; one full-width
-        # complex product more would pass 2.5, and full-width residuals and
-        # balance products peak at four.
-        pencil = models.damped_pencil(256)
-        block = 16 * pencil.state_dim**2
-        tracemalloc.start()
-        try:
-            wt.compute_spectrum(pencil)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * block
+        # blocks at n = 256, and 2.28 at n = 128, where the temporaries of a
+        # 64-column block are a larger share; 2.17 at n = 256 if the reduced
+        # matrix outlives its copy.  Every product with the eigenvectors is
+        # a column block; one full-width complex product more would pass
+        # 2.5, and full-width residuals and balance products peak at four.
+        for n in (128, 256):
+            pencil = models.damped_pencil(n)
+            block = 16 * pencil.state_dim**2
+            tracemalloc.start()
+            try:
+                wt.compute_spectrum(pencil)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * block, n
 
     def test_block_results_equal_full_width_recomputation(self):
         # State dimension 200 is not a multiple of the column block, so the
