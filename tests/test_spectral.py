@@ -224,6 +224,22 @@ class TestComputeSpectrum:
         for pencil in pencils:
             wt.compute_spectrum(pencil)
 
+    def test_peak_memory_is_four_complex_state_blocks(self):
+        # The coarse guard: full-width residuals and balance products hold
+        # four complex (2m, 2m) arrays.  A dense copy of the pencil, a dense
+        # factor or one more copy of the eigenvectors would push it past
+        # five.  The streamed spectrum stays well below; the test below
+        # holds it to 2.5.
+        pencil = models.damped_pencil(128)
+        block = 16 * pencil.state_dim**2
+        tracemalloc.start()
+        try:
+            wt.compute_spectrum(pencil)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * block
+
     def test_peak_memory_is_below_three_complex_state_blocks(self):
         # At its peak compute_spectrum holds the eigenvectors (one complex
         # (2m, 2m) block) and one real array of half a block: LAPACK's vector
