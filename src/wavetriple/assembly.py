@@ -9,16 +9,19 @@ nodes, the boundary nodes away from every fixed facet.
 The assembled first-order system is the whole closed-loop generator
 
     gram @ xdot = dynamics @ x,   gram = blockdiag(S, M),
-    dynamics = [[0, S], [-S - Ma, -D - Mb]],
+    dynamics = [[0, S], [Cvu, Cvv]],   Cvu = -S - Ma,   Cvv = -D - Mb,
 
 with S the displacement Gram matrix (stiffness plus boundary spring mass),
 M the density-weighted kinetic mass matrix, D the boundary damper mass and
 Ma, Mb the consistent masses weighted by the interior reaction and damping
-fields.  The skew part of dynamics is exact by construction, so with no
-reaction dynamics + dynamics^T = blockdiag(0, -2(D + Mb)) bit for bit.
-apply_A, the boundary maps B1, B2 and the Green identity describe the
-boundary part [[0, S], [-S, -D]]; the interior terms are a bounded
-perturbation of it.
+fields.  The displacement row [0, S] is udot = v in the energy metric for
+every model, so the pencil stores only S, M and the velocity row Cvu, Cvv;
+gram and dynamics are stacked from them on each read.  The skew part of
+dynamics is exact by construction, so with no reaction
+dynamics + dynamics^T = blockdiag(0, -2(D + Mb)) bit for bit.  apply_A,
+the boundary maps B1, B2 and the Green identity describe the boundary
+part [[0, S], [-S, -D]]; the interior terms are a bounded perturbation
+of it.
 
 M is the consistent P1 mass by default.  In 1-D with a fixed end,
 assemble_pencil(..., kinetic="cell_average") measures kinetic energy on
@@ -38,8 +41,7 @@ its element matrices into those slots, which sums duplicates from zero in
 that same input order, with the entries that sum to exactly zero dropped,
 so its toarray() is the dense block bit for bit (Cuvelier, Japhet &
 Scarella, BIT Numer. Math. 56, 2016, compute the pattern once the same
-way).  gram and dynamics are stacked from the block values on the
-pattern.  dissipation_forms builds its own pattern on the active nodes,
+way).  dissipation_forms builds its own pattern on the active nodes,
 and the Helmholtz solve one on the interior nodes.  The pencil stores
 every matrix once, as CSR; nothing is dense, as S and M are certified on
 their band alone.  Its dense names are views that densify on each read;
@@ -51,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import bmat, coo_matrix, csr_matrix
 
 from . import linalg
 from .coefficients import DEGENERATE_ENERGY, CoefficientSet, energy_anchored
@@ -278,51 +280,18 @@ class _Pattern:
         return np.bincount(entry, weights=local.ravel(), minlength=self.nnz)[: self.nnz]
 
     def csr(self, values: np.ndarray) -> csr_matrix:
-        """CSR matrix of values on the pattern, with the zero entries dropped."""
-        return _compact(values, self.indices, self.indptr, (self.n, self.n))
+        """CSR matrix of values on the pattern, with the zero entries dropped.
 
-
-def _compact(data, indices, indptr, shape) -> csr_matrix:
-    """CSR matrix of copies of the arrays, without its stored zeros.
-
-    eliminate_zeros compacts data, indices and indptr in place, so it gets
-    copies and no other matrix or pattern is altered.
-    """
-    block = csr_matrix((data, indices, indptr), shape=shape, copy=True)
-    block.eliminate_zeros()
-    return block
-
-
-def _gram_and_dynamics(pattern: _Pattern, disp_gram, mass, lower_left, lower_right):
-    """CSR gram = blockdiag(S, M) and dynamics = [[0, S], [Cvu, Cvv]].
-
-    Each block is given by its values on pattern.  Stored zeros are
-    dropped, so both matrices equal the stacked CSR blocks bit for bit.
-    """
-    m, nnz, cols, ptr = pattern.n, pattern.nnz, pattern.indices, pattern.indptr
-    gram = _compact(
-        np.concatenate([disp_gram, mass]),
-        np.concatenate([cols, cols + m]),
-        np.concatenate([ptr, ptr[1:] + nnz]),
-        (2 * m, 2 * m),
-    )
-    # Row r of the lower block row holds row r of Cvu, then row r of Cvv.
-    left = np.arange(nnz) + ptr[pattern.rows]
-    right = np.arange(nnz) + ptr[pattern.rows + 1]
-    data, indices = np.empty(2 * nnz), np.empty(2 * nnz, dtype=cols.dtype)
-    data[left], data[right] = lower_left, lower_right
-    indices[left], indices[right] = cols, cols + m
-    dynamics = _compact(
-        np.concatenate([disp_gram, data]),
-        np.concatenate([cols + m, indices]),
-        np.concatenate([ptr, 2 * ptr[1:] + nnz]),
-        (2 * m, 2 * m),
-    )
-    return gram, dynamics
+        eliminate_zeros compacts data, indices and indptr in place, so it
+        gets copies and neither values nor the pattern is altered.
+        """
+        block = csr_matrix((values, self.indices, self.indptr), shape=(self.n, self.n), copy=True)
+        block.eliminate_zeros()
+        return block
 
 
 def _dense_view(name: str) -> property:
-    """Read-only dense copy of the field name + "_csr", made on every read."""
+    """Read-only dense copy of the CSR matrix name + "_csr", made on every read."""
     return property(lambda self: getattr(self, f"{name}_csr").toarray())
 
 
@@ -333,27 +302,30 @@ class OperatorPencil:
     active: node indices kept after eliminating clamped nodes, sorted.
     trace_slots: positions inside `active` of the trace nodes.
     Every matrix is restricted to active nodes and stored once, as CSR
-    with no stored zeros, and no field is dense: gram_csr and dynamics_csr
-    act on stacked [u; v] states of length 2 * num_active;
-    displacement_gram_csr (S) and mass_csr (M) are gram's diagonal blocks,
-    both certified positive definite at assembly.  dynamics_csr is the
-    whole generator, interior reaction and damping included.  mass,
-    stiffness, boundary_spring, boundary_damper,
-    displacement_gram, gram and dynamics are dense views: each read
-    builds a fresh toarray() of its CSR field, which nothing stores.
+    with no stored zeros, and no field is dense.  displacement_gram_csr
+    (S) and mass_csr (M) are both certified positive definite at
+    assembly.  dynamics_vu_csr (Cvu = -S - Ma) and dynamics_vv_csr
+    (Cvv = -D - Mb) are the generator's velocity row, interior reaction
+    and damping included; its displacement row is [0, S] for every model,
+    so no pencil holds a generator of any other shape.  gram_csr and
+    dynamics_csr act on stacked [u; v] states of length 2 * num_active and
+    are stacked from the stored blocks on each read.  mass, stiffness,
+    boundary_spring, boundary_damper, displacement_gram, gram and dynamics
+    are dense views: each read builds a fresh toarray() of its CSR matrix,
+    which nothing stores.
     """
 
     mesh: Mesh
     coeffs: CoefficientSet
     active: np.ndarray
     trace_slots: np.ndarray
-    gram_csr: csr_matrix
-    dynamics_csr: csr_matrix
     mass_csr: csr_matrix
     stiffness_csr: csr_matrix
     boundary_spring_csr: csr_matrix
     boundary_damper_csr: csr_matrix
     displacement_gram_csr: csr_matrix
+    dynamics_vu_csr: csr_matrix
+    dynamics_vv_csr: csr_matrix
 
     mass = _dense_view("mass")
     stiffness = _dense_view("stiffness")
@@ -362,6 +334,19 @@ class OperatorPencil:
     displacement_gram = _dense_view("displacement_gram")
     gram = _dense_view("gram")
     dynamics = _dense_view("dynamics")
+
+    @property
+    def gram_csr(self) -> csr_matrix:
+        """blockdiag(S, M), stacked on each read."""
+        zero = csr_matrix(self.mass_csr.shape)
+        return bmat([[self.displacement_gram_csr, zero], [zero, self.mass_csr]], format="csr")
+
+    @property
+    def dynamics_csr(self) -> csr_matrix:
+        """The generator [[0, S], [Cvu, Cvv]], stacked on each read."""
+        zero = csr_matrix(self.mass_csr.shape)
+        top = [zero, self.displacement_gram_csr]
+        return bmat([top, [self.dynamics_vu_csr, self.dynamics_vv_csr]], format="csr")
 
     @property
     def num_active(self) -> int:
@@ -419,11 +404,9 @@ def assemble_pencil(
     reaction = pattern.sum(_mass_local(mesh, coeffs.reaction), cells)
     damping = pattern.sum(_mass_local(mesh, coeffs.damping), cells)
     disp_gram = stiff + spring
-    gram, dynamics = _gram_and_dynamics(
-        pattern, disp_gram, mass, -disp_gram - reaction, -damper - damping
-    )
-    stiff, spring, damper, disp_gram, mass = map(
-        pattern.csr, (stiff, spring, damper, disp_gram, mass)
+    stiff, spring, damper, disp_gram, mass, vu, vv = map(
+        pattern.csr,
+        (stiff, spring, damper, disp_gram, mass, -disp_gram - reaction, -damper - damping),
     )
 
     try:
@@ -442,13 +425,13 @@ def assemble_pencil(
         coeffs=coeffs,
         active=active,
         trace_slots=trace_slots,
-        gram_csr=gram,
-        dynamics_csr=dynamics,
         mass_csr=mass,
         stiffness_csr=stiff,
         boundary_spring_csr=spring,
         boundary_damper_csr=damper,
         displacement_gram_csr=disp_gram,
+        dynamics_vu_csr=vu,
+        dynamics_vv_csr=vv,
     )
 
 

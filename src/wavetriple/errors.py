@@ -42,7 +42,12 @@ class FieldError(WavetripleError, ValueError):
 
 
 class ProblemSizeError(WavetripleError):
-    """Problem is larger than the dense solver it needs will finish."""
+    """Problem is above one of the package's size caps.
+
+    The caps are the sparse pencil's state dimension (MAX_PENCIL_STATE),
+    the dense spectrum's (MAX_DENSE_STATE) and the number of values a
+    trajectory records (MAX_TRAJECTORY_VALUES).
+    """
 
 
 class ContractionBreachError(WavetripleError):

@@ -1,12 +1,12 @@
 """Time evolution of the assembled model by the Cayley (midpoint) scheme.
 
 The midpoint map solves (gram - h dyn) x_next = (gram + h dyn) x with
-h = dt/2, gram = blockdiag(S, M) and dyn = pencil.dynamics_csr, the whole
-generator [[0, S], [Cvu, Cvv]] including interior reaction and damping.
-Because the top block row of dyn is exactly [0, S], the first block row
-reads S(u_next - u - h(v + v_next)) = 0, so the displacement is eliminated
-and one step solves a system half the size (the velocity form of the
-trapezoidal, average-acceleration scheme):
+h = dt/2, gram = blockdiag(S, M) and dyn = [[0, S], [Cvu, Cvv]], the whole
+generator including interior reaction and damping.  The pencil stores its
+velocity row Cvu, Cvv; the displacement row is [0, S] for every pencil,
+so the first block row reads S(u_next - u - h(v + v_next)) = 0, the
+displacement is eliminated and one step solves a system half the size
+(the velocity form of the trapezoidal, average-acceleration scheme):
 
     (M - h Cvv - h^2 Cvu) v_next = 2h Cvu u + (M + h Cvv + h^2 Cvu) v,
     u_next = u + h (v + v_next).
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, hstack, vstack
+from scipy.sparse import bmat, csr_matrix, hstack, vstack
 
 from . import linalg
 from .assembly import OperatorPencil, dissipation_forms, physical_energy, state_norm
@@ -49,11 +49,9 @@ MAX_TRAJECTORY_VALUES = 2**27
 class CayleyStepper:
     """Cached-factorization midpoint stepper for one pencil and step size.
 
-    Solves for the velocity only (see the module docstring), which needs
-    the top block row of pencil.dynamics_csr to be exactly [0, S] with
-    S = pencil.displacement_gram_csr; any other generator is a ValueError.
-    With h = dt/2 and Cvu, Cvv the lower block row of the generator, the
-    m x m matrix M - h Cvv - h^2 Cvu is factored once by sparse LU and
+    Solves for the velocity only (see the module docstring).  With h = dt/2
+    and Cvu, Cvv the pencil's velocity row, the m x m matrix
+    M - h Cvv - h^2 Cvu is factored once by sparse LU and
     [2h Cvu, M + h Cvv + h^2 Cvu] is applied as one m x 2m CSR product.
     """
 
@@ -62,16 +60,9 @@ class CayleyStepper:
             raise ValueError(f"step size must be positive, got {dt}")
         self.pencil = pencil
         self.dt = float(dt)
-        m = self._m = pencil.num_active
+        self._m = pencil.num_active
         half = self._half = 0.5 * self.dt
-        dyn = pencil.dynamics_csr
-        top = dyn[:m]
-        if top[:, :m].count_nonzero() or (top[:, m:] != pencil.displacement_gram_csr).nnz:
-            raise ValueError(
-                "the generator's top block row is not [0, S]: the midpoint step "
-                "eliminates the displacement only for that structure"
-            )
-        vu, vv, mass = dyn[m:, :m], dyn[m:, m:], pencil.mass_csr
+        vu, vv, mass = pencil.dynamics_vu_csr, pencil.dynamics_vv_csr, pencil.mass_csr
         square = half * half
         self._rhs = hstack([2.0 * half * vu, mass + half * vv + square * vu], format="csr")
         self._solver = linalg.LuFactorization(mass - half * vv - square * vu)
@@ -135,16 +126,20 @@ def simulate(
     reaction, damper = dissipation_forms(pencil)
     stepper = CayleyStepper(pencil, dt)
     # One product gives K u, S u and M v, the terms of the energy and the
-    # norm; one more gives (D + Mb) v and Ma v at the midpoint.  Each block
-    # is widened to 2m columns on its own arrays and stacked by concatenation;
-    # bmat would also make COO copies of all three.
-    m = pencil.num_active
-    blocks = [(pencil.stiffness_csr, 0), (pencil.displacement_gram_csr, 0), (pencil.mass_csr, m)]
-    record = vstack(
-        [csr_matrix((b.data, b.indices + at, b.indptr), shape=(m, 2 * m)) for b, at in blocks],
+    # norm; one more gives (D + Mb) v and Ma v at the midpoint.  Every block
+    # is CSR, the zero ones empty, so bmat stacks by concatenation; a None
+    # block would send it through COO copies of all of them.
+    zero = csr_matrix(pencil.mass_csr.shape)
+    record = bmat(
+        [
+            [pencil.stiffness_csr, zero],
+            [pencil.displacement_gram_csr, zero],
+            [zero, pencil.mass_csr],
+        ],
         format="csr",
     )
     forms = vstack([damper, reaction], format="csr")
+    gram = pencil.gram_csr
 
     energy = np.zeros(nsteps + 1)
     xnorm = np.zeros(nsteps + 1)
@@ -162,7 +157,7 @@ def simulate(
         damper_v, reaction_v = np.split(forms @ v_mid, 2)
         damped = 2.0 * dt * float(v_mid @ damper_v)
         reacted = 2.0 * dt * float(u_mid @ reaction_v)
-        defect = 2.0 * float(mid @ (pencil.gram_csr @ (x - prev))) + damped + reacted
+        defect = 2.0 * float(mid @ (gram @ (x - prev))) + damped + reacted
         before, after = xnorm[k - 1 : k + 1].tolist()
         bound = BALANCE_RTOL * (after * after + before * before + abs(damped) + abs(reacted))
         if not abs(defect) <= bound:

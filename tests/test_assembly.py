@@ -868,3 +868,53 @@ class TestSparseOperators:
             p = 0.3 + mesh.nodes @ slope
             grads = (assembly.gradient_operator(mesh) @ p).reshape(mesh.num_cells, mesh.dim)
             assert np.abs(grads - slope).max() <= 1e-12
+
+
+@pytest.fixture
+def stacked_reads(monkeypatch):
+    """Reads of gram_csr and dynamics_csr on every pencil, counted by name."""
+    reads = dict.fromkeys(("gram_csr", "dynamics_csr"), 0)
+    for name in reads:
+        stack = getattr(wt.OperatorPencil, name).fget
+
+        def counting(pencil, name=name, stack=stack):
+            reads[name] += 1
+            return stack(pencil)
+
+        monkeypatch.setattr(wt.OperatorPencil, name, property(counting))
+    return reads
+
+
+class TestDerivedGenerator:
+    """gram_csr and dynamics_csr are stacked from the stored blocks on each read."""
+
+    def test_simulate_stacks_each_at_most_once(self, stacked_reads):
+        pencil = models.square_pencil(4, 3, seed=9)
+        x0 = models.random_state(pencil, np.random.default_rng(5))
+        wt.simulate(pencil, x0, 0.02, 10)
+        assert max(stacked_reads.values()) <= 1
+
+    def test_compute_spectrum_stacks_each_once(self, stacked_reads):
+        wt.compute_spectrum(models.damped_pencil(8))
+        assert stacked_reads == {"gram_csr": 1, "dynamics_csr": 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dissipation_and_green_identity_on_random_models(self, data):
+        pencil, rng = models.draw_random_pencil(data)
+        if data.draw(st.booleans(), label="no reaction"):
+            zero = np.zeros_like(pencil.coeffs.reaction)
+            pencil = wt.assemble_pencil(pencil.mesh, dataclasses.replace(pencil.coeffs, reaction=zero))
+        m = pencil.num_active
+        dynamics = pencil.dynamics_csr
+        sym = (dynamics + dynamics.T).toarray()
+        reaction, damper = assembly.dissipation_forms(pencil)
+        assert np.array_equal(sym[m:, m:], -2.0 * damper.toarray())
+        if not reaction.nnz:
+            assert not sym[:m, m:].any() and not sym[m:, :m].any()
+        for _ in range(5):
+            ex, ey = models.random_element(pencil, rng), models.random_element(pencil, rng)
+            x, y = (pencil.join(e.displacement, e.velocity) for e in (ex, ey))
+            ax, ay = (wt.state_norm(pencil, wt.apply_A(pencil, e)) for e in (ex, ey))
+            scale = wt.state_norm(pencil, x) * ay + wt.state_norm(pencil, y) * ax + 1.0
+            assert wt.green_identity_residual(pencil, ex, ey) <= 1e-12 * scale
