@@ -112,11 +112,14 @@ def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -
     other scheme is a ValueError.
     """
     n = mesh.num_nodes
-    return _scatter(mesh.cells, mesh.cells, _mass_local(mesh, weight, kinetic), (n, n))
+    local = _mass_local(mesh, cell_volumes(mesh), weight, kinetic)
+    return _scatter(mesh.cells, mesh.cells, local, (n, n))
 
 
-def _mass_local(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -> np.ndarray:
-    """Element matrices of mass_triplets, (ncell, k, k)."""
+def _mass_local(
+    mesh: Mesh, vols: np.ndarray, weight: np.ndarray, kinetic: str = "consistent"
+) -> np.ndarray:
+    """Element matrices of mass_triplets, (ncell, k, k); vols = cell_volumes(mesh)."""
     if kinetic not in KINETIC_SCHEMES:
         raise ValueError(f"kinetic must be one of {KINETIC_SCHEMES}, got {kinetic!r}")
     if kinetic == "cell_average":
@@ -128,16 +131,15 @@ def _mass_local(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -> 
     w = np.asarray(weight, dtype=float)
     if w.shape != (mesh.num_cells,):
         raise CoefficientError(f"weight must have one value per cell, got {w.shape}")
-    return (w * cell_volumes(mesh))[:, None, None] * template
+    return (w * vols)[:, None, None] * template
 
 
-def _basis_gradients(mesh: Mesh) -> np.ndarray:
+def _basis_gradients(mesh: Mesh, vols: np.ndarray) -> np.ndarray:
     """Cellwise gradients of the nodal basis: shape (ncell, dim, dim + 1).
 
     Entry [c, :, j] is the constant gradient on cell c of the hat function
-    of its j-th node.
+    of its j-th node; vols = cell_volumes(mesh).
     """
-    vols = cell_volumes(mesh)
     if mesh.dim == 1:
         h = vols[:, None, None]
         return np.concatenate([-1.0 / h, 1.0 / h], axis=2)
@@ -163,7 +165,7 @@ def gradient_operator(mesh: Mesh) -> csr_matrix:
     """
     rows = np.arange(mesh.num_cells * mesh.dim).reshape(mesh.num_cells, mesh.dim)
     shape = (mesh.num_cells * mesh.dim, mesh.num_nodes)
-    return _scatter(rows, mesh.cells, _basis_gradients(mesh), shape).tocsr()
+    return _scatter(rows, mesh.cells, _basis_gradients(mesh, cell_volumes(mesh)), shape).tocsr()
 
 
 def modulus_tensors(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
@@ -188,17 +190,17 @@ def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
     sparse use.
     """
     n = mesh.num_nodes
-    return _scatter(mesh.cells, mesh.cells, _stiffness_local(mesh, modulus), (n, n))
+    local = _stiffness_local(mesh, cell_volumes(mesh), modulus)
+    return _scatter(mesh.cells, mesh.cells, local, (n, n))
 
 
-def _stiffness_local(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
+def _stiffness_local(mesh: Mesh, vols: np.ndarray, modulus: np.ndarray) -> np.ndarray:
     """Element matrices of stiffness_triplets, (ncell, k, k), each bitwise symmetric."""
     tensors = modulus_tensors(mesh, modulus)
-    vols = cell_volumes(mesh)
     if mesh.dim == 1:
         template = np.array([[1.0, -1.0], [-1.0, 1.0]])
         return (tensors[:, 0, 0] / vols)[:, None, None] * template
-    grads = _basis_gradients(mesh)
+    grads = _basis_gradients(mesh, vols)
     flux = np.einsum("cab,cbj->caj", tensors, grads)
     local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux)
     # Tie the lower triangle to the upper bit-for-bit so the assembled
@@ -388,7 +390,9 @@ def assemble_pencil(
     the displacement energy form.
     """
     active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
-    kinetic_mass = _mass_local(mesh, coeffs.density, kinetic)
+    # One geometry pass: every element builder shares the cell volumes.
+    vols = cell_volumes(mesh)
+    kinetic_mass = _mass_local(mesh, vols, coeffs.density, kinetic)
     if kinetic == "cell_average" and clamped_nodes(mesh).size == 0:
         raise KineticMassError(
             "cell-average kinetic mass needs a fixed end: without one the "
@@ -397,12 +401,12 @@ def assemble_pencil(
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
     pattern = _Pattern(mesh, active)
     cells, facets = pattern.cells, pattern.facets
-    stiff = pattern.sum(_stiffness_local(mesh, coeffs.modulus), cells)
+    stiff = pattern.sum(_stiffness_local(mesh, vols, coeffs.modulus), cells)
     spring = pattern.sum(_boundary_local(mesh, coeffs.boundary_stiffness), facets)
     damper = pattern.sum(_boundary_local(mesh, coeffs.boundary_damping), facets)
     mass = pattern.sum(kinetic_mass, cells)
-    reaction = pattern.sum(_mass_local(mesh, coeffs.reaction), cells)
-    damping = pattern.sum(_mass_local(mesh, coeffs.damping), cells)
+    reaction = pattern.sum(_mass_local(mesh, vols, coeffs.reaction), cells)
+    damping = pattern.sum(_mass_local(mesh, vols, coeffs.damping), cells)
     disp_gram = stiff + spring
     stiff, spring, damper, disp_gram, mass, vu, vv = map(
         pattern.csr,
@@ -519,9 +523,9 @@ def physical_energy(pencil: OperatorPencil, x: np.ndarray) -> float:
 def dissipation_forms(pencil: OperatorPencil) -> tuple[csr_matrix, csr_matrix]:
     """CSR Ma and D + Mb, assembled from the coefficients, not read back."""
     mesh, coeffs = pencil.mesh, pencil.coeffs
-    pattern = _Pattern(mesh, pencil.active)
-    reaction = pattern.sum(_mass_local(mesh, coeffs.reaction), pattern.cells)
-    damping = pattern.sum(_mass_local(mesh, coeffs.damping), pattern.cells)
+    pattern, vols = _Pattern(mesh, pencil.active), cell_volumes(mesh)
+    reaction = pattern.sum(_mass_local(mesh, vols, coeffs.reaction), pattern.cells)
+    damping = pattern.sum(_mass_local(mesh, vols, coeffs.damping), pattern.cells)
     damper = pattern.sum(_boundary_local(mesh, coeffs.boundary_damping), pattern.facets)
     return pattern.csr(reaction), pattern.csr(damping + damper)
 

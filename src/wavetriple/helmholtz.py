@@ -77,9 +77,10 @@ def project_gradient(mesh: Mesh, coeffs: CoefficientSet, field: np.ndarray) -> n
     potential = np.zeros(mesh.num_nodes)
     if interior.size:
         pattern = _Pattern(mesh, interior)
-        stiff = pattern.csr(pattern.sum(_stiffness_local(mesh, coeffs.modulus), pattern.cells))
+        local = _stiffness_local(mesh, cell_volumes(mesh), coeffs.modulus)
+        stiff = pattern.csr(pattern.sum(local, pattern.cells))
         # The pattern holds a slot per cell triplet; free it before the LU.
-        del pattern
+        del pattern, local
         rhs = _paired(mesh, grad_op, f)[interior]
         potential[interior] = linalg.LuFactorization(stiff).solve(rhs)
     grad_p = (grad_op @ potential).reshape(mesh.num_cells, mesh.dim)

@@ -8,12 +8,17 @@ entries per row.  Both apply a package-wide relative pivot threshold on
 top of the library's own checks.  A pencil with a block-diagonal Gram
 matrix is reduced by banded triangular solves with the factors of its
 diagonal blocks; the eigensolve of the reduced matrix is dense by nature.
-It frees the reduced matrix once it has its own copy, and every later pass
-over the eigenvectors runs in column blocks: at its peak a pencil
-eigensolve holds LAPACK's real eigenvector matrix beside the complex one.
+It frees the reduced matrix once it has its own copy, and keeps LAPACK's
+real eigenvector matrix as it is: a conjugate pair's vectors stay two
+real columns, normalized and back-transformed in place.  Every pass over
+the complex eigenvectors expands one column block of them, so at its peak
+a pencil eigensolve holds only what dgeev itself needs, its overwritten
+input and its real eigenvector matrix.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -155,17 +160,49 @@ def column_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class PackedEigenvectors:
+    """Eigenvectors kept in LAPACK dgeev's real layout, expanded on demand.
+
+    packed is a real (n, n) Fortran-ordered matrix.  A real eigenvalue's
+    vector is one of its columns; a conjugate pair's two vectors re +- i*im
+    share two adjacent columns, re then im.  For the i-th sorted eigenvalue,
+    column[i] is its first packed column and sign[i] is 0 when the value is
+    real, +1 or -1 for the member re + i*im or re - i*im of a pair.
+    """
+
+    packed: np.ndarray
+    column: np.ndarray
+    sign: np.ndarray
+
+    def expand(self, cols=slice(None)) -> np.ndarray:
+        """C-ordered complex vectors of the sorted eigenvalues cols, one column each.
+
+        Only copies and exact sign flips: a block's columns equal those of
+        the whole expansion bit for bit.
+        """
+        first, sign = self.column[cols], self.sign[cols]
+        block = np.empty((self.packed.shape[0], first.size), complex)
+        block.real = self.packed[:, first]
+        pair = sign != 0
+        block.imag[:, ~pair] = 0.0
+        block.imag[:, pair] = self.packed[:, first[pair] + 1] * sign[pair]
+        return block
+
+
+def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, PackedEigenvectors]:
     """Full spectrum of a real square matrix: (values, vectors).
 
-    values are sorted by (real, imag) and vectors[:, i] is a unit 2-norm
-    eigenvector for values[i], a C-ordered complex array.  LAPACK dgeev
-    (Hessenberg reduction plus shifted QR, optimal workspace) overwrites one
-    Fortran-ordered copy of mat; the complex vectors are built from its real
-    vector matrix once, in sorted order, as numpy's eig builds them, and
-    normalized in column blocks.  A non-finite entry or a LAPACK failure is
-    an EigenSolverError.  It computes no residual: its consumers certify the
-    pairs against their own problem (generalized_eig against the pencil).
+    values are sorted by (real, imag) and vectors.expand(cols) holds unit
+    2-norm eigenvectors for values[cols].  LAPACK dgeev (Hessenberg
+    reduction plus shifted QR, optimal workspace) overwrites one
+    Fortran-ordered copy of mat and returns its real vector matrix, which
+    is kept.  Each vector is normalized once, in place, as numpy's eig
+    normalizes the complex vector re + i*im: divided, as a complex array, by
+    its norm, in column blocks of the sorted order.  A non-finite entry or a
+    LAPACK failure is an EigenSolverError.  It computes no residual: its
+    consumers certify the pairs against their own problem (generalized_eig
+    against the pencil).
 
     dgeev scales a matrix whose largest entry lies outside [EIG_SAFE_MIN,
     1 / EIG_SAFE_MIN], and the OpenBLAS bundled with some scipy releases
@@ -180,7 +217,7 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
-        return np.zeros(0, complex), np.zeros((0, 0), complex)
+        return np.zeros(0, complex), PackedEigenvectors(a, np.zeros(0, int), np.zeros(0))
     largest = float(np.maximum(a.max(), -a.min()))
     if not np.isfinite(largest):
         raise EigenSolverError("eigenvalue iteration failed: matrix contains non-finite entries")
@@ -198,17 +235,19 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.ldexp(wr, exponent).astype(complex)
     values.imag = np.ldexp(wi, exponent)
     order = np.lexsort((values.imag, values.real))
-    # A conjugate pair j, j + 1 (wi[j] > 0) is stored as re, im in columns
-    # j, j + 1 of vr: its vectors are re + i*im and re - i*im.
+    # A conjugate pair j, j + 1 (wi[j] > 0) is stored as re, im in columns j, j + 1.
     first = np.arange(n) - (wi < 0)
-    vectors = np.empty((n, n), complex)
-    for cols in column_blocks(n):
-        block, src = vectors[:, cols], order[cols]
-        block.real = vr[:, first[src]]
-        pair = wi[src] != 0
-        block.imag[:, ~pair] = 0.0
-        block.imag[:, pair] = vr[:, first[src[pair]] + 1] * np.sign(wi[src[pair]])
+    vectors = PackedEigenvectors(vr, first[order], np.sign(wi[order]))
+    # The member re + i*im normalizes its pair's two columns; its conjugate
+    # would divide them by the same norm.
+    owners = np.flatnonzero(vectors.sign >= 0)
+    for cols in column_blocks(owners.size):
+        own = owners[cols]
+        block = vectors.expand(own)
         block /= np.linalg.norm(block, axis=0)
+        col, pair = vectors.column[own], vectors.sign[own] > 0
+        vr[:, col] = block.real
+        vr[:, col[pair] + 1] = block.imag[:, pair]
     return values[order], vectors
 
 
@@ -264,30 +303,35 @@ def generalized_to_standard(op, factors: tuple[np.ndarray, ...]) -> np.ndarray:
 
 def generalized_eig(
     gram, op, factors: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, PackedEigenvectors, np.ndarray]:
     """Eigenpairs of op z = lambda gram z for SPD gram: (values, vectors, residuals).
 
-    values are sorted by (real, imag); vectors[:, i] solves the pencil
-    problem for values[i] and has unit gram-norm (z* gram z = 1);
-    residuals[i] is ||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)).
-    gram and op are applied as CSR.  factors are the band factors of gram's
-    diagonal blocks (see generalized_to_standard); the back-transform runs
-    block by block, in place, and the residuals are computed in column
-    blocks.  A residual norm that overflows is inf or nan, with no warning.
+    values are sorted by (real, imag); vectors.expand(cols) solves the
+    pencil problem for values[cols], each column with unit gram-norm
+    (z* gram z = 1); residuals[i] is ||op z - lambda gram z|| /
+    (||gram z|| * (1 + |lambda|)).  gram and op are applied as CSR.
+    factors are the band factors of gram's diagonal blocks (see
+    generalized_to_standard); the back-transform solves the packed real
+    columns in place, one row block at a time, and the residuals are
+    computed on one expanded column block at a time.  A residual norm that overflows is inf
+    or nan, with no warning.
     """
     values, vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
     if values.size == 0:
         return values, vectors, np.zeros(0)
+    # z = L^{-T} w is real-linear, so it maps re and im of w to those of z,
+    # and each column is solved on its own.  A row block of the packed
+    # matrix is solved in a copy, half its size, after dgeev's input is freed.
+    packed = vectors.packed
     for rows, low in _blocks(factors):
-        # The real view solves the real and imaginary parts side by side.
-        real = vectors[rows].view(float)
-        real[...] = _band_solve(low, real, trans="T")
+        packed[rows] = _band_solve(low, packed[rows], trans="T")
     # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
     gram, op = scipy.sparse.csr_matrix(gram), scipy.sparse.csr_matrix(op)
     residuals = np.empty(values.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for cols in column_blocks(values.size):
-            gram_z, resid = gram @ vectors[:, cols], op @ vectors[:, cols]
+            z = vectors.expand(cols)
+            gram_z, resid = gram @ z, op @ z
             denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values[cols]))
             gram_z *= values[cols]
             resid -= gram_z

@@ -208,14 +208,17 @@ def decay_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Norm history of the state whose dynamics image is ``image``.
 
-    Solves dynamics @ x0 = gram @ image for the start state, runs the
-    stepper from x0, and returns (times, profile) with profile normalized
-    by the graph norm sqrt(||x0||^2 + ||image||^2).  No decay-rate law is
-    asserted here; the profile is the deliverable.
+    Solves dynamics @ x0 = gram @ image for the start state, with
+    gram @ image formed blockwise as (S u, M v), runs the stepper from x0,
+    and returns (times, profile) with profile normalized by the graph norm
+    sqrt(||x0||^2 + ||image||^2).  No decay-rate law is asserted here; the
+    profile is the deliverable.
     """
     image = np.asarray(image, dtype=float)
+    u, v = pencil.split(image)
+    rhs = pencil.join(pencil.displacement_gram_csr @ u, pencil.mass_csr @ v)
     try:
-        x0 = linalg.LuFactorization(pencil.dynamics_csr).solve(pencil.gram_csr @ image)
+        x0 = linalg.LuFactorization(pencil.dynamics_csr).solve(rhs)
     except SingularMatrixError as err:
         raise SingularMatrixError(
             "dynamics matrix is singular: zero is an eigenvalue of the "

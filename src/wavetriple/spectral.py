@@ -35,8 +35,9 @@ ZERO_TOL = 1e-6
 # Largest state dimension whose full dense spectrum compute_spectrum
 # attempts.  Time grows like the cube of the dimension and memory like its
 # square: on a 2-core machine with one BLAS thread the spectrum command took
-# 7.6 s with a 0.18 GB peak at 2048 and 56 s with a 0.46 GB peak at 4096
-# (1-D damped string): the import plus 1.5 complex blocks of the state.
+# 8.4 s with a 0.14 GB peak at 2048 and 52 s with a 0.33 GB peak at 4096
+# (1-D damped string): the import plus dgeev's two real arrays, one complex
+# block of the state.
 MAX_DENSE_STATE = 4096
 
 
@@ -59,9 +60,12 @@ class SpectralReport:
     residuals; k2_trace_residual is the norm of the damper-weighted
     velocity trace on each unit-norm eigenvector, and flux_residual that of
     the absorbing boundary condition with the flux derived from the
-    eigenpair.  near_axis lists indices with |Re| < AXIS_TOL, and vectors
-    has one eigenvector column per value.  balance_worst_ratio is the
-    largest energy-balance defect over its bound, at most 1.
+    eigenpair.  near_axis lists indices with |Re| < AXIS_TOL.  vectors keeps
+    the eigenvectors in LAPACK's real layout, a conjugate pair in two real
+    columns (half the memory of the complex array); vectors.expand(cols)
+    gives the unit gram-norm complex eigenvectors of values[cols].
+    balance_worst_ratio is the largest energy-balance defect over its
+    bound, at most 1.
     """
 
     values: np.ndarray
@@ -75,7 +79,7 @@ class SpectralReport:
     near_axis: np.ndarray
     h: float
     state_dim: int
-    vectors: np.ndarray
+    vectors: linalg.PackedEigenvectors
     balance_worst_ratio: float
 
 
@@ -96,8 +100,9 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     pencil residual (overflowed or not) or an eigenpair energy-balance
     defect beyond its bound is an EigenSolverError, so a report in hand is
     a certificate of its pairs.  The balance defect and the two boundary
-    residuals come from one loop over column blocks of the eigenvectors, so
-    the working set stays that of linalg.generalized_eig.
+    residuals come from one loop that expands one column block of the
+    packed eigenvectors at a time, so the peak stays that of the eigensolve
+    itself: dgeev's overwritten input beside its real eigenvector matrix.
     """
     check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
     m = pencil.num_active
@@ -120,10 +125,9 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     damper = pencil.boundary_damper_csr[slots]
     defect, flux_res, k2_res = (np.empty(len(values)) for _ in range(3))
     for cols in linalg.column_blocks(len(values)):
-        lam, vec_u, vec_v = values[cols], vectors[:m, cols], vectors[m:, cols]
-        defect[cols], (mass_v, damp_v, react_u) = _balance_defect(
-            pencil, lam, vectors[:, cols], forms
-        )
+        lam, block = values[cols], vectors.expand(cols)
+        vec_u, vec_v = block[:m], block[m:]
+        defect[cols], (mass_v, damp_v, react_u) = _balance_defect(pencil, lam, block, forms)
         # The flux trace g that apply_A needs to reproduce a pair is
         # lift(g) = lambda M v + K u on the trace rows.  There the first
         # boundary map spring u + g must balance (D + Mb) v + Ma u.

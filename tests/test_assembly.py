@@ -804,6 +804,21 @@ class TestSharedPattern:
             assert np.array_equal(built[0][1], pencil.active)
             built.clear()
 
+    def test_one_geometry_pass_per_assembly(self, monkeypatch):
+        # The element builders share one cell_volumes, the basis gradients
+        # of the 2-D stiffness included.
+        calls = []
+
+        def counting(mesh):
+            calls.append(mesh)
+            return cell_volumes(mesh)
+
+        monkeypatch.setattr(assembly, "cell_volumes", counting)
+        for build, size in ((models.square_pencil, (4, 3)), (models.variable_pencil, (9,))):
+            build(*size)
+            assert len(calls) == 1
+            calls.clear()
+
     def test_dropping_zeros_alters_neither_values_nor_pattern(self):
         # eliminate_zeros compacts its arrays in place; csr works on copies.
         mesh = wt.rectangle_mesh(4, 3, models.square_partition())
@@ -897,6 +912,18 @@ class TestDerivedGenerator:
     def test_compute_spectrum_stacks_each_once(self, stacked_reads):
         wt.compute_spectrum(models.damped_pencil(8))
         assert stacked_reads == {"gram_csr": 1, "dynamics_csr": 1}
+
+    def test_decay_profile_stacks_each_once(self, stacked_reads):
+        # Its start-state right-hand side is (S u, M v), which equals the
+        # stacked gram_csr @ image bit for bit; the one gram_csr read left is
+        # simulate's.
+        pencil = models.damped_pencil(12)
+        image = models.random_state(pencil, np.random.default_rng(6))
+        wt.decay_profile(pencil, image, 0.05, 4)
+        assert stacked_reads == {"gram_csr": 1, "dynamics_csr": 1}
+        u, v = pencil.split(image)
+        rhs = pencil.join(pencil.displacement_gram_csr @ u, pencil.mass_csr @ v)
+        assert np.array_equal(rhs, pencil.gram_csr @ image)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

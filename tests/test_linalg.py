@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import models
@@ -387,6 +387,115 @@ class TestSparseLu:
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def reference_eigenvectors(mat):
+    """Complex eigenvectors of mat, in the order eig_nonsymmetric sorts values.
+
+    The construction eig_nonsymmetric used before it kept dgeev's packed
+    layout: every sorted column is expanded from the real vector matrix into
+    one complex (n, n) array and normalized there, in column blocks, by
+    complex division by its norm.
+    """
+    a = np.array(mat, dtype=float, order="F")
+    n = a.shape[0]
+    lwork, _ = scipy.linalg.lapack.dgeev_lwork(n, compute_vl=0)
+    wr, wi, _, vr, info = scipy.linalg.lapack.dgeev(
+        a, compute_vl=0, lwork=int(lwork), overwrite_a=1
+    )
+    assert info == 0
+    order = np.lexsort((wi, wr))
+    first = np.arange(n) - (wi < 0)
+    vectors = np.empty((n, n), complex)
+    for cols in linalg.column_blocks(n):
+        block, src = vectors[:, cols], order[cols]
+        block.real = vr[:, first[src]]
+        pair = wi[src] != 0
+        block.imag[:, ~pair] = 0.0
+        block.imag[:, pair] = vr[:, first[src[pair]] + 1] * np.sign(wi[src[pair]])
+        block /= np.linalg.norm(block, axis=0)
+    return vectors
+
+
+def reference_pencil_vectors(op, factors):
+    """generalized_eig's former vectors: the complex array back-transformed whole."""
+    vectors = reference_eigenvectors(linalg.generalized_to_standard(op, factors))
+    for rows, low in linalg._blocks(factors):
+        real = vectors[rows].view(float)
+        real[...] = linalg._band_solve(low, real, trans="T")
+    return vectors
+
+
+def spectrum_matrix(kinds, rng):
+    """Q D Q^T, Q a random orthogonal matrix, D block diagonal.
+
+    The k-th block of D is the real eigenvalue k (kinds[k] false) or the
+    conjugate pair k +- i*w (true), so the sorted order of the eigenvalues
+    follows kinds and a pair's two members sit next to each other.
+    """
+    blocks = []
+    for k, pair in enumerate(kinds):
+        w = rng.uniform(0.5, 3.0)
+        blocks.append(np.array([[k, w], [-w, k]]) if pair else np.array([[float(k)]]))
+    d = scipy.linalg.block_diag(*blocks)
+    q = np.linalg.qr(rng.standard_normal(d.shape))[0]
+    return q @ d @ q.T
+
+
+def assert_blocks_equal(packed, want):
+    """Every column_blocks block, a block across the first edge, and the whole.
+
+    np.array_equal compares as IEEE numbers, so this is bit for bit except
+    for the sign of a zero: where dgeev leaves an exact zero imaginary part,
+    the former construction gave the conjugate member +0 or -0 by the sign
+    of the real part, and the packed one always gives the negated zero.
+    """
+    n = want.shape[1]
+    assert np.array_equal(packed.expand(), want)
+    edge = slice(linalg.COLUMN_BLOCK - 3, linalg.COLUMN_BLOCK + 3)
+    for cols in linalg.column_blocks(n) + [edge]:
+        got = packed.expand(cols)
+        assert got.dtype == complex and got.flags.c_contiguous
+        assert np.array_equal(got, want[:, cols])
+
+
+# A pair at sorted positions 63 and 64 crosses the first column-block edge;
+# 129 columns end in a one-column tail, which joins the block before it.
+EDGE_KINDS = [[False] * 63 + [True] + [False] * 2, [False] + [True] * 64]
+
+
+class TestPackedEigenvectors:
+    @settings(max_examples=25, deadline=None)
+    @given(kinds=st.lists(st.booleans(), min_size=1, max_size=80), seed=st.integers(0, 2**32 - 1))
+    @example(kinds=EDGE_KINDS[0], seed=0)
+    @example(kinds=EDGE_KINDS[1], seed=1)
+    def test_expanded_blocks_equal_the_complex_construction(self, kinds, seed):
+        mat = spectrum_matrix(kinds, np.random.default_rng(seed))
+        values, packed = linalg.eig_nonsymmetric(mat)
+        assert np.array_equal(np.sign(values.imag), packed.sign)
+        assert packed.packed.flags.f_contiguous
+        assert_blocks_equal(packed, reference_eigenvectors(mat))
+
+    @settings(max_examples=25, deadline=None)
+    @given(kinds=st.lists(st.booleans(), min_size=2, max_size=80), seed=st.integers(0, 2**32 - 1))
+    @example(kinds=EDGE_KINDS[0], seed=2)
+    @example(kinds=EDGE_KINDS[1], seed=3)
+    def test_back_transformed_blocks_equal_the_complex_construction(self, kinds, seed):
+        # A tridiagonal Gram matrix split in two blocks, and an operator
+        # whose reduced matrix is spectrum_matrix, so the kinds survive.
+        rng = np.random.default_rng(seed)
+        reduced = spectrum_matrix(kinds, rng)
+        n = reduced.shape[0]
+        off = rng.uniform(-0.4, 0.4, n - 1)
+        gram = scipy.sparse.diags([off, rng.uniform(1.0, 2.0, n), off], [-1, 0, 1]).tocsr()
+        gram[n // 2, n // 2 - 1] = gram[n // 2 - 1, n // 2] = 0.0
+        gram.eliminate_zeros()
+        halves = (gram[: n // 2, : n // 2], gram[n // 2 :, n // 2 :])
+        factors = tuple(map(linalg.certify_positive_definite, halves))
+        low = scipy.linalg.block_diag(*map(dense_factor, factors))
+        op = low @ reduced @ low.T
+        values, packed, _ = linalg.generalized_eig(gram, op, factors)
+        assert_blocks_equal(packed, reference_pencil_vectors(op, factors))
+
+
 class TestEig:
     def test_rotation_pair(self):
         values, _ = linalg.eig_nonsymmetric(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -423,7 +532,8 @@ class TestEig:
     def test_residuals_recomputed_small(self):
         rng = np.random.default_rng(14)
         mat = rng.standard_normal((20, 20))
-        values, vectors = linalg.eig_nonsymmetric(mat)
+        values, packed = linalg.eig_nonsymmetric(mat)
+        vectors = packed.expand()
         norms = np.linalg.norm(vectors, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-12)
         residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
@@ -439,7 +549,8 @@ class TestEig:
         ids=["1e139", "1e200", "1e300", "1e-140", "1e-200"],
     )
     def test_values_right_outside_the_unscaled_range(self, mat, want):
-        values, vectors = linalg.eig_nonsymmetric(np.array(mat))
+        values, packed = linalg.eig_nonsymmetric(np.array(mat))
+        vectors = packed.expand()
         assert np.all(np.abs(values - want) <= 1e-14 * np.abs(want))
         assert np.allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-14)
 
@@ -455,7 +566,8 @@ class TestEig:
         rng = np.random.default_rng(40 + n)
         mat = rng.standard_normal((n, n))
         kept = mat.copy()
-        values, vectors = linalg.eig_nonsymmetric(mat)
+        values, packed = linalg.eig_nonsymmetric(mat)
+        vectors = packed.expand()
         assert np.array_equal(mat, kept)
         assert vectors.dtype == complex and vectors.flags.c_contiguous
         assert np.array_equal(values, values[np.lexsort((values.imag, values.real))])
@@ -508,7 +620,8 @@ class TestPencil:
         rng = np.random.default_rng(22)
         gram = random_spd(rng, 10)
         op = rng.standard_normal((10, 10))
-        values, vectors, residuals = linalg.generalized_eig(gram, op, (band_factor(gram),))
+        values, packed, residuals = linalg.generalized_eig(gram, op, (band_factor(gram),))
+        vectors = packed.expand()
         for k in range(values.shape[0]):
             z = vectors[:, k]
             assert abs(np.real(np.conj(z) @ gram @ z) - 1.0) < 1e-8
