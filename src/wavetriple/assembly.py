@@ -156,16 +156,19 @@ def _basis_gradients(mesh: Mesh, vols: np.ndarray) -> np.ndarray:
     return grads / (2.0 * vols)[:, None, None]
 
 
-def gradient_operator(mesh: Mesh) -> csr_matrix:
+def gradient_operator(mesh: Mesh, vols: np.ndarray | None = None) -> csr_matrix:
     """Sparse map from nodal values to cellwise gradients.
 
     Row c * dim + a holds component a of the gradient on cell c, so
     (G @ p).reshape(ncell, dim) is the gradient of the P1 function p and
     G.T @ (vols * f).ravel() is the load vector of a cellwise field f.
+    vols, when given, is cell_volumes(mesh).
     """
+    if vols is None:
+        vols = cell_volumes(mesh)
     rows = np.arange(mesh.num_cells * mesh.dim).reshape(mesh.num_cells, mesh.dim)
     shape = (mesh.num_cells * mesh.dim, mesh.num_nodes)
-    return _scatter(rows, mesh.cells, _basis_gradients(mesh, cell_volumes(mesh)), shape).tocsr()
+    return _scatter(rows, mesh.cells, _basis_gradients(mesh, vols), shape).tocsr()
 
 
 def modulus_tensors(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
@@ -190,13 +193,15 @@ def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
     sparse use.
     """
     n = mesh.num_nodes
-    local = _stiffness_local(mesh, cell_volumes(mesh), modulus)
+    local = _stiffness_local(mesh, cell_volumes(mesh), modulus_tensors(mesh, modulus))
     return _scatter(mesh.cells, mesh.cells, local, (n, n))
 
 
-def _stiffness_local(mesh: Mesh, vols: np.ndarray, modulus: np.ndarray) -> np.ndarray:
-    """Element matrices of stiffness_triplets, (ncell, k, k), each bitwise symmetric."""
-    tensors = modulus_tensors(mesh, modulus)
+def _stiffness_local(mesh: Mesh, vols: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """Element matrices of stiffness_triplets, (ncell, k, k), each bitwise symmetric.
+
+    vols = cell_volumes(mesh) and tensors = modulus_tensors(mesh, modulus).
+    """
     if mesh.dim == 1:
         template = np.array([[1.0, -1.0], [-1.0, 1.0]])
         return (tensors[:, 0, 0] / vols)[:, None, None] * template
@@ -401,7 +406,9 @@ def assemble_pencil(
     trace_slots = np.searchsorted(active, trace_nodes(mesh))
     pattern = _Pattern(mesh, active)
     cells, facets = pattern.cells, pattern.facets
-    stiff = pattern.sum(_stiffness_local(mesh, vols, coeffs.modulus), cells)
+    stiff = pattern.sum(
+        _stiffness_local(mesh, vols, modulus_tensors(mesh, coeffs.modulus)), cells
+    )
     spring = pattern.sum(_boundary_local(mesh, coeffs.boundary_stiffness), facets)
     damper = pattern.sum(_boundary_local(mesh, coeffs.boundary_damping), facets)
     mass = pattern.sum(kinetic_mass, cells)

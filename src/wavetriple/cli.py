@@ -117,11 +117,12 @@ def _cmd_poincare(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
 def _cmd_helmholtz(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     mesh, coeffs, _ = _build(cfg, pencil=False)
     field = cfgmod.helmholtz_field(cfg, mesh)
-    grad_part, divfree_part = helmmod.decompose(mesh, coeffs, field)
-    total = helmmod.weighted_inner(mesh, coeffs, field, field)
-    grad_sq = helmmod.weighted_inner(mesh, coeffs, grad_part, grad_part)
-    div_sq = helmmod.weighted_inner(mesh, coeffs, divfree_part, divfree_part)
-    cross = helmmod.weighted_inner(mesh, coeffs, grad_part, divfree_part)
+    geometry = helmmod.CellGeometry(mesh, coeffs)
+    grad_part, divfree_part = helmmod.decompose(mesh, coeffs, field, geometry)
+    total = helmmod.weighted_inner(mesh, coeffs, field, field, geometry)
+    grad_sq = helmmod.weighted_inner(mesh, coeffs, grad_part, grad_part, geometry)
+    div_sq = helmmod.weighted_inner(mesh, coeffs, divfree_part, divfree_part, geometry)
+    cross = helmmod.weighted_inner(mesh, coeffs, grad_part, divfree_part, geometry)
     print(f"field_norm_sq {total:.17g}")
     print(f"gradient_norm_sq {grad_sq:.17g}")
     print(f"divfree_norm_sq {div_sq:.17g}")

@@ -4,10 +4,12 @@ certify_positive_definite applies Cholesky's pivot rule to a sparse
 symmetric matrix by factoring only its band, and returns the band factor.
 LU solves take dense or scipy.sparse input and always factor with SuperLU:
 every matrix solved against is a finite element matrix with a handful of
-entries per row.  Both apply a package-wide relative pivot threshold on
-top of the library's own checks.  A pencil with a block-diagonal Gram
-matrix is reduced by banded triangular solves with the factors of its
-diagonal blocks; the eigensolve of the reduced matrix is dense by nature.
+entries per row, and a symmetric positive definite one is factored in
+SuperLU's symmetric mode.  Both apply a package-wide relative pivot
+threshold on top of the library's own checks.  A pencil with a
+block-diagonal Gram matrix is reduced by banded triangular solves with
+the factors of its diagonal blocks; the eigensolve of the reduced matrix
+is dense by nature.
 It frees the reduced matrix once it has its own copy, and keeps LAPACK's
 real eigenvector matrix as it is: a conjugate pair's vectors stay two
 real columns, normalized and back-transformed in place.  Every pass over
@@ -99,14 +101,41 @@ def certify_positive_definite(mat) -> np.ndarray:
     return _pivot_rule(scipy.linalg.cholesky_banded, band, csr.shape, entries, lambda c: c[0])
 
 
+def _positive_definite_factor(splu, a, tol: float):
+    """SuperLU's symmetric-mode factor of the symmetric CSC a, or None.
+
+    None unless the pivots stayed on the diagonal (perm_r == perm_c) and
+    every pivot diag(U) exceeds tol, which only holds for a symmetric
+    positive definite a; an exactly singular a is None too.
+    """
+    try:
+        lu = splu(
+            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError:
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > tol:
+        return lu
+    return None
+
+
 class LuFactorization:
     """Cached sparse LU factorization for repeated solves against one matrix.
 
     mat may be a dense array or a scipy.sparse matrix; it is factored by
-    SuperLU in CSC form.  Non-finite entries are a ValueError.  A matrix
-    SuperLU finds exactly singular, or whose smallest |diag(U)| falls at or
-    below PIVOT_RTOL times the largest entry magnitude, is a
-    SingularMatrixError.
+    SuperLU in CSC form.  A bitwise-symmetric input is first factored in
+    SuperLU's symmetric mode: minimum-degree ordering on A + A^T and
+    diagonal pivots (diag_pivot_thresh = 0).  That factor is kept only if
+    its row and column permutations agree and every pivot diag(U) is
+    positive and above PIVOT_RTOL times the largest entry magnitude, which
+    only a symmetric positive definite matrix passes; its fill is about
+    half the default ordering's on a P1 stiffness.  Any other matrix
+    (unsymmetric, indefinite, a zero or tiny diagonal pivot) is factored
+    on SuperLU's default path (COLAMD, threshold pivoting) under the rules
+    below, so the same matrices are accepted and rejected either way.
+    Non-finite entries are a ValueError.  A matrix SuperLU finds exactly
+    singular, or whose smallest |diag(U)| falls at or below PIVOT_RTOL
+    times the largest entry magnitude, is a SingularMatrixError.
     """
 
     def __init__(self, mat):
@@ -125,6 +154,10 @@ class LuFactorization:
         scale = float(np.abs(a.data).max(initial=0.0))
         if scale == 0.0:
             raise SingularMatrixError("LU of a zero matrix: the matrix is singular")
+        if (a != a.T).nnz == 0:
+            self._lu = _positive_definite_factor(splu, a, PIVOT_RTOL * scale)
+            if self._lu is not None:
+                return
         try:
             self._lu = splu(a)
         except RuntimeError as exc:

@@ -51,8 +51,11 @@ class CayleyStepper:
 
     Solves for the velocity only (see the module docstring).  With h = dt/2
     and Cvu, Cvv the pencil's velocity row, the m x m matrix
-    M - h Cvv - h^2 Cvu is factored once by sparse LU and
-    [2h Cvu, M + h Cvv + h^2 Cvu] is applied as one m x 2m CSR product.
+    M - h Cvv - h^2 Cvu = M + h(D + Mb) + h^2(S + Ma) is factored once by
+    sparse LU and [2h Cvu, M + h Cvv + h^2 Cvu] is applied as one m x 2m
+    CSR product.  The matrix is bitwise symmetric and, unless negative
+    damping or reaction make it indefinite, positive definite, so
+    linalg.LuFactorization factors it in SuperLU's symmetric mode.
     """
 
     def __init__(self, pencil: OperatorPencil, dt: float):
@@ -208,22 +211,26 @@ def decay_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Norm history of the state whose dynamics image is ``image``.
 
-    Solves dynamics @ x0 = gram @ image for the start state, with
-    gram @ image formed blockwise as (S u, M v), runs the stepper from x0,
-    and returns (times, profile) with profile normalized by the graph norm
+    Solves dynamics @ x0 = gram @ image for the start state and runs the
+    stepper from x0.  With image = (y_u, y_v), the first block row reads
+    S v0 = S y_u, and S is positive definite, so v0 = y_u; the second
+    leaves the m x m system (S + Ma) u0 = Cvv y_u - M y_v, with
+    S + Ma = -Cvu, one symmetric sparse LU.  Returns (times, profile)
+    with profile normalized by the graph norm
     sqrt(||x0||^2 + ||image||^2).  No decay-rate law is asserted here; the
     profile is the deliverable.
     """
     image = np.asarray(image, dtype=float)
-    u, v = pencil.split(image)
-    rhs = pencil.join(pencil.displacement_gram_csr @ u, pencil.mass_csr @ v)
+    y_u, y_v = pencil.split(image)
+    rhs = pencil.dynamics_vv_csr @ y_u - pencil.mass_csr @ y_v
     try:
-        x0 = linalg.LuFactorization(pencil.dynamics_csr).solve(rhs)
+        u0 = linalg.LuFactorization(-pencil.dynamics_vu_csr).solve(rhs)
     except SingularMatrixError as err:
         raise SingularMatrixError(
             "dynamics matrix is singular: zero is an eigenvalue of the "
             "evolution and the start state is not determined"
         ) from err
+    x0 = pencil.join(u0, y_u)
     graph = np.sqrt(
         state_norm(pencil, x0) ** 2 + state_norm(pencil, image) ** 2
     )

@@ -914,16 +914,13 @@ class TestDerivedGenerator:
         assert stacked_reads == {"gram_csr": 1, "dynamics_csr": 1}
 
     def test_decay_profile_stacks_each_once(self, stacked_reads):
-        # Its start-state right-hand side is (S u, M v), which equals the
-        # stacked gram_csr @ image bit for bit; the one gram_csr read left is
+        # Its start state comes from the velocity row alone (one m x m solve
+        # of -Cvu), so it stacks no dynamics; the one gram_csr read is
         # simulate's.
         pencil = models.damped_pencil(12)
         image = models.random_state(pencil, np.random.default_rng(6))
         wt.decay_profile(pencil, image, 0.05, 4)
-        assert stacked_reads == {"gram_csr": 1, "dynamics_csr": 1}
-        u, v = pencil.split(image)
-        rhs = pencil.join(pencil.displacement_gram_csr @ u, pencil.mass_csr @ v)
-        assert np.array_equal(rhs, pencil.gram_csr @ image)
+        assert stacked_reads == {"gram_csr": 1, "dynamics_csr": 0}
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavetriple import cli, spectral
+from wavetriple import assembly, cli, config, helmholtz, spectral
 
 DAMPED = """\
 [domain]
@@ -580,6 +580,58 @@ class TestHelmholtzErrors:
         code, _, _ = run(["helmholtz", "--config", cfg], capsys)
         assert code == 0
         assert np.geterr() == before
+
+
+class TestHelmholtzGeometry:
+    def test_geometry_once_and_the_per_call_values(self, tmp_path, capsys, monkeypatch):
+        # One command computes the cell volumes, the modulus tensors and
+        # their inverses once, and prints what per-call geometry gives.
+        text = SQUARE.replace("nx = 4", "nx = 7") + (
+            "\n[coefficients]\nmodulus = 1 + 0.5*x\n\n[helmholtz]\nfx = x*y\nfy = x*x + y\n"
+        )
+        cfg = write_config(tmp_path, text)
+        calls = {}
+        for owner, name in (
+            (helmholtz, "cell_volumes"),
+            (assembly, "cell_volumes"),
+            (helmholtz, "modulus_tensors"),
+            (assembly, "modulus_tensors"),
+            (np.linalg, "inv"),
+        ):
+            key = f"{owner.__name__}.{name}"
+            calls[key] = 0
+
+            def counting(*args, inner=getattr(owner, name), key=key):
+                calls[key] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        code, out, err = run(["helmholtz", "--config", cfg], capsys)
+        assert code == 0 and err == ""
+        assert calls == {
+            "wavetriple.helmholtz.cell_volumes": 1,
+            "wavetriple.assembly.cell_volumes": 0,
+            "wavetriple.helmholtz.modulus_tensors": 1,
+            "wavetriple.assembly.modulus_tensors": 0,
+            "numpy.linalg.inv": 1,
+        }
+        monkeypatch.undo()
+        model = config.parse_config(text)
+        mesh = config.build_mesh(model)
+        coeffs = config.build_coefficients(model, mesh)
+        field = config.helmholtz_field(model, mesh)
+        grad, div = helmholtz.decompose(mesh, coeffs, field)
+        total, grad_sq, div_sq, cross = (
+            helmholtz.weighted_inner(mesh, coeffs, f, g)
+            for f, g in ((field, field), (grad, grad), (div, div), (grad, div))
+        )
+        assert out == (
+            f"field_norm_sq {total:.17g}\n"
+            f"gradient_norm_sq {grad_sq:.17g}\n"
+            f"divfree_norm_sq {div_sq:.17g}\n"
+            f"orthogonality_defect {cross:.17g}\n"
+            f"pythagoras_defect {total - grad_sq - div_sq:.17g}\n"
+        )
 
 
 class TestStudy:

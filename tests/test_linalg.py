@@ -1,5 +1,6 @@
 """Tests for the linear-algebra kernels."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -11,13 +12,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import models
 import oracles
-from wavetriple import linalg, spectral
+import wavetriple as wt
+from wavetriple import assembly, linalg, semigroup, spectral
 from wavetriple.errors import EigenSolverError, NotPositiveDefiniteError, SingularMatrixError
+from wavetriple.mesh import boundary_nodes
 
 
 def random_spd(rng, n):
@@ -310,6 +313,23 @@ def fem_like(rng, n):
     )
 
 
+def string_stiffness(n):
+    """Tridiagonal [-1, 2, -1]: the fixed-fixed string's stiffness, SPD."""
+    return scipy.sparse.diags([[-1.0] * (n - 1), [2.0] * n, [-1.0] * (n - 1)], [-1, 0, 1])
+
+
+def saddle_point(n):
+    """[[K, B], [B^T, 0]]: symmetric, with a zero diagonal block.
+
+    K is string_stiffness(n); column k of B ties node 3k to node 3k + 1.
+    """
+    cols = np.arange(n // 3)
+    rows = np.stack([3 * cols, 3 * cols + 1], axis=1).ravel()
+    values = np.tile([1.0, -1.0], cols.size)
+    ties = scipy.sparse.csr_matrix((values, (rows, np.repeat(cols, 2))), shape=(n, cols.size))
+    return scipy.sparse.bmat([[string_stiffness(n), ties], [ties.T, None]])
+
+
 class TestSparseLu:
     def test_sparse_input_matches_dense_copy(self):
         rng = np.random.default_rng(21)
@@ -375,6 +395,72 @@ class TestSparseLu:
                 linalg.LuFactorization(np.ones(shape))
         with pytest.raises(ValueError, match="square"):
             linalg.LuFactorization(scipy.sparse.csr_matrix((2, 3)))
+
+    def test_interior_stiffness_takes_the_symmetric_path(self):
+        # The Helmholtz potential block on the nx = 64 square (3,969 nodes).
+        from scipy.sparse.linalg import splu
+
+        mesh = wt.rectangle_mesh(64, 64, models.square_partition())
+        inside = np.setdiff1d(np.arange(mesh.num_nodes), boundary_nodes(mesh))
+        stiff = assembly.stiffness_triplets(mesh, np.ones(mesh.num_cells)).tocsr()
+        block = stiff[inside][:, inside].tocsc()
+        lu = linalg.LuFactorization(block)._lu
+        default = splu(block)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+        rhs = np.random.default_rng(24).standard_normal(inside.size)
+        x = linalg.LuFactorization(block).solve(rhs)
+        assert np.abs(block @ x - rhs).max() <= 1e-12 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            string_stiffness(40) - 1.3 * scipy.sparse.eye(40),
+            -string_stiffness(40),
+            saddle_point(30),
+            np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [0.0, 3.0, 6.0]]),
+        ],
+        ids=["zero diagonal", "indefinite", "negative definite", "saddle point", "unsymmetric"],
+    )
+    def test_other_matrices_solve_as_on_the_default_path(self, mat):
+        # The last four give a symmetric-mode solution that differs from the
+        # default path's in the last bits, so taking it would show here.
+        from scipy.sparse.linalg import splu
+
+        csc = scipy.sparse.csc_matrix(mat)
+        rhs = np.arange(1.0, mat.shape[0] + 1.0)
+        got = linalg.LuFactorization(csc).solve(rhs)
+        assert np.array_equal(got, splu(csc).solve(rhs))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_symmetric_singular_is_singular_error(self):
+        # Exactly singular, and the free-free string's stiffness (constants
+        # in its kernel, a last pivot at rounding level).
+        free = scipy.sparse.diags([[-1.0] * 5, [1.0] + [2.0] * 4 + [1.0], [-1.0] * 5], [-1, 0, 1])
+        for mat in (np.ones((2, 2)), free):
+            with pytest.raises(SingularMatrixError):
+                linalg.LuFactorization(mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_decay_profile_start_state_matches_the_dense_solve(self, data):
+        # The start state from one m x m solve of S + Ma is the solution of
+        # the stacked 2m x 2m system dynamics x0 = gram image, to 1e-12
+        # relative, or to the rounding the condition number allows.
+        pencil, rng = models.draw_random_pencil(data)
+        if data.draw(st.booleans(), label="no reaction"):
+            coeffs = dataclasses.replace(pencil.coeffs, reaction=np.zeros(pencil.mesh.num_cells))
+            pencil = wt.assemble_pencil(pencil.mesh, coeffs)
+        dynamics = pencil.dynamics_csr.toarray()
+        assume(dynamics.size)
+        image = models.random_state(pencil, rng)
+        want = np.linalg.solve(dynamics, pencil.gram_csr @ image)
+        with mock.patch.object(semigroup, "simulate", wraps=semigroup.simulate) as run:
+            wt.decay_profile(pencil, image, 0.01, 0)
+        got = run.call_args.args[1]
+        bound = 1e-12 + 10 * np.finfo(float).eps * np.linalg.cond(dynamics)
+        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
     def test_sparse_solver_not_imported_with_the_package(self):
         # Commands that never solve (spectrum) must not pay for SuperLU.
