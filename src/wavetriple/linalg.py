@@ -1,4 +1,4 @@
-"""Linear-algebra kernels: Cholesky, LU solves, nonsymmetric eigenproblems.
+"""Linear-algebra kernels: Cholesky, LU solves, nonsymmetric and secular eigenproblems.
 
 certify_positive_definite applies Cholesky's pivot rule to a sparse
 symmetric matrix by factoring only its band, and returns the band factor.
@@ -16,6 +16,11 @@ real columns, normalized and back-transformed in place.  Every pass over
 the complex eigenvectors expands one column block of them, so at its peak
 a pencil eigensolve holds only what dgeev itself needs, its overwritten
 input and its real eigenvector matrix.
+A pencil whose one dissipation is a rank-one damper has a second solver,
+secular_eig: the roots of a secular equation in the undamped modes, found
+by Aberth-Ehrlich iteration and certified by Smith's inclusion discs and
+the generator's trace, with eigenvectors in closed form in the same
+packed layout.
 """
 
 from __future__ import annotations
@@ -37,6 +42,23 @@ PIVOT_RTOL = 1e-14
 EIG_SAFE_MIN = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 # Width of the column blocks that every pass over eigenvectors works in.
 COLUMN_BLOCK = 64
+# A secular root within this share of its modulus of the real axis is
+# taken as real (secular_eig); a complex pair taken for two real roots
+# fails the inclusion-disc certificate.
+REAL_ROOT_RTOL = 1e-8
+# Share of |trace| + sum |lambda| by which the secular roots' sum may miss
+# the trace of the reduced generator, beyond the roots' inclusion radii.
+TRACE_RTOL = 1e-12
+# Largest eigenvalue modulus the secular route takes on, so that no square
+# of a root overflows.  A pencil u^H (lambda^2 M + lambda D + S) u = 0 with
+# u^H M u = 1 has |lambda| <= u^H D u + sqrt(u^H S u), and by Cauchy-Schwarz
+# u^H D u <= k2 (M^{-1})_NN, minus the trace of the reduced generator.
+SECULAR_MAX_MODULUS = 1e150
+# Sweeps after which secular_roots freezes every root.
+SECULAR_MAX_SWEEPS = 200
+_EPS = np.finfo(float).eps
+# pi (3 - sqrt(5)): no two multiples of it point the same way.
+_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
 def _pivot_rule(factorize, operand, shape, entries: np.ndarray, diagonal):
@@ -359,6 +381,16 @@ def generalized_eig(
     for rows, low in _blocks(factors):
         packed[rows] = _band_solve(low, packed[rows], trans="T")
     # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
+    return values, vectors, pencil_residuals(gram, op, values, vectors)
+
+
+def pencil_residuals(gram, op, values: np.ndarray, vectors: PackedEigenvectors) -> np.ndarray:
+    """||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)) for every pair.
+
+    gram and op are applied as CSR to one expanded column block of vectors
+    at a time.  A residual norm that overflows is inf or nan, with no
+    warning.
+    """
     gram, op = scipy.sparse.csr_matrix(gram), scipy.sparse.csr_matrix(op)
     residuals = np.empty(values.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -369,4 +401,251 @@ def generalized_eig(
             gram_z *= values[cols]
             resid -= gram_z
             residuals[cols] = np.linalg.norm(resid, axis=0) / denom
-    return values, vectors, residuals
+    return residuals
+
+
+def _pole_terms(lam: np.ndarray, omega: np.ndarray, weights: np.ndarray):
+    """The secular function at a block of points, with each point's nearest pole folded.
+
+    For lam = x + iy, d_j = lam^2 + w_j^2 is formed as x^2 - (y - w_j)(y +
+    w_j) + 2ixy, which keeps its relative accuracy next to either pole.
+    The nearest pole k minimizes |d_k|: w_k^2 is the one closest to y^2 -
+    x^2.  Its term leaves the sum s = sum_{j != k} c_j / d_j, so F = 1 +
+    lam s is finite there, and r = d_k F + c_k lam equals p(lam) /
+    prod_{j != k} d_j.  Returns (inv, k, d_k, s, spread, r, bound): inv
+    holds 1 / d_j, zeroed at k, spread is sum_{j != k} |c_j / d_j|, and
+    bound bounds the rounding error of r.
+    """
+    x, y = lam.real[:, None], lam.imag[:, None]
+    d = np.empty((lam.size, omega.size), complex)
+    d.real = x * x - (y - omega) * (y + omega)
+    d.imag = 2.0 * x * y
+    omega2, target = omega * omega, lam.imag**2 - lam.real**2
+    above = np.minimum(np.searchsorted(omega2, target), omega.size - 1)
+    below = np.maximum(above - 1, 0)
+    near = np.where(np.abs(omega2[below] - target) <= np.abs(omega2[above] - target), below, above)
+    rows = np.arange(lam.size)
+    d_near, c_near = d[rows, near], weights[near]
+    inv = np.reciprocal(d, out=d)
+    inv[rows, near] = 0.0
+    s, spread = inv @ weights, np.abs(inv) @ weights
+    r = d_near * (1.0 + lam * s) + c_near * lam
+    size = np.abs(d_near) * (1.0 + np.abs(lam) * spread) + c_near * np.abs(lam)
+    return inv, near, d_near, s, spread, r, (omega.size + 8) * _EPS * size
+
+
+def secular_roots(omega2: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The 2m roots of p(lam) = prod_k (lam^2 + w_k^2) (1 + lam sum_k c_k / (lam^2 + w_k^2)).
+
+    omega2 holds the increasing w_k^2 > 0, weights the c_k >= 0: p is the
+    characteristic polynomial of a skew-adjoint system with modes w_k under
+    a rank-one damper that sees mode k with weight c_k.  Aberth-Ehrlich
+    iteration: Newton's step on p for every root at once, each root
+    repelled by all the others.  Each root's nearest pole is folded into
+    r (see _pole_terms), so no sum is inf - inf next to a pole.
+
+    The starts come from a local model: near w_k the poles form a lattice
+    of spacing g_k (the mean of the two gaps) and weight c_k, on which the
+    secular equation sums to 1 - i kappa cot(pi lam / (i g_k)) = 0 with
+    kappa = pi c_k / (2 g_k).  Its roots sit at the poles (kappa < 1) or
+    halfway between them (kappa > 1), at real part g_k / (2 pi) ln(|kappa -
+    1| / (kappa + 1)); the log is clamped at ln(1e-3) for kappa near 1.
+    Each start is then moved by 1e-3 g_k in a direction that differs from
+    start to start, so that no start is the conjugate of another: p may
+    have real roots, which a conjugate-symmetric iteration never reaches.
+
+    A root is frozen once r is within the rounding bound of its evaluation
+    or its step is below 4 eps |lam|, and every root is after
+    SECULAR_MAX_SWEEPS sweeps.  A sweep works on blocks of COLUMN_BLOCK
+    active roots against all 2m.  The roots carry no certificate:
+    secular_eig certifies what it is given.
+    """
+    omega2, weights = np.asarray(omega2, float), np.asarray(weights, float)
+    m = omega2.size
+    omega = np.sqrt(omega2)
+    if m == 1:
+        spacing = omega.copy()
+    else:
+        gaps = np.diff(omega)
+        spacing = np.concatenate([gaps[:1], 0.5 * (gaps[:-1] + gaps[1:]), gaps[-1:]])
+    kappa = np.pi * weights / (2.0 * spacing)
+    drift = spacing / (2.0 * np.pi) * np.log(np.maximum(np.abs(kappa - 1.0) / (kappa + 1.0), 1e-3))
+    upper = drift + 1j * (omega + np.where(kappa > 1.0, 0.5 * spacing, 0.0))
+    turns = np.exp(1j * _GOLDEN_ANGLE * np.arange(2 * m))
+    roots = np.concatenate([upper, upper.conj()]) + 1e-3 * np.tile(spacing, 2) * turns
+    active = np.arange(2 * m)
+    for _ in range(SECULAR_MAX_SWEEPS):
+        if active.size == 0:
+            break
+        step, done = np.empty(active.size, complex), np.empty(active.size, bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for cols in column_blocks(active.size):
+                step[cols], done[cols] = _aberth_step(roots, active[cols], omega, weights)
+        moved = np.isfinite(step)
+        roots[active[moved]] -= step[moved]
+        active = active[moved & ~done]
+    return roots
+
+
+def _aberth_step(roots: np.ndarray, idx: np.ndarray, omega: np.ndarray, weights: np.ndarray):
+    """Aberth's correction for roots[idx], and whether each has converged."""
+    lam = roots[idx]
+    inv, near, d_near, s, _, r, bound = _pole_terms(lam, omega, weights)
+    # p'/p = sum_{j != k} 2 lam / d_j + r'/r, with r' = 2 lam F + d_k F' + c_k
+    # and F' = sum_{j != k} c_j (w_j^2 - lam^2) / d_j^2 = 2 sum c_j w_j^2 / d_j^2 - s.
+    inv_sum = inv.sum(axis=1)
+    inv *= inv
+    slope = 2.0 * (inv @ (weights * omega * omega)) - s
+    dr = 2.0 * lam * (1.0 + lam * s) + d_near * slope + weights[near]
+    newton = r / (2.0 * lam * inv_sum * r + dr)
+    rows = np.arange(idx.size)
+    repel = lam[:, None] - roots
+    repel[rows, idx] = 1.0
+    repel = np.reciprocal(repel, out=repel)
+    repel[rows, idx] = 0.0
+    step = newton / (1.0 - newton * repel.sum(axis=1))
+    done = (np.abs(r) <= bound) | (np.abs(step) <= 4.0 * _EPS * np.abs(lam))
+    return step, done
+
+
+def _inclusion_discs(values: np.ndarray, omega: np.ndarray, weights: np.ndarray):
+    """Smith's inclusion radii about values for p's roots, and each value's nearest other.
+
+    p is monic of degree n = values.size, so its roots lie in the union of
+    the discs about z_i of radius n |p(z_i)| / prod_{j != i} |z_i - z_j|,
+    and a connected union of k discs holds exactly k roots (Smith, Math.
+    Comp. 24 (1970)).  |p(z_i)| is taken as |r| plus its rounding bound
+    (see _pole_terms) times the other poles' |d_j|, and the products are
+    summed as logs.  A repeated value has an infinite radius.
+    """
+    n = values.size
+    radii, nearest = np.empty(n), np.empty(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for cols in column_blocks(n):
+            lam = values[cols]
+            rows, own = np.arange(lam.size), np.arange(n)[cols]
+            inv, near, _, _, _, r, bound = _pole_terms(lam, omega, weights)
+            inv[rows, near] = 1.0
+            poles = np.log(inv.real**2 + inv.imag**2).sum(axis=1)
+            gaps = lam[:, None] - values
+            gaps = gaps.real**2 + gaps.imag**2
+            gaps[rows, own] = np.inf
+            nearest[cols] = np.sqrt(gaps.min(axis=1))
+            gaps[rows, own] = 1.0
+            # log prod_{j != k} |d_j| - log prod_{j != i} |z_i - z_j|.
+            log_size = -0.5 * (poles + np.log(gaps).sum(axis=1))
+            radii[cols] = n * (np.abs(r) + bound) * np.exp(log_size)
+    return radii, nearest
+
+
+def secular_eig(gram, op, factors: tuple[np.ndarray, ...], slot: int, weight: float):
+    """Eigenpairs of a rank-one damped pencil from its secular equation, or None.
+
+    The pencil is op z = lambda gram z with gram = blockdiag(S, M) and op =
+    [[0, S], [-S, -weight e e^T]], e the unit vector of slot; the caller
+    vouches for that form, and factors are the band factors of S and M.
+    Returns what generalized_eig returns, vectors in the same packed
+    layout, or None when a certificate fails.
+
+    The undamped modes come from the congruent standard problem L^{-1} S
+    L^{-T} w = w_k^2 w, L the band factor of M (dense eigh, MRRR), as Phi =
+    L^{-T} W: Phi^T M Phi = I, Phi^T S Phi = W^2.  With c_k = weight
+    Phi[slot, k]^2 the eigenvalues are the 2m roots of the secular
+    polynomial (secular_roots), and lambda's vector is u = Phi (lambda^2 +
+    W^2)^{-1} Phi[slot], v = lambda u (_secular_vectors).  The roots are
+    made conjugate-closed: one within REAL_ROOT_RTOL |lambda| of the real
+    axis counts as real, and the upper roots and their conjugates stand for
+    the rest, whose count must match.  Two certificates read only that set.
+    Smith's discs about it must be pairwise disjoint (each value's nearest
+    other lies beyond its radius plus the largest), so each disc holds
+    exactly one root of p, and a real value's disc, symmetric about the
+    axis, a real one.  And the values must sum to -weight (M^{-1})[slot,
+    slot], the trace of the reduced generator from one band solve with L,
+    to within the sum of the radii plus TRACE_RTOL times |trace| + sum
+    |lambda|.  The residuals are recomputed from gram and op.
+    """
+    gram, low = scipy.sparse.csr_matrix(gram), factors[1]
+    m = low.shape[1]
+    unit = np.zeros(m)
+    unit[slot] = 1.0
+    with np.errstate(over="ignore"):
+        trace = -weight * float(np.sum(_band_solve(low, unit) ** 2))
+    # The same two band solves as generalized_to_standard's.
+    reduced = _band_solve(low, _band_solve(low, gram[:m, :m].toarray(order="F")).T)
+    omega2, modes = scipy.linalg.eigh(reduced, overwrite_a=True, check_finite=False, driver="evr")
+    del reduced
+    modes = _band_solve(low, modes, trans="T")
+    if not (omega2[0] > 0.0 and abs(trace) + np.sqrt(omega2[-1]) <= SECULAR_MAX_MODULUS):
+        return None
+    # A copy, so that no view keeps the modes alive beside the residuals.
+    omega, row = np.sqrt(omega2), modes[slot].copy()
+    weights = weight * row**2
+    roots = secular_roots(omega2, weights)
+    real = np.abs(roots.imag) <= REAL_ROOT_RTOL * np.abs(roots)
+    upper = roots[~real & (roots.imag > 0.0)]
+    if 2 * upper.size + np.count_nonzero(real) != 2 * m:
+        return None
+    values = np.concatenate([upper, upper.conj(), roots[real].real.astype(complex)])
+    radii, nearest = _inclusion_discs(values, omega, weights)
+    if not np.all(nearest > radii + radii.max()):
+        return None
+    slack = radii.sum() + TRACE_RTOL * (abs(trace) + np.abs(values).sum())
+    if not abs(values.sum() - trace) <= slack:
+        return None
+    vectors = _secular_vectors(values, upper.size, modes, omega, row, weight)
+    del modes
+    if vectors is None:
+        return None
+    order = np.lexsort((values.imag, values.real))
+    values = values[order]
+    vectors = PackedEigenvectors(vectors.packed, vectors.column[order], vectors.sign[order])
+    return values, vectors, pencil_residuals(gram, op, values, vectors)
+
+
+def _secular_vectors(values, pairs: int, modes, omega, row, weight) -> PackedEigenvectors | None:
+    """Packed eigenvectors of secular_eig's values, unsorted, or None if one is not finite.
+
+    values are [upper, conj(upper), real], with pairs upper roots.  The
+    vector of upper root j fills packed columns 2j (re) and 2j + 1 (im),
+    and each real root's one column after them.  The modal coefficients
+    are a_j = row_j / d_j (see _pole_terms), but for the nearest pole k's:
+    next to a pole the damper barely sees, d_k is below the root's own
+    rounding error.  There a_k comes from the secular equation, 1 + lambda
+    (c_k / d_k + s) = 0, as -(1 / lambda + s) / (weight row_k), whenever
+    that form's rounding error is the smaller.  Each vector is scaled to
+    unit gram-norm in modal coordinates.  Built one column block of owners
+    (the upper and real roots) at a time.
+    """
+    m, n = modes.shape[0], 2 * modes.shape[0]
+    owners = np.concatenate([values[:pairs], values[2 * pairs :]])
+    column = np.concatenate([2 * np.arange(pairs), 2 * pairs + np.arange(n - 2 * pairs)])
+    sign = np.concatenate([np.ones(pairs), -np.ones(pairs), np.zeros(n - 2 * pairs)])
+    weights = weight * row**2
+    packed = np.empty((n, n), order="F")
+    for cols in column_blocks(owners.size):
+        lam, col = owners[cols], column[cols]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            coef, near, d_near, s, spread, _, _ = _pole_terms(lam, omega, weights)
+            coef *= row
+            # Relative errors in units of eps: row_k / d_k's from a root
+            # error of eps |lambda|, and the secular form's from rounding.
+            direct = 2.0 * np.abs(lam) ** 2 / np.abs(d_near)
+            folded = (1.0 / np.abs(lam) + spread) / np.abs(1.0 / lam + s)
+            coef[np.arange(lam.size), near] = np.where(
+                folded < direct, -(1.0 / lam + s) / (weight * row[near]), row[near] / d_near
+            )
+            coef /= np.abs(coef).max(axis=1, keepdims=True)
+            # u^H S u + |lambda|^2 u^H M u = sum_k |a_k|^2 (w_k^2 + |lambda|^2).
+            mag = np.abs(coef) ** 2
+            coef /= np.sqrt(mag @ omega**2 + mag.sum(axis=1) * np.abs(lam) ** 2)[:, None]
+        if not np.isfinite(coef).all():
+            return None
+        parts = np.concatenate([coef.real, coef.imag]) @ modes.T
+        re, im = parts[: lam.size].T, parts[lam.size :].T
+        x, y = lam.real, lam.imag
+        packed[:m, col] = re
+        packed[m:, col] = x * re - y * im
+        pair = y != 0.0
+        packed[:m, col[pair] + 1] = im[:, pair]
+        packed[m:, col[pair] + 1] = (y * re + x * im)[:, pair]
+    return PackedEigenvectors(packed, np.concatenate([column[:pairs], column]), sign)

@@ -1,17 +1,32 @@
 """Spectra of the closed-loop generator and derived stability reports.
 
 Eigenvalues come from the generalized problem dyn z = lambda gram z, with
-dyn the whole generator (interior reaction and damping included), reduced
-to standard form block by block through the band Cholesky factors of the
-Gram matrix's two diagonal blocks, S and M.  The reduction densifies the
-CSR generator one block row at a time; the reduced matrix's nonsymmetric
-eigensolve is the one dense step, and no dense view of the pencil is read.
-Every reported pair carries a recomputed residual plus two boundary
-residuals: the damped velocity trace, which must vanish on any
-eigenvector whose eigenvalue sits on the imaginary axis, and the
-absorbing boundary condition with the flux derived from the pair, which
-every pair must satisfy.  compute_spectrum certifies every pair's energy
-balance too, so every report carries its worst ratio.
+dyn the whole generator (interior reaction and damping included), on one
+of two routes that the pencil picks (see compute_spectrum).
+
+The general route reduces it to standard form block by block through the
+band Cholesky factors of the Gram matrix's two diagonal blocks, S and M.
+The reduction densifies the CSR generator one block row at a time; the
+reduced matrix's nonsymmetric eigensolve is the one dense step.
+
+The secular route serves a generator whose only dissipation is one damped
+node with no reaction (the 1-D string with a damped end).  That damper is
+a rank-one boundary parameter of the skew-adjoint undamped generator, so
+by Krein's formula the spectrum is where 1 + k2 m(lambda) vanishes, with
+m(lambda) = lambda sum_k phi_k(N)^2 / (lambda^2 + w_k^2) the scalar Weyl
+function of the undamped modes phi_k at the damped node N: a secular
+equation in those modes, solved for all roots at once and certified by
+inclusion discs and the generator's trace.  Its dense step is the
+symmetric eigensolve of the undamped modes, and its eigenvectors are in
+closed form.
+
+Neither route reads a dense view of the pencil.  Every reported pair
+carries a recomputed residual plus two boundary residuals: the damped
+velocity trace, which must vanish on any eigenvector whose eigenvalue
+sits on the imaginary axis, and the absorbing boundary condition with the
+flux derived from the pair, which every pair must satisfy.
+compute_spectrum certifies every pair's energy balance too, so every
+report carries its worst ratio.
 """
 
 from __future__ import annotations
@@ -33,11 +48,13 @@ AXIS_TOL = 1e-6
 # Modulus below which an eigenvalue counts as zero for the exclusion check.
 ZERO_TOL = 1e-6
 # Largest state dimension whose full dense spectrum compute_spectrum
-# attempts.  Time grows like the cube of the dimension and memory like its
-# square: on a 2-core machine with one BLAS thread the spectrum command took
-# 8.4 s with a 0.14 GB peak at 2048 and 52 s with a 0.33 GB peak at 4096
-# (1-D damped string): the import plus dgeev's two real arrays, one complex
-# block of the state.
+# attempts, on either route.  Time grows like the cube of the dimension and
+# memory like its square.  These are the dgeev route's figures: on a 2-core
+# machine with one BLAS thread the spectrum command took 8.4 s with a
+# 0.14 GB peak at 2048 and 52 s with a 0.33 GB peak at 4096 (1-D damped
+# string): the import plus dgeev's two real arrays, one complex block of
+# the state.  The secular route now takes that string at 4096 in 6.5 s
+# with a 0.24 GB peak.
 MAX_DENSE_STATE = 4096
 
 
@@ -96,21 +113,42 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
 
     Interior reaction and damping terms are included.  S and M are factored
     on their band here; no factor is kept.  Above MAX_DENSE_STATE states
-    it is a ProblemSizeError before anything is densified.  A recomputed
-    pencil residual (overflowed or not) or an eigenpair energy-balance
-    defect beyond its bound is an EigenSolverError, so a report in hand is
-    a certificate of its pairs.  The balance defect and the two boundary
-    residuals come from one loop that expands one column block of the
-    packed eigenvectors at a time, so the peak stays that of the eigensolve
-    itself: dgeev's overwritten input beside its real eigenvector matrix.
+    it is a ProblemSizeError before anything is densified.
+
+    There are two eigensolver routes, and the pencil picks one; nothing
+    else does.  When dissipation_forms gives a zero reaction form and a
+    damper form with one stored entry, and the generator is built from
+    exactly those forms (_rank_one_damper; in practice the 1-D string with
+    one damped end), the damper is a rank-one boundary parameter of the
+    undamped generator, and linalg.secular_eig solves the secular equation
+    of its Weyl function.  Every other pencil, or one whose secular
+    certificates fail or whose secular pairs miss RESIDUAL_TOL, takes
+    linalg.generalized_eig: the dense nonsymmetric eigensolve of the
+    reduced generator.  Both return the same packed eigenvector layout.
+
+    A recomputed pencil residual (overflowed or not) or an eigenpair
+    energy-balance defect beyond its bound is an EigenSolverError, so a
+    report in hand is a certificate of its pairs.  The balance defect and
+    the two boundary residuals come from one loop that expands one column
+    block of the packed eigenvectors at a time, so the peak stays that of
+    the eigensolve itself: dgeev's overwritten input beside its real
+    eigenvector matrix, or the secular route's eigenvector matrix beside
+    the modes it was built from.
     """
     check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
     m = pencil.num_active
     blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
     factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
-    values, vectors, residuals = linalg.generalized_eig(
-        pencil.gram_csr, pencil.dynamics_csr, factors
-    )
+    forms = dissipation_forms(pencil)
+    gram, dynamics = pencil.gram_csr, pencil.dynamics_csr
+    solved, rank_one = None, _rank_one_damper(pencil, forms)
+    if rank_one is not None:
+        solved = linalg.secular_eig(gram, dynamics, factors, *rank_one)
+        if solved is not None and not solved[2].max() <= RESIDUAL_TOL:
+            solved = None
+    if solved is None:
+        solved = linalg.generalized_eig(gram, dynamics, factors)
+    values, vectors, residuals = solved
     if len(values) != pencil.state_dim:
         raise EigenSolverError(
             f"expected {pencil.state_dim} eigenvalues, got {len(values)}"
@@ -119,7 +157,6 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
         raise EigenSolverError(
             f"pencil residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    forms = dissipation_forms(pencil)
     slots = pencil.trace_slots
     stiff, spring = pencil.stiffness_csr[slots], pencil.boundary_spring_csr[slots]
     damper = pencil.boundary_damper_csr[slots]
@@ -160,6 +197,26 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
         vectors=vectors,
         balance_worst_ratio=ratio,
     )
+
+
+def _rank_one_damper(pencil: OperatorPencil, forms) -> tuple[int, float] | None:
+    """(slot, k2) of the pencil's one damped node when the secular route applies.
+
+    forms is dissipation_forms(pencil).  It applies when Ma is zero, D + Mb
+    is one positive diagonal entry k2, and the generator's velocity row is
+    exactly (-S, -(D + Mb)): then the damper is a rank-one boundary
+    parameter of the undamped generator.
+    """
+    reaction, damper = forms
+    if reaction.nnz or damper.nnz != 1:
+        return None
+    slot = int(damper.indices[0])
+    k2 = float(damper[slot, slot])
+    if k2 <= 0.0 or (pencil.dynamics_vv_csr != -damper).nnz:
+        return None
+    if (pencil.dynamics_vu_csr != -pencil.displacement_gram_csr).nnz:
+        return None
+    return slot, k2
 
 
 def _balance_defect(pencil: OperatorPencil, values, vectors, forms=None):

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -766,3 +767,34 @@ class TestPencil:
         with pytest.raises(NotPositiveDefiniteError):
             gram = np.array([[1.0, 0.0], [0.0, -1.0]])
             linalg.generalized_eig(gram, np.eye(2), (band_factor(gram),))
+
+
+class TestSecularRoots:
+    def test_one_mode_is_the_damped_oscillator(self):
+        # m = 1: p(lam) = lam^2 + c lam + w^2, complex below critical
+        # damping (c < 2w) and real above it.
+        for omega2, weight in ((4.0, 0.5), (4.0, 3.9), (4.0, 4.1), (4.0, 40.0)):
+            got = np.sort_complex(linalg.secular_roots(np.array([omega2]), np.array([weight])))
+            want = np.sort_complex(np.roots([1.0, weight, omega2]).astype(complex))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_undamped_roots_are_the_poles(self):
+        omega2 = (np.arange(1.0, 41.0) * np.pi) ** 2
+        got = linalg.secular_roots(omega2, np.zeros(40))
+        got = got[np.lexsort((got.real, got.imag))]
+        want = 1j * np.sqrt(omega2)
+        assert np.abs(got - np.concatenate([-want[::-1], want])).max() <= 1e-12 * want.imag.max()
+
+    @pytest.mark.parametrize("weight", [0.01, 1.0, 6.0, 1e4])
+    def test_roots_match_the_companion_matrix(self, weight):
+        # The linearization [[0, W], [-W, -b b^T]], b = sqrt(c), has p's roots
+        # for eigenvalues; c_k is 2 weight, as on the unit string.
+        omega = np.arange(1.0, 13.0) * np.pi
+        c = np.full(12, 2.0 * weight)
+        b = np.sqrt(c)
+        mat = np.block([[np.zeros((12, 12)), np.diag(omega)], [-np.diag(omega), -np.outer(b, b)]])
+        want = np.linalg.eigvals(mat)
+        got = linalg.secular_roots(omega**2, c)
+        distance = np.abs(got[:, None] - want[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(distance)
+        assert distance[rows, cols].max() <= 1e-9 * np.abs(want).max()

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import models
@@ -34,6 +36,16 @@ def interior_terms_pencils():
         wt.assemble_pencil(mesh, wt.sample_coefficients(mesh, boundary_damping=1.0, **fields))
         for mesh in meshes
     ]
+
+
+def interior_damped_string(n):
+    """The damped string with interior damping too: a pencil on the dgeev route."""
+    mesh = wt.interval_mesh(n, right=wt.BoundaryLabel.DAMPED)
+    return wt.assemble_pencil(mesh, wt.sample_coefficients(mesh, boundary_damping=3.0, damping=0.5))
+
+
+# One 1-D string per eigensolver route, by the size n.
+ROUTE_PENCILS = {"secular": models.damped_pencil, "dgeev": interior_damped_string}
 
 
 def positive_branch(values):
@@ -222,31 +234,11 @@ class TestComputeSpectrum:
     def test_peak_memory_is_four_complex_state_blocks(self):
         # The coarse guard: full-width residuals and balance products hold
         # four complex (2m, 2m) arrays.  A dense copy of the pencil, a dense
-        # factor or one more copy of the eigenvectors would push it past
-        # five.  The streamed spectrum stays well below; the test below
-        # holds it to 1.3 blocks.
-        pencil = models.damped_pencil(128)
-        block = 16 * pencil.state_dim**2
-        tracemalloc.start()
-        try:
-            wt.compute_spectrum(pencil)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * block
-
-    def test_peak_memory_is_below_three_complex_state_blocks(self):
-        # At its peak compute_spectrum holds what dgeev needs, its
-        # overwritten input and its real eigenvector matrix: one complex
-        # (2m, 2m) block in all.  Measured with tracemalloc: 1.86 blocks at
-        # n = 128, where the temporaries of a 64-column block are a larger
-        # share, 1.16 at n = 256 and 1.07 at n = 512.  Expanding the
-        # eigenvectors to a complex array beside the real one, as the
-        # solver once did, peaked at 2.30 / 1.68 / 1.58; half a block more
-        # (a real copy of the vectors, say) passes 1.3 at n = 256 and 512,
-        # and full-width residuals and balance products peak at four.
-        for n, bound in ((128, 2.0), (256, 1.3), (512, 1.3)):
-            pencil = models.damped_pencil(n)
+        # factor or one more copy of the eigenvectors would push either
+        # route past five.  The streamed spectrum stays well below; the
+        # test below holds it to 1.3 blocks.
+        for route, build in ROUTE_PENCILS.items():
+            pencil = build(128)
             block = 16 * pencil.state_dim**2
             tracemalloc.start()
             try:
@@ -254,7 +246,33 @@ class TestComputeSpectrum:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < bound * block, n
+            assert peak <= 5 * block, route
+
+    def test_peak_memory_is_below_three_complex_state_blocks(self):
+        # At its peak each route holds its packed real eigenvectors, half a
+        # complex (2m, 2m) block, beside one more half block: dgeev's
+        # overwritten input on the dgeev route; on the secular route the
+        # m x m undamped modes the vectors are built from, then the
+        # temporaries of a 64-column block.  Measured with tracemalloc at
+        # n = 128 / 256 / 512, where the block temporaries are a shrinking
+        # share: 1.87 / 1.17 / 1.07 blocks on the dgeev route (the string
+        # with interior damping) and 1.89 / 1.17 / 0.83 on the secular
+        # route (the damped string).  Expanding the eigenvectors to a
+        # complex array beside the real one, as the dgeev route once did,
+        # peaked at 2.30 / 1.68 / 1.58; half a block more (a real copy of
+        # the vectors, say) passes 1.3 at n = 256 and 512, and full-width
+        # residuals and balance products peak at four.
+        for route, build in ROUTE_PENCILS.items():
+            for n, bound in ((128, 2.0), (256, 1.3), (512, 1.3)):
+                pencil = build(n)
+                block = 16 * pencil.state_dim**2
+                tracemalloc.start()
+                try:
+                    wt.compute_spectrum(pencil)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound * block, (route, n)
 
     def test_block_results_equal_full_width_recomputation(self):
         # State dimension 200 is not a multiple of the column block, so the
@@ -333,6 +351,136 @@ class TestComputeSpectrum:
         wt.compute_spectrum(pencil)
         assert orders == [pencil.num_active, pencil.num_active]
         assert dense == []
+
+
+class TestEigensolverRoutes:
+    """The pencil picks the route: the secular equation or dgeev."""
+
+    @staticmethod
+    def eig_calls(monkeypatch, pencil):
+        calls, real = [], linalg.eig_nonsymmetric
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return real(mat)
+
+        monkeypatch.setattr(linalg, "eig_nonsymmetric", counting)
+        wt.compute_spectrum(pencil)
+        return len(calls)
+
+    def test_only_the_rank_one_damped_string_skips_dgeev(self, monkeypatch):
+        string = wt.interval_mesh(16, right=wt.BoundaryLabel.DAMPED)
+        reaction = wt.assemble_pencil(
+            string, wt.sample_coefficients(string, boundary_damping=3.0, reaction=2.0)
+        )
+        assert self.eig_calls(monkeypatch, models.damped_pencil(16)) == 0
+        for pencil in (
+            models.dirichlet_pencil(16),
+            reaction,
+            interior_damped_string(16),
+            models.square_pencil(4, 3),
+        ):
+            assert self.eig_calls(monkeypatch, pencil) == 1
+
+    def test_a_generator_not_built_from_its_forms_takes_dgeev(self, monkeypatch):
+        pencil = models.damped_pencil(16)
+        doubled = dataclasses.replace(pencil, dynamics_vv_csr=2.0 * pencil.dynamics_vv_csr)
+        assert spectral._rank_one_damper(doubled, spectral.dissipation_forms(doubled)) is None
+        assert spectral._rank_one_damper(pencil, spectral.dissipation_forms(pencil)) == (15, 3.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(8, 256),
+        modulus=st.tuples(st.floats(0.2, 5.0), st.floats(-0.8, 3.0)),
+        density=st.tuples(st.floats(0.2, 5.0), st.floats(-0.8, 3.0)),
+        k2=st.one_of(st.floats(0.05, 20.0), st.floats(100.0, 1000.0)),
+    )
+    @example(n=64, modulus=(1.0, 0.5), density=(1.0, 0.25), k2=1000.0)
+    @example(n=189, modulus=(1.0, 0.0), density=(1.0, 0.0), k2=1.0)
+    def test_secular_values_match_dgeev(self, n, modulus, density, k2):
+        mesh = wt.interval_mesh(n, right=wt.BoundaryLabel.DAMPED)
+        coeffs = wt.sample_coefficients(
+            mesh,
+            modulus=lambda p: modulus[0] * (1.0 + modulus[1] * p[:, 0]),
+            density=lambda p: density[0] * (1.0 + density[1] * p[:, 0] ** 2),
+            boundary_damping=k2,
+        )
+        pencil = wt.assemble_pencil(mesh, coeffs)
+        blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
+        factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
+        damper = spectral._rank_one_damper(pencil, spectral.dissipation_forms(pencil))
+        solved = linalg.secular_eig(pencil.gram_csr, pencil.dynamics_csr, factors, *damper)
+        assert solved is not None
+        values, vectors, residuals = solved
+        want = linalg.generalized_eig(pencil.gram_csr, pencil.dynamics_csr, factors)[0]
+        assert residuals.max() <= spectral.RESIDUAL_TOL
+        # Without reaction C^T = JCJ, J = diag(I, -I), so J conj(z) is the
+        # left eigenvector and kappa = z^H G z / |z^T J G z| the condition
+        # number.  Near the matched damper (k2 = sqrt(modulus density) at
+        # the end) kappa reaches 1e3, and two backward-stable routes then
+        # agree only to about kappa eps max|lambda|.
+        z = vectors.expand()
+        gram_z = pencil.gram_csr @ z
+        norms = np.einsum("ij,ij->j", z.conj(), gram_z).real
+        gram_z[pencil.num_active :] *= -1.0
+        kappa = norms / np.abs(np.einsum("ij,ij->j", z, gram_z))
+        # Frequencies are well apart, so sorting by (imag, real) pairs them.
+        order = np.lexsort((values.real, values.imag))
+        got, kappa = values[order], kappa[order]
+        want = want[np.lexsort((want.real, want.imag))]
+        eps = np.finfo(float).eps
+        bound = 1e-10 * np.abs(want) + 100.0 * kappa * eps * np.abs(want).max()
+        assert (np.abs(got - want) <= bound).all()
+        if k2 >= 100.0:
+            # Strongly overdamped: the spectrum has real eigenvalues.
+            assert np.count_nonzero(values.imag == 0.0) >= 2
+
+    @staticmethod
+    def assert_dgeev_report(monkeypatch, pencil):
+        """compute_spectrum(pencil) is the dgeev route's report bit for bit."""
+        got = wt.compute_spectrum(pencil)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_rank_one_damper", lambda pencil, forms: None)
+            want = wt.compute_spectrum(pencil)
+        assert wt.eigenvalues_csv(got) == wt.eigenvalues_csv(want)
+        for field in dataclasses.fields(spectral.SpectralReport):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "vectors":
+                for part in ("packed", "column", "sign"):
+                    assert np.array_equal(getattr(a, part), getattr(b, part))
+            else:
+                assert np.array_equal(a, b), field.name
+
+    def test_refused_roots_fall_back_to_dgeev_bit_for_bit(self, monkeypatch):
+        pencil = models.damped_pencil(24)
+        real = linalg.secular_roots
+
+        def duplicated(omega2, weights):
+            roots = real(omega2, weights)
+            roots[1] = roots[0]
+            return roots
+
+        monkeypatch.setattr(linalg, "secular_roots", duplicated)
+        blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
+        factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
+        assert linalg.secular_eig(pencil.gram_csr, pencil.dynamics_csr, factors, 23, 3.0) is None
+        self.assert_dgeev_report(monkeypatch, pencil)
+
+    def test_secular_pairs_over_the_residual_bound_fall_back_to_dgeev(self, monkeypatch):
+        real = linalg.secular_eig
+
+        def inflated(*args):
+            values, vectors, residuals = real(*args)
+            return values, vectors, residuals + 2.0 * spectral.RESIDUAL_TOL
+
+        monkeypatch.setattr(linalg, "secular_eig", inflated)
+        self.assert_dgeev_report(monkeypatch, models.damped_pencil(24))
+
+    def test_secular_values_are_conjugate_closed_exactly(self):
+        # Each pair is one root and its conjugate, so its real parts agree.
+        values = wt.compute_spectrum(models.variable_pencil(48)).values
+        upper, lower = values[values.imag > 0], values[values.imag < 0]
+        assert np.array_equal(np.sort_complex(upper.conj()), np.sort_complex(lower))
 
 
 class TestEnergyBalance:
