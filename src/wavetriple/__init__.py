@@ -39,6 +39,7 @@ from .errors import (
     WavetripleError,
 )
 from .helmholtz import (
+    CellGeometry,
     decompose,
     orthogonality_residual,
     project_gradient,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryLabel",
     "CayleyStepper",
+    "CellGeometry",
     "CoefficientError",
     "CoefficientSet",
     "ConfigError",

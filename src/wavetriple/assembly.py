@@ -31,19 +31,18 @@ from the Banks-Ito-Wang mixed method.  Its damped-string spectral gap is
 uniform in h, where the consistent mass loses the gap like h^2.  Only M
 changes; the stiffness, the boundary maps and both identities do not.
 
-Each matrix has one builder of its element matrices.  The scatter
-kernel turns them into COO triplets, whose toarray() sums duplicates in
-input order and so matches np.add.at bit for bit.  Every matrix on the
-same node set shares one sparsity pattern (_Pattern): one np.unique over
-the (row, col) pairs of the cells and boundary facets gives the sorted
-CSR indices and each triplet's slot.  A block is then one np.bincount of
-its element matrices into those slots, which sums duplicates from zero in
-that same input order, with the entries that sum to exactly zero dropped,
-so its toarray() is the dense block bit for bit (Cuvelier, Japhet &
-Scarella, BIT Numer. Math. 56, 2016, compute the pattern once the same
-way).  dissipation_forms builds its own pattern on the active nodes,
-and the Helmholtz solve one on the interior nodes.  The pencil stores
-every matrix once, as CSR; nothing is dense, as S and M are certified on
+Each matrix has one builder of its element matrices and one assembly
+kernel.  Every matrix on the same node set shares one sparsity pattern
+(_Pattern): one np.unique over the (row, col) pairs of the cells and
+boundary facets gives the sorted CSR indices and each element entry's
+slot.  A block is one np.bincount of its element matrices into those
+slots, which sums duplicates from zero in input order, as np.add.at does,
+with exact zeros dropped, so its toarray() is the dense block bit for bit
+(Cuvelier, Japhet & Scarella, BIT Numer. Math. 56, 2016, compute the
+pattern once the same way).  dissipation_forms builds its own pattern on
+the active nodes, and the Helmholtz solve one on the interior nodes.  A
+gradient row holds its cell's nodes once, so that operator is CSR at once.
+The pencil stores every matrix once, as CSR; S and M are certified on
 their band alone.  Its dense names are views that densify on each read;
 nothing in the package reads them, only the benchmark and the tests do.
 """
@@ -53,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import bmat, coo_matrix, csr_matrix
+from scipy.sparse import bmat, csr_matrix
 
 from . import linalg
 from .coefficients import DEGENERATE_ENERGY, CoefficientSet, energy_anchored
@@ -89,37 +88,15 @@ KINETIC_SCHEMES = ("consistent", "cell_average")
 MAX_PENCIL_STATE = 8320
 
 
-def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray, shape) -> coo_matrix:
-    """COO triplets placing local[c] at rows[c] x cols[c], for every c.
-
-    Duplicates stay separate triplets until conversion: toarray() sums them
-    in input order, exactly as np.add.at would, and tocsr()/tocsc() give
-    the sparse operators.  _Pattern.sum takes the same triplets, in the
-    same order, straight from local.
-    """
-    r, c, vals = np.broadcast_arrays(rows[:, :, None], cols[:, None, :], local)
-    return coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape)
-
-
-def mass_triplets(mesh: Mesh, weight: np.ndarray, kinetic: str = "consistent") -> coo_matrix:
-    """Mass matrix with a cellwise-constant weight, as COO triplets.
-
-    kinetic "consistent" gives the P1 mass; "cell_average" gives the mass
-    of cell averages, sum_c w_c h_c / 4 [[1, 1], [1, 1]], 1-D only.  On a
-    uniform mesh with unit weight that is (h/4) tridiag(1, 2, 1).  It is
-    only semidefinite: the alternating nodal vector has zero cell averages,
-    so a reduced copy is definite only when some node is clamped.  Any
-    other scheme is a ValueError.
-    """
-    n = mesh.num_nodes
-    local = _mass_local(mesh, cell_volumes(mesh), weight, kinetic)
-    return _scatter(mesh.cells, mesh.cells, local, (n, n))
-
-
 def _mass_local(
     mesh: Mesh, vols: np.ndarray, weight: np.ndarray, kinetic: str = "consistent"
 ) -> np.ndarray:
-    """Element matrices of mass_triplets, (ncell, k, k); vols = cell_volumes(mesh)."""
+    """Mass element matrices for a cellwise weight, (ncell, k, k).
+
+    vols = cell_volumes(mesh).  kinetic "consistent" gives the P1 mass and
+    "cell_average" (1-D only) the mass of cell averages, w_c h_c / 4 [[1, 1],
+    [1, 1]]; any other scheme is a ValueError.
+    """
     if kinetic not in KINETIC_SCHEMES:
         raise ValueError(f"kinetic must be one of {KINETIC_SCHEMES}, got {kinetic!r}")
     if kinetic == "cell_average":
@@ -166,9 +143,13 @@ def gradient_operator(mesh: Mesh, vols: np.ndarray | None = None) -> csr_matrix:
     """
     if vols is None:
         vols = cell_volumes(mesh)
-    rows = np.arange(mesh.num_cells * mesh.dim).reshape(mesh.num_cells, mesh.dim)
+    # Row c * dim + a holds cell c's nodes once each, sorted as CSR wants.
+    order = np.argsort(mesh.cells, axis=1)
+    grads = np.take_along_axis(_basis_gradients(mesh, vols), order[:, None, :], axis=2)
+    cols = np.repeat(np.take_along_axis(mesh.cells, order, axis=1), mesh.dim, axis=0)
+    indptr = np.arange(0, cols.size + 1, mesh.dim + 1)
     shape = (mesh.num_cells * mesh.dim, mesh.num_nodes)
-    return _scatter(rows, mesh.cells, _basis_gradients(mesh, vols), shape).tocsr()
+    return csr_matrix((grads.ravel(), cols.ravel(), indptr), shape=shape)
 
 
 def modulus_tensors(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
@@ -186,19 +167,8 @@ def modulus_tensors(mesh: Mesh, modulus: np.ndarray) -> np.ndarray:
     raise CoefficientError(f"modulus shape {t.shape} not supported on a {mesh.dim}-D mesh")
 
 
-def stiffness_triplets(mesh: Mesh, modulus: np.ndarray) -> coo_matrix:
-    """Stiffness for a cellwise-constant scalar or tensor modulus, as COO.
-
-    Convert with .toarray() for the dense matrix, .tocsr() or .tocsc() for
-    sparse use.
-    """
-    n = mesh.num_nodes
-    local = _stiffness_local(mesh, cell_volumes(mesh), modulus_tensors(mesh, modulus))
-    return _scatter(mesh.cells, mesh.cells, local, (n, n))
-
-
 def _stiffness_local(mesh: Mesh, vols: np.ndarray, tensors: np.ndarray) -> np.ndarray:
-    """Element matrices of stiffness_triplets, (ncell, k, k), each bitwise symmetric.
+    """Stiffness element matrices, (ncell, k, k), each bitwise symmetric.
 
     vols = cell_volumes(mesh) and tensors = modulus_tensors(mesh, modulus).
     """
@@ -214,18 +184,8 @@ def _stiffness_local(mesh: Mesh, vols: np.ndarray, tensors: np.ndarray) -> np.nd
     return upper + np.swapaxes(np.triu(local, 1), 1, 2)
 
 
-def boundary_triplets(mesh: Mesh, values: np.ndarray) -> coo_matrix:
-    """Boundary mass for per-facet coefficients, as COO triplets.
-
-    Point masses at endpoint facets in 1-D, consistent edge masses in 2-D.
-    """
-    n = mesh.num_nodes
-    facets = mesh.boundary_facets
-    return _scatter(facets, facets, _boundary_local(mesh, values), (n, n))
-
-
 def _boundary_local(mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    """Element matrices of boundary_triplets, (nf, dim, dim)."""
+    """Boundary mass element matrices, (nf, dim, dim): points in 1-D, edges in 2-D."""
     k = np.asarray(values, dtype=float)
     if k.shape != (mesh.num_facets,):
         raise CoefficientError(f"need one value per boundary facet, got {k.shape}")
@@ -255,11 +215,13 @@ def check_state_size(mesh: Mesh, limit: int, label: str) -> np.ndarray:
 class _Pattern:
     """One sorted CSR pattern for every P1 form of a mesh on a node set.
 
-    Its entries are the (row, col) pairs, both in nodes, of the triplets
-    that _scatter emits for mesh.cells and for mesh.boundary_facets, found
-    by one np.unique; rows and columns are positions in nodes.  cells and
-    facets give each such triplet its slot, in _scatter's order; a triplet
-    off the node set goes to the spare slot nnz, which sum discards.
+    A triplet is local[e, i, j], at row elements[e, i] and column
+    elements[e, j], in the order of local.ravel(): element by element,
+    row-major within each.  The entries are the (row, col) pairs, both in
+    nodes, of the triplets of mesh.cells and mesh.boundary_facets, found by
+    one np.unique; rows and columns are positions in nodes.  cells and
+    facets give each triplet its slot, in that order; a triplet off the
+    node set goes to the spare slot nnz, which sum discards.
     """
 
     def __init__(self, mesh: Mesh, nodes: np.ndarray):

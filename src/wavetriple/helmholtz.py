@@ -10,9 +10,9 @@ stiffness, its interior block (on the sparsity pattern of the interior
 nodes) and the gradient operator.  The block is symmetric positive
 definite, so linalg.LuFactorization factors it in SuperLU's symmetric
 mode (minimum degree on A + A^T, diagonal pivots), with about half the
-fill of the default ordering.  A CellGeometry passed to decompose and
-weighted_inner computes the cell volumes, the modulus tensors, their
-inverses and the gradient operator once for all of them.
+fill of the default ordering.  decompose, project_gradient and
+weighted_inner take a CellGeometry, which computes the cell volumes, the
+modulus tensors, their inverses and the gradient operator once for all.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ class CellGeometry:
     """Cell data of one mesh and modulus, each computed on first use and kept.
 
     Every value equals a fresh computation bit for bit, so sharing one
-    geometry among calls on the same mesh and coefficients changes no
-    result, only how often it is computed.
+    geometry among calls changes no result, only how often it is computed.
     """
 
     def __init__(self, mesh: Mesh, coeffs: CoefficientSet):
@@ -83,55 +82,41 @@ def _paired(grad_op, vols: np.ndarray, field: np.ndarray) -> np.ndarray:
     return grad_op.T @ (vols[:, None] * field).ravel()
 
 
-def weighted_inner(
-    mesh: Mesh,
-    coeffs: CoefficientSet,
-    first: np.ndarray,
-    second: np.ndarray,
-    geometry: CellGeometry | None = None,
-) -> float:
+def weighted_inner(geometry: CellGeometry, first: np.ndarray, second: np.ndarray) -> float:
     """Inner product sum_c vol_c * first_c . modulus_c^{-1} second_c.
 
-    geometry, when given, is CellGeometry(mesh, coeffs); otherwise one is
-    built for this call.  A result that overflows float64 is a FieldError.
+    A result that overflows float64 is a FieldError.
     """
-    f = _as_field(mesh, first)
-    g = _as_field(mesh, second)
-    geo = geometry if geometry is not None else CellGeometry(mesh, coeffs)
+    f = _as_field(geometry.mesh, first)
+    g = _as_field(geometry.mesh, second)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.einsum("c,cab,ca,cb->", geo.volumes, geo.inverse, f, g))
+        value = float(np.einsum("c,cab,ca,cb->", geometry.volumes, geometry.inverse, f, g))
     if not np.isfinite(value):
         raise FieldError(f"inner product {value} is not finite: it overflows float64")
     return value
 
 
-def project_gradient(
-    mesh: Mesh,
-    coeffs: CoefficientSet,
-    field: np.ndarray,
-    geometry: CellGeometry | None = None,
-) -> np.ndarray:
+def project_gradient(geometry: CellGeometry, field: np.ndarray) -> np.ndarray:
     """Weighted-gradient component of a cellwise field.
 
     Solves the potential problem with the modulus-weighted stiffness on
     nodes interior to the whole boundary and returns modulus * grad(p).
-    geometry is as in weighted_inner.
     """
+    mesh = geometry.mesh
     f = _as_field(mesh, field)
-    geo = geometry if geometry is not None else CellGeometry(mesh, coeffs)
-    grad_op = geo.gradient
+    grad_op = geometry.gradient
     interior = _interior(mesh)
     potential = np.zeros(mesh.num_nodes)
     if interior.size:
         pattern = _Pattern(mesh, interior)
-        local = _stiffness_local(mesh, geo.volumes, geo.tensors)
+        local = _stiffness_local(mesh, geometry.volumes, geometry.tensors)
         stiff = pattern.csr(pattern.sum(local, pattern.cells))
         # The pattern holds a slot per cell triplet; free it before the LU.
         del pattern, local
-        rhs = _paired(grad_op, geo.volumes, f)[interior]
+        rhs = _paired(grad_op, geometry.volumes, f)[interior]
         potential[interior] = linalg.LuFactorization(stiff).solve(rhs)
     grad_p = (grad_op @ potential).reshape(mesh.num_cells, mesh.dim)
-    return np.einsum("cab,cb->ca", geo.tensors, grad_p)
+    return np.einsum("cab,cb->ca", geometry.tensors, grad_p)
 
 
 def orthogonality_residual(mesh: Mesh, divfree: np.ndarray) -> float:
@@ -150,19 +135,13 @@ def orthogonality_residual(mesh: Mesh, divfree: np.ndarray) -> float:
     return float(np.max(np.abs(paired[interior])))
 
 
-def decompose(
-    mesh: Mesh,
-    coeffs: CoefficientSet,
-    field: np.ndarray,
-    geometry: CellGeometry | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def decompose(geometry: CellGeometry, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a field into (weighted gradient part, divergence-free part).
 
     The parts sum to the input exactly by construction and are orthogonal
     in the inverse-modulus inner product to solver precision.  A field of
-    the wrong shape or with a non-finite value is a FieldError.  geometry
-    is as in weighted_inner.
+    the wrong shape or with a non-finite value is a FieldError.
     """
-    f = _as_field(mesh, field)
-    grad_part = project_gradient(mesh, coeffs, f, geometry)
+    f = _as_field(geometry.mesh, field)
+    grad_part = project_gradient(geometry, f)
     return grad_part, f - grad_part

@@ -570,8 +570,8 @@ def secular_eig(gram, op, factors: tuple[np.ndarray, ...], slot: int, weight: fl
     unit[slot] = 1.0
     with np.errstate(over="ignore"):
         trace = -weight * float(np.sum(_band_solve(low, unit) ** 2))
-    # The same two band solves as generalized_to_standard's.
-    reduced = _band_solve(low, _band_solve(low, gram[:m, :m].toarray(order="F")).T)
+    # The transpose is F-ordered, so eigh overwrites it without a copy.
+    reduced = generalized_to_standard(gram[:m, :m], (low,)).T
     omega2, modes = scipy.linalg.eigh(reduced, overwrite_a=True, check_finite=False, driver="evr")
     del reduced
     modes = _band_solve(low, modes, trans="T")

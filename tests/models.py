@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 import wavetriple as wt
+from wavetriple.assembly import _boundary_local, _mass_local, _stiffness_local, modulus_tensors
 from wavetriple.coefficients import energy_anchored
+from wavetriple.mesh import cell_volumes
 
 
 def dirichlet_pencil(n: int, kinetic: str = "consistent") -> wt.OperatorPencil:
@@ -159,3 +162,51 @@ def draw_random_pencil(data):
     )
     assume(energy_anchored(mesh, coeffs))
     return wt.assemble_pencil(mesh, coeffs), rng
+
+
+# Reference assembly: COO triplets of the package's element matrices.  The
+# package assembles the same triplets with one sorted pattern (_Pattern);
+# these builders are the independent route the tests compare it against.
+
+
+def _scatter(rows: np.ndarray, cols: np.ndarray, local: np.ndarray, shape) -> coo_matrix:
+    """COO triplets placing local[c] at rows[c] x cols[c], for every c.
+
+    Duplicates stay separate triplets until conversion: toarray() sums them
+    in input order, exactly as np.add.at would, and tocsr()/tocsc() give
+    the sparse operators.
+    """
+    r, c, vals = np.broadcast_arrays(rows[:, :, None], cols[:, None, :], local)
+    return coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape)
+
+
+def mass_triplets(mesh: wt.Mesh, weight: np.ndarray, kinetic: str = "consistent") -> coo_matrix:
+    """Mass matrix with a cellwise-constant weight, as COO triplets.
+
+    kinetic "consistent" gives the P1 mass; "cell_average" gives the mass
+    of cell averages (1-D only).  Any other scheme is a ValueError.
+    """
+    n = mesh.num_nodes
+    local = _mass_local(mesh, cell_volumes(mesh), weight, kinetic)
+    return _scatter(mesh.cells, mesh.cells, local, (n, n))
+
+
+def stiffness_triplets(mesh: wt.Mesh, modulus: np.ndarray) -> coo_matrix:
+    """Stiffness for a cellwise-constant scalar or tensor modulus, as COO.
+
+    Convert with .toarray() for the dense matrix, .tocsr() or .tocsc() for
+    sparse use.
+    """
+    n = mesh.num_nodes
+    local = _stiffness_local(mesh, cell_volumes(mesh), modulus_tensors(mesh, modulus))
+    return _scatter(mesh.cells, mesh.cells, local, (n, n))
+
+
+def boundary_triplets(mesh: wt.Mesh, values: np.ndarray) -> coo_matrix:
+    """Boundary mass for per-facet coefficients, as COO triplets.
+
+    Point masses at endpoint facets in 1-D, consistent edge masses in 2-D.
+    """
+    n = mesh.num_nodes
+    facets = mesh.boundary_facets
+    return _scatter(facets, facets, _boundary_local(mesh, values), (n, n))

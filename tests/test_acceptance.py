@@ -221,8 +221,9 @@ def test_criterion_09_helmholtz():
         from wavetriple.mesh import cell_midpoints
 
         field = cell_midpoints(mesh)[:, 0]
-        grad, div = wt.decompose(mesh, coeffs, field)
-        norm = np.sqrt(wt.weighted_inner(mesh, coeffs, field, field))
+        geometry = wt.CellGeometry(mesh, coeffs)
+        grad, div = wt.decompose(geometry, field)
+        norm = np.sqrt(wt.weighted_inner(geometry, field, field))
         worst_const = max(worst_const, float(np.abs(div - 0.5).max()))
         worst_recon = max(
             worst_recon, float(np.abs(grad[:, 0] + div[:, 0] - field).max())
@@ -237,11 +238,10 @@ def test_criterion_09_helmholtz():
         mesh = wt.rectangle_mesh(12, 12, models.square_partition())
         coeffs = wt.sample_coefficients(mesh, modulus=modulus)
         f = rng.standard_normal((mesh.num_cells, 2))
-        grad, div = wt.decompose(mesh, coeffs, f)
-        total = wt.weighted_inner(mesh, coeffs, f, f)
-        parts = wt.weighted_inner(mesh, coeffs, grad, grad) + wt.weighted_inner(
-            mesh, coeffs, div, div
-        )
+        geometry = wt.CellGeometry(mesh, coeffs)
+        grad, div = wt.decompose(geometry, f)
+        total = wt.weighted_inner(geometry, f, f)
+        parts = wt.weighted_inner(geometry, grad, grad) + wt.weighted_inner(geometry, div, div)
         worst_pyth = max(worst_pyth, abs(total - parts) / total)
     ok = worst_const <= 1e-10 and worst_recon <= 1e-10 and worst_orth <= 1e-10 and worst_pyth <= 1e-10
     verdict(

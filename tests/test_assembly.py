@@ -20,45 +20,45 @@ from wavetriple.mesh import cell_volumes, clamped_nodes, facet_measures
 class TestMassMatrix:
     def test_single_cell(self):
         mesh = wt.interval_mesh(1)
-        got = assembly.mass_triplets(mesh, np.ones(1)).toarray()
+        got = models.mass_triplets(mesh, np.ones(1)).toarray()
         assert np.allclose(got, np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0, atol=1e-16)
 
     def test_zero_weight(self):
         mesh = wt.interval_mesh(3)
-        got = assembly.mass_triplets(mesh, np.zeros(3)).toarray()
+        got = models.mass_triplets(mesh, np.zeros(3)).toarray()
         assert np.array_equal(got, np.zeros((4, 4)))
 
     def test_partition_of_unity(self):
         mesh = wt.interval_mesh(2)
-        assert abs(assembly.mass_triplets(mesh, np.ones(2)).toarray().sum() - 1.0) < 1e-15
+        assert abs(models.mass_triplets(mesh, np.ones(2)).toarray().sum() - 1.0) < 1e-15
         square = wt.rectangle_mesh(3, 3, models.uniform_sides(BL.FREE))
-        total = assembly.mass_triplets(square, np.ones(square.num_cells)).toarray().sum()
+        total = models.mass_triplets(square, np.ones(square.num_cells)).toarray().sum()
         assert abs(total - 1.0) < 1e-14
 
     def test_symmetry_bitwise(self):
         square = wt.rectangle_mesh(3, 2, models.uniform_sides(BL.FREE))
         rng = np.random.default_rng(0)
-        mat = assembly.mass_triplets(square, rng.uniform(0.5, 2.0, square.num_cells)).toarray()
+        mat = models.mass_triplets(square, rng.uniform(0.5, 2.0, square.num_cells)).toarray()
         assert np.array_equal(mat, mat.T)
 
 
 class TestCellAverageMass:
     def test_single_cell(self):
         mesh = wt.interval_mesh(1)
-        got = assembly.mass_triplets(mesh, np.array([3.0]), "cell_average").toarray()
+        got = models.mass_triplets(mesh, np.array([3.0]), "cell_average").toarray()
         assert np.array_equal(got, 3.0 * 1.0 / 4.0 * np.ones((2, 2)))
 
     def test_total_mass_is_density_integral(self):
         mesh = wt.interval_mesh(7)
         rng = np.random.default_rng(15)
         rho = rng.uniform(0.5, 2.0, 7)
-        got = assembly.mass_triplets(mesh, rho, "cell_average").toarray().sum()
+        got = models.mass_triplets(mesh, rho, "cell_average").toarray().sum()
         assert abs(got - rho.sum() / 7.0) < 1e-14
 
     def test_symmetry_bitwise(self):
         mesh = wt.interval_mesh(9)
         rng = np.random.default_rng(16)
-        mat = assembly.mass_triplets(mesh, rng.uniform(0.5, 2.0, 9), "cell_average").toarray()
+        mat = models.mass_triplets(mesh, rng.uniform(0.5, 2.0, 9), "cell_average").toarray()
         assert np.array_equal(mat, mat.T)
 
     def test_two_dimensional_mesh_rejected(self):
@@ -80,7 +80,7 @@ class TestCellAverageMass:
     def test_unknown_scheme_rejected_by_the_mass_builder(self):
         mesh = wt.interval_mesh(4)
         with pytest.raises(ValueError, match="kinetic"):
-            assembly.mass_triplets(mesh, np.ones(4), "lumped")
+            models.mass_triplets(mesh, np.ones(4), "lumped")
 
     def test_oversized_model_refused_before_any_dense_block(self, monkeypatch):
         def no_dense_block(*args):
@@ -109,47 +109,47 @@ class TestCellAverageMass:
 class TestStiffnessMatrix:
     def test_single_cell(self):
         mesh = wt.interval_mesh(1)
-        got = assembly.stiffness_triplets(mesh, np.ones(1)).toarray()
+        got = models.stiffness_triplets(mesh, np.ones(1)).toarray()
         assert np.allclose(got, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-16)
 
     def test_uniform_tridiagonal_stencil(self):
         n = 6
         mesh = wt.interval_mesh(n)
-        got = assembly.stiffness_triplets(mesh, np.ones(n)).toarray()
+        got = models.stiffness_triplets(mesh, np.ones(n)).toarray()
         want = n * (2 * np.eye(n + 1) - np.eye(n + 1, k=1) - np.eye(n + 1, k=-1))
         want[0, 0] = want[n, n] = n
         assert np.allclose(got, want, atol=1e-12)
 
     def test_constants_in_kernel(self):
         mesh = wt.interval_mesh(5)
-        stiff = assembly.stiffness_triplets(mesh, np.ones(5)).toarray()
+        stiff = models.stiffness_triplets(mesh, np.ones(5)).toarray()
         assert np.abs(stiff @ np.ones(6)).max() < 1e-13
         square = wt.rectangle_mesh(3, 3, models.uniform_sides(BL.FREE))
         tensor = np.broadcast_to(
             np.array([[2.0, 0.5], [0.5, 1.0]]), (square.num_cells, 2, 2)
         ).copy()
-        stiff = assembly.stiffness_triplets(square, tensor).toarray()
+        stiff = models.stiffness_triplets(square, tensor).toarray()
         assert np.abs(stiff @ np.ones(square.num_nodes)).max() < 1e-12
 
     def test_symmetry_bitwise_2d(self):
         square = wt.rectangle_mesh(4, 3, models.uniform_sides(BL.FREE))
         rng = np.random.default_rng(1)
         modulus = rng.uniform(0.5, 2.0, square.num_cells)
-        stiff = assembly.stiffness_triplets(square, modulus).toarray()
+        stiff = models.stiffness_triplets(square, modulus).toarray()
         assert np.array_equal(stiff, stiff.T)
 
 
 class TestBoundaryMass:
     def test_point_mass_at_right_end(self):
         mesh = wt.interval_mesh(4, right=BL.ELASTIC)
-        got = assembly.boundary_triplets(mesh, np.array([0.0, 1.0])).toarray()
+        got = models.boundary_triplets(mesh, np.array([0.0, 1.0])).toarray()
         want = np.zeros((5, 5))
         want[4, 4] = 1.0
         assert np.array_equal(got, want)
 
     def test_zero_coefficient(self):
         mesh = wt.interval_mesh(4)
-        got = assembly.boundary_triplets(mesh, np.zeros(2)).toarray()
+        got = models.boundary_triplets(mesh, np.zeros(2)).toarray()
         assert np.array_equal(got, np.zeros((5, 5)))
 
     def test_square_side_edge_masses(self):
@@ -159,7 +159,7 @@ class TestBoundaryMass:
         for i, facet in enumerate(mesh.boundary_facets):
             if {int(facet[0]), int(facet[1])} in ({0, 1}, {1, 2}):
                 k[i] = 1.0
-        got = assembly.boundary_triplets(mesh, k).toarray()
+        got = models.boundary_triplets(mesh, k).toarray()
         h = 0.5
         block = h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
         want = np.zeros((9, 9))
@@ -171,7 +171,7 @@ class TestBoundaryMass:
     def test_negative_coefficient_rejected(self):
         mesh = wt.interval_mesh(2)
         with pytest.raises(wt.CoefficientError, match="nonnegative"):
-            assembly.boundary_triplets(mesh, np.array([-1.0, 0.0]))
+            models.boundary_triplets(mesh, np.array([-1.0, 0.0]))
 
 
 class TestPencilStructure:
@@ -291,10 +291,10 @@ def dense_pencil(pencil, kinetic):
 
     m = pencil.num_active
     out = {
-        "stiffness": block(assembly.stiffness_triplets(mesh, coeffs.modulus)),
-        "boundary_spring": block(assembly.boundary_triplets(mesh, coeffs.boundary_stiffness)),
-        "boundary_damper": block(assembly.boundary_triplets(mesh, coeffs.boundary_damping)),
-        "mass": block(assembly.mass_triplets(mesh, coeffs.density, kinetic)),
+        "stiffness": block(models.stiffness_triplets(mesh, coeffs.modulus)),
+        "boundary_spring": block(models.boundary_triplets(mesh, coeffs.boundary_stiffness)),
+        "boundary_damper": block(models.boundary_triplets(mesh, coeffs.boundary_damping)),
+        "mass": block(models.mass_triplets(mesh, coeffs.density, kinetic)),
     }
     gram = np.zeros((2 * m, 2 * m))
     disp_gram = gram[:m, :m]
@@ -304,8 +304,8 @@ def dense_pencil(pencil, kinetic):
     dynamics[:m, m:] = disp_gram
     dynamics[m:, :m] = -disp_gram
     dynamics[m:, m:] = -out["boundary_damper"]
-    dynamics[m:, :m] -= block(assembly.mass_triplets(mesh, coeffs.reaction))
-    dynamics[m:, m:] -= block(assembly.mass_triplets(mesh, coeffs.damping))
+    dynamics[m:, :m] -= block(models.mass_triplets(mesh, coeffs.reaction))
+    dynamics[m:, m:] -= block(models.mass_triplets(mesh, coeffs.damping))
     return {**out, "displacement_gram": disp_gram.copy(), "gram": gram, "dynamics": dynamics}
 
 
@@ -323,7 +323,7 @@ class TestInteriorTerms:
         for mesh in interior_meshes():
             pencil = models.interior_pencil(mesh, damping=lambda p: 0.5 + 0.25 * p[:, 0])
             ix = np.ix_(pencil.active, pencil.active)
-            mb = assembly.mass_triplets(mesh, pencil.coeffs.damping).toarray()[ix]
+            mb = models.mass_triplets(mesh, pencil.coeffs.damping).toarray()[ix]
             assert np.abs(mb).max() > 0.0
             m = pencil.num_active
             sym = pencil.dynamics + pencil.dynamics.T
@@ -335,7 +335,7 @@ class TestInteriorTerms:
         for mesh in interior_meshes():
             pencil = models.interior_pencil(mesh, reaction=lambda p: 1.0 + p[:, 0], damping=0.25)
             ix = np.ix_(pencil.active, pencil.active)
-            ma = assembly.mass_triplets(mesh, pencil.coeffs.reaction).toarray()[ix]
+            ma = models.mass_triplets(mesh, pencil.coeffs.reaction).toarray()[ix]
             m = pencil.num_active
             assert np.array_equal(pencil.dynamics[m:, :m], -pencil.displacement_gram - ma)
             assert np.array_equal(pencil.dynamics[:m, m:], pencil.displacement_gram)
@@ -558,8 +558,9 @@ def reference_triangle_gradients(mesh):
 
 
 class TestDenseBuildersMatchAddAt:
-    """The triplet builders scatter through COO triplets; toarray() sums the
-    duplicates in input order, so every entry must equal np.add.at's."""
+    """The reference triplet builders of models scatter through COO
+    triplets; toarray() sums the duplicates in input order, so every entry
+    must equal np.add.at's."""
 
     def meshes(self):
         return [
@@ -575,10 +576,10 @@ class TestDenseBuildersMatchAddAt:
             w = rng.uniform(0.5, 2.0, mesh.num_cells)
             scaled = (w * cell_volumes(mesh))[:, None, None]
             want = add_at_reference(mesh.num_nodes, mesh.cells, scaled * (seg if mesh.dim == 1 else tri))
-            assert np.array_equal(assembly.mass_triplets(mesh, w).toarray(), want)
+            assert np.array_equal(models.mass_triplets(mesh, w).toarray(), want)
             if mesh.dim == 1:
                 want = add_at_reference(mesh.num_nodes, mesh.cells, scaled * np.full((2, 2), 0.25))
-                got = assembly.mass_triplets(mesh, w, "cell_average").toarray()
+                got = models.mass_triplets(mesh, w, "cell_average").toarray()
                 assert np.array_equal(got, want)
 
     def test_stiffness(self):
@@ -587,7 +588,7 @@ class TestDenseBuildersMatchAddAt:
         t = rng.uniform(0.5, 2.0, interval.num_cells)
         local = (t / cell_volumes(interval))[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
         want = add_at_reference(interval.num_nodes, interval.cells, local)
-        assert np.array_equal(assembly.stiffness_triplets(interval, t).toarray(), want)
+        assert np.array_equal(models.stiffness_triplets(interval, t).toarray(), want)
         a = rng.uniform(-0.5, 0.5, (square.num_cells, 2, 2))
         for modulus in (
             rng.uniform(0.5, 2.0, square.num_cells),
@@ -600,7 +601,7 @@ class TestDenseBuildersMatchAddAt:
             local = vols[:, None, None] * np.einsum("cai,caj->cij", grads, flux)
             local = np.triu(local) + np.swapaxes(np.triu(local, 1), 1, 2)
             want = add_at_reference(square.num_nodes, square.cells, local)
-            assert np.array_equal(assembly.stiffness_triplets(square, modulus).toarray(), want)
+            assert np.array_equal(models.stiffness_triplets(square, modulus).toarray(), want)
 
     def test_boundary_mass(self):
         rng = np.random.default_rng(33)
@@ -614,7 +615,7 @@ class TestDenseBuildersMatchAddAt:
                 seg = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
                 local = (k * facet_measures(mesh))[:, None, None] * seg
                 want = add_at_reference(mesh.num_nodes, facets, local)
-            assert np.array_equal(assembly.boundary_triplets(mesh, k).toarray(), want)
+            assert np.array_equal(models.boundary_triplets(mesh, k).toarray(), want)
 
 
 class TestRestrict:
@@ -627,9 +628,9 @@ class TestRestrict:
             w = rng.uniform(0.5, 2.0, mesh.num_cells)
             k = rng.uniform(0.0, 2.0, mesh.num_facets)
             for triplets, element in (
-                (assembly.mass_triplets(mesh, w), "cells"),
-                (assembly.stiffness_triplets(mesh, w), "cells"),
-                (assembly.boundary_triplets(mesh, k), "facets"),
+                (models.mass_triplets(mesh, w), "cells"),
+                (models.stiffness_triplets(mesh, w), "cells"),
+                (models.boundary_triplets(mesh, k), "facets"),
             ):
                 want = triplets.toarray()[np.ix_(active, active)]
                 assert np.array_equal(restrict(mesh, triplets, active, element).toarray(), want)
@@ -637,14 +638,14 @@ class TestRestrict:
     def test_returns_canonical_csr(self):
         mesh = wt.rectangle_mesh(5, 4, models.square_partition())
         active = np.setdiff1d(np.arange(mesh.num_nodes), clamped_nodes(mesh))
-        triplets = assembly.stiffness_triplets(mesh, np.ones(mesh.num_cells))
+        triplets = models.stiffness_triplets(mesh, np.ones(mesh.num_cells))
         block = restrict(mesh, triplets, active)
         assert block.format == "csr" and block.shape == (active.size, active.size)
         assert block.has_canonical_format
 
     def test_empty_node_set(self):
         mesh = wt.rectangle_mesh(3, 2, models.square_partition())
-        triplets = assembly.mass_triplets(mesh, np.ones(mesh.num_cells))
+        triplets = models.mass_triplets(mesh, np.ones(mesh.num_cells))
         block = restrict(mesh, triplets, np.arange(0))
         assert block.shape == (0, 0) and block.nnz == 0
 
@@ -721,12 +722,12 @@ def reference_fields(mesh, coeffs, active, kinetic):
     def block(triplets):
         return reference_restrict(triplets, active)
 
-    stiff = block(assembly.stiffness_triplets(mesh, coeffs.modulus))
-    spring = block(assembly.boundary_triplets(mesh, coeffs.boundary_stiffness))
-    damper = block(assembly.boundary_triplets(mesh, coeffs.boundary_damping))
-    mass = block(assembly.mass_triplets(mesh, coeffs.density, kinetic))
-    reaction = block(assembly.mass_triplets(mesh, coeffs.reaction))
-    damping = block(assembly.mass_triplets(mesh, coeffs.damping))
+    stiff = block(models.stiffness_triplets(mesh, coeffs.modulus))
+    spring = block(models.boundary_triplets(mesh, coeffs.boundary_stiffness))
+    damper = block(models.boundary_triplets(mesh, coeffs.boundary_damping))
+    mass = block(models.mass_triplets(mesh, coeffs.density, kinetic))
+    reaction = block(models.mass_triplets(mesh, coeffs.reaction))
+    damping = block(models.mass_triplets(mesh, coeffs.damping))
     disp_gram = stiff + spring
     lower = [-disp_gram - reaction, -damper - damping]
     return {
@@ -851,9 +852,9 @@ def stacked_triplets(mesh, kind, rng, copies):
     for _ in range(copies):
         if kind == "boundary":
             k = rng.lognormal(0.0, 3.0, mesh.num_facets)
-            parts.append(assembly.boundary_triplets(mesh, k))
+            parts.append(models.boundary_triplets(mesh, k))
         else:
-            build = assembly.mass_triplets if kind == "mass" else assembly.stiffness_triplets
+            build = models.mass_triplets if kind == "mass" else models.stiffness_triplets
             parts.append(build(mesh, rng.lognormal(0.0, 3.0, mesh.num_cells)))
     return coo_matrix(
         (
@@ -868,8 +869,8 @@ class TestSparseOperators:
     def test_sparse_stiffness_is_symmetric_and_matches_dense(self):
         mesh = wt.rectangle_mesh(6, 5, models.square_partition())
         modulus = np.random.default_rng(34).uniform(0.5, 2.0, mesh.num_cells)
-        sparse = assembly.stiffness_triplets(mesh, modulus).tocsr()
-        dense = assembly.stiffness_triplets(mesh, modulus).toarray()
+        sparse = models.stiffness_triplets(mesh, modulus).tocsr()
+        dense = models.stiffness_triplets(mesh, modulus).toarray()
         assert np.array_equal(sparse.toarray(), sparse.toarray().T)
         assert np.abs(sparse.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
         # Seven entries per interior row of a split-cell grid, not n.
@@ -883,6 +884,21 @@ class TestSparseOperators:
             p = 0.3 + mesh.nodes @ slope
             grads = (assembly.gradient_operator(mesh) @ p).reshape(mesh.num_cells, mesh.dim)
             assert np.abs(grads - slope).max() <= 1e-12
+
+    def test_gradient_operator_equals_the_scattered_csr_bitwise(self):
+        for mesh in (wt.interval_mesh(7), wt.rectangle_mesh(5, 4, models.square_partition())):
+            vols = cell_volumes(mesh)
+            rows = np.arange(mesh.num_cells * mesh.dim).reshape(mesh.num_cells, mesh.dim)
+            shape = (mesh.num_cells * mesh.dim, mesh.num_nodes)
+            local = assembly._basis_gradients(mesh, vols)
+            want = models._scatter(rows, mesh.cells, local, shape).tocsr()
+            got = assembly.gradient_operator(mesh)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+            assert got.data.tobytes() == want.data.tobytes()
+        # Some triangle lists its nodes out of column order, so an unsorted
+        # row would show above.
+        assert (np.diff(mesh.cells, axis=1) < 0).any()
 
 
 @pytest.fixture

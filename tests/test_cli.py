@@ -585,7 +585,8 @@ class TestHelmholtzErrors:
 class TestHelmholtzGeometry:
     def test_geometry_once_and_the_per_call_values(self, tmp_path, capsys, monkeypatch):
         # One command computes the cell volumes, the modulus tensors and
-        # their inverses once, and prints what per-call geometry gives.
+        # their inverses once, and prints what a fresh geometry per call
+        # gives.
         text = SQUARE.replace("nx = 4", "nx = 7") + (
             "\n[coefficients]\nmodulus = 1 + 0.5*x\n\n[helmholtz]\nfx = x*y\nfy = x*x + y\n"
         )
@@ -620,9 +621,9 @@ class TestHelmholtzGeometry:
         mesh = config.build_mesh(model)
         coeffs = config.build_coefficients(model, mesh)
         field = config.helmholtz_field(model, mesh)
-        grad, div = helmholtz.decompose(mesh, coeffs, field)
+        grad, div = helmholtz.decompose(helmholtz.CellGeometry(mesh, coeffs), field)
         total, grad_sq, div_sq, cross = (
-            helmholtz.weighted_inner(mesh, coeffs, f, g)
+            helmholtz.weighted_inner(helmholtz.CellGeometry(mesh, coeffs), f, g)
             for f, g in ((field, field), (grad, grad), (div, div), (grad, div))
         )
         assert out == (

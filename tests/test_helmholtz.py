@@ -14,23 +14,23 @@ def unit_interval(n):
     return mesh, cell_midpoints(mesh)[:, 0]
 
 
-def field_norm(mesh, coeffs, field):
-    return np.sqrt(wt.weighted_inner(mesh, coeffs, field, field))
+def field_norm(geometry, field):
+    return np.sqrt(wt.weighted_inner(geometry, field, field))
 
 
 class TestWeightedInner:
     def test_unit_modulus_is_plain_l2(self):
         mesh, mid = unit_interval(4)
-        coeffs = wt.sample_coefficients(mesh)
-        got = wt.weighted_inner(mesh, coeffs, mid, mid)
+        geometry = wt.CellGeometry(mesh, wt.sample_coefficients(mesh))
+        got = wt.weighted_inner(geometry, mid, mid)
         assert got == pytest.approx(np.sum(0.25 * mid * mid), rel=1e-14)
 
     def test_modulus_two_halves_the_product(self):
         mesh, mid = unit_interval(8)
-        one = wt.sample_coefficients(mesh)
-        two = wt.sample_coefficients(mesh, modulus=2.0)
-        assert wt.weighted_inner(mesh, two, mid, mid) == pytest.approx(
-            0.5 * wt.weighted_inner(mesh, one, mid, mid), rel=1e-14
+        one = wt.CellGeometry(mesh, wt.sample_coefficients(mesh))
+        two = wt.CellGeometry(mesh, wt.sample_coefficients(mesh, modulus=2.0))
+        assert wt.weighted_inner(two, mid, mid) == pytest.approx(
+            0.5 * wt.weighted_inner(one, mid, mid), rel=1e-14
         )
 
     def test_symmetric_and_positive(self):
@@ -38,17 +38,16 @@ class TestWeightedInner:
         rng = np.random.default_rng(5)
         f = rng.standard_normal((pencil.mesh.num_cells, 2))
         g = rng.standard_normal((pencil.mesh.num_cells, 2))
-        ip = wt.weighted_inner(pencil.mesh, pencil.coeffs, f, g)
-        assert ip == pytest.approx(
-            wt.weighted_inner(pencil.mesh, pencil.coeffs, g, f), rel=1e-14
-        )
-        assert wt.weighted_inner(pencil.mesh, pencil.coeffs, f, f) > 0
+        geometry = wt.CellGeometry(pencil.mesh, pencil.coeffs)
+        ip = wt.weighted_inner(geometry, f, g)
+        assert ip == pytest.approx(wt.weighted_inner(geometry, g, f), rel=1e-14)
+        assert wt.weighted_inner(geometry, f, f) > 0
 
     def test_rejects_wrong_shape(self):
         mesh, _ = unit_interval(4)
-        coeffs = wt.sample_coefficients(mesh)
+        geometry = wt.CellGeometry(mesh, wt.sample_coefficients(mesh))
         with pytest.raises(ValueError, match="shape"):
-            wt.weighted_inner(mesh, coeffs, np.ones(3), np.ones(3))
+            wt.weighted_inner(geometry, np.ones(3), np.ones(3))
 
 
 class TestIntervalSplit:
@@ -57,14 +56,14 @@ class TestIntervalSplit:
         # and the gradient part is what is left.
         mesh, mid = unit_interval(64)
         coeffs = wt.sample_coefficients(mesh)
-        grad, div = wt.decompose(mesh, coeffs, mid)
+        grad, div = wt.decompose(wt.CellGeometry(mesh, coeffs), mid)
         assert np.abs(div - 0.5).max() <= 1e-10
         assert np.abs(grad[:, 0] - (mid - 0.5)).max() <= 1e-10
 
     def test_linear_field_modulus_two(self):
         mesh, mid = unit_interval(64)
         coeffs = wt.sample_coefficients(mesh, modulus=2.0)
-        grad, div = wt.decompose(mesh, coeffs, mid)
+        grad, div = wt.decompose(wt.CellGeometry(mesh, coeffs), mid)
         assert np.abs(div - 0.5).max() <= 1e-10
         assert np.abs(grad[:, 0] - (mid - 0.5)).max() <= 1e-10
 
@@ -73,13 +72,13 @@ class TestIntervalSplit:
         tvals = 1.0 + mid
         coeffs = wt.sample_coefficients(mesh, modulus=lambda p: 1.0 + p[:, 0])
         want = oracles.weighted_mean(mid, tvals, cell_volumes(mesh))
-        _, div = wt.decompose(mesh, coeffs, mid)
+        _, div = wt.decompose(wt.CellGeometry(mesh, coeffs), mid)
         assert np.abs(div - want).max() <= 1e-10
 
     def test_constant_field_has_no_gradient_part(self):
         mesh, _ = unit_interval(16)
         coeffs = wt.sample_coefficients(mesh)
-        grad, div = wt.decompose(mesh, coeffs, np.full(16, 3.0))
+        grad, div = wt.decompose(wt.CellGeometry(mesh, coeffs), np.full(16, 3.0))
         assert np.abs(grad).max() <= 1e-12
         assert np.abs(div - 3.0).max() <= 1e-12
 
@@ -93,21 +92,22 @@ class TestIntervalSplit:
         potential = nodes * (1.0 - nodes)
         slope = (potential[1:] - potential[:-1]) * n
         field = (2.0 + mid) * slope
-        grad, div = wt.decompose(mesh, coeffs, field)
+        grad, div = wt.decompose(wt.CellGeometry(mesh, coeffs), field)
         assert np.abs(div).max() <= 1e-11
         assert np.abs(grad[:, 0] - field).max() <= 1e-11
 
     def test_flat_input_shape_accepted(self):
         mesh, mid = unit_interval(8)
-        coeffs = wt.sample_coefficients(mesh)
-        flat = wt.decompose(mesh, coeffs, mid)
-        column = wt.decompose(mesh, coeffs, mid[:, None])
+        geometry = wt.CellGeometry(mesh, wt.sample_coefficients(mesh))
+        flat = wt.decompose(geometry, mid)
+        column = wt.decompose(geometry, mid[:, None])
         assert np.array_equal(flat[0], column[0])
         assert np.array_equal(flat[1], column[1])
 
 
 class TestSplitProperties:
     def cases(self):
+        """(geometry, field) pairs: a variable 1-D modulus, a square and a tensor."""
         mesh1, mid = unit_interval(24)
         coeffs1 = wt.sample_coefficients(mesh1, modulus=lambda p: 1.0 + p[:, 0])
         square = models.square_pencil(4, 4, seed=7)
@@ -117,71 +117,74 @@ class TestSplitProperties:
         )
         rng = np.random.default_rng(11)
         return [
-            (mesh1, coeffs1, rng.standard_normal(mesh1.num_cells)),
-            (square.mesh, square.coeffs, rng.standard_normal((square.mesh.num_cells, 2))),
-            (tensor_mesh, tensor_coeffs, rng.standard_normal((tensor_mesh.num_cells, 2))),
+            (wt.CellGeometry(mesh1, coeffs1), rng.standard_normal(mesh1.num_cells)),
+            (
+                wt.CellGeometry(square.mesh, square.coeffs),
+                rng.standard_normal((square.mesh.num_cells, 2)),
+            ),
+            (
+                wt.CellGeometry(tensor_mesh, tensor_coeffs),
+                rng.standard_normal((tensor_mesh.num_cells, 2)),
+            ),
         ]
 
     def test_reconstruction(self):
-        for mesh, coeffs, f in self.cases():
-            grad, div = wt.decompose(mesh, coeffs, f)
+        for geometry, f in self.cases():
+            grad, div = wt.decompose(geometry, f)
             full = np.asarray(f, dtype=float).reshape(grad.shape)
             assert np.abs(grad + div - full).max() <= 1e-13 * (1.0 + np.abs(full).max())
 
     def test_parts_are_orthogonal(self):
-        for mesh, coeffs, f in self.cases():
-            grad, div = wt.decompose(mesh, coeffs, f)
-            cross = wt.weighted_inner(mesh, coeffs, grad, div)
-            assert abs(cross) <= 1e-10 * field_norm(mesh, coeffs, f) ** 2
+        for geometry, f in self.cases():
+            grad, div = wt.decompose(geometry, f)
+            cross = wt.weighted_inner(geometry, grad, div)
+            assert abs(cross) <= 1e-10 * field_norm(geometry, f) ** 2
 
     def test_pythagoras(self):
-        for mesh, coeffs, f in self.cases():
-            grad, div = wt.decompose(mesh, coeffs, f)
-            total = wt.weighted_inner(mesh, coeffs, f, f)
-            parts = wt.weighted_inner(mesh, coeffs, grad, grad) + wt.weighted_inner(
-                mesh, coeffs, div, div
-            )
+        for geometry, f in self.cases():
+            grad, div = wt.decompose(geometry, f)
+            total = wt.weighted_inner(geometry, f, f)
+            parts = wt.weighted_inner(geometry, grad, grad) + wt.weighted_inner(geometry, div, div)
             assert abs(total - parts) <= 1e-10 * total
 
     def test_projection_idempotent(self):
-        for mesh, coeffs, f in self.cases():
-            grad, div = wt.decompose(mesh, coeffs, f)
-            grad2, rem = wt.decompose(mesh, coeffs, grad)
+        for geometry, f in self.cases():
+            grad, div = wt.decompose(geometry, f)
+            grad2, rem = wt.decompose(geometry, grad)
             assert np.abs(rem).max() <= 1e-11 * (1.0 + np.abs(grad).max())
             assert np.abs(grad2 - grad).max() <= 1e-11 * (1.0 + np.abs(grad).max())
-            grad3, div3 = wt.decompose(mesh, coeffs, div)
+            grad3, div3 = wt.decompose(geometry, div)
             assert np.abs(grad3).max() <= 1e-11 * (1.0 + np.abs(div).max())
             assert np.abs(div3 - div).max() <= 1e-11 * (1.0 + np.abs(div).max())
 
     def test_linear(self):
         mesh, mid = unit_interval(16)
-        coeffs = wt.sample_coefficients(mesh)
+        geometry = wt.CellGeometry(mesh, wt.sample_coefficients(mesh))
         rng = np.random.default_rng(3)
         f, g = rng.standard_normal(16), rng.standard_normal(16)
-        gf, df = wt.decompose(mesh, coeffs, f)
-        gg, dg = wt.decompose(mesh, coeffs, g)
-        gsum, dsum = wt.decompose(mesh, coeffs, 2.0 * f - 3.0 * g)
+        gf, df = wt.decompose(geometry, f)
+        gg, dg = wt.decompose(geometry, g)
+        gsum, dsum = wt.decompose(geometry, 2.0 * f - 3.0 * g)
         assert np.abs(gsum - (2.0 * gf - 3.0 * gg)).max() <= 1e-12 * np.abs(gsum).max()
         assert np.abs(dsum - (2.0 * df - 3.0 * dg)).max() <= 1e-12 * np.abs(dsum).max()
 
 
 class TestOrthogonalityResidual:
     def test_divfree_part_passes(self):
-        for mesh, coeffs, f in TestSplitProperties().cases():
-            _, div = wt.decompose(mesh, coeffs, f)
-            res = wt.orthogonality_residual(mesh, div)
-            assert res <= 1e-11 * (1.0 + field_norm(mesh, coeffs, f))
+        for geometry, f in TestSplitProperties().cases():
+            _, div = wt.decompose(geometry, f)
+            res = wt.orthogonality_residual(geometry.mesh, div)
+            assert res <= 1e-11 * (1.0 + field_norm(geometry, f))
 
     def test_gradient_part_fails(self):
         mesh, mid = unit_interval(16)
-        coeffs = wt.sample_coefficients(mesh)
-        grad, _ = wt.decompose(mesh, coeffs, mid)
+        grad, _ = wt.decompose(wt.CellGeometry(mesh, wt.sample_coefficients(mesh)), mid)
         assert wt.orthogonality_residual(mesh, grad) > 1e-4
 
     def test_single_cell_everything_is_divfree(self):
         mesh = wt.interval_mesh(1)
-        coeffs = wt.sample_coefficients(mesh)
-        grad, div = wt.decompose(mesh, coeffs, np.array([4.0]))
+        geometry = wt.CellGeometry(mesh, wt.sample_coefficients(mesh))
+        grad, div = wt.decompose(geometry, np.array([4.0]))
         assert np.abs(grad).max() == 0.0
         assert div[0] == 4.0
         assert wt.orthogonality_residual(mesh, div) == 0.0
@@ -216,7 +219,7 @@ class TestSparseSolveReference:
         mesh, mid = unit_interval(40)
         coeffs = wt.sample_coefficients(mesh, modulus=lambda p: 1.0 + p[:, 0] ** 2)
         field = np.sin(3.0 * mid) + mid
-        got = wt.project_gradient(mesh, coeffs, field)
+        got = wt.project_gradient(wt.CellGeometry(mesh, coeffs), field)
         want = reference_gradient_part(mesh, coeffs, field)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -228,7 +231,7 @@ class TestSparseSolveReference:
         for modulus in (lambda p: 1.0 + 0.5 * p[:, 0], tensors):
             coeffs = wt.sample_coefficients(mesh, modulus=modulus)
             field = rng.standard_normal((mesh.num_cells, 2))
-            got = wt.project_gradient(mesh, coeffs, field)
+            got = wt.project_gradient(wt.CellGeometry(mesh, coeffs), field)
             want = reference_gradient_part(mesh, coeffs, field)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -237,11 +240,11 @@ class TestFieldChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_field_rejected(self, bad):
         mesh = wt.rectangle_mesh(3, 3, models.square_partition())
-        coeffs = wt.sample_coefficients(mesh)
+        geometry = wt.CellGeometry(mesh, wt.sample_coefficients(mesh))
         field = np.ones((mesh.num_cells, 2))
         field[4, 1] = bad
         with pytest.raises(wt.FieldError, match="not finite on 1 cell"):
-            wt.decompose(mesh, coeffs, field)
+            wt.decompose(geometry, field)
 
     def test_field_error_is_a_value_error(self):
         assert issubclass(wt.FieldError, ValueError)

@@ -403,7 +403,7 @@ class TestSparseLu:
 
         mesh = wt.rectangle_mesh(64, 64, models.square_partition())
         inside = np.setdiff1d(np.arange(mesh.num_nodes), boundary_nodes(mesh))
-        stiff = assembly.stiffness_triplets(mesh, np.ones(mesh.num_cells)).tocsr()
+        stiff = models.stiffness_triplets(mesh, np.ones(mesh.num_cells)).tocsr()
         block = stiff[inside][:, inside].tocsc()
         fact = linalg.LuFactorization(block)
         lu, default = fact._lu, splu(block)

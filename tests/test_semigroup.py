@@ -415,8 +415,8 @@ class TestPerturbation:
         coeffs = wt.sample_coefficients(mesh, reaction=1.5, damping=0.5)
         pencil = wt.assemble_pencil(mesh, coeffs)
         ix = np.ix_(pencil.active, pencil.active)
-        ma = assembly.mass_triplets(mesh, coeffs.reaction).toarray()[ix]
-        mb = assembly.mass_triplets(mesh, coeffs.damping).toarray()[ix]
+        ma = models.mass_triplets(mesh, coeffs.reaction).toarray()[ix]
+        mb = models.mass_triplets(mesh, coeffs.damping).toarray()[ix]
         m = pencil.num_active
         s, d = pencil.displacement_gram, pencil.boundary_damper
         dyn = pencil.dynamics
