@@ -19,8 +19,10 @@ input and its real eigenvector matrix.
 A pencil whose one dissipation is a rank-one damper has a second solver,
 secular_eig: the roots of a secular equation in the undamped modes, found
 by Aberth-Ehrlich iteration and certified by Smith's inclusion discs and
-the generator's trace, with eigenvectors in closed form in the same
-packed layout.
+the generator's trace.  Its eigenvectors are in closed form and are
+built from the m x m modes one block of owners at a time when asked for,
+so that route holds no 2m x 2m matrix.  Neither solver computes residuals:
+pencil_residuals is the per-block kernel of compute_spectrum's pass.
 """
 
 from __future__ import annotations
@@ -201,18 +203,30 @@ class LuFactorization:
         return self._lu.solve(rhs)
 
 
-def column_blocks(n: int) -> list[slice]:
-    """Slices of about COLUMN_BLOCK columns that cover range(n) in order.
+def column_blocks(n: int, width: int = COLUMN_BLOCK) -> list[slice]:
+    """Slices of about width columns that cover range(n) in order.
 
     numpy reduces each column of a block (a norm, an einsum) in the order it
     uses on the whole array, so block results equal full-width ones bit for
     bit; a block one column wide would be summed pairwise, so a remainder of
     one column joins the block before it.
     """
-    starts = list(range(0, n, COLUMN_BLOCK))
+    starts = list(range(0, n, width))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def owner_blocks(sign: np.ndarray) -> list[np.ndarray]:
+    """Sorted indices of the owners, in blocks of COLUMN_BLOCK // 2.
+
+    sign is an eigenvector source's: the owners are the real eigenvalues
+    (sign 0) and the members re + i*im of conjugate pairs (sign +1), in
+    sorted order.  With its mirrored conjugates a block covers about
+    COLUMN_BLOCK eigenpairs.
+    """
+    owners = np.flatnonzero(sign >= 0)
+    return [owners[cols] for cols in column_blocks(owners.size, COLUMN_BLOCK // 2)]
 
 
 @dataclass(frozen=True)
@@ -223,12 +237,20 @@ class PackedEigenvectors:
     vector is one of its columns; a conjugate pair's two vectors re +- i*im
     share two adjacent columns, re then im.  For the i-th sorted eigenvalue,
     column[i] is its first packed column and sign[i] is 0 when the value is
-    real, +1 or -1 for the member re + i*im or re - i*im of a pair.
+    real, +1 or -1 for the member re + i*im or re - i*im of a pair.  The
+    owners are the real values and the members re + i*im.
     """
 
     packed: np.ndarray
     column: np.ndarray
     sign: np.ndarray
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Sorted index of each eigenvalue's owner: itself, or its conjugate re + i*im."""
+        owner, own = np.empty(self.sign.size, int), self.sign >= 0
+        owner[self.column[own]] = np.flatnonzero(own)
+        return owner[self.column]
 
     def expand(self, cols=slice(None)) -> np.ndarray:
         """C-ordered complex vectors of the sorted eigenvalues cols, one column each.
@@ -254,9 +276,9 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, PackedEigenvectors]:
     Fortran-ordered copy of mat and returns its real vector matrix, which
     is kept.  Each vector is normalized once, in place, as numpy's eig
     normalizes the complex vector re + i*im: divided, as a complex array, by
-    its norm, in column blocks of the sorted order.  A non-finite entry or a
+    its norm, one block of owner_blocks at a time.  A non-finite entry or a
     LAPACK failure is an EigenSolverError.  It computes no residual: its
-    consumers certify the pairs against their own problem (generalized_eig
+    consumers certify the pairs against their own problem (compute_spectrum
     against the pencil).
 
     dgeev scales a matrix whose largest entry lies outside [EIG_SAFE_MIN,
@@ -295,9 +317,7 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, PackedEigenvectors]:
     vectors = PackedEigenvectors(vr, first[order], np.sign(wi[order]))
     # The member re + i*im normalizes its pair's two columns; its conjugate
     # would divide them by the same norm.
-    owners = np.flatnonzero(vectors.sign >= 0)
-    for cols in column_blocks(owners.size):
-        own = owners[cols]
+    for own in owner_blocks(vectors.sign):
         block = vectors.expand(own)
         block /= np.linalg.norm(block, axis=0)
         col, pair = vectors.column[own], vectors.sign[own] > 0
@@ -358,22 +378,19 @@ def generalized_to_standard(op, factors: tuple[np.ndarray, ...]) -> np.ndarray:
 
 def generalized_eig(
     gram, op, factors: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, PackedEigenvectors, np.ndarray]:
-    """Eigenpairs of op z = lambda gram z for SPD gram: (values, vectors, residuals).
+) -> tuple[np.ndarray, PackedEigenvectors]:
+    """Eigenpairs of op z = lambda gram z for SPD gram: (values, vectors).
 
     values are sorted by (real, imag); vectors.expand(cols) solves the
     pencil problem for values[cols], each column with unit gram-norm
-    (z* gram z = 1); residuals[i] is ||op z - lambda gram z|| /
-    (||gram z|| * (1 + |lambda|)).  gram and op are applied as CSR.
-    factors are the band factors of gram's diagonal blocks (see
-    generalized_to_standard); the back-transform solves the packed real
-    columns in place, one row block at a time, and the residuals are
-    computed on one expanded column block at a time.  A residual norm that overflows is inf
-    or nan, with no warning.
+    (z* gram z = 1).  factors are the band factors of gram's diagonal
+    blocks (see generalized_to_standard); the back-transform solves the
+    packed real columns in place, one row block at a time.  It computes no
+    residual: compute_spectrum certifies the pairs (pencil_residuals).
     """
     values, vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
     if values.size == 0:
-        return values, vectors, np.zeros(0)
+        return values, vectors
     # z = L^{-T} w is real-linear, so it maps re and im of w to those of z,
     # and each column is solved on its own.  A row block of the packed
     # matrix is solved in a copy, half its size, after dgeev's input is freed.
@@ -381,27 +398,24 @@ def generalized_eig(
     for rows, low in _blocks(factors):
         packed[rows] = _band_solve(low, packed[rows], trans="T")
     # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
-    return values, vectors, pencil_residuals(gram, op, values, vectors)
+    return values, vectors
 
 
-def pencil_residuals(gram, op, values: np.ndarray, vectors: PackedEigenvectors) -> np.ndarray:
-    """||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)) for every pair.
+def pencil_residuals(gram, op, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)) for each column z.
 
-    gram and op are applied as CSR to one expanded column block of vectors
-    at a time.  A residual norm that overflows is inf or nan, with no
-    warning.
+    vectors is one expanded block of eigenvectors, values its eigenvalues,
+    and gram and op are applied to it whole (as CSR in compute_spectrum).
+    Per column the arithmetic is that of the full-width expansion, so the
+    residuals equal its bit for bit.  A residual norm that overflows is inf
+    or nan, with no warning.
     """
-    gram, op = scipy.sparse.csr_matrix(gram), scipy.sparse.csr_matrix(op)
-    residuals = np.empty(values.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for cols in column_blocks(values.size):
-            z = vectors.expand(cols)
-            gram_z, resid = gram @ z, op @ z
-            denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values[cols]))
-            gram_z *= values[cols]
-            resid -= gram_z
-            residuals[cols] = np.linalg.norm(resid, axis=0) / denom
-    return residuals
+        gram_z, resid = gram @ vectors, op @ vectors
+        denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
+        gram_z *= values
+        resid -= gram_z
+        return np.linalg.norm(resid, axis=0) / denom
 
 
 def _pole_terms(lam: np.ndarray, omega: np.ndarray, weights: np.ndarray):
@@ -538,21 +552,23 @@ def _inclusion_discs(values: np.ndarray, omega: np.ndarray, weights: np.ndarray)
     return radii, nearest
 
 
-def secular_eig(gram, op, factors: tuple[np.ndarray, ...], slot: int, weight: float):
+def secular_eig(gram, factors: tuple[np.ndarray, ...], slot: int, weight: float):
     """Eigenpairs of a rank-one damped pencil from its secular equation, or None.
 
     The pencil is op z = lambda gram z with gram = blockdiag(S, M) and op =
     [[0, S], [-S, -weight e e^T]], e the unit vector of slot; the caller
     vouches for that form, and factors are the band factors of S and M.
-    Returns what generalized_eig returns, vectors in the same packed
-    layout, or None when a certificate fails.
+    Returns (values, vectors) as generalized_eig does, vectors a
+    SecularEigenvectors built from the modes on demand, or None when a
+    certificate fails.  It computes no residual: compute_spectrum
+    certifies the pairs against the pencil.
 
     The undamped modes come from the congruent standard problem L^{-1} S
     L^{-T} w = w_k^2 w, L the band factor of M (dense eigh, MRRR), as Phi =
     L^{-T} W: Phi^T M Phi = I, Phi^T S Phi = W^2.  With c_k = weight
     Phi[slot, k]^2 the eigenvalues are the 2m roots of the secular
     polynomial (secular_roots), and lambda's vector is u = Phi (lambda^2 +
-    W^2)^{-1} Phi[slot], v = lambda u (_secular_vectors).  The roots are
+    W^2)^{-1} Phi[slot], v = lambda u (SecularEigenvectors).  The roots are
     made conjugate-closed: one within REAL_ROOT_RTOL |lambda| of the real
     axis counts as real, and the upper roots and their conjugates stand for
     the rest, whose count must match.  Two certificates read only that set.
@@ -562,7 +578,7 @@ def secular_eig(gram, op, factors: tuple[np.ndarray, ...], slot: int, weight: fl
     axis, a real one.  And the values must sum to -weight (M^{-1})[slot,
     slot], the trace of the reduced generator from one band solve with L,
     to within the sum of the radii plus TRACE_RTOL times |trace| + sum
-    |lambda|.  The residuals are recomputed from gram and op.
+    |lambda|.
     """
     gram, low = scipy.sparse.csr_matrix(gram), factors[1]
     m = low.shape[1]
@@ -577,8 +593,7 @@ def secular_eig(gram, op, factors: tuple[np.ndarray, ...], slot: int, weight: fl
     modes = _band_solve(low, modes, trans="T")
     if not (omega2[0] > 0.0 and abs(trace) + np.sqrt(omega2[-1]) <= SECULAR_MAX_MODULUS):
         return None
-    # A copy, so that no view keeps the modes alive beside the residuals.
-    omega, row = np.sqrt(omega2), modes[slot].copy()
+    omega, row = np.sqrt(omega2), modes[slot]
     weights = weight * row**2
     roots = secular_roots(omega2, weights)
     real = np.abs(roots.imag) <= REAL_ROOT_RTOL * np.abs(roots)
@@ -592,40 +607,73 @@ def secular_eig(gram, op, factors: tuple[np.ndarray, ...], slot: int, weight: fl
     slack = radii.sum() + TRACE_RTOL * (abs(trace) + np.abs(values).sum())
     if not abs(values.sum() - trace) <= slack:
         return None
-    vectors = _secular_vectors(values, upper.size, modes, omega, row, weight)
-    del modes
-    if vectors is None:
-        return None
+    n, pairs = values.size, upper.size
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = PackedEigenvectors(vectors.packed, vectors.column[order], vectors.sign[order])
-    return values, vectors, pencil_residuals(gram, op, values, vectors)
-
-
-def _secular_vectors(values, pairs: int, modes, omega, row, weight) -> PackedEigenvectors | None:
-    """Packed eigenvectors of secular_eig's values, unsorted, or None if one is not finite.
-
-    values are [upper, conj(upper), real], with pairs upper roots.  The
-    vector of upper root j fills packed columns 2j (re) and 2j + 1 (im),
-    and each real root's one column after them.  The modal coefficients
-    are a_j = row_j / d_j (see _pole_terms), but for the nearest pole k's:
-    next to a pole the damper barely sees, d_k is below the root's own
-    rounding error.  There a_k comes from the secular equation, 1 + lambda
-    (c_k / d_k + s) = 0, as -(1 / lambda + s) / (weight row_k), whenever
-    that form's rounding error is the smaller.  Each vector is scaled to
-    unit gram-norm in modal coordinates.  Built one column block of owners
-    (the upper and real roots) at a time.
-    """
-    m, n = modes.shape[0], 2 * modes.shape[0]
-    owners = np.concatenate([values[:pairs], values[2 * pairs :]])
-    column = np.concatenate([2 * np.arange(pairs), 2 * pairs + np.arange(n - 2 * pairs)])
     sign = np.concatenate([np.ones(pairs), -np.ones(pairs), np.zeros(n - 2 * pairs)])
-    weights = weight * row**2
-    packed = np.empty((n, n), order="F")
-    for cols in column_blocks(owners.size):
-        lam, col = owners[cols], column[cols]
+    # The member re - i*im at pairs + j is owned by the upper root j;
+    # argsort(order) is each value's sorted index.
+    owner = np.argsort(order)[np.arange(n) - pairs * (sign < 0)]
+    values = values[order]
+    return values, SecularEigenvectors(
+        values, sign[order], owner[order], modes, omega, row, weight
+    )
+
+
+@dataclass(frozen=True)
+class SecularEigenvectors:
+    """Closed-form eigenvectors of secular_eig's sorted values, built on demand.
+
+    sign and owner are as PackedEigenvectors gives them: sign[i] is 0 for
+    a real value and +1 or -1 for the member re + i*im or re - i*im of a
+    pair, and owner[i] is the sorted index of the pair's member re + i*im
+    (i itself when sign[i] >= 0).  modes are the undamped modes Phi (m x
+    m), omega their frequencies, row = Phi[slot] and weight the damper.
+    Nothing 2m x 2m is kept: each block of owner_blocks is built from the
+    modes when it is asked for, and a member re - i*im is its owner's
+    vector conjugated, an exact sign flip.
+    """
+
+    values: np.ndarray
+    sign: np.ndarray
+    owner: np.ndarray
+    modes: np.ndarray
+    omega: np.ndarray
+    row: np.ndarray
+    weight: float
+
+    def expand(self, cols=slice(None)) -> np.ndarray:
+        """C-ordered complex vectors of the sorted eigenvalues cols, one column each.
+
+        Every owner block that cols touch is built whole, as compute_spectrum
+        builds it, so each column equals the certified one bit for bit.
+        """
+        owner, lower = self.owner[cols], self.sign[cols] < 0
+        blocks = owner_blocks(self.sign)
+        # Block b holds the owners from blocks[b][0] up to the next block's first.
+        which = np.searchsorted([own[0] for own in blocks], owner, side="right") - 1
+        block = np.empty((2 * self.modes.shape[0], owner.size), complex)
+        for b in np.unique(which):
+            own, hit = blocks[b], which == b
+            block[:, hit] = self._owner_block(own)[:, np.searchsorted(own, owner[hit])]
+        block.imag[:, lower] *= -1.0
+        return block
+
+    def _owner_block(self, own: np.ndarray) -> np.ndarray:
+        """Unit gram-norm vectors of the owners values[own], one column each.
+
+        The vector of lambda is u = Phi (lambda^2 + W^2)^{-1} Phi[slot], v =
+        lambda u.  Its modal coefficients are a_j = row_j / d_j (see
+        _pole_terms), but for the nearest pole k's: next to a pole the
+        damper barely sees, d_k is below the root's own rounding error.
+        There a_k comes from the secular equation, 1 + lambda (c_k / d_k +
+        s) = 0, as -(1 / lambda + s) / (weight row_k), whenever that form's
+        rounding error is the smaller.  Each vector is scaled to unit
+        gram-norm in modal coordinates.  A block whose coefficients are not
+        finite is NaN, so its residuals fail any bound.
+        """
+        lam, row, weight, m = self.values[own], self.row, self.weight, self.modes.shape[0]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            coef, near, d_near, s, spread, _, _ = _pole_terms(lam, omega, weights)
+            coef, near, d_near, s, spread, _, _ = _pole_terms(lam, self.omega, weight * row**2)
             coef *= row
             # Relative errors in units of eps: row_k / d_k's from a root
             # error of eps |lambda|, and the secular form's from rounding.
@@ -637,15 +685,15 @@ def _secular_vectors(values, pairs: int, modes, omega, row, weight) -> PackedEig
             coef /= np.abs(coef).max(axis=1, keepdims=True)
             # u^H S u + |lambda|^2 u^H M u = sum_k |a_k|^2 (w_k^2 + |lambda|^2).
             mag = np.abs(coef) ** 2
-            coef /= np.sqrt(mag @ omega**2 + mag.sum(axis=1) * np.abs(lam) ** 2)[:, None]
+            coef /= np.sqrt(mag @ self.omega**2 + mag.sum(axis=1) * np.abs(lam) ** 2)[:, None]
         if not np.isfinite(coef).all():
-            return None
-        parts = np.concatenate([coef.real, coef.imag]) @ modes.T
+            coef.fill(np.nan)
+        parts = np.concatenate([coef.real, coef.imag]) @ self.modes.T
         re, im = parts[: lam.size].T, parts[lam.size :].T
         x, y = lam.real, lam.imag
-        packed[:m, col] = re
-        packed[m:, col] = x * re - y * im
-        pair = y != 0.0
-        packed[:m, col[pair] + 1] = im[:, pair]
-        packed[m:, col[pair] + 1] = (y * re + x * im)[:, pair]
-    return PackedEigenvectors(packed, np.concatenate([column[:pairs], column]), sign)
+        block = np.empty((2 * m, lam.size), complex)
+        block.real[:m], block.imag[:m] = re, im
+        block.real[m:] = x * re - y * im
+        block.imag[m:] = y * re + x * im
+        block.imag[:, y == 0.0] = 0.0
+        return block

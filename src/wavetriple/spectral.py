@@ -18,15 +18,17 @@ function of the undamped modes phi_k at the damped node N: a secular
 equation in those modes, solved for all roots at once and certified by
 inclusion discs and the generator's trace.  Its dense step is the
 symmetric eigensolve of the undamped modes, and its eigenvectors are in
-closed form.
+closed form, built from the modes a block at a time and never stored.
 
-Neither route reads a dense view of the pencil.  Every reported pair
+Neither route reads a dense view of the pencil, and neither certifies
+its own pairs: compute_spectrum does, in one pass over the owners (the
+real eigenvalues and the upper members of conjugate pairs).  Every pair
 carries a recomputed residual plus two boundary residuals: the damped
 velocity trace, which must vanish on any eigenvector whose eigenvalue
 sits on the imaginary axis, and the absorbing boundary condition with the
-flux derived from the pair, which every pair must satisfy.
-compute_spectrum certifies every pair's energy balance too, so every
-report carries its worst ratio.
+flux derived from the pair, which every pair must satisfy.  Every pair's
+energy balance is certified too, so every report carries its worst
+ratio.  A pair's conjugate copies its owner's numbers.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ ZERO_TOL = 1e-6
 # machine with one BLAS thread the spectrum command took 8.4 s with a
 # 0.14 GB peak at 2048 and 52 s with a 0.33 GB peak at 4096 (1-D damped
 # string): the import plus dgeev's two real arrays, one complex block of
-# the state.  The secular route now takes that string at 4096 in 6.5 s
-# with a 0.24 GB peak.
+# the state.  The secular route takes that string at 4096 in 5.3 s with a
+# 0.13 GB peak: the import plus the 2048 x 2048 undamped modes and their
+# eigh.
 MAX_DENSE_STATE = 4096
 
 
@@ -77,10 +80,13 @@ class SpectralReport:
     residuals; k2_trace_residual is the norm of the damper-weighted
     velocity trace on each unit-norm eigenvector, and flux_residual that of
     the absorbing boundary condition with the flux derived from the
-    eigenpair.  near_axis lists indices with |Re| < AXIS_TOL.  vectors keeps
-    the eigenvectors in LAPACK's real layout, a conjugate pair in two real
-    columns (half the memory of the complex array); vectors.expand(cols)
-    gives the unit gram-norm complex eigenvectors of values[cols].
+    eigenpair.  near_axis lists indices with |Re| < AXIS_TOL.
+    vectors.expand(cols) gives the unit gram-norm complex eigenvectors of
+    values[cols], the ones certified.  On the dgeev route vectors keeps
+    them in LAPACK's real layout, a conjugate pair in two real columns
+    (linalg.PackedEigenvectors, half the memory of the complex array); on
+    the secular route it keeps the m x m undamped modes and builds them
+    on demand (linalg.SecularEigenvectors).
     balance_worst_ratio is the largest energy-balance defect over its
     bound, at most 1.
     """
@@ -96,7 +102,7 @@ class SpectralReport:
     near_axis: np.ndarray
     h: float
     state_dim: int
-    vectors: linalg.PackedEigenvectors
+    vectors: linalg.PackedEigenvectors | linalg.SecularEigenvectors
     balance_worst_ratio: float
 
 
@@ -124,54 +130,37 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     of its Weyl function.  Every other pencil, or one whose secular
     certificates fail or whose secular pairs miss RESIDUAL_TOL, takes
     linalg.generalized_eig: the dense nonsymmetric eigensolve of the
-    reduced generator.  Both return the same packed eigenvector layout.
+    reduced generator.  Both return eigenvalues and a source of their
+    vectors with the same expand and owner interface.
 
     A recomputed pencil residual (overflowed or not) or an eigenpair
     energy-balance defect beyond its bound is an EigenSolverError, so a
-    report in hand is a certificate of its pairs.  The balance defect and
-    the two boundary residuals come from one loop that expands one column
-    block of the packed eigenvectors at a time, so the peak stays that of
-    the eigensolve itself: dgeev's overwritten input beside its real
-    eigenvector matrix, or the secular route's eigenvector matrix beside
-    the modes it was built from.
+    report in hand is a certificate of its pairs.  Residuals, balance
+    defects and the two boundary residuals come from one pass that
+    expands one block of owners at a time (_certify_pairs), so the peak
+    is that of the eigensolve itself: dgeev's overwritten input beside its
+    real eigenvector matrix on the dgeev route, or on the secular route
+    the m x m undamped modes and their eigh, a quarter of that.
     """
     check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
-    m = pencil.num_active
     blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
     factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
     forms = dissipation_forms(pencil)
     gram, dynamics = pencil.gram_csr, pencil.dynamics_csr
-    solved, rank_one = None, _rank_one_damper(pencil, forms)
+    certified, rank_one = None, _rank_one_damper(pencil, forms)
     if rank_one is not None:
-        solved = linalg.secular_eig(gram, dynamics, factors, *rank_one)
-        if solved is not None and not solved[2].max() <= RESIDUAL_TOL:
-            solved = None
-    if solved is None:
+        solved = linalg.secular_eig(gram, factors, *rank_one)
+        if solved is not None:
+            certified = _certify_pairs(pencil, forms, gram, dynamics, *solved, stop=True)
+        del solved
+    if certified is None:
         solved = linalg.generalized_eig(gram, dynamics, factors)
-    values, vectors, residuals = solved
-    if len(values) != pencil.state_dim:
-        raise EigenSolverError(
-            f"expected {pencil.state_dim} eigenvalues, got {len(values)}"
-        )
+        certified = _certify_pairs(pencil, forms, gram, dynamics, *solved, stop=False)
+    values, vectors, residuals, defect, flux_res, k2_res = certified
     if len(values) and not residuals.max() <= RESIDUAL_TOL:
         raise EigenSolverError(
             f"pencil residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
-    slots = pencil.trace_slots
-    stiff, spring = pencil.stiffness_csr[slots], pencil.boundary_spring_csr[slots]
-    damper = pencil.boundary_damper_csr[slots]
-    defect, flux_res, k2_res = (np.empty(len(values)) for _ in range(3))
-    for cols in linalg.column_blocks(len(values)):
-        lam, block = values[cols], vectors.expand(cols)
-        vec_u, vec_v = block[:m], block[m:]
-        defect[cols], (mass_v, damp_v, react_u) = _balance_defect(pencil, lam, block, forms)
-        # The flux trace g that apply_A needs to reproduce a pair is
-        # lift(g) = lambda M v + K u on the trace rows.  There the first
-        # boundary map spring u + g must balance (D + Mb) v + Ma u.
-        flux = lam * mass_v[slots] + stiff @ vec_u
-        b1 = spring @ vec_u + flux
-        flux_res[cols] = np.linalg.norm(b1 + damp_v[slots] + react_u[slots], axis=0)
-        k2_res[cols] = np.linalg.norm(damper @ vec_v, axis=0)
     ratio = float((defect / balance_tolerance(values)).max(initial=0.0))
     if not ratio <= 1.0:
         raise EigenSolverError(f"eigenpair energy balance defect at {ratio:.3e} of its bound")
@@ -197,6 +186,54 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
         vectors=vectors,
         balance_worst_ratio=ratio,
     )
+
+
+def _certify_pairs(
+    pencil: OperatorPencil, forms, gram, dynamics, values, vectors, stop: bool
+):
+    """(values, vectors, residuals, defect, flux_res, k2_res) of one route's pairs.
+
+    One pass over the owners (linalg.owner_blocks) expands one block at a
+    time and computes its pencil residuals, energy-balance defects and two
+    boundary residuals.  A member re - i*im copies its owner's four numbers:
+    the pencil and the vectors are real, so they are the owner's bit for
+    bit.  A block whose residuals miss RESIDUAL_TOL ends the pass with None
+    under stop; otherwise only residuals are computed from there on.
+    forms is dissipation_forms(pencil), and gram and dynamics are the
+    pencil's CSR matrices.
+    """
+    if len(values) != pencil.state_dim:
+        raise EigenSolverError(f"expected {pencil.state_dim} eigenvalues, got {len(values)}")
+    m, slots = pencil.num_active, pencil.trace_slots
+    stiff, spring = pencil.stiffness_csr[slots], pencil.boundary_spring_csr[slots]
+    damper = pencil.boundary_damper_csr[slots]
+    residuals, defect, flux_res, k2_res = (np.empty(len(values)) for _ in range(4))
+    failed = False
+    for cols in linalg.owner_blocks(vectors.sign):
+        lam, block = values[cols], vectors.expand(cols)
+        residuals[cols] = linalg.pencil_residuals(gram, dynamics, lam, block)
+        if not residuals[cols].max() <= RESIDUAL_TOL:
+            if stop:
+                return None
+            failed = True
+        if failed:
+            # compute_spectrum refuses the pairs for their worst residual;
+            # vectors that miss it may overflow the products below.
+            continue
+        vec_u, vec_v = block[:m], block[m:]
+        defect[cols], (mass_v, damp_v, react_u) = _balance_defect(pencil, lam, block, forms)
+        # The flux trace g that apply_A needs to reproduce a pair is
+        # lift(g) = lambda M v + K u on the trace rows.  There the first
+        # boundary map spring u + g must balance (D + Mb) v + Ma u.
+        flux = lam * mass_v[slots] + stiff @ vec_u
+        b1 = spring @ vec_u + flux
+        flux_res[cols] = np.linalg.norm(b1 + damp_v[slots] + react_u[slots], axis=0)
+        k2_res[cols] = np.linalg.norm(damper @ vec_v, axis=0)
+    lower = np.flatnonzero(vectors.sign < 0)
+    owner = vectors.owner[lower]
+    for out in (residuals, defect, flux_res, k2_res):
+        out[lower] = out[owner]
+    return values, vectors, residuals, defect, flux_res, k2_res
 
 
 def _rank_one_damper(pencil: OperatorPencil, forms) -> tuple[int, float] | None:

@@ -249,19 +249,19 @@ class TestComputeSpectrum:
             assert peak <= 5 * block, route
 
     def test_peak_memory_is_below_three_complex_state_blocks(self):
-        # At its peak each route holds its packed real eigenvectors, half a
-        # complex (2m, 2m) block, beside one more half block: dgeev's
-        # overwritten input on the dgeev route; on the secular route the
-        # m x m undamped modes the vectors are built from, then the
-        # temporaries of a 64-column block.  Measured with tracemalloc at
-        # n = 128 / 256 / 512, where the block temporaries are a shrinking
-        # share: 1.87 / 1.17 / 1.07 blocks on the dgeev route (the string
-        # with interior damping) and 1.89 / 1.17 / 0.83 on the secular
-        # route (the damped string).  Expanding the eigenvectors to a
-        # complex array beside the real one, as the dgeev route once did,
-        # peaked at 2.30 / 1.68 / 1.58; half a block more (a real copy of
-        # the vectors, say) passes 1.3 at n = 256 and 512, and full-width
-        # residuals and balance products peak at four.
+        # On the dgeev route the peak is its packed real eigenvectors, half
+        # a complex (2m, 2m) block, beside dgeev's overwritten input, one
+        # more half block.  The secular route keeps no 2m x 2m matrix: its
+        # peak is the m x m undamped modes and the eigh that makes them,
+        # or the temporaries of one block of owners.  Measured with
+        # tracemalloc at n = 128 / 256 / 512, where the block temporaries
+        # are a shrinking share: 1.52 / 1.15 / 1.07 blocks on the dgeev
+        # route (the string with interior damping) and 1.16 / 0.57 / 0.34
+        # on the secular route (the damped string).  Expanding the
+        # eigenvectors to a complex array beside the real one, as the
+        # dgeev route once did, peaked at 2.30 / 1.68 / 1.58; half a block
+        # more (a real copy of the vectors, say) passes 1.3 at n = 256 and
+        # 512, and full-width residuals and balance products peak at four.
         for route, build in ROUTE_PENCILS.items():
             for n, bound in ((128, 2.0), (256, 1.3), (512, 1.3)):
                 pencil = build(n)
@@ -273,6 +273,22 @@ class TestComputeSpectrum:
                 finally:
                     tracemalloc.stop()
                 assert peak < bound * block, (route, n)
+
+    def test_secular_peak_is_below_half_a_complex_state_block(self):
+        # The secular route builds each block of owners from the m x m
+        # modes, an eighth of a block, and keeps no packed 2m x 2m matrix,
+        # which alone is half a block: measured 0.34 blocks at n = 512
+        # (0.83 when the route packed its vectors).
+        pencil = models.damped_pencil(512)
+        block = 16 * pencil.state_dim**2
+        tracemalloc.start()
+        try:
+            report = wt.compute_spectrum(pencil)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(report.vectors, linalg.SecularEigenvectors)
+        assert peak < 0.5 * block
 
     def test_block_results_equal_full_width_recomputation(self):
         # State dimension 200 is not a multiple of the column block, so the
@@ -295,6 +311,41 @@ class TestComputeSpectrum:
         assert np.array_equal(report.flux_residual, flux_res)
         assert np.array_equal(report.k2_trace_residual, k2_res)
 
+    def test_conjugate_members_equal_their_recomputation(self):
+        # The member re - i*im of a pair copies its owner's four numbers;
+        # recomputed from its own expanded vector they are the same bits.
+        mesh = wt.interval_mesh(100, right=wt.BoundaryLabel.DAMPED)
+        fields = {"reaction": lambda p: 1.0 + p[:, 0], "damping": lambda p: 0.5 + p[:, 0]}
+        coeffs = wt.sample_coefficients(mesh, boundary_damping=3.0, **fields)
+        pencils = {"secular": models.damped_pencil(100), "dgeev": wt.assemble_pencil(mesh, coeffs)}
+        for route, pencil in pencils.items():
+            report = wt.compute_spectrum(pencil)
+            assert isinstance(report.vectors, linalg.PackedEigenvectors) == (route == "dgeev")
+            lower = np.flatnonzero(report.values.imag < 0)
+            assert lower.size > linalg.COLUMN_BLOCK, route
+            values, vectors = report.values[lower], report.vectors.expand(lower)
+            m = pencil.num_active
+            gram_z, resid = pencil.gram_csr @ vectors, pencil.dynamics_csr @ vectors
+            denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
+            gram_z *= values
+            resid -= gram_z
+            residuals = np.linalg.norm(resid, axis=0) / denom
+            defect, (mass_v, damp_v, react_u) = spectral._balance_defect(pencil, values, vectors)
+            slots = pencil.trace_slots
+            flux = values * mass_v[slots] + pencil.stiffness_csr[slots] @ vectors[:m]
+            b1 = pencil.boundary_spring_csr[slots] @ vectors[:m] + flux
+            flux_res = np.linalg.norm(b1 + damp_v[slots] + react_u[slots], axis=0)
+            k2_res = np.linalg.norm(pencil.boundary_damper_csr[slots] @ vectors[m:], axis=0)
+            assert np.array_equal(report.residuals[lower], residuals), route
+            assert np.array_equal(report.flux_residual[lower], flux_res), route
+            assert np.array_equal(report.k2_trace_residual[lower], k2_res), route
+            # The report keeps only the worst balance ratio: the member's
+            # defect must equal the one its owner's copy came from.
+            owner = report.vectors.owner[lower]
+            assert np.all(report.values[owner] == values.conj()), route
+            owned = report.vectors.expand(owner)
+            assert np.array_equal(spectral._balance_defect(pencil, values.conj(), owned)[0], defect)
+
     def test_fully_constrained_model(self):
         pencil = wt.assemble_pencil(
             wt.interval_mesh(1), wt.sample_coefficients(wt.interval_mesh(1))
@@ -310,24 +361,23 @@ class TestComputeSpectrum:
         real = linalg.generalized_eig
 
         def dropped(gram, op, factors=None):
-            values, vectors, residuals = real(gram, op, factors)
+            values, vectors = real(gram, op, factors)
             vectors = dataclasses.replace(
                 vectors, column=vectors.column[:-1], sign=vectors.sign[:-1]
             )
-            return values[:-1], vectors, residuals[:-1]
+            return values[:-1], vectors
 
         monkeypatch.setattr(spectral.linalg, "generalized_eig", dropped)
         with pytest.raises(EigenSolverError, match="expected"):
             wt.compute_spectrum(models.dirichlet_pencil(8))
 
     def test_rejects_large_residual(self, monkeypatch):
-        real = linalg.generalized_eig
+        real = linalg.pencil_residuals
 
-        def inflated(gram, op, factors=None):
-            values, vectors, residuals = real(gram, op, factors)
-            return values, vectors, residuals + 1e-3
+        def inflated(gram, op, values, vectors):
+            return real(gram, op, values, vectors) + 1e-3
 
-        monkeypatch.setattr(spectral.linalg, "generalized_eig", inflated)
+        monkeypatch.setattr(spectral.linalg, "pencil_residuals", inflated)
         with pytest.raises(EigenSolverError, match="residual"):
             wt.compute_spectrum(models.dirichlet_pencil(8))
 
@@ -409,17 +459,18 @@ class TestEigensolverRoutes:
         blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
         factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
         damper = spectral._rank_one_damper(pencil, spectral.dissipation_forms(pencil))
-        solved = linalg.secular_eig(pencil.gram_csr, pencil.dynamics_csr, factors, *damper)
+        solved = linalg.secular_eig(pencil.gram_csr, factors, *damper)
         assert solved is not None
-        values, vectors, residuals = solved
+        values, vectors = solved
         want = linalg.generalized_eig(pencil.gram_csr, pencil.dynamics_csr, factors)[0]
+        z = vectors.expand()
+        residuals = linalg.pencil_residuals(pencil.gram_csr, pencil.dynamics_csr, values, z)
         assert residuals.max() <= spectral.RESIDUAL_TOL
         # Without reaction C^T = JCJ, J = diag(I, -I), so J conj(z) is the
         # left eigenvector and kappa = z^H G z / |z^T J G z| the condition
         # number.  Near the matched damper (k2 = sqrt(modulus density) at
         # the end) kappa reaches 1e3, and two backward-stable routes then
         # agree only to about kappa eps max|lambda|.
-        z = vectors.expand()
         gram_z = pencil.gram_csr @ z
         norms = np.einsum("ij,ij->j", z.conj(), gram_z).real
         gram_z[pencil.num_active :] *= -1.0
@@ -463,18 +514,42 @@ class TestEigensolverRoutes:
         monkeypatch.setattr(linalg, "secular_roots", duplicated)
         blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
         factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
-        assert linalg.secular_eig(pencil.gram_csr, pencil.dynamics_csr, factors, 23, 3.0) is None
+        assert linalg.secular_eig(pencil.gram_csr, factors, 23, 3.0) is None
         self.assert_dgeev_report(monkeypatch, pencil)
 
     def test_secular_pairs_over_the_residual_bound_fall_back_to_dgeev(self, monkeypatch):
         real = linalg.secular_eig
 
-        def inflated(*args):
-            values, vectors, residuals = real(*args)
-            return values, vectors, residuals + 2.0 * spectral.RESIDUAL_TOL
+        def shifted(*args):
+            # Each value moved by 1e-3 (1 + |lambda|): a residual of about 1e-3.
+            values, vectors = real(*args)
+            return values + 1e-3 * (1.0 + np.abs(values)), vectors
 
-        monkeypatch.setattr(linalg, "secular_eig", inflated)
+        monkeypatch.setattr(linalg, "secular_eig", shifted)
         self.assert_dgeev_report(monkeypatch, models.damped_pencil(24))
+
+    def test_a_heterogeneous_string_falls_back_to_dgeev(self, monkeypatch):
+        # Per-cell lognormal(0, 2) modulus and density and a lognormal(0, 3)
+        # damper: the undamped modes lose accuracy like eps w_max^2 / w_k^2,
+        # and this string's secular pairs miss RESIDUAL_TOL (8.9e-8).
+        rng = np.random.default_rng(627)
+        modulus, density = rng.lognormal(0.0, 2.0, 128), rng.lognormal(0.0, 2.0, 128)
+        mesh = wt.interval_mesh(128, right=wt.BoundaryLabel.DAMPED)
+        coeffs = wt.sample_coefficients(
+            mesh,
+            modulus=lambda p: modulus,
+            density=lambda p: density,
+            boundary_damping=float(rng.lognormal(0.0, 3.0)),
+        )
+        pencil = wt.assemble_pencil(mesh, coeffs)
+        blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
+        factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
+        damper = spectral._rank_one_damper(pencil, spectral.dissipation_forms(pencil))
+        values, vectors = linalg.secular_eig(pencil.gram_csr, factors, *damper)
+        z = vectors.expand()
+        residuals = linalg.pencil_residuals(pencil.gram_csr, pencil.dynamics_csr, values, z)
+        assert residuals.max() > spectral.RESIDUAL_TOL
+        self.assert_dgeev_report(monkeypatch, pencil)
 
     def test_secular_values_are_conjugate_closed_exactly(self):
         # Each pair is one root and its conjugate, so its real parts agree.
