@@ -42,16 +42,18 @@ with exact zeros dropped, so its toarray() is the dense block bit for bit
 pattern once the same way).  dissipation_forms builds its own pattern on
 the active nodes, and the Helmholtz solve one on the interior nodes.  A
 gradient row holds its cell's nodes once, so that operator is CSR at once.
-The pencil stores every matrix once, as CSR; S and M are certified on
-their band alone.  Its dense names are views that densify on each read;
-nothing in the package reads them, only the benchmark and the tests do.
+The pencil stores every matrix once, as CSR, and the band factors that
+certify S and M (gram_factors) for every consumer.  Its dense names are
+views that densify on each read, read only by the benchmark and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse import bmat, csr_matrix
 
 from . import linalg
@@ -82,7 +84,7 @@ KINETIC_SCHEMES = ("consistent", "cell_average")
 # Largest state dimension (twice the active nodes) that assemble_pencil, and
 # so validate, simulate and poincare, accept: the 2-D square at nx = 64 with
 # one side fixed.  Nothing they build there is dense; on a 2-core machine
-# validate, simulate (100 steps) and poincare peak at 0.07, 0.08 and 0.07 GB.
+# validate, simulate (100 steps) and poincare peak at 72, 78 and 72 MB.
 # The guard stays because it is their only size check: it turns a 1-D
 # n = 100000 into one error line instead of a long run.
 MAX_PENCIL_STATE = 8320
@@ -272,8 +274,8 @@ class OperatorPencil:
     trace_slots: positions inside `active` of the trace nodes.
     Every matrix is restricted to active nodes and stored once, as CSR
     with no stored zeros, and no field is dense.  displacement_gram_csr
-    (S) and mass_csr (M) are both certified positive definite at
-    assembly.  dynamics_vu_csr (Cvu = -S - Ma) and dynamics_vv_csr
+    (S) and mass_csr (M) are certified at assembly by gram_factors.
+    dynamics_vu_csr (Cvu = -S - Ma) and dynamics_vv_csr
     (Cvv = -D - Mb) are the generator's velocity row, interior reaction
     and damping included; its displacement row is [0, S] for every model,
     so no pencil holds a generator of any other shape.  gram_csr and
@@ -303,6 +305,26 @@ class OperatorPencil:
     displacement_gram = _dense_view("displacement_gram")
     gram = _dense_view("gram")
     dynamics = _dense_view("dynamics")
+
+    @cached_property
+    def gram_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L_S, L_M), the band factors of S and M, certified once on first read.
+
+        A failure of S is DegenerateEnergyNormError when the model has no
+        fixed boundary and no boundary spring, else NotPositiveDefiniteError
+        naming the displacement energy form.  A dataclasses.replace copy is
+        a new pencil and factors its own blocks.
+        """
+        try:
+            stiff = linalg.certify_positive_definite(self.displacement_gram_csr)
+        except NotPositiveDefiniteError as exc:
+            if not energy_anchored(self.mesh, self.coeffs):
+                raise DegenerateEnergyNormError(DEGENERATE_ENERGY) from exc
+            raise NotPositiveDefiniteError(
+                "displacement energy form (stiffness plus boundary spring) "
+                f"is not positive definite: {exc}"
+            ) from exc
+        return stiff, linalg.certify_positive_definite(self.mass_csr)
 
     @property
     def gram_csr(self) -> csr_matrix:
@@ -351,10 +373,7 @@ def assemble_pencil(
     value is a ValueError.  A state above MAX_PENCIL_STATE is a
     ProblemSizeError.
 
-    linalg.certify_positive_definite checks S and M on their band.  A
-    failure of S is DegenerateEnergyNormError when the model has no fixed
-    boundary and no boundary spring, else NotPositiveDefiniteError naming
-    the displacement energy form.
+    Reading the pencil's gram_factors certifies S and M here.
     """
     active = check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
     # One geometry pass: every element builder shares the cell volumes.
@@ -382,18 +401,7 @@ def assemble_pencil(
         (stiff, spring, damper, disp_gram, mass, -disp_gram - reaction, -damper - damping),
     )
 
-    try:
-        linalg.certify_positive_definite(disp_gram)
-    except NotPositiveDefiniteError as exc:
-        if not energy_anchored(mesh, coeffs):
-            raise DegenerateEnergyNormError(DEGENERATE_ENERGY) from exc
-        raise NotPositiveDefiniteError(
-            "displacement energy form (stiffness plus boundary spring) "
-            f"is not positive definite: {exc}"
-        ) from exc
-    linalg.certify_positive_definite(mass)
-
-    return OperatorPencil(
+    pencil = OperatorPencil(
         mesh=mesh,
         coeffs=coeffs,
         active=active,
@@ -406,6 +414,8 @@ def assemble_pencil(
         dynamics_vu_csr=vu,
         dynamics_vv_csr=vv,
     )
+    pencil.gram_factors  # certifies S and M; the factors stay on the pencil
+    return pencil
 
 
 @dataclass(frozen=True)
@@ -442,11 +452,11 @@ def apply_A(pencil: OperatorPencil, elem: DomainElement) -> np.ndarray:
 
     The displacement part of the image is the velocity; the velocity part
     solves M vdot = -K u + lift(g), the discrete divergence of the stress
-    with its boundary flux, by a sparse LU of M.
+    with its boundary flux, with the pencil's band factor of M.
     """
     _check_element(pencil, elem)
     rhs = -(pencil.stiffness_csr @ elem.displacement) + lift_trace(pencil, elem.flux_trace)
-    vdot = linalg.LuFactorization(pencil.mass_csr).solve(rhs)
+    vdot = scipy.linalg.cho_solve_banded((pencil.gram_factors[1], True), rhs)
     return pencil.join(elem.velocity, vdot)
 
 

@@ -9,13 +9,9 @@ SuperLU's symmetric mode.  Both apply a package-wide relative pivot
 threshold on top of the library's own checks.  A pencil with a
 block-diagonal Gram matrix is reduced by banded triangular solves with
 the factors of its diagonal blocks; the eigensolve of the reduced matrix
-is dense by nature.
-It frees the reduced matrix once it has its own copy, and keeps LAPACK's
-real eigenvector matrix as it is: a conjugate pair's vectors stay two
-real columns, normalized and back-transformed in place.  Every pass over
-the complex eigenvectors expands one column block of them, so at its peak
-a pencil eigensolve holds only what dgeev itself needs, its overwritten
-input and its real eigenvector matrix.
+is dense by nature, and at its peak holds only what dgeev itself needs,
+its overwritten input and its packed real eigenvector matrix, expanded
+one column block at a time (PackedEigenvectors).
 A pencil whose one dissipation is a rank-one damper has a second solver,
 secular_eig: the roots of a secular equation in the undamped modes, found
 by Aberth-Ehrlich iteration and certified by Smith's inclusion discs and
@@ -376,17 +372,15 @@ def generalized_to_standard(op, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     return b
 
 
-def generalized_eig(
-    gram, op, factors: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, PackedEigenvectors]:
+def generalized_eig(op, factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, PackedEigenvectors]:
     """Eigenpairs of op z = lambda gram z for SPD gram: (values, vectors).
 
     values are sorted by (real, imag); vectors.expand(cols) solves the
     pencil problem for values[cols], each column with unit gram-norm
-    (z* gram z = 1).  factors are the band factors of gram's diagonal
-    blocks (see generalized_to_standard); the back-transform solves the
-    packed real columns in place, one row block at a time.  It computes no
-    residual: compute_spectrum certifies the pairs (pencil_residuals).
+    (z* gram z = 1).  gram enters only as factors, the band factors of its
+    diagonal blocks (see generalized_to_standard); the back-transform
+    solves the packed real columns in place, one row block at a time.  It
+    computes no residual: compute_spectrum certifies the pairs.
     """
     values, vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
     if values.size == 0:
@@ -552,12 +546,12 @@ def _inclusion_discs(values: np.ndarray, omega: np.ndarray, weights: np.ndarray)
     return radii, nearest
 
 
-def secular_eig(gram, factors: tuple[np.ndarray, ...], slot: int, weight: float):
+def secular_eig(stiffness, mass_factor: np.ndarray, slot: int, weight: float):
     """Eigenpairs of a rank-one damped pencil from its secular equation, or None.
 
     The pencil is op z = lambda gram z with gram = blockdiag(S, M) and op =
     [[0, S], [-S, -weight e e^T]], e the unit vector of slot; the caller
-    vouches for that form, and factors are the band factors of S and M.
+    vouches for that form; stiffness is S and mass_factor the band factor of M.
     Returns (values, vectors) as generalized_eig does, vectors a
     SecularEigenvectors built from the modes on demand, or None when a
     certificate fails.  It computes no residual: compute_spectrum
@@ -580,17 +574,16 @@ def secular_eig(gram, factors: tuple[np.ndarray, ...], slot: int, weight: float)
     to within the sum of the radii plus TRACE_RTOL times |trace| + sum
     |lambda|.
     """
-    gram, low = scipy.sparse.csr_matrix(gram), factors[1]
-    m = low.shape[1]
+    m = mass_factor.shape[1]
     unit = np.zeros(m)
     unit[slot] = 1.0
     with np.errstate(over="ignore"):
-        trace = -weight * float(np.sum(_band_solve(low, unit) ** 2))
+        trace = -weight * float(np.sum(_band_solve(mass_factor, unit) ** 2))
     # The transpose is F-ordered, so eigh overwrites it without a copy.
-    reduced = generalized_to_standard(gram[:m, :m], (low,)).T
+    reduced = generalized_to_standard(stiffness, (mass_factor,)).T
     omega2, modes = scipy.linalg.eigh(reduced, overwrite_a=True, check_finite=False, driver="evr")
     del reduced
-    modes = _band_solve(low, modes, trans="T")
+    modes = _band_solve(mass_factor, modes, trans="T")
     if not (omega2[0] > 0.0 and abs(trace) + np.sqrt(omega2[-1]) <= SECULAR_MAX_MODULUS):
         return None
     omega, row = np.sqrt(omega2), modes[slot]

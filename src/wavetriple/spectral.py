@@ -4,8 +4,9 @@ Eigenvalues come from the generalized problem dyn z = lambda gram z, with
 dyn the whole generator (interior reaction and damping included), on one
 of two routes that the pencil picks (see compute_spectrum).
 
-The general route reduces it to standard form block by block through the
-band Cholesky factors of the Gram matrix's two diagonal blocks, S and M.
+Both routes read the band Cholesky factors of the Gram matrix's diagonal
+blocks S and M that the pencil keeps (gram_factors); the general route
+reduces it to standard form block by block through them.
 The reduction densifies the CSR generator one block row at a time; the
 reduced matrix's nonsymmetric eigensolve is the one dense step.
 
@@ -21,14 +22,10 @@ symmetric eigensolve of the undamped modes, and its eigenvectors are in
 closed form, built from the modes a block at a time and never stored.
 
 Neither route reads a dense view of the pencil, and neither certifies
-its own pairs: compute_spectrum does, in one pass over the owners (the
-real eigenvalues and the upper members of conjugate pairs).  Every pair
-carries a recomputed residual plus two boundary residuals: the damped
-velocity trace, which must vanish on any eigenvector whose eigenvalue
-sits on the imaginary axis, and the absorbing boundary condition with the
-flux derived from the pair, which every pair must satisfy.  Every pair's
-energy balance is certified too, so every report carries its worst
-ratio.  A pair's conjugate copies its owner's numbers.
+its own pairs: compute_spectrum does, in one pass over the owners
+(_certify_pairs), with a recomputed residual, the damped velocity trace
+(zero on any eigenvector whose eigenvalue sits on the imaginary axis),
+the absorbing boundary condition and the energy balance of every pair.
 """
 
 from __future__ import annotations
@@ -117,9 +114,9 @@ def imaginary_axis_gap(values: np.ndarray) -> float:
 def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     """Full spectrum of the closed-loop generator with diagnostics and eigenvectors.
 
-    Interior reaction and damping terms are included.  S and M are factored
-    on their band here; no factor is kept.  Above MAX_DENSE_STATE states
-    it is a ProblemSizeError before anything is densified.
+    Interior reaction and damping terms are included, and S and M enter
+    through the pencil's band factors (gram_factors).  Above
+    MAX_DENSE_STATE states it is a ProblemSizeError before anything is densified.
 
     There are two eigensolver routes, and the pencil picks one; nothing
     else does.  When dissipation_forms gives a zero reaction form and a
@@ -143,18 +140,16 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     the m x m undamped modes and their eigh, a quarter of that.
     """
     check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
-    blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
-    factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
-    forms = dissipation_forms(pencil)
+    factors, forms = pencil.gram_factors, dissipation_forms(pencil)
     gram, dynamics = pencil.gram_csr, pencil.dynamics_csr
     certified, rank_one = None, _rank_one_damper(pencil, forms)
     if rank_one is not None:
-        solved = linalg.secular_eig(gram, factors, *rank_one)
+        solved = linalg.secular_eig(pencil.displacement_gram_csr, factors[1], *rank_one)
         if solved is not None:
             certified = _certify_pairs(pencil, forms, gram, dynamics, *solved, stop=True)
         del solved
     if certified is None:
-        solved = linalg.generalized_eig(gram, dynamics, factors)
+        solved = linalg.generalized_eig(dynamics, factors)
         certified = _certify_pairs(pencil, forms, gram, dynamics, *solved, stop=False)
     values, vectors, residuals, defect, flux_res, k2_res = certified
     if len(values) and not residuals.max() <= RESIDUAL_TOL:
@@ -291,7 +286,8 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     the spring boundary mass, restricted to functions vanishing on the
     fixed boundary; the left is the plain mass form M.  Both come from
     assemble_pencil on unit coefficients with coeffs' springs, so its size
-    guard and its degenerate-energy rule apply, and S is certified there.
+    guard and its degenerate-energy rule apply, and S is certified there;
+    the pencil and its factors are dropped before the bisection.
     C = 1/sqrt(lambda_min) for the smallest eigenvalue of S z = lambda M z.
     By Sylvester's law of inertia, S - sigma M passes the band Cholesky
     certificate exactly when sigma < lambda_min, so lambda_min is bisected
@@ -303,9 +299,10 @@ def poincare_constant(mesh: Mesh, coeffs: CoefficientSet) -> float:
     """
     unit = sample_coefficients(mesh, boundary_stiffness=coeffs.boundary_stiffness)
     pencil = assemble_pencil(mesh, unit)
-    if pencil.num_active == 0:
-        return 0.0
     form, mass = pencil.displacement_gram_csr, pencil.mass_csr
+    del pencil
+    if form.shape[0] == 0:
+        return 0.0
     lo, hi = 0.0, float((form.diagonal() / mass.diagonal()).min())
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:

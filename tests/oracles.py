@@ -40,6 +40,17 @@ def damped_string_modes(k2: float, count: int) -> list[complex]:
     return [complex(sigma, (k - 0.5) * math.pi) for k in range(1, count + 1)]
 
 
+def round_trip_ratio(k2: float, z: float) -> float:
+    """E(t + 2 tau) / E(t) on a string of constant impedance z with a damper k2.
+
+    Fixed at the left and damped at the right, every characteristic meets
+    the damper once per round trip 2 tau and leaves with its amplitude
+    times r = (z - k2)/(z + k2) (d'Alembert), so the energy ratio is r^2
+    for every t and every finite-energy datum; k2 = z is transparent.
+    """
+    return ((z - k2) / (z + k2)) ** 2
+
+
 def dirichlet_frequencies(count: int) -> list[float]:
     """k*pi: frequencies of the unit string fixed at both ends."""
     return [k * math.pi for k in range(1, count + 1)]

@@ -220,6 +220,19 @@ class TestPencilStructure:
         pencil = wt.assemble_pencil(mesh, wt.sample_coefficients(mesh))
         assert pencil.state_dim == 0 and pencil.num_trace == 0
 
+    def test_replaced_blocks_get_their_own_factors(self):
+        pencil = models.square_pencil(4, 3, seed=9)
+        stiff_factor, mass_factor = pencil.gram_factors
+        mass = 2.0 * pencil.mass_csr
+        heavier = dataclasses.replace(pencil, mass_csr=mass)
+        assert np.array_equal(heavier.gram_factors[0], stiff_factor)
+        assert np.array_equal(heavier.gram_factors[1], linalg.certify_positive_definite(mass))
+        assert not np.array_equal(heavier.gram_factors[1], mass_factor)
+        stiffer = pencil.displacement_gram_csr + pencil.mass_csr
+        replaced = dataclasses.replace(pencil, displacement_gram_csr=stiffer)
+        assert np.array_equal(replaced.gram_factors[0], linalg.certify_positive_definite(stiffer))
+        assert np.array_equal(replaced.gram_factors[1], mass_factor)
+
     def test_degenerate_model_rejected_at_assembly(self):
         mesh = wt.interval_mesh(3, left=BL.FREE, right=BL.FREE)
         with pytest.raises(wt.DegenerateEnergyNormError):
@@ -393,6 +406,26 @@ class TestApplyA:
         rhs = -pencil.stiffness @ elem.displacement
         rhs[pencil.trace_slots] += elem.flux_trace
         assert np.abs(pencil.mass @ vdot - rhs).max() < 1e-12
+
+    def test_solves_with_the_pencil_mass_factor(self, monkeypatch):
+        pencil = models.square_pencil(4, 3, seed=2)
+        rng = np.random.default_rng(5)
+        elem = models.random_element(pencil, rng)
+        calls = []
+        monkeypatch.setattr(linalg.LuFactorization, "__init__", lambda *args: calls.append(args))
+        monkeypatch.setattr(linalg, "certify_positive_definite", lambda *args: calls.append(args))
+        _, vdot = pencil.split(wt.apply_A(pencil, elem))
+        assert calls == []
+        rhs = -pencil.stiffness @ elem.displacement
+        rhs[pencil.trace_slots] += elem.flux_trace
+        assert np.abs(pencil.mass @ vdot - rhs).max() < 1e-12 * np.abs(rhs).max()
+
+    def test_no_active_node_gives_an_empty_state(self):
+        mesh = wt.interval_mesh(1)
+        pencil = wt.assemble_pencil(mesh, wt.sample_coefficients(mesh))
+        elem = wt.DomainElement(np.zeros(0), np.zeros(0), np.zeros(0))
+        image = wt.apply_A(pencil, elem)
+        assert image.shape == (0,) and image.dtype == float
 
     def test_dirichlet_eigenvector_ratio(self):
         n = 64

@@ -73,6 +73,16 @@ def test_damped_string_decay_both_branches():
     assert abs(oracles.damped_string_decay(1.0 / 3.0) + math.log(2.0) / 2.0) < 1e-15
 
 
+def test_round_trip_ratio_limits():
+    assert oracles.round_trip_ratio(3.0, 1.0) == 0.25
+    assert oracles.round_trip_ratio(2.0, 2.0) == 0.0
+    assert oracles.round_trip_ratio(0.0, 1.0) == 1.0
+    # The damped-string modes decay at ln|r| / 2 per unit time: r^2 per 2.
+    for k2 in (3.0, 0.2):
+        decay = oracles.damped_string_decay(k2)
+        assert abs(math.exp(4.0 * decay) - oracles.round_trip_ratio(k2, 1.0)) < 1e-15
+
+
 def test_damped_string_modes_satisfy_characteristic_equation():
     for k2 in (3.0, 1.0 / 3.0, 5.0, 0.2):
         ratio = (k2 - 1.0) / (k2 + 1.0)

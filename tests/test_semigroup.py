@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 import models
+import oracles
 import wavetriple as wt
 from wavetriple import assembly, linalg, semigroup
 
@@ -401,6 +402,47 @@ class TestSimulate:
         e_coarse = wt.state_norm(pencil, coarse - ref)
         e_fine = wt.state_norm(pencil, fine - ref)
         assert 3.5 <= e_coarse / e_fine <= 4.5
+
+
+def bump(points):
+    """cos^2(2 pi (x - 1/2)) on |x - 1/2| < 1/4, zero elsewhere."""
+    x = points[:, 0]
+    return np.where(np.abs(x - 0.5) < 0.25, np.cos(2.0 * np.pi * (x - 0.5)) ** 2, 0.0)
+
+
+class TestRoundTripLaw:
+    """simulate against the continuum: E(t + 2) = r^2 E(t) on the unit string.
+
+    models.damped_pencil has impedance z = 1 and round trip 2 tau = 2, so
+    the law is oracles.round_trip_ratio(k2, 1) for every t.  Each run
+    starts from the bump at rest with dt = h and takes under 0.1 s.
+    """
+
+    @staticmethod
+    def energy_ratio(n: int, k2: float, start: int, stop: int) -> float:
+        pencil = models.damped_pencil(n, k2)
+        x0 = wt.initial_state(pencil, bump, lambda p: np.zeros(len(p)))
+        energy = wt.simulate(pencil, x0, 1.0 / n, stop * n).energy
+        return energy[stop * n] / energy[start * n]
+
+    def test_damper_of_three_keeps_a_quarter_of_the_energy_per_round_trip(self):
+        # Measured |E(3)/E(1) - 1/4| = 6.66e-4 at n = 64 and 3.85e-5 at
+        # n = 256: a factor 17.3, where order h^2 gives 16.  The bounds
+        # are 1.5 times the measured errors and a factor of 12.
+        want = oracles.round_trip_ratio(3.0, 1.0)
+        coarse, fine = (abs(self.energy_ratio(n, 3.0, 1, 3) - want) for n in (64, 256))
+        assert coarse <= 1e-3 and fine <= 6e-5
+        assert coarse >= 12.0 * fine
+
+    def test_a_transparent_damper_absorbs_the_wave_in_one_round_trip(self):
+        # k2 = z, so E(2) = 0 in the continuum.  Measured E(2)/E(0) =
+        # 8.45e-5 at n = 64 and 1.43e-6 at n = 256: a factor 59, where
+        # order h^3 gives 64.  The bounds are 1.5 times the measured
+        # values and a factor of 40.
+        assert oracles.round_trip_ratio(1.0, 1.0) == 0.0
+        coarse, fine = (self.energy_ratio(n, 1.0, 0, 2) for n in (64, 256))
+        assert coarse <= 1.3e-4 and fine <= 2.2e-6
+        assert coarse >= 40.0 * fine
 
 
 class TestPerturbation:

@@ -360,8 +360,8 @@ class TestComputeSpectrum:
     def test_rejects_miscounted_eigensolve(self, monkeypatch):
         real = linalg.generalized_eig
 
-        def dropped(gram, op, factors=None):
-            values, vectors = real(gram, op, factors)
+        def dropped(op, factors):
+            values, vectors = real(op, factors)
             vectors = dataclasses.replace(
                 vectors, column=vectors.column[:-1], sign=vectors.sign[:-1]
             )
@@ -383,6 +383,7 @@ class TestComputeSpectrum:
 
 
     def test_each_gram_block_factored_once(self, monkeypatch):
+        # Assembly certifies S and M once; the spectrum reads those factors.
         real = linalg.certify_positive_definite
         orders, dense = [], []
 
@@ -394,10 +395,10 @@ class TestComputeSpectrum:
         coeffs = wt.sample_coefficients(
             mesh, boundary_stiffness=1.0, boundary_damping=lambda p: 1.0 + p[:, 0]
         )
-        pencil = wt.assemble_pencil(mesh, coeffs)
-        assert pencil.coeffs.damping_active
         monkeypatch.setattr(linalg, "certify_positive_definite", counting)
         monkeypatch.setattr(linalg, "cholesky", lambda mat: dense.append(mat))
+        pencil = wt.assemble_pencil(mesh, coeffs)
+        assert pencil.coeffs.damping_active
         wt.compute_spectrum(pencil)
         assert orders == [pencil.num_active, pencil.num_active]
         assert dense == []
@@ -456,13 +457,12 @@ class TestEigensolverRoutes:
             boundary_damping=k2,
         )
         pencil = wt.assemble_pencil(mesh, coeffs)
-        blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
-        factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
+        factors = pencil.gram_factors
         damper = spectral._rank_one_damper(pencil, spectral.dissipation_forms(pencil))
-        solved = linalg.secular_eig(pencil.gram_csr, factors, *damper)
+        solved = linalg.secular_eig(pencil.displacement_gram_csr, factors[1], *damper)
         assert solved is not None
         values, vectors = solved
-        want = linalg.generalized_eig(pencil.gram_csr, pencil.dynamics_csr, factors)[0]
+        want = linalg.generalized_eig(pencil.dynamics_csr, factors)[0]
         z = vectors.expand()
         residuals = linalg.pencil_residuals(pencil.gram_csr, pencil.dynamics_csr, values, z)
         assert residuals.max() <= spectral.RESIDUAL_TOL
@@ -512,9 +512,8 @@ class TestEigensolverRoutes:
             return roots
 
         monkeypatch.setattr(linalg, "secular_roots", duplicated)
-        blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
-        factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
-        assert linalg.secular_eig(pencil.gram_csr, factors, 23, 3.0) is None
+        stiffness, mass_factor = pencil.displacement_gram_csr, pencil.gram_factors[1]
+        assert linalg.secular_eig(stiffness, mass_factor, 23, 3.0) is None
         self.assert_dgeev_report(monkeypatch, pencil)
 
     def test_secular_pairs_over_the_residual_bound_fall_back_to_dgeev(self, monkeypatch):
@@ -542,10 +541,9 @@ class TestEigensolverRoutes:
             boundary_damping=float(rng.lognormal(0.0, 3.0)),
         )
         pencil = wt.assemble_pencil(mesh, coeffs)
-        blocks = (pencil.displacement_gram_csr, pencil.mass_csr)
-        factors = tuple(linalg.certify_positive_definite(block) for block in blocks)
         damper = spectral._rank_one_damper(pencil, spectral.dissipation_forms(pencil))
-        values, vectors = linalg.secular_eig(pencil.gram_csr, factors, *damper)
+        stiffness, mass_factor = pencil.displacement_gram_csr, pencil.gram_factors[1]
+        values, vectors = linalg.secular_eig(stiffness, mass_factor, *damper)
         z = vectors.expand()
         residuals = linalg.pencil_residuals(pencil.gram_csr, pencil.dynamics_csr, values, z)
         assert residuals.max() > spectral.RESIDUAL_TOL
