@@ -10,20 +10,21 @@ threshold on top of the library's own checks.  A pencil with a
 block-diagonal Gram matrix is reduced by banded triangular solves with
 the factors of its diagonal blocks; the eigensolve of the reduced matrix
 is dense by nature, and at its peak holds only what dgeev itself needs,
-its overwritten input and its packed real eigenvector matrix, expanded
-one column block at a time (PackedEigenvectors).
+its overwritten input and its packed real eigenvector matrix, kept as
+dgeev returned it (PackedEigenvectors).
 A pencil whose one dissipation is a rank-one damper has a second solver,
 secular_eig: the roots of a secular equation in the undamped modes, found
 by Aberth-Ehrlich iteration and certified by Smith's inclusion discs and
-the generator's trace.  Its eigenvectors are in closed form and are
-built from the m x m modes one block of owners at a time when asked for,
-so that route holds no 2m x 2m matrix.  Neither solver computes residuals:
+the generator's trace.  Its eigenvectors are in closed form, from the
+m x m modes, so that route holds no 2m x 2m matrix (SecularEigenvectors).
+Both routes' vectors are built one block of owners at a time, by
+owner_block, and share one expand.  Neither solver computes residuals:
 pencil_residuals is the per-block kernel of compute_spectrum's pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -225,41 +226,70 @@ def owner_blocks(sign: np.ndarray) -> list[np.ndarray]:
     return [owners[cols] for cols in column_blocks(owners.size, COLUMN_BLOCK // 2)]
 
 
-@dataclass(frozen=True)
-class PackedEigenvectors:
-    """Eigenvectors kept in LAPACK dgeev's real layout, expanded on demand.
+class _OwnerVectors:
+    """The one expand of both eigenvector sources, from their owner_block(own).
 
-    packed is a real (n, n) Fortran-ordered matrix.  A real eigenvalue's
-    vector is one of its columns; a conjugate pair's two vectors re +- i*im
-    share two adjacent columns, re then im.  For the i-th sorted eigenvalue,
-    column[i] is its first packed column and sign[i] is 0 when the value is
-    real, +1 or -1 for the member re + i*im or re - i*im of a pair.  The
-    owners are the real values and the members re + i*im.
+    sign[i] is 0 for a real sorted value and +1 or -1 for the member re +
+    i*im or re - i*im of a conjugate pair, and owner[i] is the sorted index
+    of the pair's member re + i*im (i itself when sign[i] >= 0).
+    """
+
+    def expand(self, cols=slice(None)) -> np.ndarray:
+        """C-ordered complex vectors of the sorted eigenvalues cols, one column each.
+
+        Every owner block that cols touch is built whole, as compute_spectrum
+        builds it, so each column equals the certified one bit for bit; a
+        member re - i*im is its owner's vector conjugated, an exact sign flip.
+        """
+        owner, lower = self.owner[cols], self.sign[cols] < 0
+        blocks = owner_blocks(self.sign)
+        # Block b holds the owners from blocks[b][0] up to the next block's first.
+        which = np.searchsorted([own[0] for own in blocks], owner, side="right") - 1
+        block = np.empty((self.sign.size, owner.size), complex)
+        for b in np.unique(which):
+            own, hit = blocks[b], which == b
+            block[:, hit] = self.owner_block(own)[:, np.searchsorted(own, owner[hit])]
+        block.imag[:, lower] *= -1.0
+        return block
+
+
+@dataclass(frozen=True)
+class PackedEigenvectors(_OwnerVectors):
+    """Eigenvectors kept in LAPACK dgeev's real layout, built on demand.
+
+    packed is dgeev's real (n, n) Fortran-ordered vector matrix, as dgeev
+    returned it.  A real eigenvalue's vector is one of its columns; a
+    conjugate pair's two vectors re +- i*im share two adjacent columns, re
+    then im.  For the i-th sorted eigenvalue, column[i] is its first packed
+    column; sign and owner are as _OwnerVectors has them.  factors are the
+    band factors of the Gram blocks to back-transform with (see
+    generalized_eig), none for a standard eigenproblem.
     """
 
     packed: np.ndarray
     column: np.ndarray
     sign: np.ndarray
+    owner: np.ndarray
+    factors: tuple[np.ndarray, ...] = ()
 
-    @property
-    def owner(self) -> np.ndarray:
-        """Sorted index of each eigenvalue's owner: itself, or its conjugate re + i*im."""
-        owner, own = np.empty(self.sign.size, int), self.sign >= 0
-        owner[self.column[own]] = np.flatnonzero(own)
-        return owner[self.column]
+    def owner_block(self, own: np.ndarray) -> np.ndarray:
+        """Unit gram-norm vectors of the owners values[own], one column each.
 
-    def expand(self, cols=slice(None)) -> np.ndarray:
-        """C-ordered complex vectors of the sorted eigenvalues cols, one column each.
-
-        Only copies and exact sign flips: a block's columns equal those of
-        the whole expansion bit for bit.
+        The owners' packed columns are copied into a complex block and
+        divided, as a complex array, by their norms, as numpy's eig
+        normalizes re + i*im.  Then z = L^{-T} w is solved for each Gram
+        block's factor L: the map is real-linear, so it is solved on the
+        real parts and on the pairs' imaginary parts, each column on its own.
         """
-        first, sign = self.column[cols], self.sign[cols]
-        block = np.empty((self.packed.shape[0], first.size), complex)
+        first, pair = self.column[own], self.sign[own] > 0
+        block = np.empty((self.packed.shape[0], own.size), complex)
         block.real = self.packed[:, first]
-        pair = sign != 0
         block.imag[:, ~pair] = 0.0
-        block.imag[:, pair] = self.packed[:, first[pair] + 1] * sign[pair]
+        block.imag[:, pair] = self.packed[:, first[pair] + 1]
+        block /= np.linalg.norm(block, axis=0)
+        for rows, low in _blocks(self.factors):
+            block.real[rows] = _band_solve(low, block.real[rows], trans="T")
+            block.imag[rows, pair] = _band_solve(low, block.imag[rows, pair], trans="T")
         return block
 
 
@@ -270,12 +300,10 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, PackedEigenvectors]:
     2-norm eigenvectors for values[cols].  LAPACK dgeev (Hessenberg
     reduction plus shifted QR, optimal workspace) overwrites one
     Fortran-ordered copy of mat and returns its real vector matrix, which
-    is kept.  Each vector is normalized once, in place, as numpy's eig
-    normalizes the complex vector re + i*im: divided, as a complex array, by
-    its norm, one block of owner_blocks at a time.  A non-finite entry or a
-    LAPACK failure is an EigenSolverError.  It computes no residual: its
-    consumers certify the pairs against their own problem (compute_spectrum
-    against the pencil).
+    is kept as it is: PackedEigenvectors normalizes each block of owners
+    when it is built.  A non-finite entry or a LAPACK failure is an
+    EigenSolverError.  It computes no residual: its consumers certify the
+    pairs against their own problem (compute_spectrum against the pencil).
 
     dgeev scales a matrix whose largest entry lies outside [EIG_SAFE_MIN,
     1 / EIG_SAFE_MIN], and the OpenBLAS bundled with some scipy releases
@@ -290,7 +318,8 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, PackedEigenvectors]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
-        return np.zeros(0, complex), PackedEigenvectors(a, np.zeros(0, int), np.zeros(0))
+        none = np.zeros(0, int)
+        return np.zeros(0, complex), PackedEigenvectors(a, none, np.zeros(0), none)
     largest = float(np.maximum(a.max(), -a.min()))
     if not np.isfinite(largest):
         raise EigenSolverError("eigenvalue iteration failed: matrix contains non-finite entries")
@@ -308,18 +337,11 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, PackedEigenvectors]:
     values = np.ldexp(wr, exponent).astype(complex)
     values.imag = np.ldexp(wi, exponent)
     order = np.lexsort((values.imag, values.real))
-    # A conjugate pair j, j + 1 (wi[j] > 0) is stored as re, im in columns j, j + 1.
+    # A conjugate pair j, j + 1 (wi[j] > 0) is stored as re, im in columns j,
+    # j + 1, and owned by its member j; argsort(order) is each value's sorted index.
     first = np.arange(n) - (wi < 0)
-    vectors = PackedEigenvectors(vr, first[order], np.sign(wi[order]))
-    # The member re + i*im normalizes its pair's two columns; its conjugate
-    # would divide them by the same norm.
-    for own in owner_blocks(vectors.sign):
-        block = vectors.expand(own)
-        block /= np.linalg.norm(block, axis=0)
-        col, pair = vectors.column[own], vectors.sign[own] > 0
-        vr[:, col] = block.real
-        vr[:, col[pair] + 1] = block.imag[:, pair]
-    return values[order], vectors
+    owner = np.argsort(order)[first[order]]
+    return values[order], PackedEigenvectors(vr, first[order], np.sign(wi[order]), owner)
 
 
 def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
@@ -334,8 +356,11 @@ def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
 def _band_solve(low: np.ndarray, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
     """L^{-1} rhs (trans "N") or L^{-T} rhs (trans "T") for a lower band factor.
 
-    An F-ordered rhs is overwritten; any other is copied.
+    An F-ordered rhs is overwritten; any other is copied.  An empty rhs is
+    returned as it is: dtbtrs corrupts the heap on n rows and no column.
     """
+    if rhs.size == 0:
+        return rhs
     x, info = scipy.linalg.lapack.dtbtrs(low, rhs, uplo="L", trans=trans, overwrite_b=1)
     if info != 0:
         raise SingularMatrixError(f"banded triangular solve failed: LAPACK info {info}")
@@ -378,21 +403,13 @@ def generalized_eig(op, factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, Pa
     values are sorted by (real, imag); vectors.expand(cols) solves the
     pencil problem for values[cols], each column with unit gram-norm
     (z* gram z = 1).  gram enters only as factors, the band factors of its
-    diagonal blocks (see generalized_to_standard); the back-transform
-    solves the packed real columns in place, one row block at a time.  It
-    computes no residual: compute_spectrum certifies the pairs.
+    diagonal blocks (see generalized_to_standard); the vectors keep them
+    and back-transform each block of owners when it is built.  It computes
+    no residual: compute_spectrum certifies the pairs.
     """
     values, vectors = eig_nonsymmetric(generalized_to_standard(op, factors))
-    if values.size == 0:
-        return values, vectors
-    # z = L^{-T} w is real-linear, so it maps re and im of w to those of z,
-    # and each column is solved on its own.  A row block of the packed
-    # matrix is solved in a copy, half its size, after dgeev's input is freed.
-    packed = vectors.packed
-    for rows, low in _blocks(factors):
-        packed[rows] = _band_solve(low, packed[rows], trans="T")
-    # w had unit 2-norm, so z = L^{-T} w already has unit gram-norm.
-    return values, vectors
+    # w has unit 2-norm, so z = L^{-T} w has unit gram-norm.
+    return values, replace(vectors, factors=factors)
 
 
 def pencil_residuals(gram, op, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -613,17 +630,13 @@ def secular_eig(stiffness, mass_factor: np.ndarray, slot: int, weight: float):
 
 
 @dataclass(frozen=True)
-class SecularEigenvectors:
+class SecularEigenvectors(_OwnerVectors):
     """Closed-form eigenvectors of secular_eig's sorted values, built on demand.
 
-    sign and owner are as PackedEigenvectors gives them: sign[i] is 0 for
-    a real value and +1 or -1 for the member re + i*im or re - i*im of a
-    pair, and owner[i] is the sorted index of the pair's member re + i*im
-    (i itself when sign[i] >= 0).  modes are the undamped modes Phi (m x
-    m), omega their frequencies, row = Phi[slot] and weight the damper.
-    Nothing 2m x 2m is kept: each block of owner_blocks is built from the
-    modes when it is asked for, and a member re - i*im is its owner's
-    vector conjugated, an exact sign flip.
+    sign and owner are as _OwnerVectors has them.  modes are the undamped
+    modes Phi (m x m), omega their frequencies, row = Phi[slot] and weight
+    the damper.  Nothing 2m x 2m is kept: each block of owner_blocks is
+    built from the modes when it is asked for.
     """
 
     values: np.ndarray
@@ -634,24 +647,7 @@ class SecularEigenvectors:
     row: np.ndarray
     weight: float
 
-    def expand(self, cols=slice(None)) -> np.ndarray:
-        """C-ordered complex vectors of the sorted eigenvalues cols, one column each.
-
-        Every owner block that cols touch is built whole, as compute_spectrum
-        builds it, so each column equals the certified one bit for bit.
-        """
-        owner, lower = self.owner[cols], self.sign[cols] < 0
-        blocks = owner_blocks(self.sign)
-        # Block b holds the owners from blocks[b][0] up to the next block's first.
-        which = np.searchsorted([own[0] for own in blocks], owner, side="right") - 1
-        block = np.empty((2 * self.modes.shape[0], owner.size), complex)
-        for b in np.unique(which):
-            own, hit = blocks[b], which == b
-            block[:, hit] = self._owner_block(own)[:, np.searchsorted(own, owner[hit])]
-        block.imag[:, lower] *= -1.0
-        return block
-
-    def _owner_block(self, own: np.ndarray) -> np.ndarray:
+    def owner_block(self, own: np.ndarray) -> np.ndarray:
         """Unit gram-norm vectors of the owners values[own], one column each.
 
         The vector of lambda is u = Phi (lambda^2 + W^2)^{-1} Phi[slot], v =

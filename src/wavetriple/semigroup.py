@@ -61,7 +61,6 @@ class CayleyStepper:
     def __init__(self, pencil: OperatorPencil, dt: float):
         if not dt > 0:
             raise ValueError(f"step size must be positive, got {dt}")
-        self.pencil = pencil
         self.dt = float(dt)
         self._m = pencil.num_active
         half = self._half = 0.5 * self.dt

@@ -79,11 +79,12 @@ class SpectralReport:
     the absorbing boundary condition with the flux derived from the
     eigenpair.  near_axis lists indices with |Re| < AXIS_TOL.
     vectors.expand(cols) gives the unit gram-norm complex eigenvectors of
-    values[cols], the ones certified.  On the dgeev route vectors keeps
-    them in LAPACK's real layout, a conjugate pair in two real columns
-    (linalg.PackedEigenvectors, half the memory of the complex array); on
-    the secular route it keeps the m x m undamped modes and builds them
-    on demand (linalg.SecularEigenvectors).
+    values[cols], the ones certified, built one block of owners at a time.
+    On the dgeev route vectors keeps dgeev's real vector matrix as dgeev
+    returned it, a conjugate pair in two real columns, with the Gram
+    factors to back-transform with (linalg.PackedEigenvectors, half the
+    memory of the complex array); on the secular route it keeps the m x m
+    undamped modes (linalg.SecularEigenvectors).
     balance_worst_ratio is the largest energy-balance defect over its
     bound, at most 1.
     """
@@ -128,13 +129,13 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     certificates fail or whose secular pairs miss RESIDUAL_TOL, takes
     linalg.generalized_eig: the dense nonsymmetric eigensolve of the
     reduced generator.  Both return eigenvalues and a source of their
-    vectors with the same expand and owner interface.
+    vectors with the same owner_block, expand and owner interface.
 
     A recomputed pencil residual (overflowed or not) or an eigenpair
     energy-balance defect beyond its bound is an EigenSolverError, so a
     report in hand is a certificate of its pairs.  Residuals, balance
     defects and the two boundary residuals come from one pass that
-    expands one block of owners at a time (_certify_pairs), so the peak
+    builds one block of owners at a time (_certify_pairs), so the peak
     is that of the eigensolve itself: dgeev's overwritten input beside its
     real eigenvector matrix on the dgeev route, or on the secular route
     the m x m undamped modes and their eigh, a quarter of that.
@@ -188,11 +189,11 @@ def _certify_pairs(
 ):
     """(values, vectors, residuals, defect, flux_res, k2_res) of one route's pairs.
 
-    One pass over the owners (linalg.owner_blocks) expands one block at a
-    time and computes its pencil residuals, energy-balance defects and two
-    boundary residuals.  A member re - i*im copies its owner's four numbers:
-    the pencil and the vectors are real, so they are the owner's bit for
-    bit.  A block whose residuals miss RESIDUAL_TOL ends the pass with None
+    One pass over the owners (linalg.owner_blocks) builds each block once
+    (vectors.owner_block) and computes its pencil residuals, energy-balance
+    defects and two boundary residuals.  A member re - i*im copies its
+    owner's four numbers: the pencil and the vectors are real, so they are
+    the owner's bit for bit.  A block whose residuals miss RESIDUAL_TOL ends the pass with None
     under stop; otherwise only residuals are computed from there on.
     forms is dissipation_forms(pencil), and gram and dynamics are the
     pencil's CSR matrices.
@@ -205,7 +206,7 @@ def _certify_pairs(
     residuals, defect, flux_res, k2_res = (np.empty(len(values)) for _ in range(4))
     failed = False
     for cols in linalg.owner_blocks(vectors.sign):
-        lam, block = values[cols], vectors.expand(cols)
+        lam, block = values[cols], vectors.owner_block(cols)
         residuals[cols] = linalg.pencil_residuals(gram, dynamics, lam, block)
         if not residuals[cols].max() <= RESIDUAL_TOL:
             if stop:

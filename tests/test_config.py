@@ -170,6 +170,46 @@ class TestParse:
         diags = diagnostics_of(text)
         assert len(diags) == 2
 
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            (
+                SQUARE.replace("left = fixed", "left = ,"),
+                "line 5: 'left': empty boundary assignment",
+            ),
+            (
+                SQUARE.replace("left = fixed", "left = sticky"),
+                "line 5: 'left': unknown boundary label 'sticky'",
+            ),
+            (
+                SQUARE.replace("left = fixed", "left = fixed 0"),
+                "line 5: 'left': expected 'label' or 'label t0 t1', got 'fixed 0'",
+            ),
+            (MINIMAL.replace("n = 8", "n = 0"), "line 3: 'n' must be at least 1, got 0"),
+            (
+                MINIMAL + "[simulation]\nt_end = 1\ndt = abc\n",
+                "line 8: 'dt' must be a number, got 'abc'",
+            ),
+            (MINIMAL + "[domain\n", "line 6: malformed section header '[domain'"),
+            (MINIMAL + "nonsense\n", "line 6: expected 'key = value', got 'nonsense'"),
+            (MINIMAL.replace("dim = 1\n", ""), "line 1: missing key 'dim' in [domain]"),
+            (SQUARE.replace("top = elastic\n", ""), "line 1: missing side 'top' in [domain]"),
+        ],
+        ids=[
+            "empty-sides",
+            "unknown-label",
+            "bad-segment",
+            "n-zero",
+            "dt-not-a-number",
+            "malformed-header",
+            "no-equals",
+            "missing-dim",
+            "missing-side",
+        ],
+    )
+    def test_each_malformed_value_is_one_diagnostic(self, text, want):
+        assert diagnostics_of(text) == [want]
+
     def test_unknown_section(self):
         diags = diagnostics_of(MINIMAL + "[tuning]\ngain = 2\n")
         assert any("unknown section [tuning]" in d for d in diags)

@@ -268,6 +268,30 @@ class TestBandedCertificate:
         assert str(band.value) == str(dense.value) == "matrix contains non-finite entries"
 
 
+    def test_band_solve_of_no_column_is_returned_as_it_is(self):
+        # dtbtrs corrupts the heap on an (n, 0) right-hand side with n > 0,
+        # so the calls run in a child that a crash cannot take down.  One
+        # call did not always end in a crash; fifty of each kind did.
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        code = (
+            "import numpy as np, scipy.sparse\n"
+            "from wavetriple import linalg\n"
+            "tri = scipy.sparse.diags([[1.0] * 49, [4.0] * 50, [1.0] * 49], [-1, 0, 1])\n"
+            "low = linalg.certify_positive_definite(tri)\n"
+            "empty = np.zeros((50, 0), order='F')\n"
+            "for trans in 'NT':\n"
+            "    print({linalg._band_solve(low, empty, trans).shape for _ in range(50)})\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split("\n") == ["{(50, 0)}", "{(50, 0)}", ""]
+
+
 class TestLuSolve:
     def test_diagonal_system(self):
         x = linalg.LuFactorization(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0]))

@@ -411,26 +411,29 @@ def bump(points):
 
 
 class TestRoundTripLaw:
-    """simulate against the continuum: E(t + 2) = r^2 E(t) on the unit string.
+    """simulate against the continuum: E(t + 2 tau) = r^2 E(t) on a damped string.
 
-    models.damped_pencil has impedance z = 1 and round trip 2 tau = 2, so
-    the law is oracles.round_trip_ratio(k2, 1) for every t.  Each run
-    starts from the bump at rest with dt = h and takes under 0.1 s.
+    On a string of impedance z = 1 with travel time tau the law is
+    oracles.round_trip_ratio(k2, 1) for every t.  Each run starts from the
+    bump at rest, takes `steps` steps per tau and takes under 0.1 s.
     """
 
     @staticmethod
-    def energy_ratio(n: int, k2: float, start: int, stop: int) -> float:
-        pencil = models.damped_pencil(n, k2)
+    def energy_ratio(pencil, tau: float, steps: int, start: int, stop: int) -> float:
         x0 = wt.initial_state(pencil, bump, lambda p: np.zeros(len(p)))
-        energy = wt.simulate(pencil, x0, 1.0 / n, stop * n).energy
-        return energy[stop * n] / energy[start * n]
+        energy = wt.simulate(pencil, x0, tau / steps, stop * steps).energy
+        return energy[stop * steps] / energy[start * steps]
+
+    def unit_string_ratio(self, n: int, k2: float, start: int, stop: int) -> float:
+        # models.damped_pencil has z = 1 and tau = 1; dt = h.
+        return self.energy_ratio(models.damped_pencil(n, k2), 1.0, n, start, stop)
 
     def test_damper_of_three_keeps_a_quarter_of_the_energy_per_round_trip(self):
         # Measured |E(3)/E(1) - 1/4| = 6.66e-4 at n = 64 and 3.85e-5 at
         # n = 256: a factor 17.3, where order h^2 gives 16.  The bounds
         # are 1.5 times the measured errors and a factor of 12.
         want = oracles.round_trip_ratio(3.0, 1.0)
-        coarse, fine = (abs(self.energy_ratio(n, 3.0, 1, 3) - want) for n in (64, 256))
+        coarse, fine = (abs(self.unit_string_ratio(n, 3.0, 1, 3) - want) for n in (64, 256))
         assert coarse <= 1e-3 and fine <= 6e-5
         assert coarse >= 12.0 * fine
 
@@ -440,9 +443,39 @@ class TestRoundTripLaw:
         # order h^3 gives 64.  The bounds are 1.5 times the measured
         # values and a factor of 40.
         assert oracles.round_trip_ratio(1.0, 1.0) == 0.0
-        coarse, fine = (self.energy_ratio(n, 1.0, 0, 2) for n in (64, 256))
+        coarse, fine = (self.unit_string_ratio(n, 1.0, 0, 2) for n in (64, 256))
         assert coarse <= 1.3e-4 and fine <= 2.2e-6
         assert coarse >= 40.0 * fine
+
+    @pytest.mark.parametrize(
+        "start, coarse_bound, fine_bound",
+        [(0, 7.1e-4, 3.6e-5), (1, 5.7e-4, 3.4e-5)],
+        ids=["from-0", "from-tau"],
+    )
+    def test_variable_speed_string_of_unit_impedance(self, start, coarse_bound, fine_bound):
+        # Modulus 1 + x and density 1 / (1 + x): speed 1 + x, impedance 1,
+        # so no wave reflects inside, and tau = ln 2.  With dt = tau /
+        # round(1.5 n tau), measured |E(t + 2 tau)/E(t) - 1/4| at t = 0 and
+        # t = tau: 4.70e-4 and 3.80e-4 at n = 64, 2.38e-5 and 2.22e-5 at
+        # n = 256 (factors 19.8 and 17.1, where order h^2 gives 16), and
+        # 1.39e-6 and 1.37e-6 at n = 1,024.  The bounds are 1.5 times the
+        # measured errors and a factor of 12.
+        tau, want = np.log(2.0), oracles.round_trip_ratio(3.0, 1.0)
+        errors = []
+        for n in (64, 256):
+            mesh = wt.interval_mesh(n, right=wt.BoundaryLabel.DAMPED)
+            coeffs = wt.sample_coefficients(
+                mesh,
+                modulus=lambda p: 1.0 + p[:, 0],
+                density=lambda p: 1.0 / (1.0 + p[:, 0]),
+                boundary_damping=3.0,
+            )
+            pencil = wt.assemble_pencil(mesh, coeffs)
+            ratio = self.energy_ratio(pencil, tau, round(1.5 * n * tau), start, start + 2)
+            errors.append(abs(ratio - want))
+        coarse, fine = errors
+        assert coarse <= coarse_bound and fine <= fine_bound
+        assert coarse >= 12.0 * fine
 
 
 class TestPerturbation:

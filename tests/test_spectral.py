@@ -2,9 +2,11 @@
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -345,6 +347,31 @@ class TestComputeSpectrum:
             assert np.all(report.values[owner] == values.conj()), route
             owned = report.vectors.expand(owner)
             assert np.array_equal(spectral._balance_defect(pencil, values.conj(), owned)[0], defect)
+
+    def test_dgeev_route_builds_each_owner_block_once_from_dgeevs_output(self):
+        # The certifying pass builds every block of owners once, and no code
+        # writes into the vector matrix dgeev returned, expand included.
+        returned, built = [], []
+        dgeev, owner_block = scipy.linalg.lapack.dgeev, linalg.PackedEigenvectors.owner_block
+
+        def spy_dgeev(*args, **kwargs):
+            out = dgeev(*args, **kwargs)
+            returned.append(out[3].copy())
+            return out
+
+        def spy_block(vectors, own):
+            built.append(own.tolist())
+            return owner_block(vectors, own)
+
+        pencil = models.square_pencil(6, 6)
+        with mock.patch.object(scipy.linalg.lapack, "dgeev", spy_dgeev):
+            with mock.patch.object(linalg.PackedEigenvectors, "owner_block", spy_block):
+                report = wt.compute_spectrum(pencil)
+        blocks = linalg.owner_blocks(report.vectors.sign)
+        assert len(blocks) > 1
+        assert built == [own.tolist() for own in blocks]
+        report.vectors.expand()
+        assert len(returned) == 1 and np.array_equal(report.vectors.packed, returned[0])
 
     def test_fully_constrained_model(self):
         pencil = wt.assemble_pencil(
