@@ -17,9 +17,10 @@ secular_eig: the roots of a secular equation in the undamped modes, found
 by Aberth-Ehrlich iteration and certified by Smith's inclusion discs and
 the generator's trace.  Its eigenvectors are in closed form, from the
 m x m modes, so that route holds no 2m x 2m matrix (SecularEigenvectors).
-Both routes' vectors are built one block of owners at a time, by
-owner_block, and share one expand.  Neither solver computes residuals:
-pencil_residuals is the per-block kernel of compute_spectrum's pass.
+Both routes sort their values and name their owners by sorted_owners,
+build vectors one block of owners at a time by owner_block, and share one
+expand.  Neither solver computes residuals: pencil_residuals works on the
+products gram z and op z that compute_spectrum's pass forms per block.
 """
 
 from __future__ import annotations
@@ -336,12 +337,21 @@ def eig_nonsymmetric(mat: np.ndarray) -> tuple[np.ndarray, PackedEigenvectors]:
         raise EigenSolverError(f"eigenvalue iteration failed: LAPACK dgeev info {info}")
     values = np.ldexp(wr, exponent).astype(complex)
     values.imag = np.ldexp(wi, exponent)
-    order = np.lexsort((values.imag, values.real))
     # A conjugate pair j, j + 1 (wi[j] > 0) is stored as re, im in columns j,
-    # j + 1, and owned by its member j; argsort(order) is each value's sorted index.
+    # j + 1, and owned by its member j.
     first = np.arange(n) - (wi < 0)
-    owner = np.argsort(order)[first[order]]
+    order, owner = sorted_owners(values, first)
     return values[order], PackedEigenvectors(vr, first[order], np.sign(wi[order]), owner)
+
+
+def sorted_owners(values: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, owner): values' (real, imag) sort and each sorted value's owner.
+
+    member[i] is the index of value i's owner, the member re + i*im of its
+    conjugate pair (i itself for a real value); owner holds sorted indices.
+    """
+    order = np.lexsort((values.imag, values.real))
+    return order, np.argsort(order)[member[order]]
 
 
 def _blocks(factors) -> list[tuple[slice, np.ndarray]]:
@@ -412,20 +422,19 @@ def generalized_eig(op, factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, Pa
     return values, replace(vectors, factors=factors)
 
 
-def pencil_residuals(gram, op, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def pencil_residuals(gram_z: np.ndarray, op_z: np.ndarray, values: np.ndarray) -> np.ndarray:
     """||op z - lambda gram z|| / (||gram z|| * (1 + |lambda|)) for each column z.
 
-    vectors is one expanded block of eigenvectors, values its eigenvalues,
-    and gram and op are applied to it whole (as CSR in compute_spectrum).
-    Per column the arithmetic is that of the full-width expansion, so the
-    residuals equal its bit for bit.  A residual norm that overflows is inf
-    or nan, with no warning.
+    gram_z and op_z are gram @ z and op @ z for one block of eigenvectors
+    z, values their eigenvalues; neither is modified.  Per column the
+    arithmetic is that of the full-width expansion, so the residuals equal
+    its bit for bit.  A residual norm that overflows is inf or nan, with no
+    warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram_z, resid = gram @ vectors, op @ vectors
         denom = np.linalg.norm(gram_z, axis=0) * (1.0 + np.abs(values))
-        gram_z *= values
-        resid -= gram_z
+        resid = gram_z * values
+        np.subtract(op_z, resid, out=resid)
         return np.linalg.norm(resid, axis=0) / denom
 
 
@@ -618,15 +627,11 @@ def secular_eig(stiffness, mass_factor: np.ndarray, slot: int, weight: float):
     if not abs(values.sum() - trace) <= slack:
         return None
     n, pairs = values.size, upper.size
-    order = np.lexsort((values.imag, values.real))
     sign = np.concatenate([np.ones(pairs), -np.ones(pairs), np.zeros(n - 2 * pairs)])
-    # The member re - i*im at pairs + j is owned by the upper root j;
-    # argsort(order) is each value's sorted index.
-    owner = np.argsort(order)[np.arange(n) - pairs * (sign < 0)]
+    # The member re - i*im at pairs + j is owned by the upper root j.
+    order, owner = sorted_owners(values, np.arange(n) - pairs * (sign < 0))
     values = values[order]
-    return values, SecularEigenvectors(
-        values, sign[order], owner[order], modes, omega, row, weight
-    )
+    return values, SecularEigenvectors(values, sign[order], owner, modes, omega, row, weight)
 
 
 @dataclass(frozen=True)

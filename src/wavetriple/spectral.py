@@ -23,9 +23,10 @@ closed form, built from the modes a block at a time and never stored.
 
 Neither route reads a dense view of the pencil, and neither certifies
 its own pairs: compute_spectrum does, in one pass over the owners
-(_certify_pairs), with a recomputed residual, the damped velocity trace
-(zero on any eigenvector whose eigenvalue sits on the imaginary axis),
-the absorbing boundary condition and the energy balance of every pair.
+(_certify_pairs), which forms gram z and dyn z once per block and reads
+from them a recomputed residual, the damped velocity trace (zero on any
+eigenvector whose eigenvalue sits on the imaginary axis), the absorbing
+boundary condition and the energy balance of every pair.
 """
 
 from __future__ import annotations
@@ -126,19 +127,19 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     one damped end), the damper is a rank-one boundary parameter of the
     undamped generator, and linalg.secular_eig solves the secular equation
     of its Weyl function.  Every other pencil, or one whose secular
-    certificates fail or whose secular pairs miss RESIDUAL_TOL, takes
+    certificates fail or whose certifying pass is refused, takes
     linalg.generalized_eig: the dense nonsymmetric eigensolve of the
     reduced generator.  Both return eigenvalues and a source of their
     vectors with the same owner_block, expand and owner interface.
 
-    A recomputed pencil residual (overflowed or not) or an eigenpair
-    energy-balance defect beyond its bound is an EigenSolverError, so a
-    report in hand is a certificate of its pairs.  Residuals, balance
-    defects and the two boundary residuals come from one pass that
-    builds one block of owners at a time (_certify_pairs), so the peak
-    is that of the eigensolve itself: dgeev's overwritten input beside its
-    real eigenvector matrix on the dgeev route, or on the secular route
-    the m x m undamped modes and their eigh, a quarter of that.
+    One pass builds one block of owners at a time (_certify_pairs), so the
+    peak is that of the eigensolve itself: dgeev's overwritten input beside
+    its real eigenvector matrix on the dgeev route, or on the secular route
+    the m x m undamped modes and their eigh, a quarter of that.  It ends at
+    the first block whose worst recomputed residual (overflowed or not)
+    misses RESIDUAL_TOL, which on the dgeev route is an EigenSolverError.
+    An energy-balance defect beyond its bound is one too, so a report in
+    hand is a certificate of its pairs.
     """
     check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
     factors, forms = pencil.gram_factors, dissipation_forms(pencil)
@@ -147,16 +148,15 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     if rank_one is not None:
         solved = linalg.secular_eig(pencil.displacement_gram_csr, factors[1], *rank_one)
         if solved is not None:
-            certified = _certify_pairs(pencil, forms, gram, dynamics, *solved, stop=True)
+            try:
+                certified = _certify_pairs(pencil, forms, gram, dynamics, *solved)
+            except EigenSolverError:
+                pass  # refused: dgeev takes over
         del solved
     if certified is None:
         solved = linalg.generalized_eig(dynamics, factors)
-        certified = _certify_pairs(pencil, forms, gram, dynamics, *solved, stop=False)
+        certified = _certify_pairs(pencil, forms, gram, dynamics, *solved)
     values, vectors, residuals, defect, flux_res, k2_res = certified
-    if len(values) and not residuals.max() <= RESIDUAL_TOL:
-        raise EigenSolverError(
-            f"pencil residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
     ratio = float((defect / balance_tolerance(values)).max(initial=0.0))
     if not ratio <= 1.0:
         raise EigenSolverError(f"eigenpair energy balance defect at {ratio:.3e} of its bound")
@@ -184,18 +184,17 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     )
 
 
-def _certify_pairs(
-    pencil: OperatorPencil, forms, gram, dynamics, values, vectors, stop: bool
-):
+def _certify_pairs(pencil: OperatorPencil, forms, gram, dynamics, values, vectors):
     """(values, vectors, residuals, defect, flux_res, k2_res) of one route's pairs.
 
-    One pass over the owners (linalg.owner_blocks) builds each block once
-    (vectors.owner_block) and computes its pencil residuals, energy-balance
-    defects and two boundary residuals.  A member re - i*im copies its
-    owner's four numbers: the pencil and the vectors are real, so they are
-    the owner's bit for bit.  A block whose residuals miss RESIDUAL_TOL ends the pass with None
-    under stop; otherwise only residuals are computed from there on.
-    forms is dissipation_forms(pencil), and gram and dynamics are the
+    One pass over the owners (linalg.owner_blocks) builds each block z once
+    (vectors.owner_block) and forms gram z and dynamics z once.  From them
+    come its pencil residuals, its energy-balance defects, with S u and M v
+    read from gram z, and its two boundary residuals.  A block whose worst
+    residual is not within RESIDUAL_TOL ends the pass with an
+    EigenSolverError.  A member re - i*im copies its owner's four numbers:
+    the pencil and the vectors are real, so they are the owner's bit for
+    bit.  forms is dissipation_forms(pencil), and gram and dynamics are the
     pencil's CSR matrices.
     """
     if len(values) != pencil.state_dim:
@@ -203,21 +202,24 @@ def _certify_pairs(
     m, slots = pencil.num_active, pencil.trace_slots
     stiff, spring = pencil.stiffness_csr[slots], pencil.boundary_spring_csr[slots]
     damper = pencil.boundary_damper_csr[slots]
+    reaction, dissipation = forms
     residuals, defect, flux_res, k2_res = (np.empty(len(values)) for _ in range(4))
-    failed = False
     for cols in linalg.owner_blocks(vectors.sign):
         lam, block = values[cols], vectors.owner_block(cols)
-        residuals[cols] = linalg.pencil_residuals(gram, dynamics, lam, block)
-        if not residuals[cols].max() <= RESIDUAL_TOL:
-            if stop:
-                return None
-            failed = True
-        if failed:
-            # compute_spectrum refuses the pairs for their worst residual;
-            # vectors that miss it may overflow the products below.
-            continue
-        vec_u, vec_v = block[:m], block[m:]
-        defect[cols], (mass_v, damp_v, react_u) = _balance_defect(pencil, lam, block, forms)
+        gram_z = gram @ block
+        residuals[cols] = linalg.pencil_residuals(gram_z, dynamics @ block, lam)
+        worst = residuals[cols].max()
+        if not worst <= RESIDUAL_TOL:
+            raise EigenSolverError(f"pencil residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        # -Re(lambda) ||z||^2 must equal v^H (D + Mb) v + Re(v^H Ma u), with
+        # Ma and D + Mb from the coefficients, not read back from dynamics.
+        vec_u, vec_v, mass_v = block[:m], block[m:], gram_z[m:]
+        damp_v, react_u = dissipation @ vec_v, reaction @ vec_u
+        gram_norms = np.einsum("im,im->m", np.conj(vec_u), gram_z[:m]) + np.einsum(
+            "im,im->m", np.conj(vec_v), mass_v
+        )
+        energy_loss = np.einsum("im,im->m", np.conj(vec_v), damp_v + react_u)
+        defect[cols] = np.abs(-lam.real * gram_norms.real - energy_loss.real)
         # The flux trace g that apply_A needs to reproduce a pair is
         # lift(g) = lambda M v + K u on the trace rows.  There the first
         # boundary map spring u + g must balance (D + Mb) v + Ma u.
@@ -250,25 +252,6 @@ def _rank_one_damper(pencil: OperatorPencil, forms) -> tuple[int, float] | None:
     if (pencil.dynamics_vu_csr != -pencil.displacement_gram_csr).nnz:
         return None
     return slot, k2
-
-
-def _balance_defect(pencil: OperatorPencil, values, vectors, forms=None):
-    """Eigenpair energy-balance defect, with the products M v, (D + Mb) v, Ma u.
-
-    -Re(lambda) * ||z||^2 must equal v^H (D + Mb) v + Re(v^H Ma u).  Ma and
-    D + Mb come from dissipation_forms, assembled from the coefficients,
-    not read back from the dynamics (forms, when given, is its result); the
-    Gram norms use the CSR forms.  vectors may be a block of columns.
-    """
-    m = pencil.num_active
-    vec_u, vec_v = vectors[:m], vectors[m:]
-    reaction, damper = dissipation_forms(pencil) if forms is None else forms
-    mass_v, damp_v, react_u = pencil.mass_csr @ vec_v, damper @ vec_v, reaction @ vec_u
-    gram_norms = np.einsum(
-        "im,im->m", np.conj(vec_u), pencil.displacement_gram_csr @ vec_u
-    ) + np.einsum("im,im->m", np.conj(vec_v), mass_v)
-    dissipation = np.einsum("im,im->m", np.conj(vec_v), damp_v + react_u)
-    return np.abs(-values.real * gram_norms.real - dissipation.real), (mass_v, damp_v, react_u)
 
 
 def balance_tolerance(values: np.ndarray) -> np.ndarray:

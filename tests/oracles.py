@@ -5,13 +5,19 @@ independently of the package: the characteristic equation of the
 boundary-damped string, Sturm-Liouville frequencies, quadratic and cubic
 characteristic polynomials for small matrix pencils, and an
 elimination-based determinant.  Nothing in this module imports the
-package under test.
+package under test, except the energy-balance check balance_defect, which
+reads a pencil's assembled matrices and dissipation forms and shares no
+code with the pass it checks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
+
+from wavetriple.assembly import dissipation_forms
 
 
 def damped_string_decay(k2: float) -> float:
@@ -234,3 +240,22 @@ def weighted_mean(samples, weights, volumes) -> float:
     num = sum(v * f / t for v, f, t in zip(volumes, samples, weights))
     den = sum(v / t for v, t in zip(volumes, weights))
     return num / den
+
+
+def balance_defect(pencil, values, vectors, forms=None):
+    """Eigenpair energy-balance defect, with the products M v, (D + Mb) v, Ma u.
+
+    -Re(lambda) * ||z||^2 must equal v^H (D + Mb) v + Re(v^H Ma u).  Ma and
+    D + Mb come from dissipation_forms, assembled from the coefficients,
+    not read back from the dynamics (forms, when given, is its result); the
+    Gram norms use the CSR forms.  vectors may be a block of columns.
+    """
+    m = pencil.num_active
+    vec_u, vec_v = vectors[:m], vectors[m:]
+    reaction, damper = dissipation_forms(pencil) if forms is None else forms
+    mass_v, damp_v, react_u = pencil.mass_csr @ vec_v, damper @ vec_v, reaction @ vec_u
+    gram_norms = np.einsum(
+        "im,im->m", np.conj(vec_u), pencil.displacement_gram_csr @ vec_u
+    ) + np.einsum("im,im->m", np.conj(vec_v), mass_v)
+    dissipation = np.einsum("im,im->m", np.conj(vec_v), damp_v + react_u)
+    return np.abs(-values.real * gram_norms.real - dissipation.real), (mass_v, damp_v, react_u)

@@ -733,7 +733,7 @@ class TestPencil:
         op = rng.standard_normal((10, 10))
         values, packed = linalg.generalized_eig(op, (band_factor(gram),))
         vectors = packed.expand()
-        residuals = linalg.pencil_residuals(gram, op, values, vectors)
+        residuals = linalg.pencil_residuals(gram @ vectors, op @ vectors, values)
         for k in range(values.shape[0]):
             z = vectors[:, k]
             assert abs(np.real(np.conj(z) @ gram @ z) - 1.0) < 1e-8
@@ -752,7 +752,8 @@ class TestPencil:
         factors = tuple(band_factor(b) for b in blocks)
         full, _ = linalg.generalized_eig(op, (band_factor(gram),))
         split, packed = linalg.generalized_eig(op, factors)
-        split_residuals = linalg.pencil_residuals(gram, op, split, packed.expand())
+        z = packed.expand()
+        split_residuals = linalg.pencil_residuals(gram @ z, op @ z, split)
         scale = np.abs(full).max()
         assert np.abs(split - full).max() <= 1e-12 * scale
         assert split_residuals.max() < spectral.RESIDUAL_TOL

@@ -415,7 +415,12 @@ class TestRoundTripLaw:
 
     On a string of impedance z = 1 with travel time tau the law is
     oracles.round_trip_ratio(k2, 1) for every t.  Each run starts from the
-    bump at rest, takes `steps` steps per tau and takes under 0.1 s.
+    bump at rest, takes `steps` steps per tau and takes under 0.13 s.  The
+    law holds on the 2-D channel too: the unit square fixed on the left,
+    free on top and bottom and damped on the right.  The bump depends on x
+    only, so the continuum solution there is the string's, while the
+    damper acts along a whole edge through its boundary mass and the
+    triangulation's diagonals break the y-symmetry.
     """
 
     @staticmethod
@@ -427,6 +432,19 @@ class TestRoundTripLaw:
     def unit_string_ratio(self, n: int, k2: float, start: int, stop: int) -> float:
         # models.damped_pencil has z = 1 and tau = 1; dt = h.
         return self.energy_ratio(models.damped_pencil(n, k2), 1.0, n, start, stop)
+
+    @staticmethod
+    def channel(nx: int, k2: float, right=(wt.Segment(wt.BoundaryLabel.DAMPED),), **fields):
+        """Pencil of the nx by nx channel with damper k2 on the segments right."""
+        label = wt.BoundaryLabel
+        sides = {
+            "left": (wt.Segment(label.FIXED),),
+            "right": right,
+            "bottom": (wt.Segment(label.FREE),),
+            "top": (wt.Segment(label.FREE),),
+        }
+        mesh = wt.rectangle_mesh(nx, nx, sides)
+        return wt.assemble_pencil(mesh, wt.sample_coefficients(mesh, boundary_damping=k2, **fields))
 
     def test_damper_of_three_keeps_a_quarter_of_the_energy_per_round_trip(self):
         # Measured |E(3)/E(1) - 1/4| = 6.66e-4 at n = 64 and 3.85e-5 at
@@ -476,6 +494,62 @@ class TestRoundTripLaw:
         coarse, fine = errors
         assert coarse <= coarse_bound and fine <= fine_bound
         assert coarse >= 12.0 * fine
+
+    def test_channel_damper_of_three_keeps_a_quarter_of_the_energy_per_round_trip(self):
+        # Unit coefficients, dt = h = 1 / nx.  Measured |E(3)/E(1) - 1/4| =
+        # 3.104e-3 at nx = 32 and 6.736e-4 at nx = 64: a factor 4.6, where
+        # order h^2 gives 4.  The bounds are 1.5 times the measured errors
+        # and a factor of 3.5.
+        want = oracles.round_trip_ratio(3.0, 1.0)
+        coarse, fine = (
+            abs(self.energy_ratio(self.channel(nx, 3.0), 1.0, nx, 1, 3) - want) for nx in (32, 64)
+        )
+        assert coarse <= 4.66e-3 and fine <= 1.01e-3
+        assert coarse >= 3.5 * fine
+
+    def test_a_transparent_channel_damper_absorbs_the_wave_in_one_round_trip(self):
+        # k2 = z, so E(2) = 0 in the continuum.  Measured E(2)/E(0) =
+        # 8.035e-4 at nx = 32 and 9.105e-5 at nx = 64: a factor 8.8, where
+        # order h^3 gives 8.  The bounds are 1.5 times the measured values
+        # and a factor of 6.
+        coarse, fine = (self.energy_ratio(self.channel(nx, 1.0), 1.0, nx, 0, 2) for nx in (32, 64))
+        assert coarse <= 1.21e-3 and fine <= 1.37e-4
+        assert coarse >= 6.0 * fine
+
+    @pytest.mark.parametrize(
+        "start, coarse_bound, fine_bound",
+        [(0, 4.23e-3, 7.38e-4), (1, 3.16e-3, 6.10e-4)],
+        ids=["from-0", "from-tau"],
+    )
+    def test_variable_speed_channel_of_unit_impedance(self, start, coarse_bound, fine_bound):
+        # The variable-speed string's modulus 1 + x and density 1 / (1 + x)
+        # on the channel, tau = ln 2 and dt = tau / round(1.5 nx tau).
+        # Measured |E(t + 2 tau)/E(t) - 1/4| at t = 0 and t = tau: 2.822e-3
+        # and 2.108e-3 at nx = 32, 4.920e-4 and 4.066e-4 at nx = 64
+        # (factors 5.7 and 5.2, where order h^2 gives 4).  The bounds are
+        # 1.5 times the measured errors and a factor of 3.5.
+        tau, want = np.log(2.0), oracles.round_trip_ratio(3.0, 1.0)
+        fields = {"modulus": lambda p: 1.0 + p[:, 0], "density": lambda p: 1.0 / (1.0 + p[:, 0])}
+        errors = []
+        for nx in (32, 64):
+            pencil = self.channel(nx, 3.0, **fields)
+            ratio = self.energy_ratio(pencil, tau, round(1.5 * nx * tau), start, start + 2)
+            errors.append(abs(ratio - want))
+        coarse, fine = errors
+        assert coarse <= coarse_bound and fine <= fine_bound
+        assert coarse >= 3.5 * fine
+
+    def test_a_damped_side_split_in_two_segments_is_one_damper(self):
+        # The damped side as a damped half and an elastic_damped half with
+        # no spring: the same boundary forms, so the same energies bit for
+        # bit (measured at nx = 32).
+        label = wt.BoundaryLabel
+        split = (wt.Segment(label.DAMPED, 0.0, 0.5), wt.Segment(label.ELASTIC_DAMPED, 0.5, 1.0))
+        whole = self.channel(32, 3.0)
+        halves = self.channel(32, 3.0, right=split, boundary_stiffness=0.0)
+        x0 = wt.initial_state(whole, bump, lambda p: np.zeros(len(p)))
+        energies = [wt.simulate(p, x0, 1.0 / 32, 96).energy for p in (whole, halves)]
+        assert np.array_equal(*energies)
 
 
 class TestPerturbation:

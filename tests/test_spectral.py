@@ -304,7 +304,7 @@ class TestComputeSpectrum:
         gram_z *= values
         resid -= gram_z
         assert np.array_equal(report.residuals, np.linalg.norm(resid, axis=0) / denom)
-        _, (mass_v, damp_v, react_u) = spectral._balance_defect(pencil, values, vectors)
+        _, (mass_v, damp_v, react_u) = oracles.balance_defect(pencil, values, vectors)
         slots = pencil.trace_slots
         flux = values * mass_v[slots] + pencil.stiffness_csr[slots] @ vectors[:m]
         b1 = pencil.boundary_spring_csr[slots] @ vectors[:m] + flux
@@ -332,7 +332,7 @@ class TestComputeSpectrum:
             gram_z *= values
             resid -= gram_z
             residuals = np.linalg.norm(resid, axis=0) / denom
-            defect, (mass_v, damp_v, react_u) = spectral._balance_defect(pencil, values, vectors)
+            defect, (mass_v, damp_v, react_u) = oracles.balance_defect(pencil, values, vectors)
             slots = pencil.trace_slots
             flux = values * mass_v[slots] + pencil.stiffness_csr[slots] @ vectors[:m]
             b1 = pencil.boundary_spring_csr[slots] @ vectors[:m] + flux
@@ -346,7 +346,7 @@ class TestComputeSpectrum:
             owner = report.vectors.owner[lower]
             assert np.all(report.values[owner] == values.conj()), route
             owned = report.vectors.expand(owner)
-            assert np.array_equal(spectral._balance_defect(pencil, values.conj(), owned)[0], defect)
+            assert np.array_equal(oracles.balance_defect(pencil, values.conj(), owned)[0], defect)
 
     def test_dgeev_route_builds_each_owner_block_once_from_dgeevs_output(self):
         # The certifying pass builds every block of owners once, and no code
@@ -401,12 +401,54 @@ class TestComputeSpectrum:
     def test_rejects_large_residual(self, monkeypatch):
         real = linalg.pencil_residuals
 
-        def inflated(gram, op, values, vectors):
-            return real(gram, op, values, vectors) + 1e-3
+        def inflated(gram_z, op_z, values):
+            return real(gram_z, op_z, values) + 1e-3
 
         monkeypatch.setattr(spectral.linalg, "pencil_residuals", inflated)
         with pytest.raises(EigenSolverError, match="residual"):
             wt.compute_spectrum(models.dirichlet_pencil(8))
+
+    def test_a_refused_block_ends_the_dgeev_pass(self, monkeypatch):
+        # The first block of owners whose residuals miss RESIDUAL_TOL ends
+        # the pass, and the error names that block's worst residual: no
+        # later block is built.
+        pencil = models.square_pencil(8, 8)
+        assert len(linalg.owner_blocks(wt.compute_spectrum(pencil).vectors.sign)) > 1
+        real, owner_block = linalg.pencil_residuals, linalg.PackedEigenvectors.owner_block
+        built = []
+
+        def inflated(*args):
+            return real(*args) + 1e-3
+
+        def spy_block(vectors, own):
+            built.append(own.tolist())
+            return owner_block(vectors, own)
+
+        monkeypatch.setattr(spectral.linalg, "pencil_residuals", inflated)
+        monkeypatch.setattr(linalg.PackedEigenvectors, "owner_block", spy_block)
+        with pytest.raises(EigenSolverError, match=r"pencil residual 1\.0\d\de-03 exceeds 1\.0e-08"):
+            wt.compute_spectrum(pencil)
+        assert len(built) == 1
+
+    def test_the_pass_multiplies_s_and_m_by_no_eigenvector_block(self):
+        # S u and M v are read from gram z, formed once per block of owners,
+        # so neither S nor M is applied to an eigenvector block on its own.
+        products = []
+
+        class CountingCsr(csr_matrix):
+            def __matmul__(self, other):
+                products.append(np.shape(other))
+                return super().__matmul__(other)
+
+        for pencil in (models.damped_pencil(100), models.square_pencil(8, 8)):
+            counted = dataclasses.replace(
+                pencil,
+                mass_csr=CountingCsr(pencil.mass_csr),
+                displacement_gram_csr=CountingCsr(pencil.displacement_gram_csr),
+            )
+            report = wt.compute_spectrum(counted)
+            assert wt.eigenvalues_csv(report) == wt.eigenvalues_csv(wt.compute_spectrum(pencil))
+        assert products == []
 
 
     def test_each_gram_block_factored_once(self, monkeypatch):
@@ -491,7 +533,7 @@ class TestEigensolverRoutes:
         values, vectors = solved
         want = linalg.generalized_eig(pencil.dynamics_csr, factors)[0]
         z = vectors.expand()
-        residuals = linalg.pencil_residuals(pencil.gram_csr, pencil.dynamics_csr, values, z)
+        residuals = linalg.pencil_residuals(pencil.gram_csr @ z, pencil.dynamics_csr @ z, values)
         assert residuals.max() <= spectral.RESIDUAL_TOL
         # Without reaction C^T = JCJ, J = diag(I, -I), so J conj(z) is the
         # left eigenvector and kappa = z^H G z / |z^T J G z| the condition
@@ -572,7 +614,7 @@ class TestEigensolverRoutes:
         stiffness, mass_factor = pencil.displacement_gram_csr, pencil.gram_factors[1]
         values, vectors = linalg.secular_eig(stiffness, mass_factor, *damper)
         z = vectors.expand()
-        residuals = linalg.pencil_residuals(pencil.gram_csr, pencil.dynamics_csr, values, z)
+        residuals = linalg.pencil_residuals(pencil.gram_csr @ z, pencil.dynamics_csr @ z, values)
         assert residuals.max() > spectral.RESIDUAL_TOL
         self.assert_dgeev_report(monkeypatch, pencil)
 
@@ -587,7 +629,7 @@ class TestEnergyBalance:
     def test_balance_identity_on_ci_models(self):
         for pencil in models.ci_pencils():
             report = wt.compute_spectrum(pencil)
-            defect = spectral._balance_defect(pencil, report.values, report.vectors.expand())[0]
+            defect = oracles.balance_defect(pencil, report.values, report.vectors.expand())[0]
             bound = spectral.balance_tolerance(report.values)
             assert (defect <= bound).all()
             assert 0.0 <= report.balance_worst_ratio <= 1.0
@@ -595,14 +637,14 @@ class TestEnergyBalance:
     def test_balance_identity_on_cell_average_models(self):
         for pencil in models.cell_average_pencils():
             report = wt.compute_spectrum(pencil)
-            defect = spectral._balance_defect(pencil, report.values, report.vectors.expand())[0]
+            defect = oracles.balance_defect(pencil, report.values, report.vectors.expand())[0]
             bound = spectral.balance_tolerance(report.values)
             assert (defect <= bound).all()
 
     def test_report_ratio_is_the_public_check_over_its_bound(self):
         for pencil in models.ci_pencils() + interior_terms_pencils():
             report = wt.compute_spectrum(pencil)
-            defect = spectral._balance_defect(pencil, report.values, report.vectors.expand())[0]
+            defect = oracles.balance_defect(pencil, report.values, report.vectors.expand())[0]
             bound = spectral.balance_tolerance(report.values)
             assert report.balance_worst_ratio == (defect / bound).max(initial=0.0)
 
