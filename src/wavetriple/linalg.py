@@ -5,18 +5,21 @@ symmetric matrix by factoring only its band, and returns the band factor.
 LU solves take dense or scipy.sparse input and always factor with SuperLU:
 every matrix solved against is a finite element matrix with a handful of
 entries per row, and a symmetric positive definite one is factored in
-SuperLU's symmetric mode.  Both apply a package-wide relative pivot
-threshold on top of the library's own checks.  A pencil with a
-block-diagonal Gram matrix is reduced by banded triangular solves with
-the factors of its diagonal blocks; the eigensolve of the reduced matrix
-is dense by nature, and at its peak holds only what dgeev itself needs,
-its overwritten input and its packed real eigenvector matrix, kept as
-dgeev returned it (PackedEigenvectors).
+SuperLU's symmetric mode.  Every factor compares its pivots with one
+floor, PIVOT_RTOL times the largest entry magnitude (_pivot_floor), on
+top of the library's own checks.  A pencil with a block-diagonal Gram
+matrix is reduced by banded triangular solves with the factors of its
+diagonal blocks; the eigensolve of the reduced matrix is dense by nature,
+and at its peak holds only what dgeev itself needs, its overwritten input
+and its packed real eigenvector matrix, kept as dgeev returned it
+(PackedEigenvectors).
 A pencil whose one dissipation is a rank-one damper has a second solver,
 secular_eig: the roots of a secular equation in the undamped modes, found
 by Aberth-Ehrlich iteration and certified by Smith's inclusion discs and
-the generator's trace.  Its eigenvectors are in closed form, from the
-m x m modes, so that route holds no 2m x 2m matrix (SecularEigenvectors).
+the generator's trace.  A failed certificate is an EigenSolverError, the
+refusal of compute_spectrum's certifying pass too.  Its eigenvectors are
+in closed form, from the m x m modes, so that route holds no 2m x 2m
+matrix (SecularEigenvectors).
 Both routes sort their values and name their owners by sorted_owners,
 build vectors one block of owners at a time by owner_block, and share one
 expand.  Neither solver computes residuals: pencil_residuals works on the
@@ -61,29 +64,37 @@ _EPS = np.finfo(float).eps
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
-def _pivot_rule(factorize, operand, shape, entries: np.ndarray, diagonal):
-    """Lower factor by factorize(operand) under the package's positivity rule.
+def _pivot_floor(shape, entries: np.ndarray) -> tuple[float, float]:
+    """(scale, floor) of a matrix: its largest entry magnitude and PIVOT_RTOL times it.
 
     shape and entries (stored values) are the matrix's: a non-square shape
-    or a non-finite entry is a ValueError.  diagonal(factor) is diag(L).  A
-    LAPACK breakdown, or a pivot diag(L)_j**2 at or below PIVOT_RTOL times
-    the largest entry magnitude, is a NotPositiveDefiniteError.
+    or a non-finite entry is a ValueError.  Every factor compares its pivots with it.
     """
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
     scale = float(np.abs(entries).max(initial=0.0))
     if not np.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
+    return scale, PIVOT_RTOL * scale
+
+
+def _pivot_rule(factorize, operand, shape, entries: np.ndarray, diagonal):
+    """Lower factor by factorize(operand) under the package's positivity rule.
+
+    shape and entries are the matrix's, checked by _pivot_floor.
+    diagonal(factor) is diag(L).  A LAPACK breakdown, or a pivot
+    diag(L)_j**2 at or below the floor, is a NotPositiveDefiniteError.
+    """
+    scale, floor = _pivot_floor(shape, entries)
     try:
         factor = factorize(operand, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"nonpositive pivot: {exc}") from exc
     pivots = diagonal(factor) ** 2
-    tol = PIVOT_RTOL * scale
-    if not pivots.min(initial=np.inf) > tol:
+    if not pivots.min(initial=np.inf) > floor:
         j = int(np.argmin(pivots))
         raise NotPositiveDefiniteError(
-            f"pivot {pivots[j]:.3e} at row {j} is below {tol:.3e}, which is "
+            f"pivot {pivots[j]:.3e} at row {j} is below {floor:.3e}, which is "
             f"PIVOT_RTOL = {PIVOT_RTOL:.0e} times the largest entry {scale:.3e}"
         )
     return factor
@@ -123,69 +134,57 @@ def certify_positive_definite(mat) -> np.ndarray:
     return _pivot_rule(scipy.linalg.cholesky_banded, band, csr.shape, entries, lambda c: c[0])
 
 
-def _positive_definite_factor(splu, a, tol: float):
-    """SuperLU's symmetric-mode factor of the symmetric CSC a, or None.
-
-    None unless the pivots stayed on the diagonal (perm_r == perm_c) and
-    every pivot diag(U) exceeds tol, which only holds for a symmetric
-    positive definite a; an exactly singular a is None too.
-    """
-    try:
-        lu = splu(
-            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
-    except RuntimeError:
-        return None
-    if np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > tol:
-        return lu
-    return None
-
-
 class LuFactorization:
     """Cached sparse LU factorization for repeated solves against one matrix.
 
     mat may be a dense array or a scipy.sparse matrix; it is factored by
-    SuperLU in CSC form.  A bitwise-symmetric input is first factored in
-    SuperLU's symmetric mode: minimum-degree ordering on A + A^T and
-    diagonal pivots (diag_pivot_thresh = 0).  That factor is kept only if
-    its row and column permutations agree and every pivot diag(U) is
-    positive and above PIVOT_RTOL times the largest entry magnitude, which
-    only a symmetric positive definite matrix passes; its fill is about
-    half the default ordering's on a P1 stiffness.  Any other matrix
-    (unsymmetric, indefinite, a zero or tiny diagonal pivot) is factored
-    on SuperLU's default path (COLAMD, threshold pivoting) under the rules
-    below, so the same matrices are accepted and rejected either way.
-    Non-finite entries are a ValueError.  A matrix SuperLU finds exactly
-    singular, or whose smallest |diag(U)| falls at or below PIVOT_RTOL
-    times the largest entry magnitude, is a SingularMatrixError.
+    SuperLU in CSC form, under _pivot_floor's checks and floor.  A
+    bitwise-symmetric input is first factored in SuperLU's symmetric mode:
+    minimum-degree ordering on A + A^T and diagonal pivots
+    (diag_pivot_thresh = 0).  That factor is kept only if its row and
+    column permutations agree and every pivot diag(U) is above the floor,
+    the rule certify_positive_definite applies to diag(L)**2, which only a
+    symmetric positive definite matrix passes; its fill is about half the
+    default ordering's on a P1 stiffness.  Any other matrix (unsymmetric,
+    indefinite, a zero or tiny diagonal pivot) is factored on SuperLU's
+    default path (COLAMD, threshold pivoting), so the same matrices are
+    accepted and rejected either way.  A matrix SuperLU finds exactly
+    singular, or whose smallest |diag(U)| is at or below the floor, is a
+    SingularMatrixError.
     """
 
     def __init__(self, mat):
         from scipy.sparse.linalg import splu
 
-        shape = np.shape(mat)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {shape}")
-        self.shape = shape
-        self._lu = None
-        if shape[0] == 0:
+        self.shape, self._lu = np.shape(mat), None
+        # csc_matrix would misread other than two axes; _pivot_floor names the shape.
+        a = scipy.sparse.csc_matrix(mat if len(self.shape) == 2 else (0, 0), dtype=float)
+        scale, floor = _pivot_floor(self.shape, a.data)
+        if self.shape[0] == 0:
             return
-        a = scipy.sparse.csc_matrix(mat, dtype=float)
-        if not np.all(np.isfinite(a.data)):
-            raise ValueError("matrix contains non-finite entries")
-        scale = float(np.abs(a.data).max(initial=0.0))
         if scale == 0.0:
             raise SingularMatrixError("LU of a zero matrix: the matrix is singular")
         if (a != a.T).nnz == 0:
-            self._lu = _positive_definite_factor(splu, a, PIVOT_RTOL * scale)
-            if self._lu is not None:
-                return
+            try:
+                lu = splu(
+                    a,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError:
+                pass  # exactly singular: the default path says so
+            else:
+                if np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > floor:
+                    self._lu = lu
+                    return
+                del lu  # not held while the default path factors
         try:
             self._lu = splu(a)
         except RuntimeError as exc:
             raise SingularMatrixError(f"LU breakdown signals a singular matrix: {exc}") from exc
         pivot = float(np.abs(self._lu.U.diagonal()).min())
-        if pivot <= PIVOT_RTOL * scale:
+        if pivot <= floor:
             raise SingularMatrixError(f"LU pivot {pivot:.3e} signals a singular matrix")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -193,7 +192,7 @@ class LuFactorization:
         if rhs.shape[0] != self.shape[0]:
             raise ValueError(f"rhs length {rhs.shape[0]} != matrix order {self.shape[0]}")
         if self._lu is None:
-            return np.zeros_like(rhs, dtype=float)
+            return np.zeros_like(rhs, dtype=np.result_type(rhs, float))
         if not np.all(np.isfinite(rhs)):
             raise ValueError("right-hand side contains non-finite entries")
         if np.iscomplexobj(rhs):
@@ -573,15 +572,15 @@ def _inclusion_discs(values: np.ndarray, omega: np.ndarray, weights: np.ndarray)
 
 
 def secular_eig(stiffness, mass_factor: np.ndarray, slot: int, weight: float):
-    """Eigenpairs of a rank-one damped pencil from its secular equation, or None.
+    """Eigenpairs of a rank-one damped pencil from its secular equation.
 
     The pencil is op z = lambda gram z with gram = blockdiag(S, M) and op =
     [[0, S], [-S, -weight e e^T]], e the unit vector of slot; the caller
     vouches for that form; stiffness is S and mass_factor the band factor of M.
     Returns (values, vectors) as generalized_eig does, vectors a
-    SecularEigenvectors built from the modes on demand, or None when a
-    certificate fails.  It computes no residual: compute_spectrum
-    certifies the pairs against the pencil.
+    SecularEigenvectors built from the modes on demand.  A failed
+    certificate is an EigenSolverError that names it.  It computes no
+    residual: compute_spectrum certifies the pairs against the pencil.
 
     The undamped modes come from the congruent standard problem L^{-1} S
     L^{-T} w = w_k^2 w, L the band factor of M (dense eigh, MRRR), as Phi =
@@ -611,21 +610,22 @@ def secular_eig(stiffness, mass_factor: np.ndarray, slot: int, weight: float):
     del reduced
     modes = _band_solve(mass_factor, modes, trans="T")
     if not (omega2[0] > 0.0 and abs(trace) + np.sqrt(omega2[-1]) <= SECULAR_MAX_MODULUS):
-        return None
+        raise EigenSolverError("secular certificate failed: positive modes or overflow bound")
     omega, row = np.sqrt(omega2), modes[slot]
     weights = weight * row**2
     roots = secular_roots(omega2, weights)
     real = np.abs(roots.imag) <= REAL_ROOT_RTOL * np.abs(roots)
     upper = roots[~real & (roots.imag > 0.0)]
     if 2 * upper.size + np.count_nonzero(real) != 2 * m:
-        return None
+        raise EigenSolverError("secular certificate failed: conjugate closure")
     values = np.concatenate([upper, upper.conj(), roots[real].real.astype(complex)])
     radii, nearest = _inclusion_discs(values, omega, weights)
     if not np.all(nearest > radii + radii.max()):
-        return None
+        raise EigenSolverError("secular certificate failed: disjoint Smith discs")
     slack = radii.sum() + TRACE_RTOL * (abs(trace) + np.abs(values).sum())
-    if not abs(values.sum() - trace) <= slack:
-        return None
+    miss = abs(values.sum() - trace)
+    if not miss <= slack:
+        raise EigenSolverError(f"secular certificate failed: trace, missed by {miss:.3e}")
     n, pairs = values.size, upper.size
     sign = np.concatenate([np.ones(pairs), -np.ones(pairs), np.zeros(n - 2 * pairs)])
     # The member re - i*im at pairs + j is owned by the upper root j.

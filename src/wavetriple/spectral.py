@@ -126,8 +126,8 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     exactly those forms (_rank_one_damper; in practice the 1-D string with
     one damped end), the damper is a rank-one boundary parameter of the
     undamped generator, and linalg.secular_eig solves the secular equation
-    of its Weyl function.  Every other pencil, or one whose secular
-    certificates fail or whose certifying pass is refused, takes
+    of its Weyl function.  Every other pencil, or one where a secular
+    certificate or the certifying pass raises EigenSolverError, takes
     linalg.generalized_eig: the dense nonsymmetric eigensolve of the
     reduced generator.  Both return eigenvalues and a source of their
     vectors with the same owner_block, expand and owner interface.
@@ -146,13 +146,12 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     gram, dynamics = pencil.gram_csr, pencil.dynamics_csr
     certified, rank_one = None, _rank_one_damper(pencil, forms)
     if rank_one is not None:
-        solved = linalg.secular_eig(pencil.displacement_gram_csr, factors[1], *rank_one)
-        if solved is not None:
-            try:
-                certified = _certify_pairs(pencil, forms, gram, dynamics, *solved)
-            except EigenSolverError:
-                pass  # refused: dgeev takes over
-        del solved
+        try:
+            solved = linalg.secular_eig(pencil.displacement_gram_csr, factors[1], *rank_one)
+            certified = _certify_pairs(pencil, forms, gram, dynamics, *solved)
+        except EigenSolverError:
+            pass  # a secular certificate or the pass refused: dgeev takes over
+        solved = None  # the secular modes go before dgeev runs
     if certified is None:
         solved = linalg.generalized_eig(dynamics, factors)
         certified = _certify_pairs(pencil, forms, gram, dynamics, *solved)

@@ -549,6 +549,64 @@ class TestSurjectivityWitness:
         assert np.array_equal(wt.trace_B2(pencil, elem), h)
 
 
+def element(u=4, v=4, g=1):
+    """A zero DomainElement with the given field lengths."""
+    return wt.DomainElement(np.zeros(u), np.zeros(v), np.zeros(g))
+
+
+def hand_built(pencil, **fields):
+    """assemble_pencil on the pencil's coefficients with fields replaced."""
+    return wt.assemble_pencil(pencil.mesh, dataclasses.replace(pencil.coeffs, **fields))
+
+
+# Each bad input to the damped string at n = 4 (4 active nodes, 1 trace
+# node, 4 cells, 2 boundary facets), its exception and its message.
+INPUT_REFUSALS = {
+    "split": (lambda p: p.split(np.zeros(7)), ValueError, "state length 7 != 8"),
+    "apply_A displacement": (
+        lambda p: wt.apply_A(p, element(u=3)), ValueError, "element fields must have length 4"
+    ),
+    "apply_A velocity": (
+        lambda p: wt.apply_A(p, element(v=5)), ValueError, "element fields must have length 4"
+    ),
+    "apply_A flux": (
+        lambda p: wt.apply_A(p, element(g=2)), ValueError, "flux trace must have length 1"
+    ),
+    "witness targets": (
+        lambda p: wt.surjectivity_witness(p, np.zeros(2), np.zeros(1)),
+        ValueError,
+        "targets must have length 1",
+    ),
+    "witness displacement": (
+        lambda p: wt.surjectivity_witness(p, np.zeros(1), np.zeros(1), np.zeros(3)),
+        ValueError,
+        "displacement must have length 4",
+    ),
+    "density": (
+        lambda p: hand_built(p, density=np.ones(3)),
+        wt.CoefficientError,
+        r"weight must have one value per cell, got \(3,\)",
+    ),
+    "modulus": (
+        lambda p: hand_built(p, modulus=np.ones((4, 2, 2))),
+        wt.CoefficientError,
+        r"modulus shape \(4, 2, 2\) not supported on a 1-D mesh",
+    ),
+    "boundary": (
+        lambda p: hand_built(p, boundary_damping=np.ones(3)),
+        wt.CoefficientError,
+        r"need one value per boundary facet, got \(3,\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_REFUSALS)
+def test_bad_input_is_refused_with_its_message(name):
+    call, error, message = INPUT_REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call(models.damped_pencil(4))
+
+
 class TestStateMetric:
     def test_norm_matches_gram_quadratic_form(self):
         pencil = models.square_pencil(3, 4, seed=13)

@@ -657,6 +657,17 @@ class TestStudy:
         assert code == 1
         assert "--sizes" in err
 
+    def test_sizes_with_no_integer_are_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DAMPED)
+        out_dir = tmp_path / "run"
+        code, out, err = run(
+            ["study", "--config", cfg, "--out", str(out_dir), "--sizes", " , "], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --sizes is empty\n"
+        assert not out_dir.exists()
+
     def test_size_beyond_dense_limit_refused_up_front(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SQUARE)
         out_dir = tmp_path / "study"

@@ -497,6 +497,103 @@ class TestSparseLu:
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_an_empty_factor_solves_to_zeros_of_the_rhs_type(self, shape):
+        fact = linalg.LuFactorization(np.zeros((0, 0)))
+        for dtype in (float, complex):
+            x = fact.solve(np.zeros(shape, dtype))
+            assert x.shape == shape and x.dtype == dtype
+
+
+def interior_p1_stiffness(nx):
+    """The P1 stiffness of the nx by nx square on its interior nodes, CSR."""
+    mesh = wt.rectangle_mesh(nx, nx, models.square_partition())
+    inside = np.setdiff1d(np.arange(mesh.num_nodes), boundary_nodes(mesh))
+    return models.stiffness_triplets(mesh, np.ones(mesh.num_cells)).tocsr()[inside][:, inside]
+
+
+def badly_scaled(mat, seed, orders):
+    """D mat D with D diagonal, log10 D uniform in [-orders, orders]."""
+    rng = np.random.default_rng(seed)
+    scale = scipy.sparse.diags(10.0 ** rng.uniform(-orders, orders, mat.shape[0]))
+    return (scale @ mat @ scale).tocsr()
+
+
+def free_free_string(n):
+    """The stiffness of a string with both ends free: constants in its kernel."""
+    ends = [1.0] + [2.0] * (n - 2) + [1.0]
+    return scipy.sparse.diags([[-1.0] * (n - 1), ends, [-1.0] * (n - 1)], [-1, 0, 1]).tocsr()
+
+
+def lu_outcome(mat):
+    """(paths, error) of LuFactorization(mat): the SuperLU calls it made, each
+    "symmetric" or "default", and the SingularMatrixError raised or None."""
+    import scipy.sparse.linalg
+
+    paths, real = [], scipy.sparse.linalg.splu
+
+    def spy(a, **options):
+        paths.append("symmetric" if options else "default")
+        return real(a, **options)
+
+    with mock.patch.object(scipy.sparse.linalg, "splu", spy):
+        try:
+            linalg.LuFactorization(mat)
+        except SingularMatrixError as exc:
+            return paths, exc
+    return paths, None
+
+
+# Fixed symmetric sparse matrices, and whether the pivot rule accepts each.
+ONE_RULE_MATRICES = {
+    "P1 stiffness": (lambda: interior_p1_stiffness(8), True),
+    # Entries over twelve orders of magnitude, every pivot still above the floor.
+    "badly scaled SPD": (lambda: badly_scaled(interior_p1_stiffness(8), 37, 3.0), True),
+    "indefinite": (lambda: (string_stiffness(40) - 1.3 * scipy.sparse.eye(40)).tocsr(), False),
+    "free-free string": (lambda: free_free_string(6), False),
+}
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("name", ONE_RULE_MATRICES)
+def test_both_factor_engines_follow_one_pivot_rule(name):
+    # LuFactorization keeps its symmetric-mode factor exactly when the band
+    # Cholesky certificate accepts the matrix; both refuse the singular one.
+    build, accepted = ONE_RULE_MATRICES[name]
+    mat = build()
+    try:
+        linalg.certify_positive_definite(mat)
+        certified = True
+    except NotPositiveDefiniteError:
+        certified = False
+    paths, error = lu_outcome(mat)
+    assert certified == accepted
+    assert (paths == ["symmetric"] and error is None) == certified
+    if not certified:
+        assert paths == ["symmetric", "default"]
+    if name == "free-free string":
+        assert isinstance(error, SingularMatrixError)
+
+
+# Each bad input to the factor layer, its call and its message.
+INPUT_REFUSALS = {
+    "rhs length": (
+        lambda: linalg.LuFactorization(np.eye(2)).solve(np.zeros(3)),
+        "rhs length 3 != matrix order 2",
+    ),
+    "eig non-square": (
+        lambda: linalg.eig_nonsymmetric(np.ones((2, 3))),
+        r"expected a square matrix, got shape \(2, 3\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_REFUSALS)
+def test_bad_input_is_a_value_error_with_its_message(name):
+    call, message = INPUT_REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
 
 def reference_eigenvectors(mat):
     """Complex eigenvectors of mat, in the order eig_nonsymmetric sorts values.

@@ -368,3 +368,42 @@ class TestValidation:
         square = wt.rectangle_mesh(4, 2, mixed_partition())
         assert meshmod.mesh_problems(square) == []
 
+
+def reshaped(mesh, **fields):
+    """A copy of the 1-D mesh with fields replaced, labels kept."""
+    parts = {name: getattr(mesh, name) for name in ("dim", "nodes", "cells", "boundary_facets")}
+    return wt.Mesh(**{**parts, **fields}, facet_labels=mesh.facet_labels)
+
+
+# Each malformed mesh or size, and the message it is refused with.
+INPUT_REFUSALS = {
+    "rectangle nx = 0": (
+        lambda: wt.rectangle_mesh(0, 1, models.square_partition()),
+        "rectangle mesh needs nx, ny >= 1, got 0, 1",
+    ),
+    "dimension 3": (
+        lambda: wt.validate_mesh(reshaped(wt.interval_mesh(2), dim=3)),
+        "unsupported dimension 3",
+    ),
+    "node shape": (
+        lambda: wt.validate_mesh(reshaped(wt.interval_mesh(2), nodes=np.zeros((3, 2)))),
+        r"nodes must have shape \(N, 1\)",
+    ),
+    "cell shape": (
+        lambda: wt.validate_mesh(reshaped(wt.interval_mesh(2), cells=np.zeros((2, 3), int))),
+        r"cells must have shape \(ncell, 2\)",
+    ),
+    "facet shape": (
+        lambda: wt.validate_mesh(
+            reshaped(wt.interval_mesh(2), boundary_facets=np.zeros((2, 2), int))
+        ),
+        r"boundary facets must have shape \(nf, 1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_REFUSALS)
+def test_bad_mesh_is_refused_with_its_message(name):
+    call, message = INPUT_REFUSALS[name]
+    with pytest.raises(wt.MeshValidationError, match=message):
+        call()

@@ -648,6 +648,39 @@ class TestDecayProfile:
             wt.decay_profile(broken, np.ones(broken.state_dim), 0.1, 1)
 
 
+def zeros_of(size):
+    """An initial data callable that returns size zeros, whatever its points."""
+    return lambda points: np.zeros(size)
+
+
+# Each bad input to the damped string at n = 5 (5 active nodes), its
+# exception and its message.
+INPUT_REFUSALS = {
+    "negative nsteps": (
+        lambda p: wt.simulate(p, np.zeros(p.state_dim), 0.1, -1),
+        ValueError,
+        "nsteps must be nonnegative",
+    ),
+    "short displacement": (
+        lambda p: semigroup.initial_state(p, zeros_of(4), zeros_of(5)),
+        wt.InitialDataError,
+        "initial data callables must return one value per active node",
+    ),
+    "long velocity": (
+        lambda p: semigroup.initial_state(p, zeros_of(5), zeros_of(6)),
+        wt.InitialDataError,
+        "initial data callables must return one value per active node",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_REFUSALS)
+def test_bad_input_is_refused_with_its_message(name):
+    call, error, message = INPUT_REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call(models.damped_pencil(5))
+
+
 class TestEnergyCsv:
     def test_header_and_row_count(self):
         pencil = models.damped_pencil(6)

@@ -582,8 +582,73 @@ class TestEigensolverRoutes:
 
         monkeypatch.setattr(linalg, "secular_roots", duplicated)
         stiffness, mass_factor = pencil.displacement_gram_csr, pencil.gram_factors[1]
-        assert linalg.secular_eig(stiffness, mass_factor, 23, 3.0) is None
+        with pytest.raises(EigenSolverError, match="disjoint Smith discs"):
+            linalg.secular_eig(stiffness, mass_factor, 23, 3.0)
         self.assert_dgeev_report(monkeypatch, pencil)
+
+    def test_roots_not_conjugate_closed_fall_back_to_dgeev_bit_for_bit(self, monkeypatch):
+        # One upper root replaced by its conjugate: m - 1 upper roots and no
+        # real one do not make 2m.
+        pencil = models.damped_pencil(24)
+        real = linalg.secular_roots
+
+        def flipped(omega2, weights):
+            roots = real(omega2, weights)
+            upper = np.flatnonzero(roots.imag > 0.0)[0]
+            roots[upper] = roots[upper].conj()
+            return roots
+
+        monkeypatch.setattr(linalg, "secular_roots", flipped)
+        stiffness, mass_factor = pencil.displacement_gram_csr, pencil.gram_factors[1]
+        with pytest.raises(EigenSolverError, match="conjugate closure"):
+            linalg.secular_eig(stiffness, mass_factor, 23, 3.0)
+        self.assert_dgeev_report(monkeypatch, pencil)
+
+    def test_a_wrong_trace_falls_back_to_dgeev_bit_for_bit(self, monkeypatch):
+        # The trace -k2 (M^{-1})_NN is the one band solve of a single
+        # vector; doubled, the certified roots no longer sum to it.
+        pencil = models.damped_pencil(24)
+        real = linalg._band_solve
+
+        def doubled_trace(low, rhs, trans="N"):
+            solved = real(low, rhs, trans)
+            return 2.0 * solved if solved.ndim == 1 else solved
+
+        monkeypatch.setattr(linalg, "_band_solve", doubled_trace)
+        stiffness, mass_factor = pencil.displacement_gram_csr, pencil.gram_factors[1]
+        with pytest.raises(EigenSolverError, match="certificate failed: trace"):
+            linalg.secular_eig(stiffness, mass_factor, 23, 3.0)
+        self.assert_dgeev_report(monkeypatch, pencil)
+
+    def test_non_finite_secular_vectors_fall_back_to_dgeev_bit_for_bit(self, monkeypatch):
+        # A zero damper weight passes the certificates (the roots are the
+        # poles +-i w_k), but the closed form divides by it: every owner
+        # block is NaN, and the certifying pass refuses the first.
+        pencil = models.damped_pencil(24)
+        values, vectors = linalg.secular_eig(
+            pencil.displacement_gram_csr, pencil.gram_factors[1], 23, 0.0
+        )
+        for own in linalg.owner_blocks(vectors.sign):
+            assert np.isnan(vectors.owner_block(own)).all()
+        forms = spectral.dissipation_forms(pencil)
+        with pytest.raises(EigenSolverError, match="pencil residual nan exceeds"):
+            spectral._certify_pairs(
+                pencil, forms, pencil.gram_csr, pencil.dynamics_csr, values, vectors
+            )
+        monkeypatch.setattr(spectral, "_rank_one_damper", lambda pencil, forms: (23, 0.0))
+        self.assert_dgeev_report(monkeypatch, pencil)
+
+    def test_a_velocity_row_other_than_minus_s_is_refused_on_the_dgeev_route(self, monkeypatch):
+        # C_vu = -2 S: no rank-one damper of the undamped generator, so the
+        # pencil takes dgeev, whose pairs break the energy balance.
+        pencil = models.damped_pencil(16)
+        altered = dataclasses.replace(pencil, dynamics_vu_csr=2.0 * pencil.dynamics_vu_csr)
+        assert spectral._rank_one_damper(altered, spectral.dissipation_forms(altered)) is None
+        calls, real = [], linalg.eig_nonsymmetric
+        monkeypatch.setattr(linalg, "eig_nonsymmetric", lambda mat: calls.append(1) or real(mat))
+        with pytest.raises(EigenSolverError, match="energy balance"):
+            wt.compute_spectrum(altered)
+        assert calls == [1]
 
     def test_secular_pairs_over_the_residual_bound_fall_back_to_dgeev(self, monkeypatch):
         real = linalg.secular_eig
