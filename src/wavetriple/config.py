@@ -291,11 +291,11 @@ def parse_config(text: str) -> ModelConfig:
         if not line:
             continue
         if line.startswith("["):
-            name = line[1:-1].strip()
-            if not line.endswith("]"):
+            name = line[1:-1].strip() if line.endswith("]") else None
+            section = name if name in _SECTION_KEYS else None
+            if name is None:
                 diags.add(lineno, f"malformed section header {raw.strip()!r}")
                 continue
-            section = name if name in _SECTION_KEYS else None
             if section is None:
                 diags.add(lineno, f"unknown section [{name}]")
                 continue

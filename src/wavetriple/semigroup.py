@@ -17,7 +17,7 @@ with (u, v) the mean of the two states and |.| the Gram norm.  simulate
 checks it after every step of every model, with Ma and D + Mb from
 dissipation_forms and the left side polarized as 2 (u, v)'G(x_next - x),
 so no two close squared norms cancel.  Each step is recorded from one
-stacked product [K 0; S 0; 0 M] x and one [D + Mb; Ma] v at the midpoint.
+stacked product [K 0; G] x and one [D + Mb; Ma] v at the midpoint.
 Only two states are held at a time.  Explicit schemes are deliberately
 not offered.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, hstack, vstack
+from scipy.sparse import csr_matrix, hstack, vstack
 
 from . import linalg
 from .assembly import OperatorPencil, dissipation_forms, physical_energy, state_norm
@@ -128,20 +128,13 @@ def simulate(
     reaction, damper = dissipation_forms(pencil)
     stepper = CayleyStepper(pencil, dt)
     # One product gives K u, S u and M v, the terms of the energy and the
-    # norm; one more gives (D + Mb) v and Ma v at the midpoint.  Every block
-    # is CSR, the zero ones empty, so bmat stacks by concatenation; a None
-    # block would send it through COO copies of all of them.
-    zero = csr_matrix(pencil.mass_csr.shape)
-    record = bmat(
-        [
-            [pencil.stiffness_csr, zero],
-            [pencil.displacement_gram_csr, zero],
-            [zero, pencil.mass_csr],
-        ],
-        format="csr",
-    )
-    forms = vstack([damper, reaction], format="csr")
+    # norm: K u over G x.  One more gives (D + Mb) v and Ma v at the
+    # midpoint.  Every block is CSR, the zero one empty, so hstack and
+    # vstack stack by concatenation, with no COO copy.
     gram = pencil.gram_csr
+    zero = csr_matrix(pencil.mass_csr.shape)
+    record = vstack([hstack([pencil.stiffness_csr, zero], format="csr"), gram], format="csr")
+    forms = vstack([damper, reaction], format="csr")
 
     energy = np.zeros(nsteps + 1)
     xnorm = np.zeros(nsteps + 1)

@@ -87,7 +87,7 @@ class SpectralReport:
     memory of the complex array); on the secular route it keeps the m x m
     undamped modes (linalg.SecularEigenvectors).
     balance_worst_ratio is the largest energy-balance defect over its
-    bound, at most 1.
+    bound, at most 1: the certifying pass refuses any pair above it.
     """
 
     values: np.ndarray
@@ -126,8 +126,7 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     exactly those forms (_rank_one_damper; in practice the 1-D string with
     one damped end), the damper is a rank-one boundary parameter of the
     undamped generator, and linalg.secular_eig solves the secular equation
-    of its Weyl function.  Every other pencil, or one where a secular
-    certificate or the certifying pass raises EigenSolverError, takes
+    of its Weyl function.  Every other pencil takes
     linalg.generalized_eig: the dense nonsymmetric eigensolve of the
     reduced generator.  Both return eigenvalues and a source of their
     vectors with the same owner_block, expand and owner interface.
@@ -135,11 +134,13 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     One pass builds one block of owners at a time (_certify_pairs), so the
     peak is that of the eigensolve itself: dgeev's overwritten input beside
     its real eigenvector matrix on the dgeev route, or on the secular route
-    the m x m undamped modes and their eigh, a quarter of that.  It ends at
-    the first block whose worst recomputed residual (overflowed or not)
-    misses RESIDUAL_TOL, which on the dgeev route is an EigenSolverError.
-    An energy-balance defect beyond its bound is one too, so a report in
-    hand is a certificate of its pairs.
+    the m x m undamped modes and their eigh, a quarter of that.  Every
+    certificate refuses one way, with EigenSolverError: a secular
+    certificate, or a block of the pass whose worst recomputed residual
+    (overflowed or not) misses RESIDUAL_TOL or whose worst energy-balance
+    defect misses its bound.  On the secular route that refusal hands the
+    pencil to dgeev; on the dgeev route it propagates.  So a report in hand
+    is a certificate of its pairs.
     """
     check_state_size(pencil.mesh, MAX_DENSE_STATE, "spectrum")
     factors, forms = pencil.gram_factors, dissipation_forms(pencil)
@@ -155,11 +156,7 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
     if certified is None:
         solved = linalg.generalized_eig(dynamics, factors)
         certified = _certify_pairs(pencil, forms, gram, dynamics, *solved)
-    values, vectors, residuals, defect, flux_res, k2_res = certified
-    ratio = float((defect / balance_tolerance(values)).max(initial=0.0))
-    if not ratio <= 1.0:
-        raise EigenSolverError(f"eigenpair energy balance defect at {ratio:.3e} of its bound")
-
+    values, vectors, residuals, flux_res, k2_res, ratio = certified
     abscissa = float(values.real.max()) if len(values) else -np.inf
     gap = imaginary_axis_gap(values)
     min_modulus = float(np.abs(values).min()) if len(values) else np.inf
@@ -184,16 +181,18 @@ def compute_spectrum(pencil: OperatorPencil) -> SpectralReport:
 
 
 def _certify_pairs(pencil: OperatorPencil, forms, gram, dynamics, values, vectors):
-    """(values, vectors, residuals, defect, flux_res, k2_res) of one route's pairs.
+    """(values, vectors, residuals, flux_res, k2_res, ratio) of one route's pairs.
 
     One pass over the owners (linalg.owner_blocks) builds each block z once
     (vectors.owner_block) and forms gram z and dynamics z once.  From them
     come its pencil residuals, its energy-balance defects, with S u and M v
-    read from gram z, and its two boundary residuals.  A block whose worst
-    residual is not within RESIDUAL_TOL ends the pass with an
-    EigenSolverError.  A member re - i*im copies its owner's four numbers:
-    the pencil and the vectors are real, so they are the owner's bit for
-    bit.  forms is dissipation_forms(pencil), and gram and dynamics are the
+    read from gram z, and its two boundary residuals.  The first block
+    whose worst residual is not within RESIDUAL_TOL, or whose worst defect
+    over balance_tolerance is not within 1 (NaN included), ends the pass
+    with an EigenSolverError; ratio is the worst defect ratio of all
+    blocks.  A member re - i*im copies its owner's three residuals: the
+    pencil and the vectors are real, so they are the owner's bit for bit.
+    forms is dissipation_forms(pencil), and gram and dynamics are the
     pencil's CSR matrices.
     """
     if len(values) != pencil.state_dim:
@@ -202,7 +201,8 @@ def _certify_pairs(pencil: OperatorPencil, forms, gram, dynamics, values, vector
     stiff, spring = pencil.stiffness_csr[slots], pencil.boundary_spring_csr[slots]
     damper = pencil.boundary_damper_csr[slots]
     reaction, dissipation = forms
-    residuals, defect, flux_res, k2_res = (np.empty(len(values)) for _ in range(4))
+    residuals, flux_res, k2_res = (np.empty(len(values)) for _ in range(3))
+    ratio = 0.0
     for cols in linalg.owner_blocks(vectors.sign):
         lam, block = values[cols], vectors.owner_block(cols)
         gram_z = gram @ block
@@ -218,7 +218,11 @@ def _certify_pairs(pencil: OperatorPencil, forms, gram, dynamics, values, vector
             "im,im->m", np.conj(vec_v), mass_v
         )
         energy_loss = np.einsum("im,im->m", np.conj(vec_v), damp_v + react_u)
-        defect[cols] = np.abs(-lam.real * gram_norms.real - energy_loss.real)
+        defect = np.abs(-lam.real * gram_norms.real - energy_loss.real)
+        worst = (defect / balance_tolerance(lam)).max()
+        if not worst <= 1.0:
+            raise EigenSolverError(f"eigenpair energy balance defect at {worst:.3e} of its bound")
+        ratio = max(ratio, float(worst))
         # The flux trace g that apply_A needs to reproduce a pair is
         # lift(g) = lambda M v + K u on the trace rows.  There the first
         # boundary map spring u + g must balance (D + Mb) v + Ma u.
@@ -228,9 +232,9 @@ def _certify_pairs(pencil: OperatorPencil, forms, gram, dynamics, values, vector
         k2_res[cols] = np.linalg.norm(damper @ vec_v, axis=0)
     lower = np.flatnonzero(vectors.sign < 0)
     owner = vectors.owner[lower]
-    for out in (residuals, defect, flux_res, k2_res):
+    for out in (residuals, flux_res, k2_res):
         out[lower] = out[owner]
-    return values, vectors, residuals, defect, flux_res, k2_res
+    return values, vectors, residuals, flux_res, k2_res, ratio
 
 
 def _rank_one_damper(pencil: OperatorPencil, forms) -> tuple[int, float] | None:

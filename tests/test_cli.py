@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wavetriple import assembly, cli, config, helmholtz, spectral
 
@@ -182,6 +183,21 @@ class TestSpectrum:
         key, value = out.splitlines()[-1].split(" ")
         assert key == "balance_worst_ratio"
         assert 0.0 <= float(value) <= 1.0
+
+    def test_a_dgeev_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # The square takes the dgeev route; LAPACK reporting info 3 there is
+        # the eigensolver's refusal, not a traceback.
+        def failing(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros(n), None, np.zeros((n, n)), 3
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeev", failing)
+        cfg = write_config(tmp_path, SQUARE)
+        out_dir = tmp_path / "spec"
+        code, out, err = run(["spectrum", "--config", cfg, "--out", str(out_dir)], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: eigenvalue iteration failed: LAPACK dgeev info 3\n"
+        assert not (out_dir / "eigenvalues.csv").exists()
 
     def test_dissipation_forms_assembled_once(self, tmp_path, capsys, monkeypatch):
         real = spectral.dissipation_forms

@@ -210,6 +210,14 @@ class TestParse:
     def test_each_malformed_value_is_one_diagnostic(self, text, want):
         assert diagnostics_of(text) == [want]
 
+    def test_a_malformed_header_closes_the_section(self):
+        # Its keys are outside any section, as after an unknown header,
+        # not checked against the section before it.
+        assert diagnostics_of(MINIMAL + "[coefficients\nmodulus = 2\n") == [
+            "line 6: malformed section header '[coefficients'",
+            "line 7: key outside any known section",
+        ]
+
     def test_unknown_section(self):
         diags = diagnostics_of(MINIMAL + "[tuning]\ngain = 2\n")
         assert any("unknown section [tuning]" in d for d in diags)

@@ -595,6 +595,16 @@ def test_bad_input_is_a_value_error_with_its_message(name):
         call()
 
 
+def test_a_dgeev_failure_is_an_eigensolver_error(monkeypatch):
+    def failing(a, **kwargs):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros(n), None, np.zeros((n, n)), 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgeev", failing)
+    with pytest.raises(EigenSolverError, match="LAPACK dgeev info 3"):
+        linalg.eig_nonsymmetric(np.array([[0.0, 1.0], [-1.0, -1.0]]))
+
+
 def reference_eigenvectors(mat):
     """Complex eigenvectors of mat, in the order eig_nonsymmetric sorts values.
 

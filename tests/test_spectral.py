@@ -661,13 +661,13 @@ class TestEigensolverRoutes:
         monkeypatch.setattr(linalg, "secular_eig", shifted)
         self.assert_dgeev_report(monkeypatch, models.damped_pencil(24))
 
-    def test_a_heterogeneous_string_falls_back_to_dgeev(self, monkeypatch):
-        # Per-cell lognormal(0, 2) modulus and density and a lognormal(0, 3)
-        # damper: the undamped modes lose accuracy like eps w_max^2 / w_k^2,
-        # and this string's secular pairs miss RESIDUAL_TOL (8.9e-8).
-        rng = np.random.default_rng(627)
-        modulus, density = rng.lognormal(0.0, 2.0, 128), rng.lognormal(0.0, 2.0, 128)
-        mesh = wt.interval_mesh(128, right=wt.BoundaryLabel.DAMPED)
+    @staticmethod
+    def heterogeneous_string(seed, sigma, n):
+        """String with per-cell lognormal(0, sigma) modulus and density, in
+        that order, and a lognormal(0, 3) damper, all drawn from one seed."""
+        rng = np.random.default_rng(seed)
+        modulus, density = rng.lognormal(0.0, sigma, n), rng.lognormal(0.0, sigma, n)
+        mesh = wt.interval_mesh(n, right=wt.BoundaryLabel.DAMPED)
         coeffs = wt.sample_coefficients(
             mesh,
             modulus=lambda p: modulus,
@@ -675,13 +675,58 @@ class TestEigensolverRoutes:
             boundary_damping=float(rng.lognormal(0.0, 3.0)),
         )
         pencil = wt.assemble_pencil(mesh, coeffs)
-        damper = spectral._rank_one_damper(pencil, spectral.dissipation_forms(pencil))
-        stiffness, mass_factor = pencil.displacement_gram_csr, pencil.gram_factors[1]
-        values, vectors = linalg.secular_eig(stiffness, mass_factor, *damper)
+        forms = spectral.dissipation_forms(pencil)
+        damper = spectral._rank_one_damper(pencil, forms)
+        solved = linalg.secular_eig(pencil.displacement_gram_csr, pencil.gram_factors[1], *damper)
+        return pencil, forms, solved
+
+    def test_a_heterogeneous_string_falls_back_to_dgeev(self, monkeypatch):
+        # The undamped modes lose accuracy like eps w_max^2 / w_k^2, and
+        # this string's secular pairs miss RESIDUAL_TOL (8.9e-8).
+        pencil, _, (values, vectors) = self.heterogeneous_string(627, 2.0, 128)
         z = vectors.expand()
         residuals = linalg.pencil_residuals(pencil.gram_csr @ z, pencil.dynamics_csr @ z, values)
         assert residuals.max() > spectral.RESIDUAL_TOL
         self.assert_dgeev_report(monkeypatch, pencil)
+
+    def test_a_string_over_the_balance_bound_falls_back_to_dgeev(self, monkeypatch):
+        # Its secular pairs pass RESIDUAL_TOL, but one block misses its
+        # energy balance (at 1.513 of its bound): the pass refuses that
+        # block, and the string takes dgeev, which certifies it.
+        pencil, forms, (values, vectors) = self.heterogeneous_string(1, 3.0, 133)
+        gram, dynamics = pencil.gram_csr, pencil.dynamics_csr
+        z = vectors.expand()
+        residuals = linalg.pencil_residuals(gram @ z, dynamics @ z, values)
+        assert residuals.max() <= spectral.RESIDUAL_TOL
+        with pytest.raises(EigenSolverError, match="eigenpair energy balance defect at"):
+            spectral._certify_pairs(pencil, forms, gram, dynamics, values, vectors)
+        self.assert_dgeev_report(monkeypatch, pencil)
+
+    def test_the_secular_modes_are_freed_before_dgeev_runs(self, monkeypatch):
+        # Held through dgeev, the m x m undamped modes (0.52 MB at m = 256)
+        # would add their size to the fallback's peak, which is dgeev's.
+        pencil = models.damped_pencil(256)
+        modes = 8 * pencil.num_active**2
+
+        def peak():
+            tracemalloc.start()
+            try:
+                wt.compute_spectrum(pencil)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_rank_one_damper", lambda pencil, forms: None)
+            dgeev_only = peak()
+        real = linalg.secular_eig
+
+        def shifted(*args):
+            values, vectors = real(*args)
+            return values + 1e-3 * (1.0 + np.abs(values)), vectors
+
+        monkeypatch.setattr(linalg, "secular_eig", shifted)
+        assert peak() - dgeev_only < 0.5 * modes
 
     def test_secular_values_are_conjugate_closed_exactly(self):
         # Each pair is one root and its conjugate, so its real parts agree.
@@ -736,6 +781,17 @@ class TestEnergyBalance:
         monkeypatch.setattr(spectral, "dissipation_forms", doubled)
         with pytest.raises(EigenSolverError, match="energy balance"):
             wt.compute_spectrum(models.damped_pencil(8))
+
+
+    @pytest.mark.parametrize("route", ["secular-then-dgeev", "dgeev"])
+    def test_a_nan_balance_bound_is_refused_on_either_route(self, monkeypatch, route):
+        # A NaN ratio is no certificate, although Python's max would drop
+        # it: the string's secular pairs are refused, then its dgeev pairs;
+        # the square has only dgeev.
+        pencil = models.damped_pencil(16) if route != "dgeev" else models.square_pencil(4, 3)
+        monkeypatch.setattr(spectral, "balance_tolerance", lambda values: np.nan)
+        with pytest.raises(EigenSolverError, match="energy balance"):
+            wt.compute_spectrum(pencil)
 
 
 class TestPoincareConstant:
