@@ -1,13 +1,17 @@
 """Command line front end.
 
-Every subcommand reads a model configuration file; outputs that are
-tables go to CSV files under the output directory, scalar results go to
-stdout.  All file output is byte-deterministic for a given input and
-BLAS thread count (the spectrum of the 1-D string at n = 1024 prints a
-rounding-level abscissa that differs between one and two threads).
-spectrum prints the certified worst eigenpair energy-balance ratio that
-its report carries.  Every failure, an unusable output path included,
-ends in error lines, exit 1.
+Every subcommand reads a model configuration file, UTF-8 with an optional
+byte-order mark, and builds its model through _build, which refuses a
+state above the limit of the layer the command runs before the mesh is
+validated or sampled: MAX_PENCIL_STATE for validate, simulate and
+poincare, spectral.MAX_DENSE_STATE for spectrum and each study size, none
+for helmholtz.  Outputs that are tables go to CSV files under the output
+directory, scalar results go to stdout.  All file output is
+byte-deterministic for a given input and BLAS thread count (the spectrum
+of the 1-D string at n = 1024 prints a rounding-level abscissa that
+differs between one and two threads).  spectrum prints the certified
+worst eigenpair energy-balance ratio that its report carries.  Every
+failure, an unusable output path included, ends in error lines, exit 1.
 """
 
 from __future__ import annotations
@@ -27,28 +31,39 @@ from .mesh import validate_mesh
 
 def _load(path: str) -> cfgmod.ModelConfig:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
-    return cfgmod.parse_config(text)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            [f"config {path!r} is not UTF-8: {exc.reason} at byte {exc.start}"]
+        ) from None
+    return cfgmod.parse_config(text.removeprefix("\ufeff"))
 
 
-def _build(cfg: cfgmod.ModelConfig, pencil: bool = True):
-    """Checked mesh, coefficients and damping flag; with pencil, a model too
-    large to assemble is refused before the mesh is validated or sampled."""
+def _build(cfg: cfgmod.ModelConfig, limit: int | None = MAX_PENCIL_STATE, label="dense model"):
+    """Checked mesh, coefficients and damping flag.
+
+    A state above limit, the cap of the layer the command runs, is refused
+    under label before the mesh is validated or sampled; None admits any.
+    """
     mesh = cfgmod.build_mesh(cfg)
-    if pencil:
-        check_state_size(mesh, MAX_PENCIL_STATE, "dense model")
+    if limit is not None:
+        check_state_size(mesh, limit, label)
     validate_mesh(mesh)
     coeffs = cfgmod.build_coefficients(cfg, mesh)
     damping = validate_model(mesh, coeffs)
     return mesh, coeffs, damping
 
 
-def _out_dir(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> Path:
-    out = Path(args.out if args.out is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write(cfg: cfgmod.ModelConfig, args: argparse.Namespace, name: str, text: str) -> None:
+    """Write text to name under --out, else under the config's output directory."""
+    path = Path(args.out if args.out is not None else cfg.output_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(f"wrote {path}")
 
 
 def _cmd_validate(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
@@ -63,12 +78,9 @@ def _cmd_validate(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
-    mesh, coeffs, _ = _build(cfg)
+    mesh, coeffs, _ = _build(cfg, spectral.MAX_DENSE_STATE, "spectrum")
     report = spectral.compute_spectrum(assemble_pencil(mesh, coeffs))
-    out = _out_dir(cfg, args)
-    path = out / "eigenvalues.csv"
-    path.write_text(spectral.eigenvalues_csv(report))
-    print(f"wrote {path}")
+    _write(cfg, args, "eigenvalues.csv", spectral.eigenvalues_csv(report))
     print(f"eigenvalues {report.values.shape[0]}")
     print(f"abscissa {report.abscissa:.17g}")
     print(f"gap {report.gap:.17g}")
@@ -96,10 +108,7 @@ def _cmd_simulate(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     if abs(nsteps * cfg.dt - cfg.t_end) > 1e-9 * max(cfg.t_end, 1.0):
         raise ConfigError([f"t_end = {cfg.t_end} is not a whole number of dt = {cfg.dt} steps"])
     traj = semigroup.simulate(pencil, x0, cfg.dt, nsteps)
-    out = _out_dir(cfg, args)
-    path = out / "energy.csv"
-    path.write_text(semigroup.energy_csv(traj))
-    print(f"wrote {path}")
+    _write(cfg, args, "energy.csv", semigroup.energy_csv(traj))
     print(f"steps {nsteps}")
     print(f"final_energy {traj.energy[-1]:.17g}")
     print(f"final_xnorm {traj.xnorm[-1]:.17g}")
@@ -115,7 +124,7 @@ def _cmd_poincare(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_helmholtz(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
-    mesh, coeffs, _ = _build(cfg, pencil=False)
+    mesh, coeffs, _ = _build(cfg, limit=None)
     field = cfgmod.helmholtz_field(cfg, mesh)
     geometry = helmmod.CellGeometry(mesh, coeffs)
     grad_part, divfree_part = helmmod.decompose(geometry, field)
@@ -139,37 +148,25 @@ def _cmd_study(cfg: cfgmod.ModelConfig, args: argparse.Namespace) -> int:
     if not sizes:
         raise ConfigError(["--sizes is empty"])
 
-    # Every size is checked before any assembly or eigensolve starts.
-    meshes = {}
-    for size in sizes:
-        mesh = cfgmod.build_mesh(cfgmod.resized(cfg, size))
-        check_state_size(mesh, spectral.MAX_DENSE_STATE, f"size {size}")
-        meshes[size] = mesh
-
-    def build(size: int):
-        mesh = meshes[size]
-        validate_mesh(mesh)
-        coeffs = cfgmod.build_coefficients(cfgmod.resized(cfg, size), mesh)
-        validate_model(mesh, coeffs)
-        return assemble_pencil(mesh, coeffs)
-
-    rows = spectral.refinement_study(build, sizes)
-    out = _out_dir(cfg, args)
-    path = out / "study.csv"
-    path.write_text(spectral.study_csv(rows))
-    print(f"wrote {path}")
+    # Every size is built and checked before any assembly or eigensolve starts.
+    models = {
+        size: _build(cfgmod.resized(cfg, size), spectral.MAX_DENSE_STATE, f"size {size}")[:2]
+        for size in sizes
+    }
+    rows = spectral.refinement_study(lambda size: assemble_pencil(*models[size]), sizes)
+    _write(cfg, args, "study.csv", spectral.study_csv(rows))
     for h, n, abscissa, gap in rows:
         print(f"h {h:.17g} N {n} abscissa {abscissa:.17g} gap {gap:.17g}")
     return 0
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "spectrum": _cmd_spectrum,
-    "simulate": _cmd_simulate,
-    "poincare": _cmd_poincare,
-    "helmholtz": _cmd_helmholtz,
-    "study": _cmd_study,
+    "validate": (_cmd_validate, "check a model configuration end to end"),
+    "spectrum": (_cmd_spectrum, "write the closed-loop spectrum to eigenvalues.csv"),
+    "simulate": (_cmd_simulate, "run the midpoint scheme and write energy.csv"),
+    "poincare": (_cmd_poincare, "print the discrete trace-inequality constant"),
+    "helmholtz": (_cmd_helmholtz, "split the configured field and print the norms"),
+    "study": (_cmd_study, "tabulate abscissa and gap over mesh sizes into study.csv"),
 }
 
 
@@ -179,28 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Assemble, evolve and analyze boundary-damped wave models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("validate", "check a model configuration end to end"),
-        ("spectrum", "write the closed-loop spectrum to eigenvalues.csv"),
-        ("simulate", "run the midpoint scheme and write energy.csv"),
-        ("poincare", "print the discrete trace-inequality constant"),
-        ("helmholtz", "split the configured field and print the norms"),
-        ("study", "tabulate abscissa and gap over mesh sizes into study.csv"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a model configuration")
         cmd.add_argument("--out", default=None, help="output directory (default from config)")
         if name == "study":
-            cmd.add_argument(
-                "--sizes", default="64,128,256", help="comma list of mesh sizes"
-            )
+            cmd.add_argument("--sizes", default="64,128,256", help="comma list of mesh sizes")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](_load(args.config), args)
+        return _COMMANDS[args.command][0](_load(args.config), args)
     except ConfigError as exc:
         for item in exc.diagnostics:
             print(f"error: {item}", file=sys.stderr)

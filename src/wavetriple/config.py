@@ -163,14 +163,14 @@ _DAMPER_LABELS = tuple(lab.value for lab in BoundaryLabel if lab.has_damper)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Parsed model description: segment tuples per side, compiled expressions."""
+    """Parsed model description; the other dimension's [domain] keys keep their empty defaults."""
 
     dim: int = 1
-    n: int = 16
+    n: int = 0
     nx: int = 0
     ny: int = 0
-    left: tuple[Segment, ...] = (Segment(BoundaryLabel.FIXED),)
-    right: tuple[Segment, ...] = (Segment(BoundaryLabel.FIXED),)
+    left: tuple[Segment, ...] = ()
+    right: tuple[Segment, ...] = ()
     bottom: tuple[Segment, ...] = ()
     top: tuple[Segment, ...] = ()
     modulus: Expression = Expression("1", 1)
@@ -256,6 +256,8 @@ def _typed_value(section: str, key: str, text: str, dim: int):
             raise ValueError(f"{key!r} must be {rule}, got {text!r}")
         return number
     if key == "dir":
+        if "\0" in text:
+            raise ValueError("'dir' must not contain a NUL character")
         return text
     # A 1-D end takes one label; a 2-D side takes a label partition.
     if key in SIDES and dim == 1 and text not in _LABEL_NAMES:
@@ -355,10 +357,6 @@ def parse_config(text: str) -> ModelConfig:
     by_label: dict[str, list] = {"k1": [], "k2": []}
     for key in [key for key in values if key.startswith(("k1_", "k2_"))]:
         by_label[key[:2]].append((key[3:], values.pop(key)))
-    # A [domain] key of the other dimension records its type's empty value.
-    for key, valid_in in _SECTION_KEYS["domain"].items():
-        if valid_in not in (0, dim):
-            values[key] = type(getattr(ModelConfig, key))()
     return ModelConfig(
         dim=dim,
         spring_by_label=tuple(sorted(by_label["k1"])),

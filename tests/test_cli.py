@@ -46,6 +46,24 @@ def write_config(tmp_path, text, name="model.cfg"):
     return str(path)
 
 
+def spy_on_build(monkeypatch):
+    """List that records each call the CLI makes to validate, sample or assemble."""
+    calls = []
+    for owner, name in (
+        (cli, "validate_mesh"),
+        (cli.cfgmod, "build_coefficients"),
+        (cli, "assemble_pencil"),
+    ):
+        real = getattr(owner, name)
+
+        def wrapper(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def run(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
@@ -111,6 +129,34 @@ class TestValidate:
         assert "cannot read config" in err
 
 
+class TestConfigBytes:
+    """A config file is UTF-8 in any locale; its bytes never end in a traceback."""
+
+    def test_byte_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "model.cfg"
+        path.write_bytes(b"# caf\xe9\n" + DAMPED.encode())
+        code, out, err = run(["validate", "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: config {str(path)!r} is not UTF-8: invalid continuation byte at byte 5\n"
+        )
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain = write_config(tmp_path, DAMPED, name="plain.cfg")
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + DAMPED.encode())
+        assert cli._load(str(marked)) == cli._load(plain)
+
+    def test_nul_in_output_dir_is_a_line_numbered_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, DAMPED + "\n[output]\ndir = out\x00x\n")
+        code, out, err = run(["spectrum", "--config", cfg], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 11: 'dir' must not contain a NUL character\n"
+
+
 class TestSpectrum:
     def test_writes_full_spectrum(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DAMPED)
@@ -154,6 +200,20 @@ class TestSpectrum:
         assert err.startswith("error: spectrum: state dimension 4200 exceeds 4096")
         assert out == ""
         assert not (out_dir / "eigenvalues.csv").exists()
+
+    def test_size_beyond_dense_limit_is_neither_validated_nor_sampled(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = spy_on_build(monkeypatch)
+        cfg = write_config(tmp_path, DAMPED.replace("n = 8", "n = 2100"))
+        code, out, err = run(["spectrum", "--config", cfg, "--out", str(tmp_path / "s")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: spectrum: state dimension 4200 exceeds 4096, "
+            "the largest this package attempts\n"
+        )
+        assert calls == []
 
     # There is no [spectral] section: the near-axis strip is a constant.
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -367,25 +427,15 @@ class TestDenseSizeGuard:
     def test_oversized_model_is_neither_validated_nor_sampled(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        calls = []
-
-        def recorded(owner, name):
-            real = getattr(owner, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        recorded(cli, "validate_mesh")
-        recorded(cli.cfgmod, "build_coefficients")
+        # Each command names the limit of the layer it runs.
+        label, limit = ("spectrum", 4096) if command == "spectrum" else ("dense model", 8320)
+        calls = spy_on_build(monkeypatch)
         cfg = write_config(tmp_path, UNDAMPED_RUN.replace("n = 16", "n = 100000"))
         code, out, err = run([command, "--config", cfg, "--out", str(tmp_path / "run")], capsys)
         assert code == 1
         assert out == ""
         assert err == (
-            "error: dense model: state dimension 199998 exceeds 8320, "
+            f"error: {label}: state dimension 199998 exceeds {limit}, "
             "the largest this package attempts\n"
         )
         assert calls == []
@@ -697,6 +747,19 @@ class TestStudy:
         assert "Traceback" not in err
         assert out == ""
         assert not (out_dir / "study.csv").exists()
+
+    def test_every_size_is_checked_before_any_assembly(self, tmp_path, capsys, monkeypatch):
+        calls = spy_on_build(monkeypatch)
+        cfg = write_config(tmp_path, SQUARE)
+        args = ["study", "--config", cfg, "--out", str(tmp_path / "study"), "--sizes", "4,200"]
+        code, out, err = run(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: size 200: state dimension 80400 exceeds 4096, "
+            "the largest this package attempts\n"
+        )
+        assert "assemble_pencil" not in calls
 
 
 def oversized_cases(n, nx):

@@ -1,9 +1,15 @@
 """Tests for configuration parsing, diagnostics, and model construction."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wavetriple as wt
+from wavetriple import cli
 from wavetriple import config as cfgmod
 from wavetriple.errors import ConfigError, DegenerateEnergyNormError
 from wavetriple.mesh import cell_midpoints
@@ -417,3 +423,38 @@ class TestParseOnce:
     def test_explicit_default_equals_absent(self, base):
         explicit = wt.parse_config(base + "[coefficients]\nmodulus = 1\ndamping = 0\n")
         assert explicit == wt.parse_config(base)
+
+
+# Bytes outside the config grammar: NUL, each byte that is not ASCII, a
+# byte-order mark and a carriage return.  Several inserted at one position
+# are adjacent, so they may also form a multi-byte UTF-8 character.
+FOREIGN_BYTES = st.sampled_from([b"\x00", b"\xef\xbb\xbf", b"\r"]) | st.builds(
+    lambda byte: bytes([byte]), st.integers(0x80, 0xFF)
+)
+
+
+class TestFrontDoorBytes:
+    """validate on a config with foreign bytes exits 0 or prints only error lines."""
+
+    @settings(deadline=None)
+    @given(
+        base=st.sampled_from([MINIMAL, SQUARE]),
+        inserts=st.lists(st.tuples(st.integers(0, 10**4), FOREIGN_BYTES), max_size=8),
+    )
+    @example(base=MINIMAL, inserts=[(0, b"\xe9")])
+    def test_never_a_traceback(self, tmp_path_factory, base, inserts):
+        data = base.encode()
+        # From the last position back, so each offset is one into the original text.
+        for pos, chunk in sorted(((pos % (len(data) + 1), chunk) for pos, chunk in inserts))[::-1]:
+            data = data[:pos] + chunk + data[pos:]
+        path = tmp_path_factory.mktemp("bytes") / "model.cfg"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", "--config", str(path)])
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code == 1
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("error: ") for line in lines)
