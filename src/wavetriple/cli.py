@@ -32,7 +32,7 @@ from .mesh import validate_mesh
 def _load(path: str) -> cfgmod.ModelConfig:
     try:
         data = Path(path).read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError([f"cannot read config {path!r}: {exc}"]) from exc
     try:
         text = data.decode("utf-8")

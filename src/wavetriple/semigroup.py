@@ -16,10 +16,10 @@ the energy balance |x_next|^2 - |x|^2 = -2 dt [v'(D + Mb)v + u'Ma v] exactly,
 with (u, v) the mean of the two states and |.| the Gram norm.  simulate
 checks it after every step of every model, with Ma and D + Mb from
 dissipation_forms and the left side polarized as 2 (u, v)'G(x_next - x),
-so no two close squared norms cancel.  Each step is recorded from one
-stacked product [K 0; G] x and one [D + Mb; Ma] v at the midpoint.
-Only two states are held at a time.  Explicit schemes are deliberately
-not offered.
+so no two close squared norms cancel.  Each state is recorded from one
+stacked product [K 0; G] x, and each step's balance from one product
+[G 0; 0 Ma; 0 D + Mb] [x_next - x; v] at the midpoint.  Explicit
+schemes are deliberately not offered.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, hstack, vstack
 
 from . import linalg
+# physical_energy is unused here: perfbench/child.py wraps semigroup.physical_energy.
 from .assembly import OperatorPencil, dissipation_forms, physical_energy, state_norm
 from .errors import (
     ContractionBreachError,
@@ -104,12 +105,13 @@ def simulate(
     """Run nsteps Cayley steps from x0, recording energy and norm each step.
 
     Two states are held at a time; the trajectory keeps the last (a copy of
-    x0 when nsteps is 0).  A step whose energy-balance defect exceeds
-    BALANCE_RTOL times the sum of the magnitudes of its terms, or is NaN,
-    raises ContractionBreachError.
-    A run that would record more than MAX_TRAJECTORY_VALUES values is refused
-    with ProblemSizeError before anything is allocated or factored, and so
-    is an x0 whose energy or norm is not finite, with InitialDataError.
+    x0 when nsteps is 0).  Each state, x0 included, is recorded from one
+    product [K 0; G] x, each step's balance from one on [x_next - x; v].
+    A step whose balance defect exceeds BALANCE_RTOL times the sum of its
+    terms' magnitudes, or is NaN, raises ContractionBreachError.  More than
+    MAX_TRAJECTORY_VALUES recorded values is a ProblemSizeError before
+    anything is allocated; an x0 whose energy or norm is not finite is an
+    InitialDataError before anything is factored.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (pencil.state_dim,):
@@ -117,42 +119,41 @@ def simulate(
     if nsteps < 0:
         raise ValueError("nsteps must be nonnegative")
     check_run_length(nsteps)
+    # The two products of the module docstring.  Every block is CSR, the zero
+    # ones empty, so hstack and vstack stack by concatenation, not via COO.
+    m, gram = pencil.num_active, pencil.gram_csr
+    zero = csr_matrix((m, m))
+    record = vstack([hstack([pencil.stiffness_csr, zero], format="csr"), gram], format="csr")
+    forms = hstack([csr_matrix((2 * m, 2 * m)), vstack(dissipation_forms(pencil))], format="csr")
+    balance = vstack([hstack([gram, csr_matrix((2 * m, m))], format="csr"), forms], format="csr")
+    del gram, forms  # the loop reads record and balance alone
+
+    def sample(x: np.ndarray) -> tuple[float, float]:
+        """physical_energy and state_norm of x, bit for bit."""
+        u, v, parts = x[:m], x[m:], record @ x
+        kinetic = v @ parts[2 * m :]
+        norm_sq = float(u @ parts[m : 2 * m] + kinetic)
+        return float(u @ parts[:m] + kinetic), float(np.sqrt(max(norm_sq, 0.0)))
+
+    energy, xnorm = np.zeros(nsteps + 1), np.zeros(nsteps + 1)
     # Finite data too large for float64 overflow here: say so, quietly.
     with np.errstate(over="ignore", invalid="ignore"):
-        energy0, xnorm0 = physical_energy(pencil, x0), state_norm(pencil, x0)
-    if not (np.isfinite(energy0) and np.isfinite(xnorm0)):
+        energy[0], xnorm[0] = sample(x0)
+    if not (np.isfinite(energy[0]) and np.isfinite(xnorm[0])):
         raise InitialDataError(
-            f"initial energy {energy0:.3e} or norm {xnorm0:.3e} is not finite: "
+            f"initial energy {energy[0]:.3e} or norm {xnorm[0]:.3e} is not finite: "
             "the initial data are too large for float64"
         )
-    reaction, damper = dissipation_forms(pencil)
     stepper = CayleyStepper(pencil, dt)
-    # One product gives K u, S u and M v, the terms of the energy and the
-    # norm: K u over G x.  One more gives (D + Mb) v and Ma v at the
-    # midpoint.  Every block is CSR, the zero one empty, so hstack and
-    # vstack stack by concatenation, with no COO copy.
-    gram = pencil.gram_csr
-    zero = csr_matrix(pencil.mass_csr.shape)
-    record = vstack([hstack([pencil.stiffness_csr, zero], format="csr"), gram], format="csr")
-    forms = vstack([damper, reaction], format="csr")
-
-    energy = np.zeros(nsteps + 1)
-    xnorm = np.zeros(nsteps + 1)
-    energy[0], xnorm[0] = energy0, xnorm0
     x, worst = x0.copy(), 0.0
     for k in range(1, nsteps + 1):
         prev, x = x, stepper.step(x)
-        u, v = pencil.split(x)
-        stiff_u, gram_u, mass_v = np.split(record @ x, 3)
-        kinetic = v @ mass_v
-        energy[k] = float(u @ stiff_u + kinetic)
-        xnorm[k] = float(np.sqrt(max(float(u @ gram_u + kinetic), 0.0)))
+        energy[k], xnorm[k] = sample(x)
         mid = 0.5 * (prev + x)
-        u_mid, v_mid = pencil.split(mid)
-        damper_v, reaction_v = np.split(forms @ v_mid, 2)
-        damped = 2.0 * dt * float(v_mid @ damper_v)
-        reacted = 2.0 * dt * float(u_mid @ reaction_v)
-        defect = 2.0 * float(mid @ (gram @ (x - prev))) + damped + reacted
+        terms = balance @ np.concatenate([x - prev, mid[m:]])
+        reacted = 2.0 * dt * float(mid[:m] @ terms[2 * m : 3 * m])
+        damped = 2.0 * dt * float(mid[m:] @ terms[3 * m :])
+        defect = 2.0 * float(mid @ terms[: 2 * m]) + damped + reacted
         before, after = xnorm[k - 1 : k + 1].tolist()
         bound = BALANCE_RTOL * (after * after + before * before + abs(damped) + abs(reacted))
         if not abs(defect) <= bound:
@@ -160,8 +161,7 @@ def simulate(
                 f"energy balance fails at step {k}: defect {defect:.3e} exceeds {bound:.3e}"
             )
         worst = max(worst, abs(defect) / bound) if defect else worst
-    times = dt * np.arange(nsteps + 1)
-    return Trajectory(times, x[np.newaxis], energy, xnorm, worst)
+    return Trajectory(dt * np.arange(nsteps + 1), x[np.newaxis], energy, xnorm, worst)
 
 
 def initial_state(pencil: OperatorPencil, w0, w1) -> np.ndarray:
@@ -222,11 +222,8 @@ def decay_profile(
             "dynamics matrix is singular: zero is an eigenvalue of the "
             "evolution and the start state is not determined"
         ) from err
-    x0 = pencil.join(u0, y_u)
-    graph = np.sqrt(
-        state_norm(pencil, x0) ** 2 + state_norm(pencil, image) ** 2
-    )
-    traj = simulate(pencil, x0, dt, nsteps)
+    traj = simulate(pencil, pencil.join(u0, y_u), dt, nsteps)
+    graph = np.sqrt(traj.xnorm[0] ** 2 + state_norm(pencil, image) ** 2)
     if graph == 0.0:
         return traj.times, np.zeros_like(traj.xnorm)
     return traj.times, traj.xnorm / graph

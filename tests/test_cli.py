@@ -148,6 +148,12 @@ class TestConfigBytes:
         marked.write_bytes(b"\xef\xbb\xbf" + DAMPED.encode())
         assert cli._load(str(marked)) == cli._load(plain)
 
+    def test_nul_in_config_path_is_one_error_line(self, capsys):
+        code, out, err = run(["validate", "--config", "a\x00b"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: cannot read config 'a\\x00b': embedded null byte\n"
+
     def test_nul_in_output_dir_is_a_line_numbered_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, DAMPED + "\n[output]\ndir = out\x00x\n")
@@ -524,8 +530,9 @@ class TestBenchmarkHooks:
         [
             ("simulate", UNDAMPED_RUN, ("pencil_bytes", "gram_nnz", "trajectory_bytes")),
             ("spectrum", DAMPED, ("pencil_bytes", "gram_nnz")),
+            ("helmholtz", DAMPED + "\n[helmholtz]\nf = x\n", ()),
         ],
-        ids=["simulate", "spectrum"],
+        ids=["simulate", "spectrum", "helmholtz"],
     )
     def test_traced_child_run(self, tmp_path, command, text, facts):
         cfg = write_config(tmp_path, text)

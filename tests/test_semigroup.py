@@ -192,7 +192,8 @@ class TestSimulate:
 
     def test_fused_record_equals_energy_and_norm_bitwise(self):
         # simulate records K u, S u and M v from one stacked product; each
-        # sample equals physical_energy and state_norm of its state.
+        # sample, x0's included, equals physical_energy and state_norm of
+        # its state.
         for pencil in models.ci_pencils() + models.cell_average_pencils():
             rng = np.random.default_rng(pencil.state_dim)
             x0 = models.random_state(pencil, rng)
@@ -201,7 +202,37 @@ class TestSimulate:
                 x = traj.states[0]
                 assert traj.energy[-1] == wt.physical_energy(pencil, x)
                 assert traj.xnorm[-1] == wt.state_norm(pencil, x)
+                assert traj.energy[0] == wt.physical_energy(pencil, x0)
+                assert traj.xnorm[0] == wt.state_norm(pencil, x0)
             assert two.energy[1] == one.energy[1] and two.xnorm[1] == one.xnorm[1]
+
+    def test_worst_ratio_equals_the_balance_from_separate_products(self):
+        # simulate reads G (x_next - x), (D + Mb) v and Ma v from one stacked
+        # product; taken one by one they give the reported ratio bit for bit.
+        square = wt.rectangle_mesh(5, 4, models.square_partition())
+        interval = wt.interval_mesh(12, right=wt.BoundaryLabel.ELASTIC_DAMPED)
+        interior = [
+            models.interior_pencil(mesh, reaction=1.5, damping=0.5) for mesh in (interval, square)
+        ]
+        dt, nsteps = 0.02, 10
+        for pencil in models.ci_pencils() + interior:
+            x = models.random_state(pencil, np.random.default_rng(pencil.state_dim))
+            traj = wt.simulate(pencil, x, dt, nsteps)
+            gram, (reaction, damper) = pencil.gram_csr, assembly.dissipation_forms(pencil)
+            stepper, worst = semigroup.CayleyStepper(pencil, dt), 0.0
+            for _ in range(nsteps):
+                prev, x = x, stepper.step(x)
+                mid = 0.5 * (prev + x)
+                u_mid, v_mid = pencil.split(mid)
+                damped = 2.0 * dt * float(v_mid @ (damper @ v_mid))
+                reacted = 2.0 * dt * float(u_mid @ (reaction @ v_mid))
+                defect = 2.0 * float(mid @ (gram @ (x - prev))) + damped + reacted
+                before, after = wt.state_norm(pencil, prev), wt.state_norm(pencil, x)
+                terms = after * after + before * before + abs(damped) + abs(reacted)
+                bound = semigroup.BALANCE_RTOL * terms
+                worst = max(worst, abs(defect) / bound) if defect else worst
+            assert 0.0 < worst <= 1.0
+            assert traj.balance_worst_ratio == worst
 
     def test_memory_does_not_grow_with_the_history(self):
         # 2,001 states of length 400 would take 6.4 MB; the run keeps two.
